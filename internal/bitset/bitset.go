@@ -1,24 +1,26 @@
 // Package bitset provides the word-parallel palette kernels shared by every
 // color-set consumer in the repository: the trial runner's per-node
-// known-colors sets, the verifier's conflict tables, the greedy baselines'
-// first-free picks and the deterministic pipeline's reduction scratch.
+// known-colors sets, the verifier's color statistics, the greedy
+// baselines' first-free picks and the deterministic pipeline's reduction
+// scratch.
 //
 // The paper's algorithms spend their hot loops answering two queries — "is
 // color c used nearby?" and "what is a free color?". Both are one-word
 // operations on a dense bitset: membership is a single AND, free-color
 // selection is a word scan driven by bits.TrailingZeros64. The package
-// offers three shapes:
+// offers two shapes:
 //
 //   - Row: a raw []uint64 view, for flat per-node regions carved out of one
 //     backing slice (the trial kernel stores n palette rows contiguously);
 //   - Fixed: a sized bitset with O(1) epoch-free ops and a reusable backing
 //     array (Resize reuses capacity), mirroring graph.MarkSet's pooled-reuse
-//     contract for callers that clear between uses;
-//   - Stamped: a generation-stamped bitset whose Reset is O(1) — each word
-//     carries a stamp and lazily zeroes itself on first touch of a new
-//     generation — for per-neighborhood scratch reset millions of times.
+//     contract for callers that clear between uses.
 //
-// All three are deliberately bounds-unchecked beyond the slice's own checks:
+// Per-neighborhood scratch that is reset millions of times per pass uses
+// generation marks instead (graph.MarkSet, the verifier's per-color marks):
+// a bitset's lazy per-word zeroing costs more than one mark per member.
+//
+// Both are deliberately bounds-unchecked beyond the slice's own checks:
 // callers index within the capacity they allocated, exactly like the flat
 // arrays these kernels replace.
 package bitset
@@ -233,89 +235,3 @@ func (f *Fixed) NthZero(k int) int { return f.bits.NthZero(k, f.n) }
 
 // NthSet returns the k-th set bit in ascending order, or -1.
 func (f *Fixed) NthSet(k int) int { return f.bits.NthSet(k) }
-
-// Stamped is a generation-stamped bitset: Reset is O(1) (a generation bump),
-// and each word lazily zeroes itself the first time it is touched in a new
-// generation. It is the bit-granular analogue of graph.MarkSet, 32× denser,
-// built for per-neighborhood conflict scratch that is reset millions of
-// times per pass.
-type Stamped struct {
-	words []uint64
-	stamp []uint32
-	gen   uint32
-	n     int
-}
-
-// NewStamped returns a stamped bitset for bits 0..n-1, all clear.
-func NewStamped(n int) *Stamped {
-	s := &Stamped{gen: 1}
-	s.Grow(n)
-	return s
-}
-
-// Grow ensures the set covers bits 0..n-1, reusing the backing arrays and
-// keeping the current generation (freshly appended words carry stamp 0,
-// which never equals a live generation, so they read as clear).
-func (s *Stamped) Grow(n int) {
-	if n < 0 {
-		n = 0
-	}
-	w := WordsFor(n)
-	if w > len(s.words) {
-		if w <= cap(s.words) {
-			s.words = s.words[:w]
-			s.stamp = s.stamp[:w]
-		} else {
-			words := make([]uint64, w)
-			stamp := make([]uint32, w)
-			copy(words, s.words)
-			copy(stamp, s.stamp)
-			s.words, s.stamp = words, stamp
-		}
-	}
-	if n > s.n {
-		s.n = n
-	}
-}
-
-// Len returns the bit range of the set.
-func (s *Stamped) Len() int { return s.n }
-
-// Reset clears the whole set in O(1) by advancing the generation.
-func (s *Stamped) Reset() {
-	s.gen++
-	if s.gen == 0 { // wrapped after 2³² resets: clear once, start over
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.gen = 1
-	}
-}
-
-// word returns the current-generation value of word wi, zeroing it lazily.
-func (s *Stamped) word(wi int) *uint64 {
-	if s.stamp[wi] != s.gen {
-		s.stamp[wi] = s.gen
-		s.words[wi] = 0
-	}
-	return &s.words[wi]
-}
-
-// Test reports whether bit i is set in the current generation.
-func (s *Stamped) Test(i int) bool {
-	wi := i >> 6
-	return s.stamp[wi] == s.gen && s.words[wi]&(1<<(uint(i)&63)) != 0
-}
-
-// Set sets bit i in the current generation.
-func (s *Stamped) Set(i int) { *s.word(i >> 6) |= 1 << (uint(i) & 63) }
-
-// TestAndSet sets bit i and reports whether it was already set — the fused
-// "have I seen this color in this neighborhood?" query of the verifier.
-func (s *Stamped) TestAndSet(i int) bool {
-	w := s.word(i >> 6)
-	mask := uint64(1) << (uint(i) & 63)
-	old := *w&mask != 0
-	*w |= mask
-	return old
-}

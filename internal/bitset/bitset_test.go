@@ -165,53 +165,6 @@ func TestFixedResizeReusesAndClears(t *testing.T) {
 	}
 }
 
-func TestStampedResetAndGrow(t *testing.T) {
-	s := NewStamped(100)
-	s.Set(3)
-	s.Set(64)
-	if !s.Test(3) || !s.Test(64) || s.Test(4) {
-		t.Fatal("basic set/test broken")
-	}
-	if s.TestAndSet(3) != true {
-		t.Error("TestAndSet on a set bit must report true")
-	}
-	if s.TestAndSet(65) != false {
-		t.Error("TestAndSet on a clear bit must report false")
-	}
-	s.Reset()
-	for _, i := range []int{3, 64, 65} {
-		if s.Test(i) {
-			t.Errorf("bit %d survived Reset", i)
-		}
-	}
-	s.Set(99)
-	s.Grow(1000) // grow mid-generation: old bits survive, new words read clear
-	if !s.Test(99) || s.Test(999) {
-		t.Error("Grow corrupted state")
-	}
-	s.Set(999)
-	if !s.Test(999) {
-		t.Error("Set after Grow broken")
-	}
-	if s.Len() != 1000 {
-		t.Errorf("Len = %d, want 1000", s.Len())
-	}
-}
-
-func TestStampedGenerationWraparound(t *testing.T) {
-	s := NewStamped(64)
-	s.Set(7)
-	s.gen = ^uint32(0) // force the wrap on the next Reset
-	s.stamp[0] = s.gen // make bit 7 current in the forced generation
-	s.Reset()
-	if s.gen != 1 {
-		t.Fatalf("gen after wrap = %d, want 1", s.gen)
-	}
-	if s.Test(7) {
-		t.Error("bit alive across a generation wraparound")
-	}
-}
-
 // TestPropertyRowMatchesMapOracle drives a Row and a map-of-ints oracle
 // through the same random op sequence — Set, Clear, Test, Count, FirstZero,
 // NextZero, NthZero, NthSet — and demands identical answers, across palette

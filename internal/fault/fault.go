@@ -90,16 +90,10 @@ func (in *Injector) CorruptColors(g *graph.Graph, c coloring.Coloring, k int, ta
 	}
 	victims := in.pickVictims(g, c, k, target)
 	slices.Sort(victims)
-	view := graph.NewDist2View(g)
 	var nbrColors []int
+	seen := make(map[graph.NodeID]struct{})
 	for _, v := range victims {
-		nbrColors = nbrColors[:0]
-		view.ForEachDist2(v, func(w graph.NodeID) bool {
-			if c[w] != coloring.Uncolored {
-				nbrColors = append(nbrColors, c[w])
-			}
-			return true
-		})
+		nbrColors = appendDist2Colors(g, c, v, seen, nbrColors[:0])
 		if len(nbrColors) > 0 {
 			c[v] = nbrColors[in.src.Intn(len(nbrColors))]
 		} else {
@@ -109,20 +103,50 @@ func (in *Injector) CorruptColors(g *graph.Graph, c coloring.Coloring, k int, ta
 	return victims
 }
 
-// pickVictims selects k distinct colored nodes per target.
-func (in *Injector) pickVictims(g *graph.Graph, c coloring.Coloring, k int, target Target) []graph.NodeID {
-	n := g.NumNodes()
-	colored := make([]graph.NodeID, 0, n)
-	for v := 0; v < n; v++ {
-		if c[v] != coloring.Uncolored {
-			colored = append(colored, graph.NodeID(v))
+// appendDist2Colors appends the colors of v's colored distance-2 neighbors
+// to dst in graph.Dist2View.ForEachDist2 order — direct neighbors ascending,
+// then two-hop neighbors in CSR walk order, each once. It deduplicates
+// through seen (emptied first), whose size is the ball's, where a
+// Dist2View would allocate a mark buffer the size of the graph.
+func appendDist2Colors(g *graph.Graph, c coloring.Coloring, v graph.NodeID, seen map[graph.NodeID]struct{}, dst []int) []int {
+	clear(seen)
+	seen[v] = struct{}{}
+	visit := func(w graph.NodeID) {
+		if _, dup := seen[w]; dup {
+			return
+		}
+		seen[w] = struct{}{}
+		if c[w] != coloring.Uncolored {
+			dst = append(dst, c[w])
 		}
 	}
-	if k >= len(colored) {
-		return colored
+	nbrs := g.Neighbors(v)
+	for _, u := range nbrs {
+		visit(u)
+	}
+	for _, u := range nbrs {
+		for _, w := range g.Neighbors(u) {
+			visit(w)
+		}
+	}
+	return dst
+}
+
+// pickVictims selects k distinct colored nodes per target.
+func (in *Injector) pickVictims(g *graph.Graph, c coloring.Coloring, k int, target Target) []graph.NodeID {
+	var uncolored []graph.NodeID
+	for v, col := range c {
+		if col == coloring.Uncolored {
+			uncolored = append(uncolored, graph.NodeID(v))
+		}
+	}
+	numColored := len(c) - len(uncolored)
+	if k >= numColored {
+		return coloredNodes(c, numColored)
 	}
 	switch target {
 	case TargetHighDegree:
+		colored := coloredNodes(c, numColored)
 		sort.SliceStable(colored, func(i, j int) bool {
 			di, dj := g.Degree(colored[i]), g.Degree(colored[j])
 			if di != dj {
@@ -132,6 +156,7 @@ func (in *Injector) pickVictims(g *graph.Graph, c coloring.Coloring, k int, targ
 		})
 		return slices.Clone(colored[:k])
 	case TargetConflictDense:
+		colored := coloredNodes(c, numColored)
 		view := graph.NewDist2View(g)
 		d2 := make([]int, len(colored))
 		for i, v := range colored {
@@ -153,16 +178,33 @@ func (in *Injector) pickVictims(g *graph.Graph, c coloring.Coloring, k int, targ
 		}
 		return out
 	default: // TargetUniform: rejection-sample distinct colored nodes
-		marks := graph.NewMarkSet(n)
+		// Draw i names the i-th colored node, found by binary search over
+		// the uncolored list U instead of an n-sized list of the colored
+		// ones: with j uncolored nodes before it, it is node i + j, where j
+		// is the first index with U[j] - j > i (U[j] - j is nondecreasing).
+		picked := make(map[graph.NodeID]struct{}, k)
 		out := make([]graph.NodeID, 0, k)
 		for len(out) < k {
-			v := colored[in.src.Intn(len(colored))]
-			if marks.Add(v) {
+			i := in.src.Intn(numColored)
+			v := graph.NodeID(i + sort.Search(len(uncolored), func(j int) bool { return int(uncolored[j])-j > i }))
+			if _, dup := picked[v]; !dup {
+				picked[v] = struct{}{}
 				out = append(out, v)
 			}
 		}
 		return out
 	}
+}
+
+// coloredNodes returns the numColored colored nodes of c, ascending.
+func coloredNodes(c coloring.Coloring, numColored int) []graph.NodeID {
+	colored := make([]graph.NodeID, 0, numColored)
+	for v, col := range c {
+		if col != coloring.Uncolored {
+			colored = append(colored, graph.NodeID(v))
+		}
+	}
+	return colored
 }
 
 // InsertRandomEdges inserts up to count random new edges between distinct

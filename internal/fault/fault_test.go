@@ -2,12 +2,14 @@ package fault
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
 	"d2color/internal/coloring"
 	"d2color/internal/graph"
+	"d2color/internal/rng"
 	"d2color/internal/trial"
 	"d2color/internal/verify"
 )
@@ -97,6 +99,73 @@ func TestCorruptAllWhenKExceedsColored(t *testing.T) {
 // TestInjectorDeterminism: two injectors with one seed and one call sequence
 // produce byte-identical corruption and churn scripts, and the overlays they
 // drive end in identical states.
+// referenceCorruptUniform is the straightforward form of uniform
+// corruption that CorruptColors must reproduce draw for draw: an explicit
+// list of the colored nodes, a graph-sized mark set for distinct victims,
+// and the Dist2View stream for each victim's distance-2 colors.
+func referenceCorruptUniform(src *rng.Source, g *graph.Graph, c coloring.Coloring, k, palette int) []graph.NodeID {
+	var colored []graph.NodeID
+	for v, col := range c {
+		if col != coloring.Uncolored {
+			colored = append(colored, graph.NodeID(v))
+		}
+	}
+	victims := colored
+	if k < len(colored) {
+		marks := graph.NewMarkSet(g.NumNodes())
+		victims = nil
+		for len(victims) < k {
+			if v := colored[src.Intn(len(colored))]; marks.Add(v) {
+				victims = append(victims, v)
+			}
+		}
+	}
+	victims = slices.Clone(victims)
+	slices.Sort(victims)
+	view := graph.NewDist2View(g)
+	for _, v := range victims {
+		var nbrColors []int
+		view.ForEachDist2(v, func(w graph.NodeID) bool {
+			if c[w] != coloring.Uncolored {
+				nbrColors = append(nbrColors, c[w])
+			}
+			return true
+		})
+		if len(nbrColors) > 0 {
+			c[v] = nbrColors[src.Intn(len(nbrColors))]
+		} else {
+			c[v] = src.Intn(palette)
+		}
+	}
+	return victims
+}
+
+// TestCorruptUniformMatchesReference pins uniform corruption — victims,
+// their order of draws and the forged colors — to the reference form, on
+// complete and partial colorings of random graphs across k.
+func TestCorruptUniformMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + r.Intn(200)
+		g := graph.GNPWithAverageDegree(n, 1+r.Float64()*6, int64(trial))
+		clean := greedyD2(g)
+		if trial%2 == 1 {
+			for i := 0; i < n/3; i++ {
+				clean[r.Intn(n)] = coloring.Uncolored
+			}
+		}
+		for _, k := range []int{1, 4, n / 2, n} {
+			seed := uint64(trial*100 + k)
+			got, want := slices.Clone(clean), slices.Clone(clean)
+			gotV := NewInjector(seed).CorruptColors(g, got, k, TargetUniform, 50)
+			wantV := referenceCorruptUniform(NewInjector(seed).src, g, want, k, 50)
+			if !slices.Equal(gotV, wantV) || !slices.Equal(got, want) {
+				t.Fatalf("trial %d n=%d k=%d: victims %v colors %v, reference %v colors %v", trial, n, k, gotV, got, wantV, want)
+			}
+		}
+	}
+}
+
 func TestInjectorDeterminism(t *testing.T) {
 	base := graph.GNPWithAverageDegree(120, 5, 2)
 	clean := greedyD2(base)

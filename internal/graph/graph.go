@@ -383,24 +383,47 @@ func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []NodeID) {
 	if len(keep) != g.n {
 		panic(fmt.Sprintf("graph: keep mask has length %d, want %d", len(keep), g.n))
 	}
-	oldToNew := make([]int32, g.n)
-	newToOld := make([]NodeID, 0, g.n)
-	for v := 0; v < g.n; v++ {
-		if keep[v] {
-			oldToNew[v] = int32(len(newToOld))
+	var newToOld []NodeID
+	for v, k := range keep {
+		if k {
 			newToOld = append(newToOld, NodeID(v))
-		} else {
-			oldToNew[v] = -1
 		}
+	}
+	return g.InducedSubgraphOf(newToOld, make([]int32, g.n)), newToOld
+}
+
+// InducedSubgraphOf returns the subgraph induced by nodes, which must be
+// sorted ascending and duplicate-free; node i of the result is nodes[i].
+// index is the caller's old→new scratch of length NumNodes(): only the
+// entries of nodes are written, and the others may hold any value (a member
+// v is recognized by nodes[index[v]] == v), so a caller that keeps one index
+// across calls extracts in O(|nodes| + their degrees), never O(n). It panics
+// if nodes is unsorted, out of range or duplicated, or index has the wrong
+// length.
+func (g *Graph) InducedSubgraphOf(nodes []NodeID, index []int32) *Graph {
+	if len(index) != g.n {
+		panic(fmt.Sprintf("graph: index has length %d, want %d", len(index), g.n))
+	}
+	for i, v := range nodes {
+		if v < 0 || int(v) >= g.n || (i > 0 && v <= nodes[i-1]) {
+			panic(fmt.Sprintf("graph: induced node list must be ascending in [0, %d); entry %d is %d", g.n, i, v))
+		}
+		index[v] = int32(i)
+	}
+	newID := func(v NodeID) int32 {
+		if i := index[v]; i >= 0 && int(i) < len(nodes) && nodes[i] == v {
+			return i
+		}
+		return -1
 	}
 	// Emit the sub-CSR directly: the source lists are sorted and the kept
 	// relabelling is monotone, so each new list stays sorted without resorting.
-	nn := len(newToOld)
+	nn := len(nodes)
 	off := make([]int32, nn+1)
-	for i, orig := range newToOld {
+	for i, orig := range nodes {
 		cnt := int32(0)
 		for _, v := range g.Neighbors(orig) {
-			if keep[v] {
+			if newID(v) >= 0 {
 				cnt++
 			}
 		}
@@ -408,15 +431,15 @@ func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []NodeID) {
 	}
 	tgt := make([]NodeID, off[nn])
 	w := int32(0)
-	for _, orig := range newToOld {
+	for _, orig := range nodes {
 		for _, v := range g.Neighbors(orig) {
-			if keep[v] {
-				tgt[w] = NodeID(oldToNew[v])
+			if i := newID(v); i >= 0 {
+				tgt[w] = NodeID(i)
 				w++
 			}
 		}
 	}
-	return fromCSR(nn, off, tgt), newToOld
+	return fromCSR(nn, off, tgt)
 }
 
 // DegreeHistogram returns a map from degree value to the number of nodes with

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -158,6 +160,77 @@ func TestInducedSubgraphPanicsOnBadMask(t *testing.T) {
 		}
 	}()
 	Complete(3).InducedSubgraph([]bool{true})
+}
+
+// TestInducedSubgraphOfMatchesMask drives the list form with one index
+// reused across many extractions — so every call sees the previous calls'
+// stale entries — and checks each result against the keep-mask form and an
+// edge-list oracle built through FromEdges, on random graphs and node sets.
+func TestInducedSubgraphOfMatchesMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(120)
+		g := GNP(n, rng.Float64()*0.2, int64(trial))
+		index := make([]int32, n)
+		for i := range index {
+			index[i] = int32(rng.Intn(2*n+1) - n) // arbitrary, including -n..n
+		}
+		for pick := 0; pick < 5; pick++ {
+			keep := make([]bool, n)
+			var nodes []NodeID
+			density := rng.Float64()
+			for v := range keep {
+				if rng.Float64() < density {
+					keep[v] = true
+					nodes = append(nodes, NodeID(v))
+				}
+			}
+			got := g.InducedSubgraphOf(nodes, index)
+			want, mapping := g.InducedSubgraph(keep)
+			if !slices.Equal(mapping, nodes) {
+				t.Fatalf("trial %d: mask mapping %v, want %v", trial, mapping, nodes)
+			}
+			newID := make(map[NodeID]NodeID, len(nodes))
+			for i, v := range nodes {
+				newID[v] = NodeID(i)
+			}
+			var edges []Edge
+			for _, e := range g.Edges() {
+				if keep[e.U] && keep[e.V] {
+					edges = append(edges, Edge{U: newID[e.U], V: newID[e.V]})
+				}
+			}
+			oracle, err := FromEdges(len(nodes), edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range []*Graph{want, oracle} {
+				if !slices.Equal(got.off, h.off) || !slices.Equal(got.tgt, h.tgt) ||
+					got.NumEdges() != h.NumEdges() || got.MaxDegree() != h.MaxDegree() {
+					t.Fatalf("trial %d pick %d: list form %v differs from %v", trial, pick, got, h)
+				}
+			}
+		}
+	}
+}
+
+func TestInducedSubgraphOfPanicsOnBadList(t *testing.T) {
+	g := Complete(4)
+	for name, nodes := range map[string][]NodeID{
+		"unsorted":  {2, 1},
+		"duplicate": {1, 1},
+		"range":     {0, 4},
+		"negative":  {-1, 2},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: InducedSubgraphOf(%v) should panic", name, nodes)
+				}
+			}()
+			g.InducedSubgraphOf(nodes, make([]int32, 4))
+		}()
+	}
 }
 
 func TestDegreeHistogramAndAverage(t *testing.T) {

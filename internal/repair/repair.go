@@ -16,10 +16,12 @@
 // Two execution modes realize the confinement (byte-different but both
 // valid; fixed colors outside the dirty set are never touched in either):
 //
-//   - ModeLocal extracts the induced subgraph G[B] and runs a fresh trial
-//     kernel on it — O(|B|) work per phase after one O(n + m) extraction,
-//     the fastest path when balls are small (the repair-locality gate's
-//     regime).
+//   - ModeLocal extracts the induced subgraph G[N[D]] — the dirty nodes and
+//     their neighbors, the rest of B entering only as preloaded color
+//     knowledge — and runs a fresh trial kernel on it. The extraction and
+//     every phase cost O(|B|) work: nothing scales with n after the
+//     session's first local repair, the fastest path when balls are small
+//     (the repair-locality gate's regime).
 //   - ModeGlobal reuses the session's warm full-graph trial kernel — and
 //     through it a warm congest.Engine via Reset — with an activation mask
 //     confining the run to B. Nothing is rebuilt between repairs, the
@@ -45,8 +47,8 @@ import (
 type Mode int
 
 const (
-	// ModeLocal runs a fresh trial kernel on the induced subgraph of the
-	// ball. Cheapest when |ball| ≪ n.
+	// ModeLocal runs a fresh trial kernel on the subgraph induced by the
+	// dirty nodes and their neighbors. Cheapest when |ball| ≪ n.
 	ModeLocal Mode = iota
 	// ModeGlobal runs the session's warm full-graph kernel under a
 	// partial-activation mask covering the ball, reusing the warm
@@ -153,8 +155,12 @@ type Session struct {
 	// ModeGlobal scratch.
 	active  []bool
 	initial coloring.Coloring
-	// ModeLocal scratch.
-	keep []bool
+	// ModeLocal scratch: the sorted node list N[D] of the extracted
+	// subgraph, and the graph-sized old→new index InducedSubgraphOf reuses
+	// across calls (allocated once per bound graph, written only at the kept
+	// entries).
+	keep     []graph.NodeID
+	subIndex []int32
 }
 
 // NewSession builds a repair session for g starting from colors (copied, so
@@ -191,7 +197,7 @@ func (s *Session) bind(g *graph.Graph, colors coloring.Coloring) {
 	}
 	s.active = nil
 	s.initial = nil
-	s.keep = nil
+	s.subIndex = nil
 }
 
 // Rebind points the session at a new topology and working coloring — the
@@ -324,29 +330,34 @@ func (s *Session) Repair(dirty []graph.NodeID, seed uint64) (Report, error) {
 // an answerer could base on an N²[D]-boundary color is preserved verbatim in
 // its preloaded known set.
 func (s *Session) repairLocal(seed uint64) (Report, error) {
-	n := s.g.NumNodes()
-	if s.keep == nil {
-		s.keep = make([]bool, n)
-	} else {
-		clear(s.keep)
-	}
+	s.keep = s.keep[:0]
 	for _, d := range s.dirty {
-		s.keep[d] = true
-		for _, u := range s.g.Neighbors(d) {
-			s.keep[u] = true
-		}
+		s.keep = append(s.keep, d)
+		s.keep = append(s.keep, s.g.Neighbors(d)...)
 	}
-	sub, newToOld := s.g.InducedSubgraph(s.keep)
+	slices.Sort(s.keep)
+	s.keep = slices.Compact(s.keep)
+	if s.subIndex == nil {
+		s.subIndex = make([]int32, s.g.NumNodes())
+	}
+	sub := s.g.InducedSubgraphOf(s.keep, s.subIndex)
 	initial := coloring.New(sub.NumNodes())
 	extra := make([][]int32, sub.NumNodes())
-	for i, orig := range newToOld {
+	for i, orig := range s.keep {
 		if s.dirtyMark.Contains(orig) {
 			initial[i] = coloring.Uncolored
 			continue // a dirty node's full neighborhood is in the subgraph
 		}
 		initial[i] = s.colors[orig]
+		// Both lists are ascending and the relabelling is monotone, so one
+		// merge walk finds the neighbors that stayed outside the subgraph.
+		inSub := sub.Neighbors(graph.NodeID(i))
 		for _, w := range s.g.Neighbors(orig) {
-			if !s.keep[w] && s.colors[w] != coloring.Uncolored {
+			if len(inSub) > 0 && s.keep[inSub[0]] == w {
+				inSub = inSub[1:]
+				continue
+			}
+			if s.colors[w] != coloring.Uncolored {
 				extra[i] = append(extra[i], int32(s.colors[w]))
 			}
 		}
@@ -367,7 +378,7 @@ func (s *Session) repairLocal(seed uint64) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	for i, orig := range newToOld {
+	for i, orig := range s.keep {
 		if s.dirtyMark.Contains(orig) {
 			s.colors[orig] = res.Coloring[i]
 		}

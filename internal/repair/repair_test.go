@@ -2,7 +2,9 @@ package repair
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -289,6 +291,48 @@ func TestRepairEdgeCases(t *testing.T) {
 		t.Fatalf("duplicated dirty node: rep=%+v err=%v", rep, err)
 	}
 	requireValidComplete(t, g, s.Colors())
+}
+
+// TestRepairLocalAllocsScaleWithBall: once a session has run its first
+// local repair, a ModeLocal repair of 16 dirty nodes allocates only
+// ball-sized scratch — on a 6-regular graph (same Δ, hence the same palette
+// and ball shape, at both sizes) the bytes per repair at n = 10⁵ stay within
+// 2× of those at n = 10⁴.
+func TestRepairLocalAllocsScaleWithBall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 10⁵-node fixture")
+	}
+	bytesPerRepair := func(n int) float64 {
+		g := graph.RandomRegular(n, 6, 9)
+		s := NewSession(g, greedyD2(g), Options{Mode: ModeLocal, ScratchReports: true})
+		defer s.Close()
+		rng := rand.New(rand.NewSource(5))
+		dirty := make([]graph.NodeID, 16)
+		repair := func(seed uint64) {
+			for i := range dirty {
+				dirty[i] = graph.NodeID(rng.Intn(n))
+			}
+			rep, err := s.Repair(dirty, seed)
+			if err != nil || !rep.Complete {
+				t.Fatalf("n=%d: repair rep=%+v err=%v", n, rep, err)
+			}
+		}
+		repair(0) // warm-up: sizes the session's graph-sized index once
+		const reps = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 1; i <= reps; i++ {
+			repair(uint64(i))
+		}
+		runtime.ReadMemStats(&after)
+		requireValidComplete(t, g, s.Colors())
+		return float64(after.TotalAlloc-before.TotalAlloc) / reps
+	}
+	small, large := bytesPerRepair(10_000), bytesPerRepair(100_000)
+	t.Logf("bytes per 16-dirty local repair: n=10⁴ %.0f, n=10⁵ %.0f", small, large)
+	if large > 2*small {
+		t.Errorf("local repair allocates %.0f B at n=10⁵ vs %.0f B at n=10⁴: more than 2×, so something still scales with n", large, small)
+	}
 }
 
 // TestRepairLocalityGate is the acceptance gate: on a sparse 10⁵-node graph

@@ -303,8 +303,10 @@ func RunLoadWith(newTransport func() Transport, spec LoadSpec) (LoadReport, erro
 		for _, ss := range resp.Stats.Sessions {
 			reqs += ss.Requests
 			batches += ss.Batches
-			rep.Coalesced += ss.Coalesced
 		}
+		// The server-wide count: per-session rows cover only the sessions
+		// still resident, and eviction churn can drop the hot session's.
+		rep.Coalesced = resp.Stats.Coalesced
 		if batches > 0 {
 			rep.MeanBatch = float64(reqs) / float64(batches)
 		}
@@ -411,14 +413,24 @@ func (w *loadWorker) run() {
 	}
 }
 
+// maxReopens bounds the cold-path cycles of one attempt (see attempt).
+const maxReopens = 8
+
 // attempt is one issue of the request, including the reopen-on-cache-miss
 // path (an evicted or quarantined session looks like one that never existed).
 func (w *loadWorker) attempt(req *Request, resp *Response, ses string) error {
 	err := w.transport.Do(req, resp)
-	for attempt := 0; errors.Is(err, ErrUnknownSession) && attempt < 3; attempt++ {
-		// The session was evicted under the resident budget: reopen and
-		// recolor it — the cold path a cache miss costs a real client —
-		// then retry, all inside this request's latency window.
+	for cycle := 0; coldSession(err) && cycle < maxReopens; cycle++ {
+		// The session was evicted under the resident budget, or another
+		// worker's reopen has re-created it and its initial color is still
+		// in flight: reopen and recolor it — the cold path a cache miss
+		// costs a real client — then retry, all inside this request's
+		// latency window. Under eviction churn the reopened session can be
+		// evicted again before the retry lands; from the second cycle on a
+		// jittered backoff first lets the competing reopens settle.
+		if cycle > 0 {
+			w.backoff(cycle - 1)
+		}
 		ok, reopenErr := w.reopen(ses)
 		if !ok {
 			if retryableError(reopenErr) {
@@ -436,11 +448,18 @@ func (w *loadWorker) attempt(req *Request, resp *Response, ses string) error {
 	return err
 }
 
+// coldSession matches the errors a reopen fixes: the session is gone
+// (evicted or quarantined), or it exists but has no coloring yet.
+func coldSession(err error) bool {
+	return errors.Is(err, ErrUnknownSession) || errors.Is(err, ErrNotColored)
+}
+
 // retryableError matches the outcomes a client-side retry can fix: transient
 // 503s, deadline cancels, and the not-colored window while a concurrent
 // worker's reopen has re-created the session but its initial color is still
-// in flight. Unknown-session is handled by reopen inside attempt, and hard
-// errors (bad request, closed server) never retry.
+// in flight (attempt's reopen cycles try that first). Unknown-session is
+// handled by reopen inside attempt, and hard errors (bad request, closed
+// server) never retry.
 func retryableError(err error) bool {
 	return errors.Is(err, ErrOverloaded) || errors.Is(err, ErrDraining) ||
 		errors.Is(err, ErrQuarantined) || errors.Is(err, ErrCanceled) ||

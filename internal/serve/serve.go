@@ -242,6 +242,7 @@ type Server struct {
 	evicted   atomic.Int64
 	shutdowns atomic.Int64 // workers fully shut down (kernels closed)
 	requests  atomic.Int64
+	coalesced atomic.Int64 // summed over every session, evicted ones too
 
 	// Overload/failure plane counters and state.
 	shed          atomic.Int64 // requests rejected with ErrOverloaded
@@ -655,6 +656,7 @@ type Stats struct {
 	Evicted          int64          `json:"evicted"`
 	Shutdown         int64          `json:"shutdown"` // workers fully exited, kernels closed
 	Requests         int64          `json:"requests"`
+	Coalesced        int64          `json:"coalesced"` // every session, evicted ones too
 	Shed             int64          `json:"shed"`
 	Canceled         int64          `json:"canceled"`
 	Panics           int64          `json:"panics"`
@@ -679,6 +681,7 @@ func (s *Server) statsSnapshot() *Stats {
 		Evicted:          s.evicted.Load(),
 		Shutdown:         s.shutdowns.Load(),
 		Requests:         s.requests.Load(),
+		Coalesced:        s.coalesced.Load(),
 		Shed:             s.shed.Load(),
 		Canceled:         s.canceled.Load(),
 		Panics:           s.panics.Load(),
@@ -716,10 +719,17 @@ func HashColors(c coloring.Coloring) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
+		// prime64⁷ mod 2⁶⁴: byte 1's multiply and the six rounds over a
+		// color's zero high bytes (each xor a no-op), folded into one.
+		prime64Pow7 = prime64 * prime64 * prime64 * prime64 * prime64 * prime64 * prime64 % (1 << 64)
 	)
 	h := uint64(offset64)
 	for _, col := range c {
 		w := uint64(col)
+		if w < 1<<16 { // colors in [0, 2¹⁶): only the two low bytes are nonzero
+			h = ((h^w&0xff)*prime64 ^ w>>8) * prime64Pow7
+			continue
+		}
 		for b := 0; b < 8; b++ {
 			h ^= w & 0xff
 			h *= prime64

@@ -1,10 +1,16 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"d2color/internal/alg"
+	"d2color/internal/coloring"
 	"d2color/internal/fault"
 	"d2color/internal/graph"
 	"d2color/internal/repair"
@@ -218,6 +224,63 @@ func TestServeBatchedAndUnbatchedIdentical(t *testing.T) {
 	}
 }
 
+// TestStatsCoalescedSurvivesEviction pins the server-wide coalesced count:
+// a window of two verifies coalesces one, and the count survives the
+// session's removal — the per-session rows cover only resident sessions, so
+// a load report summing them lost every coalesce of an evicted hot session.
+func TestStatsCoalescedSurvivesEviction(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv := NewServer(Options{ChaosPanic: func(req *Request) bool {
+		if req.Op == OpColor && req.Seed == 99 {
+			// Hold the worker past its window's drain, so both verifies
+			// queue behind it and form the next window together.
+			close(entered)
+			<-release
+		}
+		return false
+	}})
+	defer srv.Close()
+	spec := graph.GeneratorSpec{Kind: "ba", N: 200, Degree: 3, Seed: 1}
+	var resp Response
+	for _, req := range []Request{
+		{Op: OpOpen, Session: "x", Spec: &spec},
+		{Op: OpColor, Session: "x", Algorithm: "greedy", Seed: 1},
+	} {
+		if err := srv.Do(&req, &resp); err != nil {
+			t.Fatalf("%s: %v", req.Op, err)
+		}
+	}
+	srv.mu.RLock()
+	ses := srv.sessions["x"]
+	srv.mu.RUnlock()
+
+	errs := make(chan error, 3)
+	send := func(req Request) {
+		var r Response
+		errs <- srv.Do(&req, &r)
+	}
+	go send(Request{Op: OpColor, Session: "x", Algorithm: "greedy", Seed: 99})
+	<-entered
+	go send(Request{Op: OpVerify, Session: "x"})
+	go send(Request{Op: OpVerify, Session: "x"})
+	for len(ses.reqs) != 2 {
+		runtime.Gosched()
+	}
+	close(release)
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Do(&Request{Op: OpClose, Session: "x"}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if len(st.Sessions) != 0 || st.Coalesced != 1 {
+		t.Errorf("after close: %d resident sessions, coalesced %d; want 0 and 1", len(st.Sessions), st.Coalesced)
+	}
+}
+
 // TestServeEvictionLRU pins the budget/eviction contract: opening past the
 // resident budget evicts the least-recently-used session, which then behaves
 // exactly like one that never existed.
@@ -312,5 +375,49 @@ func TestServeErrors(t *testing.T) {
 	srv.Close()
 	if err := srv.Do(&Request{Op: OpVerify, Session: "x"}, &resp); !errors.Is(err, ErrServerClosed) {
 		t.Errorf("request after close: %v", err)
+	}
+}
+
+// TestHashColorsMatchesByteReference pins HashColors — including its
+// two-byte fast path for colors in [0, 2¹⁶) — to the standard library's
+// byte-at-a-time FNV-64a over 8-byte little-endian words, on colorings drawn
+// from each color range the fast path splits: negative, below 2⁸, below 2¹⁶,
+// above, and the int extremes.
+func TestHashColorsMatchesByteReference(t *testing.T) {
+	reference := func(c coloring.Coloring) uint64 {
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, col := range c {
+			binary.LittleEndian.PutUint64(buf[:], uint64(col))
+			h.Write(buf[:])
+		}
+		return h.Sum64()
+	}
+	rng := rand.New(rand.NewSource(11))
+	type draw struct {
+		name string
+		next func() int
+	}
+	draws := []draw{
+		{"negative", func() int { return -1 - rng.Intn(1<<20) }},
+		{"below2^8", func() int { return rng.Intn(1 << 8) }},
+		{"below2^16", func() int { return rng.Intn(1 << 16) }},
+		{"above2^16", func() int { return 1<<16 + rng.Intn(1<<40) }},
+		{"extremes", func() int {
+			return [...]int{math.MinInt, math.MaxInt, -1, 0, 1<<16 - 1, 1 << 16}[rng.Intn(6)]
+		}},
+	}
+	ranges := draws
+	draws = append(draws, draw{"mixed", func() int { return ranges[rng.Intn(len(ranges))].next() }})
+	for _, d := range draws {
+		for _, n := range []int{0, 1, 7, 300} {
+			c := coloring.New(n)
+			for i := range c {
+				c[i] = d.next()
+			}
+			if got, want := HashColors(c), reference(c); got != want {
+				t.Errorf("%s n=%d: HashColors = %#x, byte reference = %#x", d.name, n, got, want)
+			}
+		}
 	}
 }

@@ -218,6 +218,7 @@ func (ses *session) serveOne(c *call) {
 		ses.nVerify.Add(1)
 		if ses.memo.verifyOK {
 			ses.coalesced.Add(1)
+			ses.srv.coalesced.Add(1)
 			*c.resp = ses.memo.verify
 		} else if c.err = ses.doVerify(c.resp); c.err == nil {
 			ses.memo.verifyOK = true
@@ -231,6 +232,7 @@ func (ses *session) serveOne(c *call) {
 		}
 		if ses.memo.colorOK && ses.memo.colorAlg == name && ses.memo.colorSeed == c.req.Seed {
 			ses.coalesced.Add(1)
+			ses.srv.coalesced.Add(1)
 			*c.resp = ses.memo.color
 		} else if c.err = ses.doColor(c.req, c.resp); c.err == nil {
 			// A fresh run with different parameters replaced the working

@@ -13,9 +13,9 @@ import (
 // counts violations (capped at maxViolations, because a human reads it), the
 // conflict-set path enumerates every node involved in at least one distance-2
 // color conflict — exactly the dirty set an incremental repair pass needs.
-// The count-only path is untouched: the node-set scan uses its own
-// generation-stamped node bitset, allocated lazily on the first conflict-set
-// call, so warmed count-only Checkers stay 0 allocs/op.
+// Both run the same scan (scanD2); the node-set side adds a per-node bitset,
+// allocated on the first conflict-set call, so warmed count-only Checkers
+// stay 0 allocs/op.
 
 // ConflictNodesD2 returns every node of g involved in a distance-2 color
 // conflict under c, sorted ascending. Uncolored nodes are not conflicts
@@ -41,65 +41,33 @@ func (ch *Checker) AppendConflictNodesD2Packed(g *graph.Graph, c *coloring.Packe
 	return appendConflictNodes(ch, g, c, dst)
 }
 
-// appendConflictNodes runs the same closed-neighborhood scan as
-// checkConflicts — a d2-coloring is valid iff for every node w all colored
-// nodes of {w} ∪ N(w) have distinct colors — but marks both endpoints of
-// every duplicate into a node-indexed stamped bitset instead of building
-// (capped) Violations.
+// appendConflictNodes runs scanD2 and marks both endpoints of every
+// duplicate into a per-node bitset instead of building (capped) Violations.
 func appendConflictNodes[C colorView](ch *Checker, g *graph.Graph, c C, dst []graph.NodeID) []graph.NodeID {
 	n := g.NumNodes()
 	if c.Len() != n {
 		panic(fmt.Sprintf("verify: coloring has %d entries for %d nodes", c.Len(), n))
 	}
 	prepare(ch, c)
-	if ch.nodeSeen == nil {
-		ch.nodeSeen = bitset.NewStamped(0)
+	words := bitset.WordsFor(n)
+	if cap(ch.nodeSeen) < words {
+		ch.nodeSeen = make(bitset.Row, words)
+	} else {
+		ch.nodeSeen = ch.nodeSeen[:words]
+		ch.nodeSeen.ClearAll()
 	}
-	ch.nodeSeen.Grow(n)
-	ch.nodeSeen.Reset()
 	start := len(dst)
-	cancel := ch.cancel
-	for w := 0; w < n; w++ {
-		// Same cooperative cancel poll as the Report scans. The slice has no
-		// Canceled flag, so an aborted scan simply returns the conflicts found
-		// so far — callers that install a hook re-check it themselves before
-		// acting on the (possibly partial) dirty set.
-		if cancel != nil && w%cancelStride == 0 && cancel() {
-			break
-		}
-		ch.seen.Reset()
-		ch.resetSlow()
-		nbrs := g.Neighbors(graph.NodeID(w))
-		if cw := ch.colors[w]; cw >= 0 {
-			ch.seen.Set(int(cw))
-		} else if cw == slowColor {
-			ch.slowSeen(c.Get(graph.NodeID(w)), graph.NodeID(w))
-		}
-		for i, x := range nbrs {
-			cx := ch.colors[x]
-			if cx == -1 {
-				continue
-			}
-			var prev graph.NodeID
-			dup := false
-			if cx >= 0 {
-				if ch.seen.TestAndSet(int(cx)) {
-					prev, dup = ch.firstHolder(graph.NodeID(w), nbrs[:i], cx)
-				}
-			} else {
-				prev, dup = ch.slowSeen(c.Get(x), x)
-			}
-			if !dup || prev == x {
-				continue
-			}
-			if !ch.nodeSeen.TestAndSet(int(prev)) {
-				dst = append(dst, prev)
-			}
-			if !ch.nodeSeen.TestAndSet(int(x)) {
-				dst = append(dst, x)
+	// The slice has no Canceled flag, so a canceled scan simply returns the
+	// conflicts found so far — callers that install a hook re-check it
+	// themselves before acting on the (possibly partial) dirty set.
+	scanD2(ch, g, c, func(prev, x, _ graph.NodeID) {
+		for _, v := range [2]graph.NodeID{prev, x} {
+			if !ch.nodeSeen.Test(int(v)) {
+				ch.nodeSeen.Set(int(v))
+				dst = append(dst, v)
 			}
 		}
-	}
+	})
 	slices.Sort(dst[start:])
 	return dst
 }

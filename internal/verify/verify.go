@@ -3,9 +3,9 @@
 // test and every experiment run passes its output through these checks, so a
 // bug in an algorithm cannot silently produce an invalid result.
 //
-// The checks run on a pooled Checker whose scratch — a generation-stamped
-// conflict bitset over colors, plus a pooled, cleared-in-place table for colors outside
-// the dense range — is reused across calls, so a warmed verifier performs
+// The checks run on a pooled Checker whose scratch — per-color generation
+// marks over the dense color range, plus a pooled, cleared-in-place table for
+// colors outside it — is reused across calls, so a warmed verifier performs
 // zero heap allocations per pass (see BenchmarkVerify). The package-level
 // functions draw Checkers from an internal pool; hot callers that verify in
 // a loop can hold their own via NewChecker.
@@ -61,9 +61,11 @@ func (r Report) Error() error {
 // broken coloring does not produce an enormous report.
 const maxViolations = 64
 
-// denseColorLimit bounds the dense conflict bitset: 4M colors is 512 KB of
-// words plus 256 KB of stamps, far above any sane palette. Colors outside
-// [0, denseColorLimit) go through the Checker's slow table.
+// denseColorLimit bounds the dense per-color marks: a Checker's marks are
+// sized min(maxColor+1, denseColorLimit) entries of 2 bytes, so the worst
+// case — a coloring whose largest color is 4M or more — is 8 MiB per
+// Checker, far above any sane palette (a Δ²+1 palette at Δ = 32 is 2 KiB).
+// Colors outside [0, denseColorLimit) go through the Checker's slow table.
 const denseColorLimit = 1 << 22
 
 // Checker holds the reusable scratch of the verification passes. A Checker
@@ -72,13 +74,18 @@ const denseColorLimit = 1 << 22
 // their own. A warmed Checker allocates nothing per pass on a valid
 // coloring.
 type Checker struct {
-	// seen is the generation-stamped conflict bitset over colors
-	// [0, limit): one Reset per neighborhood, one fused TestAndSet per
-	// colored member. Who previously held a duplicated color is recovered by
-	// re-walking the neighborhood — conflicts are the rare case, so the scan
-	// stays one bit-op per node on valid colorings instead of maintaining a
-	// holder table.
-	seen *bitset.Stamped
+	// marks are the per-color generation marks over colors [0, limit): a
+	// color is in the current neighborhood iff marks[color] == gen, so one
+	// generation bump empties the set and each member costs one compare and
+	// one store. 16-bit marks halve the footprint of 32-bit ones at the
+	// same speed: the clear they need every 2¹⁶ neighborhoods, when the
+	// generation wraps, amortizes to under 2 bytes per neighborhood for
+	// palettes below 2¹⁶ colors. Who previously held a duplicated color is
+	// recovered by re-walking the neighborhood — conflicts are the rare
+	// case, so the scan stays one mark per node on valid colorings instead
+	// of maintaining a holder table.
+	marks []uint16
+	gen   uint16
 	// slow is the pooled association table for colors outside the dense
 	// range (huge values from an upstream overflow bug, or negative
 	// sentinels other than Uncolored). Unlike the former per-call map it is
@@ -96,10 +103,10 @@ type Checker struct {
 	// statsRow is the plain row behind the branch-free distinct-color count
 	// (ColorsUsed = one Set per node + one popcount).
 	statsRow bitset.Row
-	// nodeSeen deduplicates the conflict-node-set scan (see conflicts.go).
-	// Lazily allocated on the first conflict-set call, so count-only Checkers
-	// never pay for it.
-	nodeSeen *bitset.Stamped
+	// nodeSeen deduplicates the conflict-node-set scan (see conflicts.go):
+	// one bit per node, cleared per call. Allocated on the first conflict-set
+	// call, so count-only Checkers never pay for it.
+	nodeSeen bitset.Row
 	// cancel is the optional cooperative cancellation hook (SetCancel),
 	// polled every cancelStride nodes by the O(n+m) conflict scan. nil (the
 	// default, and always the case for pool-drawn Checkers) disables polling.
@@ -127,7 +134,16 @@ const slowColor = int32(-2)
 // NewChecker returns an empty Checker; its scratch grows on first use and is
 // reused afterwards.
 func NewChecker() *Checker {
-	return &Checker{seen: bitset.NewStamped(0), slow: make(map[int]graph.NodeID)}
+	return &Checker{slow: make(map[int]graph.NodeID)}
+}
+
+// resetMarks empties the per-color marks in O(1) by advancing the generation.
+func (ch *Checker) resetMarks() {
+	ch.gen++
+	if ch.gen == 0 { // wrapped after 2¹⁶ resets: clear once, start over
+		clear(ch.marks)
+		ch.gen = 1
+	}
 }
 
 // resetSlow empties the out-of-range table in place (bucket-preserving).
@@ -231,7 +247,7 @@ func checkPartial[C colorView](ch *Checker, g *graph.Graph, c C) Report {
 		return rep
 	}
 	limit, maxColor := prepare(ch, c)
-	checkConflicts(ch, g, c, limit, true, &rep)
+	checkConflicts(ch, g, c, true, &rep)
 	fillColorStats(ch, c, limit, maxColor, &rep)
 	return rep
 }
@@ -255,12 +271,12 @@ func check[C colorView](ch *Checker, g *graph.Graph, c C, paletteSize int, dist2
 		}
 	}
 	limit, maxColor := prepare(ch, c)
-	checkConflicts(ch, g, c, limit, dist2, &rep)
+	checkConflicts(ch, g, c, dist2, &rep)
 	fillColorStats(ch, c, limit, maxColor, &rep)
 	return rep
 }
 
-// prepare sizes the conflict bitset for c's color range and rebuilds the
+// prepare sizes the per-color marks for c's color range and rebuilds the
 // int32 color scratch, shared by the conflict scan and the color stats. One
 // fused pass: any color in [0, denseColorLimit) is below the final limit
 // (limit = min(maxColor+1, denseColorLimit) and the color is ≤ maxColor), so
@@ -293,7 +309,10 @@ func prepare[C colorView](ch *Checker, c C) (limit, maxColor int) {
 			limit = maxColor + 1
 		}
 	}
-	ch.seen.Grow(limit)
+	if len(ch.marks) < limit {
+		// Fresh marks are 0, which never equals a live generation.
+		ch.marks = make([]uint16, limit)
+	}
 	return limit, maxColor
 }
 
@@ -311,7 +330,7 @@ func (ch *Checker) slowSeen(cx int, x graph.NodeID) (graph.NodeID, bool) {
 // checkConflicts finds colored node pairs at distance 1 (and, if dist2, also
 // distance 2) sharing a color. prepare must have run for this coloring: the
 // scan reads the cache-dense int32 scratch instead of the []int original.
-func checkConflicts[C colorView](ch *Checker, g *graph.Graph, c C, limit int, dist2 bool, rep *Report) {
+func checkConflicts[C colorView](ch *Checker, g *graph.Graph, c C, dist2 bool, rep *Report) {
 	colors := ch.colors
 	cancel := ch.cancel
 	if !dist2 {
@@ -334,23 +353,37 @@ func checkConflicts[C colorView](ch *Checker, g *graph.Graph, c C, limit int, di
 		}
 		return
 	}
-	// A d2-coloring is equivalent to: for every node w, all colored nodes in
-	// {w} ∪ N(w) have distinct colors. Checking that form costs O(n + m)
-	// CSR walks and — with the generation-stamped conflict bitset — zero
-	// allocations per node, rather than materializing G². w itself is
-	// considered first (it seeds the fresh bitset, never a duplicate), then
-	// its neighbors in CSR order — the walk order that defines which holder
-	// a violation names.
+	if !scanD2(ch, g, c, func(prev, x, w graph.NodeID) {
+		rep.addViolation(Violation{Kind: "conflict-d2", U: prev, V: x,
+			Info: fmt.Sprintf("share color %d within the closed neighborhood of %d", c.Get(x), w)})
+	}) {
+		rep.Canceled, rep.Valid = true, false
+	}
+}
+
+// scanD2 is the distance-2 conflict scan shared by the Report checks and the
+// conflict-node set. A d2-coloring is equivalent to: for every node w, all
+// colored nodes in {w} ∪ N(w) have distinct colors. Checking that form costs
+// O(n + m) CSR walks and — with the per-color generation marks — zero
+// allocations per node, rather than materializing G². w itself is considered
+// first (it seeds the fresh marks, never a duplicate), then its neighbors in
+// CSR order — the walk order that defines which holder a duplicate names.
+// dup is called for each colored neighbor x whose color an earlier member
+// prev of w's closed neighborhood already holds. scanD2 returns false if the
+// Checker's cancellation hook stopped the scan early. prepare must have run
+// for this coloring.
+func scanD2[C colorView](ch *Checker, g *graph.Graph, c C, dup func(prev, x, w graph.NodeID)) bool {
+	colors, cancel := ch.colors, ch.cancel
 	for w := 0; w < g.NumNodes(); w++ {
 		if cancel != nil && w%cancelStride == 0 && cancel() {
-			rep.Canceled, rep.Valid = true, false
-			return
+			return false
 		}
-		ch.seen.Reset()
+		ch.resetMarks()
 		ch.resetSlow()
+		marks, gen := ch.marks, ch.gen
 		nbrs := g.Neighbors(graph.NodeID(w))
 		if cw := colors[w]; cw >= 0 {
-			ch.seen.Set(int(cw))
+			marks[cw] = gen
 		} else if cw == slowColor {
 			ch.slowSeen(c.Get(graph.NodeID(w)), graph.NodeID(w))
 		}
@@ -360,26 +393,24 @@ func checkConflicts[C colorView](ch *Checker, g *graph.Graph, c C, limit int, di
 				continue
 			}
 			if cx >= 0 {
-				if ch.seen.TestAndSet(int(cx)) {
-					// Duplicate: recover the first holder by re-walking the
-					// prefix (conflicts are the rare case; the holder is the
-					// first matching node in walk order, exactly what the
-					// former seenBy table stored).
-					if prev, ok := ch.firstHolder(graph.NodeID(w), nbrs[:i], cx); ok && prev != x {
-						rep.addViolation(Violation{Kind: "conflict-d2", U: prev, V: x,
-							Info: fmt.Sprintf("share color %d within the closed neighborhood of %d", c.Get(x), w)})
-					}
+				if marks[cx] != gen {
+					marks[cx] = gen
+					continue
+				}
+				// Duplicate: recover the first holder by re-walking the
+				// prefix (conflicts are the rare case; the holder is the
+				// first matching node in walk order).
+				if prev, ok := ch.firstHolder(graph.NodeID(w), nbrs[:i], cx); ok && prev != x {
+					dup(prev, x, graph.NodeID(w))
 				}
 				continue
 			}
-			if prev, dup := ch.slowSeen(c.Get(x), x); dup {
-				if prev != x {
-					rep.addViolation(Violation{Kind: "conflict-d2", U: prev, V: x,
-						Info: fmt.Sprintf("share color %d within the closed neighborhood of %d", c.Get(x), w)})
-				}
+			if prev, ok := ch.slowSeen(c.Get(x), x); ok && prev != x {
+				dup(prev, x, graph.NodeID(w))
 			}
 		}
 	}
+	return true
 }
 
 // firstHolder returns the first node in neighborhood walk order (w, then the

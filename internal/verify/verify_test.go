@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"reflect"
 	"testing"
 
 	"d2color/internal/coloring"
@@ -230,5 +231,33 @@ func TestCheckD2SurvivesHugeColors(t *testing.T) {
 	}
 	if !foundConflict {
 		t.Fatalf("the shared huge color must still be reported as a d2 conflict, got %v", rep.Violations)
+	}
+}
+
+// TestCheckerGenerationWraparound forces the per-color marks' generation
+// counter to wrap mid-pass: the Checker must clear its marks and keep
+// reporting exactly what a fresh Checker reports.
+func TestCheckerGenerationWraparound(t *testing.T) {
+	g := graph.GNP(60, 0.1, 5)
+	c := greedyD2(g)
+	c[7] = c[g.Neighbors(7)[0]] // one d1 conflict, hence d2 conflicts
+	want := NewChecker().CheckD2(g, c, 0)
+	ch := NewChecker()
+	ch.CheckD2(g, c, 0)      // size the marks
+	ch.gen = ^uint16(0) - 55 // wrap after 56 of the 60 neighborhoods
+	for i := range ch.marks {
+		ch.marks[i] = 1000 // stale marks from a generation the wrap skips
+	}
+	got := ch.CheckD2(g, c, 0)
+	if ch.gen == 0 || int(ch.gen) > g.NumNodes() {
+		t.Fatalf("gen after wrap = %d, want in [1, %d]", ch.gen, g.NumNodes())
+	}
+	for col, m := range ch.marks {
+		if m > ch.gen {
+			t.Fatalf("mark of color %d = %d survived the wrap to gen %d", col, m, ch.gen)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("report after wraparound differs:\n got %+v\nwant %+v", got, want)
 	}
 }
