@@ -8,6 +8,7 @@ package d2color
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"d2color/internal/baseline"
@@ -227,20 +228,21 @@ func BenchmarkAblationSplittingMethod(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEngine compares the sequential and the goroutine-parallel
-// simulator engines on the same message-level workload.
+// BenchmarkAblationEngine compares the inline engine (workers=1) with a
+// GOMAXPROCS-sized worker team (workers=N, run when N > 1) on the same
+// message-level workload.
 func BenchmarkAblationEngine(b *testing.B) {
 	g := graph.GNPWithAverageDegree(2000, 12, 17)
 	palette := g.MaxDegree()*g.MaxDegree() + 1
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
+	workerCounts := []int{1}
+	if procs := runtime.GOMAXPROCS(0); procs > 1 {
+		workerCounts = append(workerCounts, procs)
+	}
+	for _, workers := range workerCounts {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := trial.Run(g, trial.Config{PaletteSize: palette, MaxPhases: 3,
-					Seed: uint64(i + 1), Parallel: parallel}); err != nil {
+					Seed: uint64(i + 1), Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

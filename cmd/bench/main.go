@@ -49,7 +49,7 @@ var pinnedSet = []struct {
 	{"./internal/baseline", "BenchmarkGreedyD2$|BenchmarkJohanssonD1$"},
 	{"./internal/bitset", "BenchmarkFirstFreePick"},
 	{"./internal/congest", "BenchmarkDeliver|BenchmarkPayloadRound"},
-	{"./internal/graph", "BenchmarkDist2View$|BenchmarkBuilder"},
+	{"./internal/graph", "BenchmarkDist2View$|BenchmarkBuilderSortDedupe$"},
 	{"./internal/sweep", "BenchmarkSweepGrid"},
 	{"./internal/repair", "BenchmarkRepairCorrupt|BenchmarkChurnEpoch"},
 	{"./internal/fault", "BenchmarkDropDecision"},
@@ -64,7 +64,7 @@ type measurement struct {
 }
 
 // snapshot is the file layout of BENCH_<pr>.json. Cores records the
-// machine's CPU count: the sharded-engine benchmarks embed their worker
+// machine's CPU count: the multi-worker engine benchmarks embed their worker
 // count in the benchmark name, and a snapshot from a 1-core runner is not
 // comparable to one from an 8-core runner for those entries. Memory holds
 // the n = 10⁶ peak-RSS probe (omitted with -memprobe 0); MemoryReliable

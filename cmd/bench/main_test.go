@@ -7,7 +7,7 @@ import (
 func TestParseBenchOutput(t *testing.T) {
 	out := `
 goos: linux
-BenchmarkTrialPhase/engine=sequential-8         	      20	  11880627 ns/op	       0 B/op	       0 allocs/op
+BenchmarkTrialPhase/workers=1-8         	      20	  11880627 ns/op	       0 B/op	       0 allocs/op
 BenchmarkVerify/n=10000-8   	      30	    326619 ns/op	       4 B/op	       0 allocs/op
 BenchmarkE1RandomizedD2-8    	       1	 123456789 ns/op	       42.0 table-rows	 2488 B/op	       9 allocs/op
 PASS
@@ -16,7 +16,7 @@ PASS
 	if len(got) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3: %v", len(got), got)
 	}
-	tp, ok := got["BenchmarkTrialPhase/engine=sequential"]
+	tp, ok := got["BenchmarkTrialPhase/workers=1"]
 	if !ok {
 		t.Fatal("GOMAXPROCS suffix not stripped")
 	}

@@ -56,18 +56,17 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("d2color", flag.ContinueOnError)
 	fs.SetOutput(w)
 	var (
-		input    = fs.String("input", "", "read the graph from an edge-list file (as written by graphgen -edges) instead of generating one")
-		kind     = fs.String("graph", "gnp", "graph generator: gnp, gnp-avg, regular, grid, torus, tree, cliquechain, unitdisk, taskresource, complete, cycle, path, star, doublestar, petersen, hoffman-singleton")
-		n        = fs.Int("n", 256, "primary size parameter")
-		m        = fs.Int("m", 0, "secondary size parameter (grid cols, clique size, resources)")
-		degree   = fs.Int("degree", 8, "degree-like parameter (regular degree, tree branching, tasks per resource)")
-		p        = fs.Float64("p", 0.05, "probability / radius / average degree parameter")
-		seed     = fs.Uint64("seed", 1, "random seed")
-		algo     = fs.String("algo", string(core.AlgorithmAuto), "algorithm: "+algoNames())
-		eps      = fs.Float64("eps", 1, "epsilon for the polylog and relaxed algorithms")
-		parallel = fs.Bool("parallel", false, "run simulations on the sharded-parallel CONGEST engine (same results, different wall clock)")
-		workers  = fs.Int("workers", 0, "goroutine pool size for -parallel (0 = GOMAXPROCS)")
-		asJSON   = fs.Bool("json", false, "emit JSON instead of text")
+		input   = fs.String("input", "", "read the graph from an edge-list file (as written by graphgen -edges) instead of generating one")
+		kind    = fs.String("graph", "gnp", "graph generator: gnp, gnp-avg, regular, grid, torus, tree, cliquechain, unitdisk, taskresource, complete, cycle, path, star, doublestar, petersen, hoffman-singleton")
+		n       = fs.Int("n", 256, "primary size parameter")
+		m       = fs.Int("m", 0, "secondary size parameter (grid cols, clique size, resources)")
+		degree  = fs.Int("degree", 8, "degree-like parameter (regular degree, tree branching, tasks per resource)")
+		p       = fs.Float64("p", 0.05, "probability / radius / average degree parameter")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		algo    = fs.String("algo", string(core.AlgorithmAuto), "algorithm: "+algoNames())
+		eps     = fs.Float64("eps", 1, "epsilon for the polylog and relaxed algorithms")
+		workers = fs.Int("workers", 1, "CONGEST engine workers: 1 runs rounds inline, k > 1 on a team of k goroutines (same results, different wall clock)")
+		asJSON  = fs.Bool("json", false, "emit JSON instead of text")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -96,7 +95,6 @@ func run(args []string, w io.Writer) error {
 		Algorithm: core.Algorithm(*algo),
 		Seed:      *seed,
 		Epsilon:   *eps,
-		Parallel:  *parallel,
 		Workers:   *workers,
 	})
 	if err != nil {

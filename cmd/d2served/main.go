@@ -66,8 +66,7 @@ func run(args []string, out io.Writer) error {
 		batchMax  = fs.Int("batchmax", 0, "max requests per dispatch window (0: default 64)")
 		unbatched = fs.Bool("unbatched", false, "disable request batching (control arm)")
 		mode      = fs.String("mode", "local", "recolor repair mode: local | global")
-		parallel  = fs.Bool("parallel", false, "use the sharded engine for session kernels")
-		workers   = fs.Int("workers", 0, "sharded engine workers (0: GOMAXPROCS)")
+		workers   = fs.Int("workers", 1, "CONGEST engine workers per session kernel (1: rounds run inline on the session's goroutine)")
 		selfcheck = fs.Bool("selfcheck", false, "serve on a loopback port, run a request cycle against it, and exit")
 		drainWait = fs.Duration("drain", 5*time.Second, "graceful-drain deadline on SIGTERM/SIGINT (in-flight work is hard-canceled past it)")
 	)
@@ -88,7 +87,6 @@ func run(args []string, out io.Writer) error {
 		ResidentBudget: *budget,
 		BatchMax:       *batchMax,
 		Unbatched:      *unbatched,
-		Parallel:       *parallel,
 		Workers:        *workers,
 		RepairMode:     rmode,
 	})
@@ -116,7 +114,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: serve.NewHandler(srv)}
+	hs := newHTTPServer(srv)
 	fmt.Fprintf(out, "serving on %s\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -151,6 +149,25 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
+// Connection bounds of the request listener. ReadHeaderTimeout caps how long
+// a client may take to send its request headers, so a slow-loris client
+// cannot pin a connection (and its goroutine) indefinitely; IdleTimeout
+// closes keep-alive connections that carry no request for that long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps srv's HTTP handler in a server with the connection
+// bounds above.
+func newHTTPServer(srv *serve.Server) *http.Server {
+	return &http.Server{
+		Handler:           serve.NewHandler(srv),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // runSelfcheck serves on an ephemeral loopback port and drives one full
 // request cycle through the HTTP transport — the end-to-end smoke a deploy
 // can run before pointing real traffic at a build.
@@ -159,7 +176,7 @@ func runSelfcheck(srv *serve.Server, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: serve.NewHandler(srv)}
+	hs := newHTTPServer(srv)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	defer hs.Close()

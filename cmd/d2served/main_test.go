@@ -3,6 +3,9 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"d2color/internal/serve"
 )
 
 func TestSelfcheck(t *testing.T) {
@@ -20,8 +23,8 @@ func TestSelfcheck(t *testing.T) {
 
 func TestSelfcheckGlobalUnbatched(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-selfcheck", "-mode", "global", "-unbatched"}, &sb); err != nil {
-		t.Fatalf("selfcheck (global, unbatched): %v\noutput:\n%s", err, sb.String())
+	if err := run([]string{"-selfcheck", "-mode", "global", "-unbatched", "-workers", "2"}, &sb); err != nil {
+		t.Fatalf("selfcheck (global, unbatched, 2 workers): %v\noutput:\n%s", err, sb.String())
 	}
 }
 
@@ -29,5 +32,23 @@ func TestBadMode(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-mode", "sideways"}, &sb); err == nil {
 		t.Fatal("want error for unknown -mode")
+	}
+}
+
+// TestHTTPServerBoundsSlowClients pins the connection bounds both listeners
+// (the daemon's and the selfcheck's) are built with: a zero value here would
+// let a client that never finishes its headers hold a connection forever.
+func TestHTTPServerBoundsSlowClients(t *testing.T) {
+	srv := serve.NewServer(serve.Options{})
+	defer srv.Close()
+	hs := newHTTPServer(srv)
+	if hs.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", hs.IdleTimeout)
+	}
+	if hs.Handler == nil {
+		t.Error("server has no handler")
 	}
 }

@@ -41,19 +41,19 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		quick    = fs.Bool("quick", false, "run reduced sweeps")
-		seed     = fs.Uint64("seed", 1, "random seed")
-		reps     = fs.Int("reps", 0, "repetitions for randomized measurements (0 = default)")
-		only     = fs.String("only", "", "comma-separated experiment IDs (default: all)")
-		csvDir   = fs.String("csv", "", "directory to write per-experiment CSV files")
-		asJSON   = fs.Bool("json", false, "emit JSON-lines records instead of text tables")
-		jobs     = fs.Int("jobs", 0, "worker pool that fans out the sweep grids' cells (0 = GOMAXPROCS, 1 = sequential); tables are identical for every value apart from their wall-clock note")
-		parallel = fs.Bool("parallel", false, "run simulations on the sharded-parallel CONGEST engine when the grid is sequential (-jobs 1); identical tables, different wall clock")
+		quick   = fs.Bool("quick", false, "run reduced sweeps")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		reps    = fs.Int("reps", 0, "repetitions for randomized measurements (0 = default)")
+		only    = fs.String("only", "", "comma-separated experiment IDs (default: all)")
+		csvDir  = fs.String("csv", "", "directory to write per-experiment CSV files")
+		asJSON  = fs.Bool("json", false, "emit JSON-lines records instead of text tables")
+		jobs    = fs.Int("jobs", 0, "worker pool that fans out the sweep grids' cells (0 = GOMAXPROCS, 1 = sequential); tables are identical for every value apart from their wall-clock note")
+		workers = fs.Int("workers", 1, "CONGEST engine workers for the simulations when the grid is sequential (-jobs 1); identical tables, different wall clock")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := harness.Config{Quick: *quick, Seed: *seed, Repetitions: *reps, Parallel: *parallel, Jobs: *jobs}
+	cfg := harness.Config{Quick: *quick, Seed: *seed, Repetitions: *reps, Workers: *workers, Jobs: *jobs}
 
 	var ids []string
 	if *only != "" {

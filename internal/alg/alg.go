@@ -43,13 +43,12 @@ func (d Determinism) String() string {
 	return "randomized"
 }
 
-// Engine selects the CONGEST execution substrate for one run. All engines are
-// byte-deterministic with each other, so the choice changes wall-clock time,
-// never results.
+// Engine selects the CONGEST execution substrate for one run. Every worker
+// count is byte-deterministic with every other, so the choice changes
+// wall-clock time, never results.
 type Engine struct {
-	// Parallel selects the sharded-parallel simulator engine.
-	Parallel bool
-	// Workers bounds the sharded engine's goroutine pool; 0 means GOMAXPROCS.
+	// Workers is the simulator's worker count: ≤ 1 runs rounds inline on
+	// the caller's goroutine, k > 1 on a persistent team of k goroutines.
 	Workers int
 	// Kernel, when non-nil, returns a reusable trial kernel built for the
 	// graph being solved. Adapters whose algorithm runs random-trial phases

@@ -47,10 +47,8 @@ type Options struct {
 	// Epsilon is the palette slack of RelaxedD2 (ignored by the others);
 	// negative values are treated as 0.
 	Epsilon float64
-	// Parallel runs the underlying simulator on the sharded-parallel engine
-	// (byte-deterministic with the sequential one).
-	Parallel bool
-	// Workers bounds the sharded engine's goroutine pool; 0 means GOMAXPROCS.
+	// Workers is the simulator's worker count (≤ 1 runs inline; results are
+	// byte-identical for every worker count).
 	Workers int
 	// TrialKernel optionally injects a reusable trial kernel built for the
 	// input graph; JohanssonD1 and RelaxedD2 then run on it instead of
@@ -182,7 +180,6 @@ func JohanssonD1(g *graph.Graph, opts Options) (Result, error) {
 		Scope:          trial.ScopeDistance1,
 		Seed:           opts.Seed,
 		AvoidKnownUsed: true,
-		Parallel:       opts.Parallel,
 		Workers:        opts.Workers,
 		PackedOutput:   opts.PackedColors,
 	})
@@ -205,7 +202,6 @@ func RelaxedD2(g *graph.Graph, opts Options) (Result, error) {
 		PaletteSize:  palette,
 		Scope:        trial.ScopeDistance2,
 		Seed:         opts.Seed,
-		Parallel:     opts.Parallel,
 		Workers:      opts.Workers,
 		PackedOutput: opts.PackedColors,
 	})
@@ -251,7 +247,6 @@ func NaiveD2(g *graph.Graph, opts Options) (Result, error) {
 		PaletteSize: palette,
 		Scope:       trial.ScopeDistance1, // distance-1 on G² is distance-2 on G
 		Seed:        opts.Seed,
-		Parallel:    opts.Parallel,
 		Workers:     opts.Workers,
 		// The whole point of paying the Δ-factor simulation is that nodes can
 		// track their G²-neighbors' colors, so the simple algorithm picks

@@ -34,7 +34,6 @@ func NaiveAlgorithm(opts Options) alg.Algorithm {
 		RunFunc: func(g *graph.Graph, eng alg.Engine, seed uint64) (alg.Result, error) {
 			o := opts
 			o.Seed = seed
-			o.Parallel = eng.Parallel
 			o.Workers = eng.Workers
 			o.PackedColors = eng.PackedColors
 			r, err := NaiveD2(g, o)
@@ -58,7 +57,6 @@ func RelaxedAlgorithm(opts Options) alg.Algorithm {
 		RunFunc: func(g *graph.Graph, eng alg.Engine, seed uint64) (alg.Result, error) {
 			o := opts
 			o.Seed = seed
-			o.Parallel = eng.Parallel
 			o.Workers = eng.Workers
 			o.PackedColors = eng.PackedColors
 			if o.TrialKernel == nil && eng.Kernel != nil {

@@ -44,15 +44,25 @@ func skewGraph() *graph.Graph {
 	return skewGraphN(10_000, 16, 600)
 }
 
+// benchWorkerCounts is the worker axis of the engine benchmarks: the inline
+// engine, plus a GOMAXPROCS-sized team when the machine has more than one
+// core to give it.
+func benchWorkerCounts() []int {
+	if procs := runtime.GOMAXPROCS(0); procs > 1 {
+		return []int{1, procs}
+	}
+	return []int{1}
+}
+
 // BenchmarkDeliver measures one full simulator round (step + delivery) of an
 // all-neighbours broadcast: a direct probe of the engines' per-round
 // overhead — inbox assembly, bandwidth accounting, context management, and
-// (sharded) the worker team's wake/barrier/wait cycle. Two topologies: the
-// uniform 10k-node random graph, and the star-heavy skew graph that punishes
-// node-count chunking (the per-worker load only balances if shard ownership
-// follows edge slots). The sharded variants record the worker count in the
-// benchmark name so BENCH_*.json snapshots from differently-sized runners
-// stay interpretable.
+// (workers > 1) the worker team's wake/barrier/wait cycle. Two topologies:
+// the uniform 10k-node random graph, and the star-heavy skew graph that
+// punishes node-count chunking (the per-worker load only balances if shard
+// ownership follows edge slots). The sub-benchmark names carry the worker
+// count — 1 (inline) and GOMAXPROCS when that is larger — so BENCH_*.json
+// snapshots from differently-sized runners stay interpretable.
 func BenchmarkDeliver(b *testing.B) {
 	topos := []struct {
 		name  string
@@ -81,12 +91,11 @@ func BenchmarkDeliver(b *testing.B) {
 				net.RunRounds(1)
 			}
 		}
-		b.Run(fmt.Sprintf("topo=%s/engine=sequential", topo.name), func(b *testing.B) {
-			run(b, Config{Seed: 1})
-		})
-		b.Run(fmt.Sprintf("topo=%s/engine=sharded/workers=%d", topo.name, runtime.GOMAXPROCS(0)), func(b *testing.B) {
-			run(b, Config{Seed: 1, Parallel: true})
-		})
+		for _, workers := range benchWorkerCounts() {
+			b.Run(fmt.Sprintf("topo=%s/workers=%d", topo.name, workers), func(b *testing.B) {
+				run(b, Config{Seed: 1, Workers: workers})
+			})
+		}
 	}
 }
 

@@ -1,99 +1,33 @@
 package congest
 
-import (
-	"runtime"
+import "fmt"
 
-	"d2color/internal/graph"
-)
-
-// Engine is one CONGEST simulation instance: a topology, a process per node,
-// and the accumulated metrics. New returns the implementation selected by
-// Config (sequential or sharded-parallel); the two are byte-deterministic
-// with respect to each other — same colorings, same message orders, same
-// Metrics for the same Config.Seed.
-//
-// An Engine is not safe for concurrent use by multiple goroutines; the
-// sharded engine synchronizes internally.
-type Engine interface {
-	// Graph returns the topology.
-	Graph() *graph.Graph
-	// Name identifies the engine implementation ("sequential" or "sharded").
-	Name() string
-	// SetProcess installs the process for one node.
-	SetProcess(v graph.NodeID, p Process)
-	// SetProcesses installs a process for every node using the factory.
-	SetProcesses(factory func(v graph.NodeID) Process)
-	// Run executes rounds until every process has halted, returning the
-	// number of simulated rounds. It returns ErrRoundLimit if the configured
-	// limit is hit and ErrNoProcess if some node has no process installed.
-	Run() (int, error)
-	// RunRounds executes exactly k rounds (halted processes are not stepped).
-	RunRounds(k int)
-	// Round returns the number of simulated rounds executed so far.
-	Round() int
-	// Metrics returns the metrics accumulated so far.
-	Metrics() Metrics
-	// ID returns the model identifier assigned to node v.
-	ID(v graph.NodeID) uint64
-	// ChargeRounds accounts k additional rounds for a pipelined sub-protocol
-	// that is not simulated message-by-message. Negative charges are ignored.
-	ChargeRounds(k int)
-	// AllHalted reports whether every node with a process has halted.
-	AllHalted() bool
-	// SetActive installs a partial-activation mask: nodes with mask[v] false
-	// neither step nor receive (nil = all active). Partial activation is
-	// RunRounds-driven; Run and AllHalted ignore inactive nodes. See
-	// faults.go for the full contract.
-	SetActive(mask []bool)
-	// SetFaults installs a fault model (message drops, transient crashes)
-	// for subsequent rounds; nil disables injection.
-	SetFaults(f FaultModel)
-	// SetCancel installs a cooperative cancellation hook polled between
-	// rounds: once it returns true, RunRounds returns early and Run returns
-	// ErrCanceled, both within O(one round). Nil disables polling. Cleared
-	// by Reset. See faults.go for the full contract.
-	SetCancel(f func() bool)
-	// Reset rewinds the engine to round 0 with per-node randomness re-seeded
-	// from seed, keeping the installed processes, the ID assignment and every
-	// pooled buffer — on the sharded engine that includes the worker team and
-	// the shard plan, which survive any number of Resets. The activation mask
-	// and fault model are cleared. A reset engine is byte-identical to a
-	// freshly constructed one with the same topology, processes and seed.
-	Reset(seed uint64)
-	// Close releases engine resources; for the sharded engine it parks the
-	// persistent worker team (idempotent, never blocks on a pending round —
-	// see shardTeam.stop). A closed engine must not be stepped again;
-	// everything else (Metrics, ID, Graph, ...) stays readable.
-	Close()
-}
-
-// New creates a simulation over the given topology, selecting the engine
-// implementation from cfg: the sharded-parallel engine when cfg.Parallel is
-// set, the sequential engine otherwise.
-func New(g *graph.Graph, cfg Config) Engine {
-	if cfg.Parallel {
-		return newSharded(g, cfg)
+// Run executes rounds until every process has halted, returning the number
+// of simulated rounds. It returns ErrRoundLimit if the configured limit is
+// hit, ErrNoProcess if some node has no process installed, and ErrCanceled
+// once the SetCancel hook fires.
+func (e *Engine) Run() (int, error) {
+	for v := range e.procs {
+		if e.procs[v] == nil {
+			return e.round, fmt.Errorf("%w: node %d", ErrNoProcess, v)
+		}
 	}
-	return newSequential(g, cfg)
+	start := e.round
+	for !e.AllHalted() {
+		if e.round-start >= e.cfg.MaxRounds {
+			return e.round, fmt.Errorf("%w (%d rounds)", ErrRoundLimit, e.cfg.MaxRounds)
+		}
+		if e.cancel != nil && e.cancel() {
+			return e.round, fmt.Errorf("%w (after %d rounds)", ErrCanceled, e.round-start)
+		}
+		e.step()
+	}
+	return e.round, nil
 }
 
-// sequentialEngine steps nodes and delivers messages on the calling
-// goroutine, in node order.
-type sequentialEngine struct {
-	engineCore
-}
-
-func newSequential(g *graph.Graph, cfg Config) *sequentialEngine {
-	e := &sequentialEngine{engineCore: newEngineCore(g, cfg)}
-	e.initContexts()
-	return e
-}
-
-func (e *sequentialEngine) Name() string { return "sequential" }
-
-func (e *sequentialEngine) Run() (int, error) { return e.run(e.step) }
-
-func (e *sequentialEngine) RunRounds(k int) {
+// RunRounds executes exactly k rounds (halted processes are not stepped),
+// returning early if the SetCancel hook fires.
+func (e *Engine) RunRounds(k int) {
 	for i := 0; i < k; i++ {
 		if e.cancel != nil && e.cancel() {
 			return
@@ -102,105 +36,40 @@ func (e *sequentialEngine) RunRounds(k int) {
 	}
 }
 
-// step executes one synchronous round: compute, account, deliver, advance.
-func (e *sequentialEngine) step() {
-	c := &e.engineCore
-	faulty := c.active != nil || c.faults != nil
-	for v := range c.procs {
-		if c.procs[v] == nil || c.halted[v] || (faulty && c.skipped(v)) {
-			continue
-		}
-		c.halted[v] = c.procs[v].Step(&c.ctxs[v], c.round, c.inboxes[v])
-	}
-	c.collectSendCounters()
-	c.deliverRange(0, c.g.NumNodes(), &c.metrics)
-	c.finishRound()
-}
-
-// shardedEngine runs the compute phase and the delivery phase on a
-// persistent team of workers (see shardTeam in pool.go): the goroutines are
-// created once, parked on an epoch gate between rounds, and each round is
-// one fused compute+deliver pipeline with a single barrier between the
-// phases. Node ownership follows the edge-balanced shardPlan; a worker that
-// drains its own chunks steals unclaimed chunks from the slowest shards
-// through their atomic cursors.
-//
-// Determinism relies on ownership and commutativity, not scheduling: a
-// node's step writes only its own state and its own out-slots of the message
-// plane, delivery for a destination reads the plane (frozen at the barrier)
-// and writes only that destination's inbox, and every chunk is claimed by
-// exactly one worker per phase (one atomic cursor claim). The per-worker
-// delivery metrics merge by integer sum and maximum — order-independent and
-// exact — and the compute-side send counters are folded by the publisher in
-// node order, so the result is byte-identical to the sequential engine for
-// every worker count and every steal schedule.
-type shardedEngine struct {
-	engineCore
-	workers int
-	plan    shardPlan
-	ws      []shardWorker
-	team    *shardTeam // nil when workers == 1 (phases run inline)
-}
-
-func newSharded(g *graph.Graph, cfg Config) *shardedEngine {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if n := g.NumNodes(); workers > n {
-		workers = max(n, 1)
-	}
-	e := &shardedEngine{
-		engineCore: newEngineCore(g, cfg),
-		workers:    workers,
-	}
-	e.plan = buildShardPlan(e.ix, g.NumNodes(), workers)
-	e.ws = make([]shardWorker, workers)
-	if workers > 1 {
-		e.team = newShardTeam(e)
-	}
-	e.initContexts()
-	return e
-}
-
-func (e *shardedEngine) Name() string { return "sharded" }
-
-func (e *shardedEngine) Run() (int, error) { return e.run(e.step) }
-
-func (e *shardedEngine) RunRounds(k int) {
-	for i := 0; i < k; i++ {
-		if e.cancel != nil && e.cancel() {
-			return
-		}
-		e.step()
-	}
-}
-
-// Close parks the worker team permanently. Idempotent; the engine must not
-// be stepped afterwards.
-func (e *shardedEngine) Close() {
+// Close parks the worker team permanently (idempotent, never blocks on a
+// pending round — see shardTeam.stop); it is a no-op for an inline engine. A
+// closed engine must not be stepped again; everything else (Metrics, ID,
+// Graph, ...) stays readable.
+func (e *Engine) Close() {
 	if e.team != nil {
 		e.team.stop()
 	}
 }
 
-// step executes one synchronous round. The publisher (this goroutine) resets
-// the per-worker cursors and metrics, wakes the team, works as rank 0
-// through the fused compute+deliver pipeline, and merges the shard metrics
-// once every rank is done. Reset never touches the team or the plan, so a
-// reused engine keeps its goroutines and its ownership map.
-func (e *shardedEngine) step() {
-	c := &e.engineCore
+// step executes one synchronous round: compute, account, deliver, advance.
+//
+// Inline (no team), the caller's goroutine steps every node and then
+// delivers every inbox, in node order. With a team, the publisher (this
+// goroutine) resets the per-rank cursors and metrics, wakes the team, works
+// as rank 0 through the fused compute+deliver pipeline, and merges the shard
+// metrics once every rank is done. Reset never touches the team or the plan,
+// so a reused engine keeps its goroutines and its ownership map.
+//
+// Determinism relies on ownership and commutativity, not scheduling: a
+// node's step writes only its own state and its own out-slots of the message
+// plane, delivery for a destination reads the plane (frozen at the barrier)
+// and writes only that destination's inbox, and every chunk is claimed by
+// exactly one rank per phase (one atomic cursor claim). The per-rank
+// delivery metrics merge by integer sum and maximum — order-independent and
+// exact — and the compute-side send counters are folded by the publisher in
+// node order, so the result is byte-identical to the inline round for every
+// worker count and every steal schedule.
+func (e *Engine) step() {
 	if e.team == nil {
-		// Single-worker degenerate case: the same pipeline inline, with no
-		// gate to cross.
-		e.computeChunk(0, int32(c.g.NumNodes()))
-		c.collectSendCounters()
-		c.deliverRange(0, c.g.NumNodes(), &c.metrics)
-		c.finishRound()
+		e.computeChunk(0, int32(e.g.NumNodes()))
+		e.collectSendCounters()
+		e.deliverRange(0, e.g.NumNodes(), &e.metrics)
+		e.finishRound()
 		return
 	}
 	for w := range e.ws {
@@ -210,33 +79,32 @@ func (e *shardedEngine) step() {
 		ws.deliverNext.Store(e.plan.firstChunk[w])
 	}
 	e.team.publish() // compute ∥ … barrier … deliver ∥ …
-	c.collectSendCounters()
+	// The send counters are folded after delivery here rather than between
+	// the phases (the inline order): they are only written by node steps and
+	// only read by the fold, and they land in Metrics fields disjoint from
+	// the delivery-phase ones, so folding them after the fused round is
+	// byte-identical.
+	e.collectSendCounters()
 	for w := range e.ws {
 		sm := &e.ws[w].metrics
-		if sm.MaxEdgeWordsPerRound > c.metrics.MaxEdgeWordsPerRound {
-			c.metrics.MaxEdgeWordsPerRound = sm.MaxEdgeWordsPerRound
+		if sm.MaxEdgeWordsPerRound > e.metrics.MaxEdgeWordsPerRound {
+			e.metrics.MaxEdgeWordsPerRound = sm.MaxEdgeWordsPerRound
 		}
-		c.metrics.BandwidthViolations += sm.BandwidthViolations
+		e.metrics.BandwidthViolations += sm.BandwidthViolations
 	}
-	c.finishRound()
+	e.finishRound()
 }
-
-// collectSendCounters runs after delivery here rather than between the
-// phases (the sequential engine's order): the counters are only written by
-// node steps and only read by the fold, and they land in Metrics fields
-// disjoint from the delivery-phase ones, so folding them after the fused
-// round is byte-identical.
 
 // computePhase steps the nodes of every chunk rank w claims: its own chunks
 // first, then — work-stealing tail — whatever chunks the other shards have
 // not claimed yet, scanning victims round-robin from its right neighbor.
 // Claiming via the victim's own cursor keeps "exactly one executor per
 // chunk" a single atomic invariant.
-func (e *shardedEngine) computePhase(w int) {
-	for off := 0; off < e.workers; off++ {
+func (e *Engine) computePhase(w int) {
+	for off := 0; off < e.plan.workers; off++ {
 		v := w + off
-		if v >= e.workers {
-			v -= e.workers
+		if v >= e.plan.workers {
+			v -= e.plan.workers
 		}
 		vw, end := &e.ws[v], e.plan.firstChunk[v+1]
 		for {
@@ -249,14 +117,14 @@ func (e *shardedEngine) computePhase(w int) {
 	}
 }
 
-func (e *shardedEngine) computeChunk(lo, hi int32) {
-	c := &e.engineCore
-	faulty := c.active != nil || c.faults != nil
+// computeChunk steps the live nodes of [lo, hi) in node order.
+func (e *Engine) computeChunk(lo, hi int32) {
+	faulty := e.active != nil || e.faults != nil
 	for v := lo; v < hi; v++ {
-		if c.procs[v] == nil || c.halted[v] || (faulty && c.skipped(int(v))) {
+		if e.procs[v] == nil || e.halted[v] || (faulty && e.skipped(int(v))) {
 			continue
 		}
-		c.halted[v] = c.procs[v].Step(&c.ctxs[v], c.round, c.inboxes[v])
+		e.halted[v] = e.procs[v].Step(&e.ctxs[v], e.round, e.inboxes[v])
 	}
 }
 
@@ -264,13 +132,12 @@ func (e *shardedEngine) computeChunk(lo, hi int32) {
 // same owned-then-steal walk as computePhase. Stolen chunks account into the
 // thief's metrics — sums and maxima make the merge independent of who
 // delivered what.
-func (e *shardedEngine) deliverPhase(w int) {
-	c := &e.engineCore
+func (e *Engine) deliverPhase(w int) {
 	m := &e.ws[w].metrics
-	for off := 0; off < e.workers; off++ {
+	for off := 0; off < e.plan.workers; off++ {
 		v := w + off
-		if v >= e.workers {
-			v -= e.workers
+		if v >= e.plan.workers {
+			v -= e.plan.workers
 		}
 		vw, end := &e.ws[v], e.plan.firstChunk[v+1]
 		for {
@@ -278,7 +145,7 @@ func (e *shardedEngine) deliverPhase(w int) {
 			if chunk >= end {
 				break
 			}
-			c.deliverRange(int(e.plan.chunkLo[chunk]), int(e.plan.chunkLo[chunk+1]), m)
+			e.deliverRange(int(e.plan.chunkLo[chunk]), int(e.plan.chunkLo[chunk+1]), m)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // digestProcess folds every delivered message into an order-sensitive
 // per-node digest and gossips pseudo-random words, exercising Send (slot
-// lookup), SendToNeighbor and Broadcast. Two engines agree byte-for-byte iff
+// lookup), SendToNeighbor and Broadcast. Two runs agree byte-for-byte iff
 // all digests and Metrics agree.
 type digestProcess struct {
 	digest uint64
@@ -54,58 +54,90 @@ func runDigest(t *testing.T, g *graph.Graph, cfg Config, rounds int) ([]uint64, 
 	return out, net.Metrics()
 }
 
-// TestShardedMatchesSequentialSkewWorkers pins the pooled engine's
-// byte-identity to the sequential engine on the star-heavy topology — the
-// workload the edge-balanced shard plan and the work-stealing tail exist
-// for — across worker counts that exercise the degenerate inline path (1),
-// an uneven chunk split (3) and more workers than chunks would naturally
-// balance (16).
-func TestShardedMatchesSequentialSkewWorkers(t *testing.T) {
+// TestWorkersMatchInlineSkew pins the worker team's byte-identity to the
+// inline engine (Workers 1) on the star-heavy topology — the workload the
+// edge-balanced shard plan and the work-stealing tail exist for — across
+// team sizes that exercise the smallest team (2), an uneven chunk split (3),
+// an even one (4) and more workers than chunks would naturally balance (16).
+func TestWorkersMatchInlineSkew(t *testing.T) {
 	g := skewGraphN(600, 4, 40)
 	const rounds = 7
-	wantDigest, wantMetrics := runDigest(t, g, Config{Seed: 11, BandwidthWords: 2}, rounds)
-	for _, workers := range []int{1, 2, 3, 16} {
+	wantDigest, wantMetrics := runDigest(t, g, Config{Seed: 11, BandwidthWords: 2, Workers: 1}, rounds)
+	for _, workers := range []int{2, 3, 4, 16} {
 		digest, metrics := runDigest(t, g,
-			Config{Seed: 11, BandwidthWords: 2, Parallel: true, Workers: workers}, rounds)
+			Config{Seed: 11, BandwidthWords: 2, Workers: workers}, rounds)
 		if metrics != wantMetrics {
-			t.Fatalf("workers=%d: metrics diverged\nsharded:    %v\nsequential: %v", workers, metrics, wantMetrics)
+			t.Fatalf("workers=%d: metrics diverged\nteam:   %v\ninline: %v", workers, metrics, wantMetrics)
 		}
 		for v := range digest {
 			if digest[v] != wantDigest[v] {
-				t.Fatalf("workers=%d node %d: digest %x != sequential %x", workers, v, digest[v], wantDigest[v])
+				t.Fatalf("workers=%d node %d: digest %x != inline %x", workers, v, digest[v], wantDigest[v])
 			}
 		}
 	}
 }
 
-// TestShardedStepAllocFree is the pooled-engine allocation gate: after
-// warm-up, a sharded broadcast round must not touch the allocator at all —
-// the persistent team replaced the 2×workers goroutine spawns (8 allocs,
-// 216 B per round at GOMAXPROCS=4) the per-round pool design paid.
-func TestShardedStepAllocFree(t *testing.T) {
+// TestStepAllocFree is the engine's allocation gate: after warm-up, a
+// broadcast round must not touch the allocator at all, inline or on a worker
+// team. For the team this pins that the persistent ranks replaced the
+// 2×workers goroutine spawns (8 allocs, 216 B per round at GOMAXPROCS=4) the
+// per-round pool design paid.
+func TestStepAllocFree(t *testing.T) {
 	g := graph.GNP(300, 0.05, 1)
-	net := New(g, Config{Seed: 1, Parallel: true, Workers: 4})
-	defer net.Close()
-	net.SetProcesses(func(v graph.NodeID) Process {
-		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
-			ctx.Broadcast(kindTestData, uint64(round&1))
-			return false
+	for _, workers := range []int{1, 4} {
+		net := New(g, Config{Seed: 1, Workers: workers})
+		net.SetProcesses(func(v graph.NodeID) Process {
+			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
+				ctx.Broadcast(kindTestData, uint64(round&1))
+				return false
+			})
 		})
-	})
-	net.RunRounds(2) // warm-up: spawn the team, grow buckets and inboxes
-	allocs := testing.AllocsPerRun(10, func() { net.RunRounds(1) })
-	if allocs > 0 {
-		t.Errorf("warmed-up sharded round allocated %.1f times, want 0", allocs)
+		net.RunRounds(2) // warm-up: spawn the team, grow buckets and inboxes
+		allocs := testing.AllocsPerRun(10, func() { net.RunRounds(1) })
+		net.Close()
+		if allocs > 0 {
+			t.Errorf("workers=%d: warmed-up round allocated %.1f times, want 0", workers, allocs)
+		}
 	}
 }
 
-// TestShardedResetReusesTeam asserts Engine.Reset re-seeds in place: no new
+// TestInlineEngineStartsNoGoroutine pins what Workers ≤ 1 costs: no shard
+// plan, no per-rank state, no team, and no goroutine at any point of the
+// engine's life — so an engine built per repair call costs no more than the
+// topology-sized buffers it simulates on.
+func TestInlineEngineStartsNoGoroutine(t *testing.T) {
+	g := graph.GNP(200, 0.06, 4)
+	for _, workers := range []int{-1, 0, 1} {
+		before := runtime.NumGoroutine()
+		net := New(g, Config{Seed: 1, Workers: workers})
+		if net.team != nil || net.ws != nil || net.plan.chunkLo != nil {
+			t.Errorf("workers=%d: inline engine built multi-worker state", workers)
+		}
+		net.SetProcesses(func(v graph.NodeID) Process {
+			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
+				ctx.Broadcast(kindTestData, uint64(round))
+				return round >= 3
+			})
+		})
+		if _, err := net.Run(); err != nil {
+			t.Fatalf("workers=%d Run: %v", workers, err)
+		}
+		// Teams closed by earlier tests may still be exiting, so the count
+		// can only be checked for growth.
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("workers=%d: goroutines %d -> %d, want none started", workers, before, after)
+		}
+		net.Close()
+	}
+}
+
+// TestResetReusesTeam asserts Engine.Reset re-seeds in place: no new
 // goroutines (the worker team survives), no allocation, and byte-identical
 // results from the reused pooled engine — the reuse contract the sweep
 // repetitions and the server-to-come lean on.
-func TestShardedResetReusesTeam(t *testing.T) {
+func TestResetReusesTeam(t *testing.T) {
 	g := graph.GNP(200, 0.06, 3)
-	net := New(g, Config{Seed: 5, Parallel: true, Workers: 4})
+	net := New(g, Config{Seed: 5, Workers: 4})
 	defer net.Close()
 	net.SetProcesses(func(v graph.NodeID) Process {
 		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
@@ -133,12 +165,12 @@ func TestShardedResetReusesTeam(t *testing.T) {
 	}
 }
 
-// TestCloseSemantics: Close is idempotent on both engines, never hangs, and
-// a closed sharded engine fails loudly (panic) rather than deadlocking if
-// stepped again; read-only accessors stay usable.
+// TestCloseSemantics: Close is idempotent inline and with a team, never
+// hangs, and a closed multi-worker engine fails loudly (panic) rather than
+// deadlocking if stepped again; read-only accessors stay usable.
 func TestCloseSemantics(t *testing.T) {
 	g := graph.GNP(50, 0.1, 2)
-	install := func(net Engine) {
+	install := func(net *Engine) {
 		net.SetProcesses(func(v graph.NodeID) Process {
 			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
 				ctx.Broadcast(kindTestData, 1)
@@ -146,29 +178,29 @@ func TestCloseSemantics(t *testing.T) {
 			})
 		})
 	}
-	for _, parallel := range []bool{false, true} {
-		net := New(g, Config{Seed: 1, Parallel: parallel, Workers: 4})
+	for _, workers := range []int{1, 4} {
+		net := New(g, Config{Seed: 1, Workers: workers})
 		install(net)
 		net.RunRounds(2)
 		rounds := net.Round()
 		net.Close()
 		net.Close() // idempotent
 		if net.Round() != rounds || net.Metrics().Rounds != rounds {
-			t.Errorf("parallel=%v: accessors unusable after Close", parallel)
+			t.Errorf("workers=%d: accessors unusable after Close", workers)
 		}
 	}
 
 	// Closing before the team ever ran (lazy spawn) must also be safe.
-	never := New(g, Config{Parallel: true, Workers: 4})
+	never := New(g, Config{Workers: 4})
 	never.Close()
 
-	closed := New(g, Config{Parallel: true, Workers: 4})
+	closed := New(g, Config{Workers: 4})
 	install(closed)
 	closed.RunRounds(1)
 	closed.Close()
 	defer func() {
 		if recover() == nil {
-			t.Error("stepping a closed sharded engine should panic, not hang")
+			t.Error("stepping a closed multi-worker engine should panic, not hang")
 		}
 	}()
 	closed.RunRounds(1)
@@ -233,7 +265,7 @@ func TestShardPlanTinyGraphs(t *testing.T) {
 		if got := int(plan.chunkLo[plan.numChunks()]); got != n {
 			t.Errorf("n=%d: plan covers %d nodes", n, got)
 		}
-		net := New(g, Config{Parallel: true, Workers: 64})
+		net := New(g, Config{Workers: 64})
 		net.SetProcesses(func(v graph.NodeID) Process {
 			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
 				ctx.Broadcast(kindTestData, uint64(v))

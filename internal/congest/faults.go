@@ -8,7 +8,7 @@ import "d2color/internal/graph"
 // and transient node crashes, decided by a pluggable FaultModel).
 //
 // Both features are strictly opt-in overlays on the round loop: with a nil
-// mask and a nil fault model the engines take the exact code paths they took
+// mask and a nil fault model the engine takes the exact code paths it took
 // before, so the byte-determinism goldens of the all-active case are
 // untouched. Reset clears both — a reset engine is byte-identical to a
 // freshly constructed one, which is the contract the warm-reuse machinery
@@ -16,7 +16,7 @@ import "d2color/internal/graph"
 
 // FaultModel injects faults into an engine's round loop. Implementations
 // must be deterministic pure functions of their own configuration and the
-// (round, slot/node) arguments — the engines may evaluate them from multiple
+// (round, slot/node) arguments — the engine may evaluate them from multiple
 // workers concurrently and in any order, so any internal counters must be
 // atomic and must not influence results.
 //
@@ -45,16 +45,16 @@ type FaultModel interface {
 // activation is therefore a RunRounds-driven mode — AllHalted and Run ignore
 // inactive nodes, matching "the frozen part of the network is not the
 // protocol's problem".
-func (c *engineCore) SetActive(mask []bool) {
-	if mask != nil && len(mask) != c.g.NumNodes() {
+func (e *Engine) SetActive(mask []bool) {
+	if mask != nil && len(mask) != e.g.NumNodes() {
 		panic("congest: activation mask length does not match node count")
 	}
-	c.active = mask
+	e.active = mask
 }
 
 // SetFaults installs a fault model for subsequent rounds (nil disables
 // injection). Reset clears it.
-func (c *engineCore) SetFaults(f FaultModel) { c.faults = f }
+func (e *Engine) SetFaults(f FaultModel) { e.faults = f }
 
 // SetCancel installs a cooperative cancellation hook, polled by RunRounds
 // (and Run) between rounds: the first poll that returns true stops the loop
@@ -66,15 +66,15 @@ func (c *engineCore) SetFaults(f FaultModel) { c.faults = f }
 // activation mask and fault model, so warm reuse after a cancel is
 // byte-identical to a fresh engine. A nil hook (the default) disables
 // polling entirely; the hot path pays one nil check per round.
-func (c *engineCore) SetCancel(f func() bool) { c.cancel = f }
+func (e *Engine) SetCancel(f func() bool) { e.cancel = f }
 
 // skipped reports whether node v sits out the current round — masked
 // inactive or inside a crash window. Used by both the compute and delivery
 // phases, which run within the same round, so the two observe the same
 // answer.
-func (c *engineCore) skipped(v int) bool {
-	if c.active != nil && !c.active[v] {
+func (e *Engine) skipped(v int) bool {
+	if e.active != nil && !e.active[v] {
 		return true
 	}
-	return c.faults != nil && c.faults.Crashed(c.round, graph.NodeID(v))
+	return e.faults != nil && e.faults.Crashed(e.round, graph.NodeID(v))
 }

@@ -9,8 +9,8 @@ import (
 
 // hashFaults is a minimal deterministic FaultModel for engine tests: drop
 // decisions and crash windows are pure hashes of (seed, round, slot/node), so
-// sequential and sharded engines — which consult the model in different
-// orders — must still agree byte-for-byte.
+// every worker count — each consults the model in a different order — must
+// still agree byte-for-byte.
 type hashFaults struct {
 	seed      uint64
 	dropP     float64
@@ -55,11 +55,11 @@ func runDigestRounds(t *testing.T, g *graph.Graph, cfg Config, rounds int, mask 
 	return out, net.Metrics()
 }
 
-// TestFaultyShardedMatchesSequential pins the byte-identity contract under
-// injection: with the same deterministic fault model and activation mask, the
-// sharded engine must reproduce the sequential engine's digests and metrics
-// at every worker count, exactly as it does in the clean case.
-func TestFaultyShardedMatchesSequential(t *testing.T) {
+// TestFaultyWorkersMatchInline pins the byte-identity contract under
+// injection: with the same deterministic fault model and activation mask, a
+// worker team must reproduce the inline engine's digests and metrics at every
+// worker count, exactly as it does in the clean case.
+func TestFaultyWorkersMatchInline(t *testing.T) {
 	g := skewGraphN(400, 4, 30)
 	mask := make([]bool, g.NumNodes())
 	for v := range mask {
@@ -67,16 +67,16 @@ func TestFaultyShardedMatchesSequential(t *testing.T) {
 	}
 	faults := &hashFaults{seed: 99, dropP: 0.2, crashP: 0.3, crashFrom: 2, crashTo: 5}
 	const rounds = 8
-	wantDigest, wantMetrics := runDigestRounds(t, g, Config{Seed: 11, BandwidthWords: 2}, rounds, mask, faults)
-	for _, workers := range []int{1, 3, 8} {
+	wantDigest, wantMetrics := runDigestRounds(t, g, Config{Seed: 11, BandwidthWords: 2, Workers: 1}, rounds, mask, faults)
+	for _, workers := range []int{2, 3, 8} {
 		digest, metrics := runDigestRounds(t, g,
-			Config{Seed: 11, BandwidthWords: 2, Parallel: true, Workers: workers}, rounds, mask, faults)
+			Config{Seed: 11, BandwidthWords: 2, Workers: workers}, rounds, mask, faults)
 		if metrics != wantMetrics {
-			t.Fatalf("workers=%d: metrics diverged\nsharded:    %v\nsequential: %v", workers, metrics, wantMetrics)
+			t.Fatalf("workers=%d: metrics diverged\nteam:   %v\ninline: %v", workers, metrics, wantMetrics)
 		}
 		for v := range digest {
 			if digest[v] != wantDigest[v] {
-				t.Fatalf("workers=%d node %d: digest %x != sequential %x", workers, v, digest[v], wantDigest[v])
+				t.Fatalf("workers=%d node %d: digest %x != inline %x", workers, v, digest[v], wantDigest[v])
 			}
 		}
 	}
@@ -141,10 +141,10 @@ func TestDropAllSeversNetwork(t *testing.T) {
 func TestPartialActivationResetRegression(t *testing.T) {
 	g := graph.GNP(150, 0.06, 9)
 	const rounds = 7
-	for _, parallel := range []bool{false, true} {
-		wantDigest, wantMetrics := runDigestRounds(t, g, Config{Seed: 21, Parallel: parallel, Workers: 4}, rounds, nil, nil)
+	for _, workers := range []int{1, 4} {
+		wantDigest, wantMetrics := runDigestRounds(t, g, Config{Seed: 21, Workers: workers}, rounds, nil, nil)
 
-		net := New(g, Config{Seed: 21, Parallel: parallel, Workers: 4})
+		net := New(g, Config{Seed: 21, Workers: workers})
 		mask := make([]bool, g.NumNodes())
 		for v := range mask {
 			mask[v] = v%3 == 0
@@ -165,11 +165,11 @@ func TestPartialActivationResetRegression(t *testing.T) {
 		install()
 		net.RunRounds(rounds)
 		if got := net.Metrics(); got != wantMetrics {
-			t.Fatalf("parallel=%v: post-Reset metrics %+v, fresh engine %+v", parallel, got, wantMetrics)
+			t.Fatalf("workers=%d: post-Reset metrics %+v, fresh engine %+v", workers, got, wantMetrics)
 		}
 		for v := range procs {
 			if procs[v].digest != wantDigest[v] {
-				t.Fatalf("parallel=%v node %d: post-Reset digest %x, fresh engine %x", parallel, v, procs[v].digest, wantDigest[v])
+				t.Fatalf("workers=%d node %d: post-Reset digest %x, fresh engine %x", workers, v, procs[v].digest, wantDigest[v])
 			}
 		}
 		net.Close()

@@ -10,11 +10,11 @@
 //
 // The simulator offers:
 //
-//   - two engine implementations behind the Engine interface, selected by
-//     Config: a sequential engine and a sharded-parallel engine that runs
-//     both the per-node state machines and message delivery on a pool of
-//     goroutines, sharded by node. The two are byte-deterministic with each
-//     other (identical message orders, colorings and Metrics);
+//   - one Engine whose Config.Workers sets how a round executes: inline on
+//     the caller's goroutine at Workers ≤ 1, or on a persistent team of k
+//     goroutines that runs both the per-node state machines and message
+//     delivery, sharded by node. Every worker count is byte-deterministic
+//     with every other (identical message orders, colorings and Metrics);
 //   - a preallocated, edge-sliced message plane over unboxed messages: every
 //     directed edge owns a fixed slot (graph.EdgeIndex), outbox buckets and
 //     inbox buffers are reused across rounds, inboxes arrive sorted by sender

@@ -16,13 +16,13 @@ import (
 // competes with it.
 const multicoreGateEnv = "D2_MULTICORE_GATE"
 
-// TestShardedBeatsSequentialMulticore is the multicore performance gate from
-// ISSUE 6: on a runner with at least 4 cores, the pooled sharded engine must
-// beat the sequential engine on a full-broadcast workload at n = 10⁶ — the
-// single-large-graph regime (E11's relaxed row) where every parallel win
+// TestWorkerTeamBeatsInlineMulticore is the multicore performance gate: on a
+// runner with at least 4 cores, a Workers = GOMAXPROCS team must beat the
+// Workers = 1 inline engine on a full-broadcast workload at n = 10⁶ — the
+// single-large-graph regime (E11's relaxed row) where every multicore win
 // previously came from the sweep grid and the engine itself lost. A failure
-// here is a build failure: the engine regressed to decoration.
-func TestShardedBeatsSequentialMulticore(t *testing.T) {
+// here is a build failure: the team regressed to decoration.
+func TestWorkerTeamBeatsInlineMulticore(t *testing.T) {
 	if os.Getenv(multicoreGateEnv) == "" {
 		t.Skipf("wall-clock gate: set %s=1 (CI multicore job) to enable", multicoreGateEnv)
 	}
@@ -36,8 +36,8 @@ func TestShardedBeatsSequentialMulticore(t *testing.T) {
 	)
 	g := graph.GNPWithAverageDegree(n, 8, 42)
 
-	measure := func(parallel bool) time.Duration {
-		net := New(g, Config{Seed: 1, Parallel: parallel})
+	measure := func(workers int) time.Duration {
+		net := New(g, Config{Seed: 1, Workers: workers})
 		defer net.Close()
 		net.SetProcesses(func(v graph.NodeID) Process {
 			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
@@ -57,12 +57,13 @@ func TestShardedBeatsSequentialMulticore(t *testing.T) {
 		return best
 	}
 
-	seq := measure(false)
-	shd := measure(true)
-	t.Logf("n=%d rounds=%d GOMAXPROCS=%d: sequential %v, sharded %v (%.2fx)",
-		n, rounds, runtime.GOMAXPROCS(0), seq, shd, float64(seq)/float64(shd))
-	if shd >= seq {
-		t.Fatalf("sharded engine (%v) did not beat sequential (%v) at n=%d on %d procs",
-			shd, seq, n, runtime.GOMAXPROCS(0))
+	procs := runtime.GOMAXPROCS(0)
+	inline := measure(1)
+	team := measure(procs)
+	t.Logf("n=%d rounds=%d GOMAXPROCS=%d: inline %v, team %v (%.2fx)",
+		n, rounds, procs, inline, team, float64(inline)/float64(team))
+	if team >= inline {
+		t.Fatalf("%d-worker team (%v) did not beat the inline engine (%v) at n=%d",
+			procs, team, inline, n)
 	}
 }

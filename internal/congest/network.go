@@ -60,14 +60,12 @@ type Config struct {
 	// MaxRounds aborts Run with ErrRoundLimit if the protocol has not
 	// terminated. 0 means the package default (defaultMaxRounds).
 	MaxRounds int
-	// Parallel selects the sharded engine, which runs node steps and message
-	// delivery on a goroutine pool. Results are byte-identical to the
-	// sequential engine: processes only touch their own state, the message
-	// plane assigns every directed edge a fixed slot owned by its tail, and
+	// Workers is the engine's worker count. 0 or 1 runs every round inline
+	// on the calling goroutine; k > 1 runs node steps and message delivery
+	// on a persistent team of k ranks (at most n). Results are byte-identical
+	// for every k: processes only touch their own state, the message plane
+	// assigns every directed edge a fixed slot owned by its tail, and
 	// delivery is sharded by destination node.
-	Parallel bool
-	// Workers bounds the goroutine pool of the sharded engine; 0 means
-	// GOMAXPROCS.
 	Workers int
 	// IDs selects the identifier assignment; zero value means IDSequential.
 	IDs IDAssignment
@@ -90,12 +88,21 @@ var (
 	ErrCanceled    = errors.New("congest: run canceled")
 )
 
-// engineCore is the state shared by both engine implementations: the
-// topology and its CSR edge index, the per-node processes, the preallocated
-// message plane, pooled contexts and inbox buffers, and the accumulated
-// metrics. All buffers are allocated once at construction and reused every
-// round.
-type engineCore struct {
+// Engine is one CONGEST simulation instance: the topology and its CSR edge
+// index, the per-node processes, the preallocated message plane, pooled
+// contexts and inbox buffers, and the accumulated metrics. All buffers are
+// allocated once by New and reused every round.
+//
+// Config.Workers selects how a round executes. With Workers ≤ 1 the engine
+// steps nodes and delivers messages inline on the calling goroutine, in node
+// order, and holds no shard plan and no worker team. With k > 1 workers
+// (clamped to n) both phases run on a persistent team of k ranks over an
+// edge-balanced shard plan (see pool.go). The result does not depend on k:
+// same colorings, same message orders, same Metrics for the same Config.Seed.
+//
+// An Engine is not safe for concurrent use by multiple goroutines; the
+// worker team synchronizes internally.
+type Engine struct {
 	g       *graph.Graph
 	cfg     Config
 	ix      *graph.EdgeIndex
@@ -126,9 +133,19 @@ type engineCore struct {
 	// for the same reason as active/faults: a warm reused engine must be
 	// byte-identical to a fresh one.
 	cancel func() bool
+
+	// The multi-worker machinery (pool.go): the ownership map, the padded
+	// per-rank cursors and metrics, and the persistent team. All three stay
+	// zero when the engine runs inline (Workers ≤ 1).
+	plan shardPlan
+	ws   []shardWorker
+	team *shardTeam
 }
 
-func newEngineCore(g *graph.Graph, cfg Config) engineCore {
+// New creates a simulation over the given topology. cfg.Workers > 1 gives the
+// engine a worker team of that many ranks (at most n); otherwise rounds run
+// inline on the caller's goroutine.
+func New(g *graph.Graph, cfg Config) *Engine {
 	n := g.NumNodes()
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = defaultMaxRounds
@@ -137,7 +154,7 @@ func newEngineCore(g *graph.Graph, cfg Config) engineCore {
 		cfg.IDs = IDSequential
 	}
 	ix := g.EdgeIndex()
-	c := engineCore{
+	e := &Engine{
 		g:       g,
 		cfg:     cfg,
 		ix:      ix,
@@ -158,44 +175,38 @@ func newEngineCore(g *graph.Graph, cfg Config) engineCore {
 	arena := make([]Message, ix.NumSlots())
 	for v := 0; v < n; v++ {
 		lo, hi := ix.Offsets[v], ix.Offsets[v+1]
-		c.inboxes[v] = arena[lo:lo:hi]
+		e.inboxes[v] = arena[lo:lo:hi]
+		e.ctxs[v] = Context{net: e, id: graph.NodeID(v), base: lo}
 	}
-	c.assignIDs()
+	e.assignIDs()
 	for v := 0; v < n; v++ {
-		c.rands[v].ResetSplit(cfg.Seed, uint64(v))
+		e.rands[v].ResetSplit(cfg.Seed, uint64(v))
 	}
-	return c
+	if workers := min(cfg.Workers, n); workers > 1 {
+		e.plan = buildShardPlan(ix, n, workers)
+		e.ws = make([]shardWorker, workers)
+		e.team = newShardTeam(e)
+	}
+	return e
 }
 
-// initContexts wires the pooled contexts to their engine. Called by the
-// concrete engine constructors after the core has reached its final address.
-func (c *engineCore) initContexts() {
-	for v := range c.ctxs {
-		c.ctxs[v] = Context{
-			core: c,
-			id:   graph.NodeID(v),
-			base: c.ix.Offsets[v],
-		}
-	}
-}
-
-func (c *engineCore) assignIDs() {
-	n := c.g.NumNodes()
-	switch c.cfg.IDs {
+func (e *Engine) assignIDs() {
+	n := e.g.NumNodes()
+	switch e.cfg.IDs {
 	case IDRandomPermutation:
-		if c.ids == nil {
-			c.ids = make([]uint64, n)
+		if e.ids == nil {
+			e.ids = make([]uint64, n)
 		}
-		src := rng.Split(c.cfg.Seed, 0xC0FFEE)
+		src := rng.Split(e.cfg.Seed, 0xC0FFEE)
 		perm := src.Perm(n)
 		for v := 0; v < n; v++ {
-			c.ids[v] = uint64(perm[v]) + 1
+			e.ids[v] = uint64(perm[v]) + 1
 		}
 	case IDSparseRandom:
-		if c.ids == nil {
-			c.ids = make([]uint64, n)
+		if e.ids == nil {
+			e.ids = make([]uint64, n)
 		}
-		src := rng.Split(c.cfg.Seed, 0xC0FFEE)
+		src := rng.Split(e.cfg.Seed, 0xC0FFEE)
 		space := uint64(n) * uint64(n) * uint64(n)
 		if n > 0 && space/uint64(n)/uint64(n) != uint64(n) {
 			// n³ overflowed uint64; any power-of-two-ish huge space models
@@ -220,7 +231,7 @@ func (c *engineCore) assignIDs() {
 				}
 			}
 			seen[id] = true
-			c.ids[v] = id
+			e.ids[v] = id
 		}
 	default:
 		// IDSequential: ID(v) = v, represented implicitly (ids stays nil).
@@ -228,27 +239,27 @@ func (c *engineCore) assignIDs() {
 }
 
 // Graph returns the topology.
-func (c *engineCore) Graph() *graph.Graph { return c.g }
+func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // SetProcess installs the process for one node.
-func (c *engineCore) SetProcess(v graph.NodeID, p Process) { c.procs[v] = p }
+func (e *Engine) SetProcess(v graph.NodeID, p Process) { e.procs[v] = p }
 
 // SetProcesses installs a process for every node using the factory.
-func (c *engineCore) SetProcesses(factory func(v graph.NodeID) Process) {
-	for v := 0; v < c.g.NumNodes(); v++ {
-		c.procs[v] = factory(graph.NodeID(v))
+func (e *Engine) SetProcesses(factory func(v graph.NodeID) Process) {
+	for v := 0; v < e.g.NumNodes(); v++ {
+		e.procs[v] = factory(graph.NodeID(v))
 	}
 }
 
 // Metrics returns the metrics accumulated so far.
-func (c *engineCore) Metrics() Metrics {
-	m := c.metrics
-	m.HaltedNodes = c.countHalted()
+func (e *Engine) Metrics() Metrics {
+	m := e.metrics
+	m.HaltedNodes = e.countHalted()
 	return m
 }
 
 // Round returns the number of simulated rounds executed so far.
-func (c *engineCore) Round() int { return c.round }
+func (e *Engine) Round() int { return e.round }
 
 // Reset rewinds the engine to the state of a freshly constructed network
 // with the given seed, without reallocating any of its pooled round buffers:
@@ -260,44 +271,40 @@ func (c *engineCore) Round() int { return c.round }
 // makes a network reusable across runs — a reset engine behaves
 // byte-identically to a brand-new one with the same topology, processes,
 // Config and seed.
-func (c *engineCore) Reset(seed uint64) {
-	c.round = 0
-	c.metrics = Metrics{}
-	c.active = nil
-	c.faults = nil
-	c.cancel = nil
-	clear(c.halted)
-	for v := range c.inboxes {
-		c.inboxes[v] = c.inboxes[v][:0]
+func (e *Engine) Reset(seed uint64) {
+	e.round = 0
+	e.metrics = Metrics{}
+	e.active = nil
+	e.faults = nil
+	e.cancel = nil
+	clear(e.halted)
+	for v := range e.inboxes {
+		e.inboxes[v] = e.inboxes[v][:0]
 	}
-	c.plane.advance() // logically clears every pending slot
-	for v := range c.rands {
-		(&c.rands[v]).ResetSplit(seed, uint64(v))
+	e.plane.advance() // logically clears every pending slot
+	for v := range e.rands {
+		(&e.rands[v]).ResetSplit(seed, uint64(v))
 	}
-	if c.cfg.Seed != seed && c.cfg.IDs != IDSequential {
-		c.cfg.Seed = seed
-		c.assignIDs()
+	if e.cfg.Seed != seed && e.cfg.IDs != IDSequential {
+		e.cfg.Seed = seed
+		e.assignIDs()
 	}
-	c.cfg.Seed = seed
+	e.cfg.Seed = seed
 }
 
 // ID returns the model identifier assigned to node v.
-func (c *engineCore) ID(v graph.NodeID) uint64 {
-	if c.ids == nil {
+func (e *Engine) ID(v graph.NodeID) uint64 {
+	if e.ids == nil {
 		return uint64(v) // IDSequential
 	}
-	return c.ids[v]
+	return e.ids[v]
 }
-
-// Close is a no-op for the sequential engine (no pooled goroutines to park);
-// the sharded engine overrides it.
-func (c *engineCore) Close() {}
 
 // ChargeRounds accounts k additional rounds for a pipelined sub-protocol that
 // is not simulated message-by-message. Negative charges are ignored.
-func (c *engineCore) ChargeRounds(k int) {
+func (e *Engine) ChargeRounds(k int) {
 	if k > 0 {
-		c.metrics.ChargedRounds += k
+		e.metrics.ChargedRounds += k
 	}
 }
 
@@ -305,18 +312,18 @@ func (c *engineCore) ChargeRounds(k int) {
 // Nodes masked out by SetActive are ignored: they never step, so they could
 // never halt, and counting them would make Run spin forever under partial
 // activation. Crashed nodes still count — crash windows are transient.
-func (c *engineCore) AllHalted() bool {
-	for v := range c.procs {
-		if c.procs[v] != nil && !c.halted[v] && (c.active == nil || c.active[v]) {
+func (e *Engine) AllHalted() bool {
+	for v := range e.procs {
+		if e.procs[v] != nil && !e.halted[v] && (e.active == nil || e.active[v]) {
 			return false
 		}
 	}
 	return true
 }
 
-func (c *engineCore) countHalted() int {
+func (e *Engine) countHalted() int {
 	n := 0
-	for _, h := range c.halted {
+	for _, h := range e.halted {
 		if h {
 			n++
 		}
@@ -324,35 +331,15 @@ func (c *engineCore) countHalted() int {
 	return n
 }
 
-// run executes rounds until every process has halted. step is the concrete
-// engine's round implementation.
-func (c *engineCore) run(step func()) (int, error) {
-	for v := range c.procs {
-		if c.procs[v] == nil {
-			return c.round, fmt.Errorf("%w: node %d", ErrNoProcess, v)
-		}
-	}
-	start := c.round
-	for !c.AllHalted() {
-		if c.round-start >= c.cfg.MaxRounds {
-			return c.round, fmt.Errorf("%w (%d rounds)", ErrRoundLimit, c.cfg.MaxRounds)
-		}
-		if c.cancel != nil && c.cancel() {
-			return c.round, fmt.Errorf("%w (after %d rounds)", ErrCanceled, c.round-start)
-		}
-		step()
-	}
-	return c.round, nil
-}
-
 // collectSendCounters folds the per-context send counters into the metrics
-// (in node order, so both engines account identically) and resets them.
-func (c *engineCore) collectSendCounters() {
-	for v := range c.ctxs {
-		ctx := &c.ctxs[v]
-		c.metrics.MessagesSent += int(ctx.msgs)
-		c.metrics.WordsSent += int(ctx.words)
-		c.metrics.ProtocolViolations += int(ctx.violations)
+// (in node order, so every worker count accounts identically) and resets
+// them.
+func (e *Engine) collectSendCounters() {
+	for v := range e.ctxs {
+		ctx := &e.ctxs[v]
+		e.metrics.MessagesSent += int(ctx.msgs)
+		e.metrics.WordsSent += int(ctx.words)
+		e.metrics.ProtocolViolations += int(ctx.violations)
 		ctx.msgs, ctx.words, ctx.violations = 0, 0, 0
 	}
 }
@@ -364,22 +351,22 @@ func (c *engineCore) collectSendCounters() {
 // their send order. The range discipline makes the call safe to shard by
 // destination: it writes only inboxes[lo:hi] and *m, and reads the plane,
 // which is frozen between the compute and delivery phases.
-func (c *engineCore) deliverRange(lo, hi int, m *Metrics) {
-	ix, p := c.ix, c.plane
-	limit := c.cfg.BandwidthWords
-	faulty := c.active != nil || c.faults != nil
+func (e *Engine) deliverRange(lo, hi int, m *Metrics) {
+	ix, p := e.ix, e.plane
+	limit := e.cfg.BandwidthWords
+	faulty := e.active != nil || e.faults != nil
 	for u := lo; u < hi; u++ {
-		if faulty && c.skipped(u) {
+		if faulty && e.skipped(u) {
 			// Inactive or crashed destination: its round of traffic is lost.
-			c.inboxes[u] = c.inboxes[u][:0]
+			e.inboxes[u] = e.inboxes[u][:0]
 			continue
 		}
-		inbox := c.inboxes[u][:0]
-		for e, end := ix.Offsets[u], ix.Offsets[u+1]; e < end; e++ {
-			slot := ix.Rev[e]
+		inbox := e.inboxes[u][:0]
+		for in, end := ix.Offsets[u], ix.Offsets[u+1]; in < end; in++ {
+			slot := ix.Rev[in]
 			// The drop oracle is consulted only for slots that carry a
 			// message this round, so fault models can count exact losses.
-			if c.faults != nil && p.fresh(slot) && c.faults.DropMessage(c.round, slot) {
+			if e.faults != nil && p.fresh(slot) && e.faults.DropMessage(e.round, slot) {
 				continue
 			}
 			var w int
@@ -393,16 +380,16 @@ func (c *engineCore) deliverRange(lo, hi int, m *Metrics) {
 				m.BandwidthViolations++
 			}
 		}
-		c.inboxes[u] = inbox
+		e.inboxes[u] = inbox
 	}
 }
 
 // finishRound advances the plane generation and the round counter after
 // delivery completes.
-func (c *engineCore) finishRound() {
-	c.plane.advance()
-	c.round++
-	c.metrics.Rounds = c.round
+func (e *Engine) finishRound() {
+	e.plane.advance()
+	e.round++
+	e.metrics.Rounds = e.round
 }
 
 // Context is the interface a process uses to interact with the network during
@@ -410,13 +397,13 @@ func (c *engineCore) finishRound() {
 // every round); a Context value is valid only for the duration of the Step
 // call it is passed to.
 type Context struct {
-	core *engineCore
+	net  *Engine
 	id   graph.NodeID
 	base int32 // first out-slot of this node in the edge index
 
 	// Per-round send counters, folded into the engine metrics after the
-	// compute phase. Only this node's step touches them, so the sharded
-	// engine needs no synchronization here. The counters are reset every
+	// compute phase. Only this node's step touches them, so the worker team
+	// needs no synchronization here. The counters are reset every
 	// round, so the narrow widths cannot overflow on any feasible round
 	// (2³¹ messages from one node would need a 48 GB plane). The neighbor
 	// list is not cached here: it is two loads away in the graph's CSR, and
@@ -431,29 +418,29 @@ type Context struct {
 func (c *Context) NodeID() graph.NodeID { return c.id }
 
 // UID returns the model's O(log n)-bit unique identifier of this node.
-func (c *Context) UID() uint64 { return c.core.ID(c.id) }
+func (c *Context) UID() uint64 { return c.net.ID(c.id) }
 
 // N returns the number of nodes in the network (globally known, as the model
 // assumes knowledge of n or a polynomial upper bound).
-func (c *Context) N() int { return c.core.g.NumNodes() }
+func (c *Context) N() int { return c.net.g.NumNodes() }
 
 // MaxDegree returns Δ, assumed globally known (Section 2.6 "We assume ∆ is
 // known to the nodes").
-func (c *Context) MaxDegree() int { return c.core.g.MaxDegree() }
+func (c *Context) MaxDegree() int { return c.net.g.MaxDegree() }
 
 // Degree returns this node's degree.
-func (c *Context) Degree() int { return int(c.core.ix.Offsets[c.id+1] - c.base) }
+func (c *Context) Degree() int { return int(c.net.ix.Offsets[c.id+1] - c.base) }
 
 // Neighbors returns this node's neighbor list (shared slice; do not modify).
-func (c *Context) Neighbors() []graph.NodeID { return c.core.g.Neighbors(c.id) }
+func (c *Context) Neighbors() []graph.NodeID { return c.net.g.Neighbors(c.id) }
 
 // NeighborUID returns the unique identifier of a neighbor. In the CONGEST
 // model a node learns its neighbors' IDs in one round; exposing the lookup
 // here models that without boilerplate in every algorithm.
-func (c *Context) NeighborUID(v graph.NodeID) uint64 { return c.core.ID(v) }
+func (c *Context) NeighborUID(v graph.NodeID) uint64 { return c.net.ID(v) }
 
 // Rand returns this node's private random stream.
-func (c *Context) Rand() *rng.Source { return &c.core.rands[c.id] }
+func (c *Context) Rand() *rng.Source { return &c.net.rands[c.id] }
 
 // Send queues a 1-word message to a neighbor for delivery next round. The
 // payload is a kind tag plus one word, encoded by the caller's codec (see
@@ -469,7 +456,7 @@ func (c *Context) Send(to graph.NodeID, kind Kind, word uint64) error {
 // messages, by contrast, are delivered and accounted as bandwidth violations
 // at delivery time (see Config.BandwidthWords).
 func (c *Context) SendWords(to graph.NodeID, kind Kind, word uint64, words int) error {
-	e, ok := c.core.ix.Slot(c.id, to)
+	e, ok := c.net.ix.Slot(c.id, to)
 	if !ok {
 		c.violations++
 		return fmt.Errorf("%w: %d → %d", ErrNotNeighbor, c.id, to)
@@ -477,7 +464,7 @@ func (c *Context) SendWords(to graph.NodeID, kind Kind, word uint64, words int) 
 	if words <= 0 {
 		words = 1
 	}
-	c.core.plane.put(e, Message{From: c.id, To: to, Kind: kind, Word: word, Words: clampWords(words)})
+	c.net.plane.put(e, Message{From: c.id, To: to, Kind: kind, Word: word, Words: clampWords(words)})
 	c.msgs++
 	c.words += int64(words)
 	return nil
@@ -488,7 +475,7 @@ func (c *Context) SendWords(to graph.NodeID, kind Kind, word uint64, words int) 
 // of paying Send's O(log deg) neighbor lookup. i must be in [0, Degree());
 // it is not range-checked beyond the slice bounds.
 func (c *Context) SendToNeighbor(i int, kind Kind, word uint64) {
-	c.core.plane.put(c.base+int32(i), Message{From: c.id, To: c.core.g.Neighbors(c.id)[i], Kind: kind, Word: word, Words: 1})
+	c.net.plane.put(c.base+int32(i), Message{From: c.id, To: c.net.g.Neighbors(c.id)[i], Kind: kind, Word: word, Words: 1})
 	c.msgs++
 	c.words++
 }
@@ -497,9 +484,9 @@ func (c *Context) SendToNeighbor(i int, kind Kind, word uint64) {
 // neighbor's slot is addressed directly (base+i), so a broadcast does not
 // pay the per-send neighbor lookup.
 func (c *Context) Broadcast(kind Kind, word uint64) {
-	nbrs := c.core.g.Neighbors(c.id)
+	nbrs := c.net.g.Neighbors(c.id)
 	for i, v := range nbrs {
-		c.core.plane.put(c.base+int32(i), Message{From: c.id, To: v, Kind: kind, Word: word, Words: 1})
+		c.net.plane.put(c.base+int32(i), Message{From: c.id, To: v, Kind: kind, Word: word, Words: 1})
 	}
 	c.msgs += int32(len(nbrs))
 	c.words += int64(len(nbrs))

@@ -40,6 +40,7 @@ func (p *broadcastMaxProcess) Step(ctx *Context, round int, inbox []Message) boo
 func runBroadcastMax(t *testing.T, g *graph.Graph, cfg Config) []uint64 {
 	t.Helper()
 	net := New(g, cfg)
+	defer net.Close()
 	procs := make([]*broadcastMaxProcess, g.NumNodes())
 	diam := g.Diameter()
 	if diam < 0 {
@@ -71,13 +72,17 @@ func TestBroadcastMaxConverges(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
+// Worker count 1 runs every round inline and is the reference; every team
+// size must reproduce it node for node.
+func TestWorkersMatchInline(t *testing.T) {
 	g := graph.GNP(80, 0.08, 3)
-	seq := runBroadcastMax(t, g, Config{Seed: 7, IDs: IDRandomPermutation, Parallel: false})
-	par := runBroadcastMax(t, g, Config{Seed: 7, IDs: IDRandomPermutation, Parallel: true, Workers: 4})
-	for v := range seq {
-		if seq[v] != par[v] {
-			t.Fatalf("node %d: sequential %d vs parallel %d", v, seq[v], par[v])
+	want := runBroadcastMax(t, g, Config{Seed: 7, IDs: IDRandomPermutation, Workers: 1})
+	for _, workers := range []int{2, 3, 4, 16} {
+		got := runBroadcastMax(t, g, Config{Seed: 7, IDs: IDRandomPermutation, Workers: workers})
+		for v := range want {
+			if want[v] != got[v] {
+				t.Fatalf("workers=%d node %d: %d vs inline %d", workers, v, got[v], want[v])
+			}
 		}
 	}
 }
@@ -402,9 +407,9 @@ func TestIDSparseRandomSmallN(t *testing.T) {
 // Multiple messages over the same edge in one round must all be delivered in
 // send order (they share one slot of the message plane).
 func TestMultipleMessagesPerEdgePerRound(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
+	for _, workers := range []int{1, 2} {
 		g := graph.Path(2)
-		net := New(g, Config{Parallel: parallel})
+		net := New(g, Config{Workers: workers})
 		var got []Message
 		net.SetProcesses(func(v graph.NodeID) Process {
 			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
@@ -420,46 +425,18 @@ func TestMultipleMessagesPerEdgePerRound(t *testing.T) {
 			})
 		})
 		if _, err := net.Run(); err != nil {
-			t.Fatalf("parallel=%v Run: %v", parallel, err)
+			t.Fatalf("workers=%d Run: %v", workers, err)
 		}
+		net.Close()
 		if len(got) != 3 || got[0].Word != 1 || got[1].Word != 2 || got[2].Word != 3 {
-			t.Fatalf("parallel=%v inbox = %v, want words 1/2/3 in send order", parallel, got)
+			t.Fatalf("workers=%d inbox = %v, want words 1/2/3 in send order", workers, got)
 		}
-	}
-}
-
-// The engines report their identity and New selects by Config.
-func TestEngineSelection(t *testing.T) {
-	g := graph.Path(2)
-	if name := New(g, Config{}).Name(); name != "sequential" {
-		t.Errorf("default engine = %q, want sequential", name)
-	}
-	if name := New(g, Config{Parallel: true}).Name(); name != "sharded" {
-		t.Errorf("parallel engine = %q, want sharded", name)
-	}
-}
-
-// A long-running simulation must reuse its buffers: after a warm-up round,
-// additional broadcast rounds on the sequential engine allocate nothing.
-func TestSteadyStateRoundsDoNotAllocate(t *testing.T) {
-	g := graph.GNP(200, 0.05, 1)
-	net := New(g, Config{Seed: 1})
-	net.SetProcesses(func(v graph.NodeID) Process {
-		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
-			ctx.Broadcast(kindTestData, uint64(round&1))
-			return false
-		})
-	})
-	net.RunRounds(2) // warm-up: buckets and inboxes grow to steady state
-	allocs := testing.AllocsPerRun(10, func() { net.RunRounds(1) })
-	if allocs > 0 {
-		t.Errorf("steady-state round allocated %.1f times, want 0", allocs)
 	}
 }
 
 // Reset must rewind an engine to the exact state of a freshly constructed
-// one: same results, same metrics, same (seed-derived) IDs, for either
-// engine implementation and for seed-dependent ID assignments.
+// one: same results, same metrics, same (seed-derived) IDs, inline and with a
+// worker team, and for seed-dependent ID assignments.
 func TestResetMatchesFreshEngine(t *testing.T) {
 	g := graph.GNP(60, 0.08, 5)
 	for _, ids := range []IDAssignment{IDSequential, IDRandomPermutation, IDSparseRandom} {
@@ -468,10 +445,10 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 }
 
 func testResetMatchesFreshEngine(t *testing.T, g *graph.Graph, ids IDAssignment) {
-	for _, parallel := range []bool{false, true} {
-		run := func(net Engine) ([]uint64, Metrics) {
+	for _, workers := range []int{1, 4} {
+		run := func(net *Engine) ([]uint64, Metrics) {
 			if _, err := net.Run(); err != nil {
-				t.Fatalf("parallel=%v Run: %v", parallel, err)
+				t.Fatalf("workers=%d Run: %v", workers, err)
 			}
 			out := make([]uint64, g.NumNodes())
 			for v := range out {
@@ -479,7 +456,7 @@ func testResetMatchesFreshEngine(t *testing.T, g *graph.Graph, ids IDAssignment)
 			}
 			return out, net.Metrics()
 		}
-		install := func(net Engine) []*broadcastMaxProcess {
+		install := func(net *Engine) []*broadcastMaxProcess {
 			procs := make([]*broadcastMaxProcess, g.NumNodes())
 			net.SetProcesses(func(v graph.NodeID) Process {
 				procs[v] = &broadcastMaxProcess{maxRound: g.NumNodes() / 2}
@@ -488,11 +465,13 @@ func testResetMatchesFreshEngine(t *testing.T, g *graph.Graph, ids IDAssignment)
 			return procs
 		}
 		for _, seed := range []uint64{3, 77} {
-			fresh := New(g, Config{Seed: seed, IDs: ids, Parallel: parallel})
+			fresh := New(g, Config{Seed: seed, IDs: ids, Workers: workers})
+			defer fresh.Close()
 			fp := install(fresh)
 			fid, fm := run(fresh)
 
-			reused := New(g, Config{Seed: 12345, IDs: ids, Parallel: parallel})
+			reused := New(g, Config{Seed: 12345, IDs: ids, Workers: workers})
+			defer reused.Close()
 			rp := install(reused)
 			run(reused) // dirty the plane, inboxes, metrics and RNG streams
 			reused.Reset(seed)
@@ -502,16 +481,16 @@ func testResetMatchesFreshEngine(t *testing.T, g *graph.Graph, ids IDAssignment)
 			rid, rm := run(reused)
 
 			if fm != rm {
-				t.Fatalf("ids=%d parallel=%v seed=%d: metrics differ\nfresh: %v\nreset: %v", ids, parallel, seed, fm, rm)
+				t.Fatalf("ids=%d workers=%d seed=%d: metrics differ\nfresh: %v\nreset: %v", ids, workers, seed, fm, rm)
 			}
 			for v := range fp {
 				if fid[v] != rid[v] {
-					t.Fatalf("ids=%d parallel=%v seed=%d node %d: fresh ID %d, reset ID %d",
-						ids, parallel, seed, v, fid[v], rid[v])
+					t.Fatalf("ids=%d workers=%d seed=%d node %d: fresh ID %d, reset ID %d",
+						ids, workers, seed, v, fid[v], rid[v])
 				}
 				if fp[v].best != rp[v].best {
-					t.Fatalf("ids=%d parallel=%v seed=%d node %d: fresh best %d, reset best %d",
-						ids, parallel, seed, v, fp[v].best, rp[v].best)
+					t.Fatalf("ids=%d workers=%d seed=%d node %d: fresh best %d, reset best %d",
+						ids, workers, seed, v, fp[v].best, rp[v].best)
 				}
 			}
 		}

@@ -28,8 +28,8 @@ import (
 //
 // Ownership discipline: only the tail node of a directed edge writes its
 // slot, and writes happen strictly before reads of the same round (the
-// engines place a barrier between the compute and delivery phases). That
-// makes the plane data-race free under the sharded engine without any
+// worker team places a barrier between the compute and delivery phases).
+// That makes the plane data-race free under any worker count without any
 // locking; the overflow tier's one-time allocation goes through a sync.Once
 // so concurrent first double-sends from different workers stay safe.
 type plane struct {

@@ -8,7 +8,7 @@ import (
 	"d2color/internal/graph"
 )
 
-// This file holds the machinery of the persistent sharded engine: the
+// This file holds the multi-worker machinery of the engine (Workers > 1): the
 // edge-balanced shard plan, the padded per-worker state, and the worker team
 // with its epoch gate and single per-round barrier. See DESIGN.md §10.
 
@@ -25,7 +25,7 @@ const (
 	shardMinChunkWeight = 2048
 )
 
-// shardPlan is the ownership map of the sharded engine, computed once per
+// shardPlan is the ownership map of a multi-worker engine, computed once per
 // topology from the CSR offsets and shared by the compute and delivery
 // phases. The node range is cut into edge-balanced chunks — boundaries
 // chosen so every chunk carries roughly the same weight, where the weight of
@@ -110,7 +110,7 @@ type shardWorker struct {
 // is one broadcast wake, one barrier crossing and one wait, against the two
 // full spawn+join cycles of the per-round-goroutine design it replaces.
 type shardTeam struct {
-	e *shardedEngine
+	e *Engine
 
 	mu      sync.Mutex
 	cond    sync.Cond
@@ -122,11 +122,11 @@ type shardTeam struct {
 	done    sync.WaitGroup // round completion of ranks 1..workers-1
 }
 
-func newShardTeam(e *shardedEngine) *shardTeam {
+func newShardTeam(e *Engine) *shardTeam {
 	t := &shardTeam{e: e}
 	t.cond.L = &t.mu
 	t.barrier.cond.L = &t.barrier.mu
-	t.barrier.parties = e.workers
+	t.barrier.parties = e.plan.workers
 	return t
 }
 
@@ -137,15 +137,15 @@ func (t *shardTeam) publish() {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		panic("congest: round stepped on a closed sharded engine")
+		panic("congest: round stepped on a closed engine")
 	}
 	if !t.started {
 		t.started = true
-		for w := 1; w < t.e.workers; w++ {
+		for w := 1; w < t.e.plan.workers; w++ {
 			go t.workerLoop(w)
 		}
 	}
-	t.done.Add(t.e.workers - 1)
+	t.done.Add(t.e.plan.workers - 1)
 	t.epoch++
 	t.cond.Broadcast()
 	t.mu.Unlock()
@@ -193,7 +193,7 @@ func (t *shardTeam) stop() {
 
 // phaseBarrier is a reusable generation barrier: the parties-th arrival of a
 // generation releases the rest and opens the next one. It allocates nothing
-// per crossing, so a warmed-up sharded round stays at 0 allocs/op.
+// per crossing, so a warmed-up multi-worker round stays at 0 allocs/op.
 type phaseBarrier struct {
 	mu      sync.Mutex
 	cond    sync.Cond

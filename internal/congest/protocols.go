@@ -69,6 +69,7 @@ func FloodMax(g *graph.Graph, cfg Config, maxRounds int) (FloodMaxResult, error)
 		maxRounds = g.NumNodes()
 	}
 	net := New(g, cfg)
+	defer net.Close()
 	procs := make([]*floodMaxProcess, g.NumNodes())
 	net.SetProcesses(func(v graph.NodeID) Process {
 		procs[v] = &floodMaxProcess{rounds: maxRounds}
@@ -135,6 +136,7 @@ func BFSTree(g *graph.Graph, cfg Config, root graph.NodeID, maxRounds int) (BFST
 		maxRounds = n
 	}
 	net := New(g, cfg)
+	defer net.Close()
 	procs := make([]*bfsProcess, n)
 	net.SetProcesses(func(v graph.NodeID) Process {
 		procs[v] = &bfsProcess{root: v == root, maxRound: maxRounds}
@@ -180,6 +182,7 @@ func ConvergecastSum(g *graph.Graph, cfg Config, tree BFSTreeResult, values []in
 	copy(sums, values)
 
 	net := New(g, cfg)
+	defer net.Close()
 	var rootTotal int64
 	net.SetProcesses(func(v graph.NodeID) Process {
 		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {

@@ -122,14 +122,14 @@ func TestConvergecastIgnoresUnreachableNodes(t *testing.T) {
 	}
 }
 
-func TestPropertyProtocolsAgreeAcrossEngines(t *testing.T) {
+func TestPropertyProtocolsAgreeAcrossWorkerCounts(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := graph.GNP(40, 0.1, int64(seed%8))
-		seq, err := BFSTree(g, Config{Seed: seed, Parallel: false}, 0, g.NumNodes())
+		seq, err := BFSTree(g, Config{Seed: seed, Workers: 1}, 0, g.NumNodes())
 		if err != nil {
 			return false
 		}
-		par, err := BFSTree(g, Config{Seed: seed, Parallel: true, Workers: 3}, 0, g.NumNodes())
+		par, err := BFSTree(g, Config{Seed: seed, Workers: 3}, 0, g.NumNodes())
 		if err != nil {
 			return false
 		}

@@ -75,13 +75,12 @@ type Options struct {
 	// Epsilon is the ε used by AlgorithmPolylog and AlgorithmRelaxed;
 	// 0 means 1.
 	Epsilon float64
-	// Parallel runs the message-level simulations on the sharded-parallel
-	// CONGEST engine. The engines are byte-deterministic with each other, so
-	// this changes wall-clock time, never results. Algorithms that charge
-	// their rounds analytically instead of simulating them (polylog, greedy)
-	// are unaffected.
-	Parallel bool
-	// Workers bounds the sharded engine's goroutine pool; 0 means GOMAXPROCS.
+	// Workers is the CONGEST engine's worker count for the message-level
+	// simulations: ≤ 1 runs rounds inline, k > 1 on a team of k goroutines.
+	// Every worker count is byte-deterministic with every other, so this
+	// changes wall-clock time, never results. Algorithms that charge their
+	// rounds analytically instead of simulating them (polylog, greedy) are
+	// unaffected.
 	Workers int
 	// RandParams overrides the randomized algorithm's constants (nil means
 	// the scaled defaults).
@@ -176,7 +175,7 @@ func Solve(g *graph.Graph, opts Options) (Result, error) {
 		instance = registered
 	}
 
-	r, err := instance.Run(g, alg.Engine{Parallel: opts.Parallel, Workers: opts.Workers}, runSeed)
+	r, err := instance.Run(g, alg.Engine{Workers: opts.Workers}, runSeed)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: %s: %w", algo, err)
 	}

@@ -7,10 +7,10 @@ import (
 	"d2color/internal/graph"
 )
 
-// TestEngineDeterminism asserts the headline guarantee of the sharded
-// CONGEST engine: for every algorithm, every seed and every graph family,
-// running with Options.Parallel produces byte-identical colorings and
-// identical Metrics to the sequential engine.
+// TestEngineDeterminism asserts the headline guarantee of the CONGEST
+// engine: for every algorithm, every seed and every graph family, running
+// with any worker count produces byte-identical colorings and identical
+// Metrics to the inline engine (Workers 1).
 func TestEngineDeterminism(t *testing.T) {
 	families := []struct {
 		name string
@@ -25,29 +25,31 @@ func TestEngineDeterminism(t *testing.T) {
 		for _, algo := range Algorithms() {
 			for _, seed := range seeds {
 				t.Run(fmt.Sprintf("%s/%s/seed=%d", fam.name, algo, seed), func(t *testing.T) {
-					seq, err := Solve(fam.g, Options{Algorithm: algo, Seed: seed})
+					want, err := Solve(fam.g, Options{Algorithm: algo, Seed: seed, Workers: 1})
 					if err != nil {
-						t.Fatalf("sequential: %v", err)
+						t.Fatalf("inline: %v", err)
 					}
-					par, err := Solve(fam.g, Options{Algorithm: algo, Seed: seed, Parallel: true, Workers: 4})
-					if err != nil {
-						t.Fatalf("parallel: %v", err)
-					}
-					if len(seq.Coloring) != len(par.Coloring) {
-						t.Fatalf("coloring lengths differ: %d vs %d", len(seq.Coloring), len(par.Coloring))
-					}
-					for v := range seq.Coloring {
-						if seq.Coloring[v] != par.Coloring[v] {
-							t.Fatalf("node %d: sequential color %d, parallel color %d",
-								v, seq.Coloring[v], par.Coloring[v])
+					for _, workers := range []int{2, 3, 4, 16} {
+						got, err := Solve(fam.g, Options{Algorithm: algo, Seed: seed, Workers: workers})
+						if err != nil {
+							t.Fatalf("workers=%d: %v", workers, err)
 						}
-					}
-					if seq.Metrics != par.Metrics {
-						t.Fatalf("metrics differ:\nsequential: %v\nparallel:   %v", seq.Metrics, par.Metrics)
-					}
-					if seq.PaletteSize != par.PaletteSize || seq.ColorsUsed != par.ColorsUsed {
-						t.Fatalf("palette/colors differ: (%d,%d) vs (%d,%d)",
-							seq.PaletteSize, seq.ColorsUsed, par.PaletteSize, par.ColorsUsed)
+						if len(want.Coloring) != len(got.Coloring) {
+							t.Fatalf("workers=%d: coloring lengths differ: %d vs %d", workers, len(got.Coloring), len(want.Coloring))
+						}
+						for v := range want.Coloring {
+							if want.Coloring[v] != got.Coloring[v] {
+								t.Fatalf("workers=%d node %d: color %d, inline color %d",
+									workers, v, got.Coloring[v], want.Coloring[v])
+							}
+						}
+						if want.Metrics != got.Metrics {
+							t.Fatalf("workers=%d: metrics differ:\nteam:   %v\ninline: %v", workers, got.Metrics, want.Metrics)
+						}
+						if want.PaletteSize != got.PaletteSize || want.ColorsUsed != got.ColorsUsed {
+							t.Fatalf("workers=%d: palette/colors differ: (%d,%d) vs inline (%d,%d)",
+								workers, got.PaletteSize, got.ColorsUsed, want.PaletteSize, want.ColorsUsed)
+						}
 					}
 				})
 			}

@@ -36,12 +36,10 @@ type Options struct {
 	IDs congest.IDAssignment
 	// Seed is used only for the ID assignment when IDs is randomized.
 	Seed uint64
-	// Parallel selects the sharded-parallel simulator engine. The
+	// Workers is the simulator's worker count (≤ 1 runs inline). The
 	// deterministic pipeline charges its rounds rather than simulating them
 	// message-by-message, so this only affects the engine construction, but
 	// it keeps the option surface uniform across the algorithm layers.
-	Parallel bool
-	// Workers bounds the sharded engine's goroutine pool; 0 means GOMAXPROCS.
 	Workers int
 	// SkipVerify disables the internal validity check (used by benchmarks
 	// that verify separately).
@@ -58,7 +56,7 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	// The simulator owns ID assignment; Linial consumes the IDs as its
 	// initial coloring. IDSparseRandom produces IDs from a space of size n³,
 	// exactly the O(log n)-bit assumption.
-	net := congest.New(g, congest.Config{Seed: opts.Seed, IDs: opts.IDs, Parallel: opts.Parallel, Workers: opts.Workers})
+	net := congest.New(g, congest.Config{Seed: opts.Seed, IDs: opts.IDs, Workers: opts.Workers})
 	defer net.Close()
 	ids := make([]int, n)
 	for v := 0; v < n; v++ {

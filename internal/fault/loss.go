@@ -8,8 +8,8 @@ import (
 )
 
 // The engine-side fault models. congest.FaultModel demands pure functions of
-// (round, slot) and (round, node) — the sharded engine calls them from many
-// workers and its byte-identity-with-sequential guarantee relies on the
+// (round, slot) and (round, node) — a multi-worker engine calls them from
+// many workers and its byte-identity-with-inline guarantee relies on the
 // answer not depending on evaluation order. Both plans therefore decide by
 // rehashing a stack-allocated SplitMix64 stream per query instead of
 // advancing shared state; the only mutation is an atomic loss counter, which

@@ -173,17 +173,17 @@ func runE14(cfg Config) (*Table, error) {
 // cancelReuseCheck pins the cancellation acceptance criterion: color a graph
 // on a warm session, cancel a second run mid-kernel with a ~1ms deadline,
 // rerun the first request, and require hash and metrics byte-identical to
-// both the pre-cancel run and a fresh server's run. Checked for the
-// sequential and the sharded engine.
+// both the pre-cancel run and a fresh server's run. Checked inline and on a
+// two-worker team.
 func cancelReuseCheck(cfg Config) (bool, error) {
 	n := 20000
 	if cfg.Quick {
 		n = 6000
 	}
 	spec := &graph.GeneratorSpec{Kind: "gnp-avg", N: n, P: 8, Seed: int64(cfg.Seed)}
-	for _, parallel := range []bool{false, true} {
+	for _, workers := range []int{1, 2} {
 		run := func() (serve.Response, serve.Response, error) {
-			srv := serve.NewServer(serve.Options{Parallel: parallel})
+			srv := serve.NewServer(serve.Options{Workers: workers})
 			defer srv.Close()
 			var first, again serve.Response
 			var resp serve.Response

@@ -43,7 +43,7 @@ func runE12(cfg Config) (*Table, error) {
 		rates = []float64{0.01}
 	}
 	mixes := []string{"corrupt", "churn", "mixed"}
-	parallel := cfg.Parallel && cfg.jobs() == 1
+	workers := cfg.engineWorkers()
 
 	type family struct {
 		name  string
@@ -75,9 +75,9 @@ func runE12(cfg Config) (*Table, error) {
 				// coloring can hold and keeps ample slack for the mild
 				// degree drift edge churn causes.
 				ses := repair.NewSession(cur, rel.Coloring, repair.Options{
-					Palette:  rel.PaletteSize,
-					Mode:     repair.ModeLocal,
-					Parallel: parallel,
+					Palette: rel.PaletteSize,
+					Mode:    repair.ModeLocal,
+					Workers: workers,
 				})
 				var totDirty, totBall, totRecolored, totPhases, totRounds int
 				var repairWall, rerunWall time.Duration
@@ -144,7 +144,7 @@ func runE12(cfg Config) (*Table, error) {
 					// The comparison point: recolor the post-churn topology
 					// from scratch with the same baseline family.
 					rerunStart := time.Now()
-					if _, err := baseline.RelaxedD2(cur, baseline.Options{Epsilon: 1, Seed: seed, Parallel: parallel}); err != nil {
+					if _, err := baseline.RelaxedD2(cur, baseline.Options{Epsilon: 1, Seed: seed, Workers: workers}); err != nil {
 						return nil, fmt.Errorf("E12 %s/%s/%g epoch %d rerun: %w", fam.name, mix, rate, e, err)
 					}
 					rerunWall += time.Since(rerunStart)

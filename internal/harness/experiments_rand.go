@@ -252,7 +252,7 @@ var initialTrialsAlgorithm = alg.Func{
 		palette := alg.D2Palette(g)
 		phases := int(math.Ceil(3 * log2f(g.NumNodes())))
 		res, err := trial.Run(g, trial.Config{PaletteSize: palette, Scope: trial.ScopeDistance2,
-			MaxPhases: phases, Seed: seed, Parallel: eng.Parallel, Workers: eng.Workers})
+			MaxPhases: phases, Seed: seed, Workers: eng.Workers})
 		if err != nil {
 			return alg.Result{}, err
 		}

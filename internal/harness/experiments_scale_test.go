@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"maps"
+	"runtime"
 	"strconv"
 	"testing"
 )
@@ -18,7 +20,7 @@ func TestE11Smoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(table.Rows) != 6 {
-		t.Fatalf("quick E11 should have 2 points × (greedy + relaxed×2 engines) = 6 rows, got %d", len(table.Rows))
+		t.Fatalf("quick E11 should have 2 points × (greedy + relaxed×2 worker counts) = 6 rows, got %d", len(table.Rows))
 	}
 	col := func(name string) int {
 		for i, c := range table.Columns {
@@ -29,10 +31,10 @@ func TestE11Smoke(t *testing.T) {
 		t.Fatalf("missing column %q", name)
 		return -1
 	}
-	nCol, colorsCol, paletteCol, engineCol := col("n"), col("colors used"), col("palette"), col("engine")
-	engines := map[string]int{}
+	nCol, colorsCol, paletteCol, workersCol := col("n"), col("colors used"), col("palette"), col("workers")
+	workerRows := map[string]int{}
 	for _, row := range table.Rows {
-		engines[row[engineCol]]++
+		workerRows[row[workersCol]]++
 		n, err := strconv.Atoi(row[nCol])
 		if err != nil || n != 50_000 {
 			t.Errorf("row %v: n = %q, want 50000", row, row[nCol])
@@ -46,10 +48,13 @@ func TestE11Smoke(t *testing.T) {
 			t.Errorf("row %v: colors %d exceed the advertised palette %q", row, colors, row[paletteCol])
 		}
 	}
-	// Both engines must appear: the relaxed rows run the engine axis, so the
-	// pooled sharded engine is on E11's measured path even in the smoke.
-	if engines["sequential"] != 4 || engines["sharded"] != 2 {
-		t.Errorf("engine column mix = %v, want 4× sequential + 2× sharded", engines)
+	// Both worker counts must appear: the relaxed rows run the worker axis,
+	// so the GOMAXPROCS-sized team is on E11's measured path even in the
+	// smoke (on one core it degenerates to the inline engine).
+	want := map[string]int{"1": 4}
+	want[strconv.Itoa(runtime.GOMAXPROCS(0))] += 2
+	if !maps.Equal(workerRows, want) {
+		t.Errorf("workers column mix = %v, want %v", workerRows, want)
 	}
 	// The deterministic columns must not depend on the run: regenerate and
 	// compare everything except the volatile wall-clock/throughput/RSS.

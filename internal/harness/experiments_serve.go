@@ -46,7 +46,7 @@ func runE13(cfg Config) (*Table, error) {
 		if spec.Seed == 0 {
 			spec.Seed = cfg.Seed
 		}
-		spec.Parallel = cfg.Parallel && cfg.jobs() == 1
+		spec.Workers = cfg.engineWorkers()
 		rep, err := serve.RunLoad(spec)
 		if err != nil {
 			return nil, fmt.Errorf("E13 %s: %w", spec.Mix, err)

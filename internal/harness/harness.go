@@ -16,6 +16,7 @@
 package harness
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"sort"
@@ -33,22 +34,20 @@ type Config struct {
 	// Repetitions averages randomized measurements over this many seeds;
 	// 0 means 3 (1 in Quick mode).
 	Repetitions int
-	// Parallel runs the message-level simulations inside the experiments on
-	// the sharded-parallel CONGEST engine. The engines are byte-deterministic
-	// with each other, so the generated tables are identical either way. It
-	// only engages when the grid itself runs sequentially (Jobs == 1):
-	// nesting sharded engines inside a saturated cell pool would add
-	// scheduling overhead without changing a single table cell.
-	Parallel bool
+	// Workers is the CONGEST engine's worker count for the message-level
+	// simulations inside the experiments; ≤ 1 runs rounds inline. Every
+	// worker count is byte-deterministic with every other, so the generated
+	// tables are identical either way. It only engages when the grid itself
+	// runs sequentially (Jobs == 1): nesting worker teams inside a saturated
+	// cell pool would add scheduling overhead without changing a single
+	// table cell.
+	Workers int
 	// Jobs bounds the worker pool that fans the sweep grid's cells
 	// (workload × algorithm × engine combinations, each with its repetitions
 	// folded in order) over the machine; 0 means GOMAXPROCS, 1 disables the
 	// fan-out. Tables are byte-identical for every value, apart from the
 	// wall-clock note Render appends.
 	Jobs int
-	// Workers is the deprecated name of Jobs (it used to bound the
-	// repetition-only fan-out); it is honored when Jobs is 0.
-	Workers int
 }
 
 func (c Config) reps() int {
@@ -66,20 +65,23 @@ func (c Config) jobs() int {
 	if c.Jobs > 0 {
 		return c.Jobs
 	}
-	if c.Workers > 0 {
-		return c.Workers
-	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// engineAxis returns the single-engine axis the experiment specs run on: the
-// config's engine choice when the grid is sequential, the sequential engine
-// when cells fan out (see Config.Parallel).
-func (c Config) engineAxis() []sweep.EngineAxis {
-	if c.Parallel && c.jobs() == 1 {
-		return []sweep.EngineAxis{{Name: "parallel", Engine: alg.Engine{Parallel: true}}}
+// engineWorkers resolves the engine worker count of the experiments'
+// simulations: the config's Workers when the grid is sequential, inline when
+// cells fan out (see Config.Workers).
+func (c Config) engineWorkers() int {
+	if c.jobs() == 1 {
+		return max(c.Workers, 1)
 	}
-	return []sweep.EngineAxis{{Name: "sequential"}}
+	return 1
+}
+
+// engineAxis returns the single-engine axis the experiment specs run on.
+func (c Config) engineAxis() []sweep.EngineAxis {
+	w := c.engineWorkers()
+	return []sweep.EngineAxis{{Name: fmt.Sprintf("workers=%d", w), Engine: alg.Engine{Workers: w}}}
 }
 
 // runGrid executes the spec with the config's fan-out and shapes the grid

@@ -6,7 +6,7 @@ import (
 )
 
 // memoryEnvelope is the recorded bytes-per-node ceiling at n = 10⁶ (sparse
-// GNP, average degree 8, packed colorings, sequential engine) that the
+// GNP, average degree 8, packed colorings, inline engine) that the
 // D2_MEMORY_GATE CI job enforces. The measured figures after the ISSUE 7
 // memory diet are ~50 B/node (greedy: resident CSR + packed output +
 // transient scratch) and ~730 B/node (relaxed: CSR + the 24-byte message

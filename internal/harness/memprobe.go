@@ -25,7 +25,7 @@ type MemoryProbe struct {
 
 // RunMemoryProbe builds the standard scale workload (sparse GNP at average
 // degree 8) once and runs each named registry algorithm on it with
-// bit-packed output on the sequential engine, reporting per-run peak RSS.
+// bit-packed output on the inline engine, reporting per-run peak RSS.
 // Before each run the heap is scavenged back to the OS and the VmHWM
 // high-water mark reset, so a probe covers the shared resident graph plus
 // that algorithm alone. reliable is false when the platform does not allow

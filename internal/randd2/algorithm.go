@@ -44,11 +44,9 @@ type Options struct {
 	Params *Params
 	// Seed drives all randomness.
 	Seed uint64
-	// Parallel runs the simulated sub-protocols (the step-2 trial phases and
-	// the deterministic fallback's engine) on the sharded-parallel engine.
-	// Results are byte-identical to the sequential engine.
-	Parallel bool
-	// Workers bounds the sharded engine's goroutine pool; 0 means GOMAXPROCS.
+	// Workers is the worker count of the simulated sub-protocols (the step-2
+	// trial phases and the deterministic fallback's engine); ≤ 1 runs them
+	// inline. Results are byte-identical for every worker count.
 	Workers int
 	// SkipVerify disables the internal validity check.
 	SkipVerify bool
@@ -61,7 +59,7 @@ type Options struct {
 	// same graph (trial.NewRunner). Repeated runs on one topology — the
 	// harness's averaged repetitions, parameter sweeps — then share the
 	// kernel's network, processes and flat state instead of rebuilding them
-	// per run. The kernel's engine selection overrides Parallel/Workers; a
+	// per run. The kernel's worker count overrides Workers; a
 	// kernel must not be shared between concurrent runs. nil means build one
 	// internally.
 	TrialKernel *trial.Runner
@@ -114,7 +112,7 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	// Step 0: for low-degree graphs use the deterministic algorithm
 	// (Theorem 1.2), exactly as Algorithm d2-Color does.
 	if float64(delta*delta) < params.C2*log2(n) && !opts.DisableDeterministicFallback {
-		det, err := detd2.Run(g, detd2.Options{Seed: opts.Seed, Parallel: opts.Parallel, Workers: opts.Workers, SkipVerify: opts.SkipVerify})
+		det, err := detd2.Run(g, detd2.Options{Seed: opts.Seed, Workers: opts.Workers, SkipVerify: opts.SkipVerify})
 		if err != nil {
 			return Result{}, fmt.Errorf("randd2: deterministic fallback: %w", err)
 		}
@@ -130,7 +128,7 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 
 	tk := opts.TrialKernel
 	if tk == nil {
-		tk = trial.NewRunner(g, opts.Parallel, opts.Workers)
+		tk = trial.NewRunner(g, false, opts.Workers)
 		defer tk.Close() // owned kernel: injected ones are closed by their owner
 	} else if tk.Graph() != g {
 		return Result{}, fmt.Errorf("randd2: injected trial kernel was built for a different graph")

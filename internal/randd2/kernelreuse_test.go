@@ -9,10 +9,11 @@ import (
 )
 
 // TestTrialKernelReuseByteDeterminism is the byte-determinism property suite
-// for the word-encoded kernel: for every graph family, variant, engine and
-// seed, a run that injects a shared, repeatedly reused trial kernel produces
-// colorings and Metrics identical to a run that builds everything fresh —
-// i.e. kernel reuse (the Reset path) is observationally invisible. The
+// for the word-encoded kernel: for every graph family, variant, worker count
+// and seed, a run that injects a shared, repeatedly reused trial kernel produces
+// colorings and Metrics identical to a run that builds everything fresh and
+// inline — i.e. kernel reuse (the Reset path) and the worker team are
+// observationally invisible. The
 // shared kernel survives across all seeds and variants of a family, so the
 // test also exercises back-to-back reuse with differing configs.
 func TestTrialKernelReuseByteDeterminism(t *testing.T) {
@@ -25,27 +26,21 @@ func TestTrialKernelReuseByteDeterminism(t *testing.T) {
 		{"cliquechain", graph.CliqueChain(4, 5, 0)},
 	}
 	seeds := []uint64{1, 7, 42}
-	engines := []struct {
-		parallel bool
-		workers  int
-	}{
-		{false, 0},
-		{true, 0}, // GOMAXPROCS workers (inline fast path on 1-core machines)
-		{true, 3}, // forces a real pooled worker team regardless of the machine
-	}
 	for _, fam := range families {
-		for _, eng := range engines {
-			shared := trial.NewRunner(fam.g, eng.parallel, eng.workers)
+		// The shared kernel runs at every worker count; the fresh reference
+		// always runs inline (Workers 1).
+		for _, workers := range []int{1, 2, 3, 4, 16} {
+			shared := trial.NewRunner(fam.g, false, workers)
 			defer shared.Close()
 			for _, variant := range []Variant{VariantImproved, VariantBasic} {
 				for _, seed := range seeds {
-					t.Run(fmt.Sprintf("%s/%s/parallel=%v/workers=%d/seed=%d", fam.name, variant, eng.parallel, eng.workers, seed), func(t *testing.T) {
-						fresh, err := Run(fam.g, Options{Variant: variant, Seed: seed, Parallel: eng.parallel, Workers: eng.workers,
+					t.Run(fmt.Sprintf("%s/%s/workers=%d/seed=%d", fam.name, variant, workers, seed), func(t *testing.T) {
+						fresh, err := Run(fam.g, Options{Variant: variant, Seed: seed, Workers: 1,
 							DisableDeterministicFallback: true})
 						if err != nil {
 							t.Fatalf("fresh: %v", err)
 						}
-						reused, err := Run(fam.g, Options{Variant: variant, Seed: seed, Parallel: eng.parallel, Workers: eng.workers,
+						reused, err := Run(fam.g, Options{Variant: variant, Seed: seed,
 							DisableDeterministicFallback: true, TrialKernel: shared})
 						if err != nil {
 							t.Fatalf("reused: %v", err)

@@ -22,7 +22,6 @@ func Algorithm(opts Options) alg.Algorithm {
 		RunFunc: func(g *graph.Graph, eng alg.Engine, seed uint64) (alg.Result, error) {
 			o := opts
 			o.Seed = seed
-			o.Parallel = eng.Parallel
 			o.Workers = eng.Workers
 			if o.TrialKernel == nil && eng.Kernel != nil {
 				o.TrialKernel = eng.Kernel()

@@ -71,10 +71,8 @@ type Options struct {
 	Palette int
 	// Mode selects local-subgraph or warm-global confinement.
 	Mode Mode
-	// Parallel runs the underlying trial kernels on the sharded engine
-	// (byte-identical results either way).
-	Parallel bool
-	// Workers bounds the sharded engine's pool; 0 means GOMAXPROCS.
+	// Workers is the trial kernels' engine worker count (≤ 1 runs inline;
+	// byte-identical results either way).
 	Workers int
 	// MaxPhases bounds each repair run; 0 means run to completion (with the
 	// trial package's phase-cap backstop).
@@ -362,7 +360,7 @@ func (s *Session) repairLocal(seed uint64) (Report, error) {
 			}
 		}
 	}
-	r := trial.NewRunner(sub, s.opts.Parallel, s.opts.Workers)
+	r := trial.NewRunner(sub, false, s.opts.Workers)
 	defer r.Close()
 	res, err := r.Run(trial.Config{
 		PaletteSize:    s.palette,
@@ -395,7 +393,7 @@ func (s *Session) repairLocal(seed uint64) (Report, error) {
 // covering the ball; everything outside is frozen.
 func (s *Session) repairGlobal(seed uint64) (Report, error) {
 	if s.runner == nil {
-		s.runner = trial.NewRunner(s.g, s.opts.Parallel, s.opts.Workers)
+		s.runner = trial.NewRunner(s.g, false, s.opts.Workers)
 	}
 	n := s.g.NumNodes()
 	if s.active == nil {

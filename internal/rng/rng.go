@@ -35,7 +35,7 @@ func Split(seed uint64, index uint64) *Source {
 }
 
 // ResetSplit rewinds s in place to the beginning of the stream that
-// Split(seed, index) produces, without allocating. The CONGEST engines use
+// Split(seed, index) produces, without allocating. The CONGEST engine uses
 // it to re-seed their pooled per-node sources when a network is reset for a
 // fresh run.
 func (s *Source) ResetSplit(seed uint64, index uint64) {

@@ -20,17 +20,13 @@ var bigSpec = graph.GeneratorSpec{Kind: "gnp-avg", N: 20000, P: 8, Seed: 11}
 // TestServeCancelWarmKernelByteIdentical pins the cancellation acceptance
 // criterion: a canceled run must leave the warm kernel fully reusable — the
 // next same-seed run returns hash and metrics byte-identical to the
-// pre-cancel run and to a fresh server's run. Checked across the sequential
-// and the sharded engine.
+// pre-cancel run and to a fresh server's run. Checked inline and on a
+// two-worker team.
 func TestServeCancelWarmKernelByteIdentical(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "sharded"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			run := func() (first, again Response) {
-				srv := NewServer(Options{Parallel: parallel, Workers: 2})
+				srv := NewServer(Options{Workers: workers})
 				defer srv.Close()
 				var resp Response
 				if err := srv.Do(&Request{Op: OpOpen, Session: "x", Spec: &bigSpec}, &resp); err != nil {
@@ -184,8 +180,8 @@ func TestServePanicQuarantine(t *testing.T) {
 	spec := graph.GeneratorSpec{Kind: "ba", N: 300, Degree: 3, Seed: 4}
 	srv := NewServer(Options{
 		QuarantineAfter: 2,
-		Parallel:        true, Workers: 2, // quarantine must close live engines too
-		ChaosPanic: func(req *Request) bool { return req.Op == OpRecolor },
+		Workers:         2, // quarantine must close live worker teams too
+		ChaosPanic:      func(req *Request) bool { return req.Op == OpRecolor },
 	})
 	var resp Response
 	if err := srv.Do(&Request{Op: OpOpen, Session: "x", Spec: &spec}, &resp); err != nil {

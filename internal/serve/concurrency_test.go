@@ -64,6 +64,12 @@ func TestServeConcurrentSessionsIdentical(t *testing.T) {
 		if err := srv.Do(&Request{Op: OpOpen, Session: name, Spec: &spec}, &resp); err != nil {
 			t.Fatal(err)
 		}
+		// Give every session a working coloring before the hammering starts:
+		// a worker whose first request is a verify must not depend on some
+		// other worker's color request having won the race to the session.
+		if err := srv.Do(&Request{Op: OpColor, Session: name, Algorithm: algos[0], Seed: seeds[0]}, &resp); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	const workers = 8
@@ -126,7 +132,7 @@ func TestServeShutdownReleasesEngines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	spec := graph.GeneratorSpec{Kind: "ba", N: 300, Degree: 3, Seed: 4}
-	probe := NewServer(Options{Parallel: true, Workers: 2})
+	probe := NewServer(Options{Workers: 2})
 	var resp Response
 	if err := probe.Do(&Request{Op: OpOpen, Session: "p", Spec: &spec}, &resp); err != nil {
 		t.Fatal(err)
@@ -135,8 +141,8 @@ func TestServeShutdownReleasesEngines(t *testing.T) {
 	probe.Close()
 
 	// Budget for three resident sessions; opening six forces three evictions,
-	// each of which must close a live parallel engine.
-	srv := NewServer(Options{ResidentBudget: 3*est + est/2, Parallel: true, Workers: 2})
+	// each of which must close a live worker team.
+	srv := NewServer(Options{ResidentBudget: 3*est + est/2, Workers: 2})
 	for i := 0; i < 6; i++ {
 		s := spec
 		name := fmt.Sprintf("g%d", i)

@@ -51,7 +51,6 @@ type LoadSpec struct {
 	BatchMax  int
 	Budget    int64
 	Mode      repair.Mode
-	Parallel  bool
 	Workers   int
 	// Overload shape (RunLoad's in-process server; remote servers bring their
 	// own): per-session queue depth, in-flight byte budget, and the
@@ -189,7 +188,6 @@ func RunLoad(spec LoadSpec) (LoadReport, error) {
 		Unbatched:       spec.Unbatched,
 		BatchMax:        spec.BatchMax,
 		RepairMode:      spec.Mode,
-		Parallel:        spec.Parallel,
 		Workers:         spec.Workers,
 		QueueDepth:      spec.QueueDepth,
 		InflightBudget:  spec.InflightBudget,
@@ -299,16 +297,11 @@ func RunLoadWith(newTransport func() Transport, spec LoadSpec) (LoadReport, erro
 	// in-process and remote transports.
 	statsReq := Request{Op: OpStats}
 	if err := setup.Do(&statsReq, &resp); err == nil && resp.Stats != nil {
-		var reqs, batches int64
-		for _, ss := range resp.Stats.Sessions {
-			reqs += ss.Requests
-			batches += ss.Batches
-		}
-		// The server-wide count: per-session rows cover only the sessions
+		// Server-wide counts: per-session rows cover only the sessions
 		// still resident, and eviction churn can drop the hot session's.
 		rep.Coalesced = resp.Stats.Coalesced
-		if batches > 0 {
-			rep.MeanBatch = float64(reqs) / float64(batches)
+		if b := resp.Stats.Batches; b > 0 {
+			rep.MeanBatch = float64(resp.Stats.Executed) / float64(b)
 		}
 		rep.Evictions = resp.Stats.Evicted
 		rep.ServerShed = resp.Stats.Shed

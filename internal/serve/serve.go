@@ -172,10 +172,10 @@ type Options struct {
 	// Unbatched disables the dispatch window entirely (one request per
 	// wakeup, no coalescing) — the control arm of the batching benchmarks.
 	Unbatched bool
-	// Parallel/Workers select the sharded engine for the session kernels
-	// (byte-identical results either way).
-	Parallel bool
-	Workers  int
+	// Workers is the engine worker count of the session kernels (≤ 1 runs
+	// rounds inline on the session's goroutine; byte-identical results
+	// either way).
+	Workers int
 	// RepairMode confines recolor requests (ModeLocal extracts the ball's
 	// subgraph; ModeGlobal reuses the session's warm kernel — the
 	// allocation-free path).
@@ -243,6 +243,8 @@ type Server struct {
 	shutdowns atomic.Int64 // workers fully shut down (kernels closed)
 	requests  atomic.Int64
 	coalesced atomic.Int64 // summed over every session, evicted ones too
+	batches   atomic.Int64 // dispatch windows that ran requests, every session
+	executed  atomic.Int64 // requests run by session workers, every session
 
 	// Overload/failure plane counters and state.
 	shed          atomic.Int64 // requests rejected with ErrOverloaded
@@ -657,6 +659,8 @@ type Stats struct {
 	Shutdown         int64          `json:"shutdown"` // workers fully exited, kernels closed
 	Requests         int64          `json:"requests"`
 	Coalesced        int64          `json:"coalesced"` // every session, evicted ones too
+	Batches          int64          `json:"batches"`   // dispatch windows that ran requests, every session
+	Executed         int64          `json:"executed"`  // requests run by session workers, every session
 	Shed             int64          `json:"shed"`
 	Canceled         int64          `json:"canceled"`
 	Panics           int64          `json:"panics"`
@@ -682,6 +686,8 @@ func (s *Server) statsSnapshot() *Stats {
 		Shutdown:         s.shutdowns.Load(),
 		Requests:         s.requests.Load(),
 		Coalesced:        s.coalesced.Load(),
+		Batches:          s.batches.Load(),
+		Executed:         s.executed.Load(),
 		Shed:             s.shed.Load(),
 		Canceled:         s.canceled.Load(),
 		Panics:           s.panics.Load(),

@@ -224,11 +224,11 @@ func TestServeBatchedAndUnbatchedIdentical(t *testing.T) {
 	}
 }
 
-// TestStatsCoalescedSurvivesEviction pins the server-wide coalesced count:
-// a window of two verifies coalesces one, and the count survives the
-// session's removal — the per-session rows cover only resident sessions, so
-// a load report summing them lost every coalesce of an evicted hot session.
-func TestStatsCoalescedSurvivesEviction(t *testing.T) {
+// closedSessionWindows runs three dispatch windows on one session — a color,
+// a held color, and a window of two verifies queued behind it (one of them
+// coalesces) — then closes the session and returns the server's stats.
+func closedSessionWindows(t *testing.T) Stats {
+	t.Helper()
 	entered, release := make(chan struct{}), make(chan struct{})
 	srv := NewServer(Options{ChaosPanic: func(req *Request) bool {
 		if req.Op == OpColor && req.Seed == 99 {
@@ -275,9 +275,29 @@ func TestStatsCoalescedSurvivesEviction(t *testing.T) {
 	if err := srv.Do(&Request{Op: OpClose, Session: "x"}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
+	return srv.Stats()
+}
+
+// TestStatsCoalescedSurvivesEviction pins the server-wide coalesced count:
+// a window of two verifies coalesces one, and the count survives the
+// session's removal — the per-session rows cover only resident sessions, so
+// a load report summing them lost every coalesce of an evicted hot session.
+func TestStatsCoalescedSurvivesEviction(t *testing.T) {
+	st := closedSessionWindows(t)
 	if len(st.Sessions) != 0 || st.Coalesced != 1 {
 		t.Errorf("after close: %d resident sessions, coalesced %d; want 0 and 1", len(st.Sessions), st.Coalesced)
+	}
+}
+
+// TestStatsBatchesSurviveEviction pins the server-wide window counters that
+// LoadReport.MeanBatch is computed from: three windows ran four requests,
+// and both counts survive the session's removal. The close's shutdown
+// sentinel runs no request, so its window is not counted.
+func TestStatsBatchesSurviveEviction(t *testing.T) {
+	st := closedSessionWindows(t)
+	if len(st.Sessions) != 0 || st.Batches != 3 || st.Executed != 4 {
+		t.Errorf("after close: %d resident sessions, batches %d, executed %d; want 0, 3 and 4",
+			len(st.Sessions), st.Batches, st.Executed)
 	}
 }
 

@@ -135,6 +135,11 @@ func (ses *session) loop() {
 // own session after a panic streak (kernels are closed in both cases).
 func (ses *session) runBatch(batch []*call) (shutdown bool) {
 	ses.nBatches.Add(1)
+	if len(batch) > 1 || !batch[0].shutdown {
+		// The server-wide count skips a window holding only the shutdown
+		// sentinel: it runs no request.
+		ses.srv.batches.Add(1)
+	}
 	if n := int64(len(batch)); n > 1 {
 		ses.nBatched.Add(n)
 		if n > ses.maxBatch.Load() {
@@ -155,6 +160,7 @@ func (ses *session) runBatch(batch []*call) (shutdown bool) {
 			continue
 		}
 		ses.nRequests.Add(1)
+		ses.srv.executed.Add(1)
 		if quarantine {
 			// Already condemned this batch (or a previous one, if an evictor
 			// won the removal race): fail fast, never touch the kernels again.
@@ -318,7 +324,7 @@ func (ses *session) closeKernels() {
 // network and one set of flat per-node arrays.
 func (ses *session) kernel() *trial.Runner {
 	if ses.tk == nil {
-		ses.tk = trial.NewRunner(ses.g, ses.srv.opts.Parallel, ses.srv.opts.Workers)
+		ses.tk = trial.NewRunner(ses.g, false, ses.srv.opts.Workers)
 		// The runner-level hook points at "the current request's cancel
 		// flag", so the long-lived kernel follows per-request deadlines
 		// without threading Cancel through every registry algorithm's Config.
@@ -343,9 +349,8 @@ func (ses *session) doColor(req *Request, resp *Response) error {
 		return err
 	}
 	res, err := a.Run(ses.g, alg.Engine{
-		Parallel: ses.srv.opts.Parallel,
-		Workers:  ses.srv.opts.Workers,
-		Kernel:   ses.kernel,
+		Workers: ses.srv.opts.Workers,
+		Kernel:  ses.kernel,
 	}, req.Seed)
 	if err != nil {
 		return err
@@ -423,7 +428,6 @@ func (ses *session) doRecolor(req *Request, resp *Response) error {
 		ses.rs = repair.NewSession(ses.g, ses.colors, repair.Options{
 			Palette:        ses.palette,
 			Mode:           ses.srv.opts.RepairMode,
-			Parallel:       ses.srv.opts.Parallel,
 			Workers:        ses.srv.opts.Workers,
 			ScratchReports: true,
 			Cancel:         ses.cancelFn,

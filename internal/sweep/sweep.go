@@ -6,7 +6,7 @@
 // tables via small row closures).
 //
 // Determinism: tables generated from a Grid are byte-identical for every
-// worker count. Cells are independent (each owns its networks, kernels and
+// Options.Jobs value. Cells are independent (each owns its networks, kernels and
 // scratch; point graphs are shared read-only, which is safe because *graph.
 // Graph is immutable after Build and its lazy edge index is built under a
 // sync.Once). Within a cell the repetitions run sequentially in repetition
@@ -61,9 +61,9 @@ type AlgAxis struct {
 	Reps int
 }
 
-// EngineAxis is one engine choice of the grid's engine axis. All engines are
-// byte-deterministic with each other, so extra axis values change wall-clock
-// measurements only.
+// EngineAxis is one engine choice of the grid's engine axis (in practice a
+// worker count). Every worker count is byte-deterministic with every other,
+// so extra axis values change wall-clock measurements only.
 type EngineAxis struct {
 	Name   string
 	Engine alg.Engine
@@ -79,7 +79,7 @@ type Spec struct {
 	Points []Point
 	// Algorithms is the algorithm axis (required, at least one).
 	Algorithms []AlgAxis
-	// Engines is the engine axis; empty means one sequential engine.
+	// Engines is the engine axis; empty means one inline engine (Workers 1).
 	Engines []EngineAxis
 	// Reps is the default repetition count for randomized algorithms; values
 	// below 1 mean 1. Repetition i runs with seed Seed + i·SeedStride.
@@ -294,7 +294,7 @@ func Run(spec Spec, opts Options) (*Grid, error) {
 	}
 	engines := spec.Engines
 	if len(engines) == 0 {
-		engines = []EngineAxis{{Name: "seq"}}
+		engines = []EngineAxis{{Name: "workers=1"}}
 	}
 	stride := spec.SeedStride
 	if stride == 0 {
@@ -358,14 +358,14 @@ func Run(spec Spec, opts Options) (*Grid, error) {
 
 		// The cell's engine, extended with a memoized per-cell trial kernel:
 		// the first kernel-running repetition builds it, the rest reuse it,
-		// and the cell closes it on the way out (parking the sharded
-		// engine's worker team — cells must not leak pooled goroutines).
+		// and the cell closes it on the way out (parking the engine's worker
+		// team, if any — cells must not leak pooled goroutines).
 		eng := engines[ei].Engine
 		eng.PackedColors = eng.PackedColors || spec.PackedColors
 		var tk *trial.Runner
 		eng.Kernel = func() *trial.Runner {
 			if tk == nil {
-				tk = trial.NewRunner(c.G, eng.Parallel, eng.Workers)
+				tk = trial.NewRunner(c.G, false, eng.Workers)
 			}
 			return tk
 		}

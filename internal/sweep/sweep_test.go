@@ -309,11 +309,11 @@ func TestGridDeterminismRealAlgorithm(t *testing.T) {
 }
 
 // TestEngineAxisWorkerCountsByteIdentical runs a real simulated sweep over an
-// engine axis with genuine pooled worker counts — not just axis labels — and
-// asserts that every engine produces identical aggregates and colorings. The
-// sharded values force multi-worker teams even on single-core machines, so
-// the persistent pool, the fused round and the work-stealing tail are all on
-// the measured path of the grid engine.
+// engine axis with genuine worker counts — not just axis labels — and
+// asserts that every worker count produces aggregates and colorings identical
+// to the inline reference (workers=1). The counts above 1 force multi-worker
+// teams even on single-core machines, so the persistent pool, the fused round
+// and the work-stealing tail are all on the measured path of the grid engine.
 func TestEngineAxisWorkerCountsByteIdentical(t *testing.T) {
 	spec := sweep.Spec{
 		Name: "engine-axis-workers",
@@ -322,9 +322,11 @@ func TestEngineAxisWorkerCountsByteIdentical(t *testing.T) {
 		},
 		Algorithms: []sweep.AlgAxis{{Alg: alg.MustGet("rand-improved")}},
 		Engines: []sweep.EngineAxis{
-			{Name: "sequential"},
-			{Name: "sharded-w2", Engine: alg.Engine{Parallel: true, Workers: 2}},
-			{Name: "sharded-w5", Engine: alg.Engine{Parallel: true, Workers: 5}},
+			{Name: "workers=1", Engine: alg.Engine{Workers: 1}},
+			{Name: "workers=2", Engine: alg.Engine{Workers: 2}},
+			{Name: "workers=3", Engine: alg.Engine{Workers: 3}},
+			{Name: "workers=4", Engine: alg.Engine{Workers: 4}},
+			{Name: "workers=16", Engine: alg.Engine{Workers: 16}},
 		},
 		Reps: 2,
 		Seed: 1,
@@ -338,7 +340,7 @@ func TestEngineAxisWorkerCountsByteIdentical(t *testing.T) {
 		c := grid.Cell(0, 0, ei)
 		for _, m := range []string{sweep.MeasureRounds, sweep.MeasureColors} {
 			if c.Mean(m) != ref.Mean(m) || c.Max(m) != ref.Max(m) || c.Min(m) != ref.Min(m) {
-				t.Errorf("engine %s measure %s diverged from sequential", spec.Engines[ei].Name, m)
+				t.Errorf("engine %s measure %s diverged from workers=1", spec.Engines[ei].Name, m)
 			}
 		}
 		for v := range c.Sample.Coloring {

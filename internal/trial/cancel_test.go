@@ -2,6 +2,7 @@ package trial
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -13,25 +14,19 @@ import (
 // returns ErrCanceled with a usable partial Result, and — the part the
 // serving plane's warm-session reuse depends on — leaves the runner in a
 // state where the next run is byte-identical to the same run on a fresh
-// kernel. Checked on both engines.
+// kernel. Checked inline and on a worker team.
 func TestCancelMidRunLeavesRunnerByteIdentical(t *testing.T) {
 	g := graph.GNPWithAverageDegree(3_000, 10, 9)
 	delta := g.MaxDegree()
 	cfg := Config{PaletteSize: delta*delta + 1, Scope: ScopeDistance2, Seed: 7}
-	for _, parallel := range []bool{false, true} {
-		name := "engine=sequential"
-		if parallel {
-			name = "engine=sharded"
-		}
-		t.Run(name, func(t *testing.T) {
-			fcfg := cfg
-			fcfg.Parallel = parallel
-			fresh, err := Run(g, fcfg)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			fresh, err := Run(g, cfg) // inline reference
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			r := NewRunner(g, parallel, 0)
+			r := NewRunner(g, false, workers)
 			defer r.Close()
 			first, err := r.Run(cfg)
 			if err != nil {

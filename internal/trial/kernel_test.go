@@ -2,6 +2,7 @@ package trial
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"d2color/internal/coloring"
@@ -25,20 +26,20 @@ func kernelConfigs(g *graph.Graph, seed uint64) []Config {
 }
 
 // A Runner re-run with a new config must behave byte-identically to a fresh
-// kernel on a fresh network — same colorings, same phases, same Metrics —
-// for either engine, across seeds, even when the configs alternate scopes
+// inline kernel on a fresh network — same colorings, same phases, same
+// Metrics — at every worker count of the reused runner, across seeds, even when the configs alternate scopes
 // and pickers between runs.
 func TestRunnerReuseMatchesFreshRuns(t *testing.T) {
 	g := graph.GNP(80, 0.07, 11)
-	for _, parallel := range []bool{false, true} {
-		reused := NewRunner(g, parallel, 0)
+	for _, workers := range []int{1, 2, 3, 4, 16} {
+		reused := NewRunner(g, false, workers)
+		defer reused.Close()
 		for _, seed := range []uint64{1, 7, 42} {
 			for i, cfg := range kernelConfigs(g, seed) {
-				t.Run(fmt.Sprintf("parallel=%v/seed=%d/cfg=%d", parallel, seed, i), func(t *testing.T) {
+				t.Run(fmt.Sprintf("workers=%d/seed=%d/cfg=%d", workers, seed, i), func(t *testing.T) {
 					fresh, err := Run(g, Config{PaletteSize: cfg.PaletteSize, Scope: cfg.Scope,
 						MaxPhases: cfg.MaxPhases, ActiveProbability: cfg.ActiveProbability,
-						AvoidKnownUsed: cfg.AvoidKnownUsed, Seed: cfg.Seed, Initial: cfg.Initial,
-						Parallel: parallel})
+						AvoidKnownUsed: cfg.AvoidKnownUsed, Seed: cfg.Seed, Initial: cfg.Initial})
 					if err != nil {
 						t.Fatalf("fresh: %v", err)
 					}
@@ -133,9 +134,10 @@ func TestWarmPhaseDoesNotAllocate(t *testing.T) {
 // TestTrialPhaseAllocFree: one warmed-up trial phase (three simulated
 // CONGEST rounds) of the kernel at experiment scale — n = 10k, average
 // degree 12, every node proposing every phase.
-func benchWarmedTrialPhase(b *testing.B, parallel bool) {
+func benchWarmedTrialPhase(b *testing.B, workers int) {
 	g := graph.GNPWithAverageDegree(10_000, 12, 42)
-	r := NewRunner(g, parallel, 0)
+	r := NewRunner(g, false, workers)
+	defer r.Close()
 	if err := r.Start(Config{PaletteSize: g.MaxDegree()*g.MaxDegree() + 1,
 		Scope: ScopeDistance2, Seed: 1, Picker: conflictPicker}); err != nil {
 		b.Fatal(err)
@@ -148,28 +150,31 @@ func benchWarmedTrialPhase(b *testing.B, parallel bool) {
 	}
 }
 
-// BenchmarkTrialPhase reports the warmed-up phase cost; the headline
-// assertion — 0 allocs/op on the sequential engine — is enforced by
-// TestTrialPhaseAllocFree via AllocsPerOp over the same body.
+// BenchmarkTrialPhase reports the warmed-up phase cost inline (workers=1)
+// and, on a multicore machine, on a GOMAXPROCS-sized team (workers=N); the
+// headline assertion — 0 allocs/op — is enforced by TestTrialPhaseAllocFree
+// via AllocsPerOp over the same body.
 func BenchmarkTrialPhase(b *testing.B) {
-	for _, parallel := range []bool{false, true} {
-		name := "engine=sequential"
-		if parallel {
-			name = "engine=sharded"
-		}
-		b.Run(name, func(b *testing.B) { benchWarmedTrialPhase(b, parallel) })
+	workers := []int{1}
+	if procs := runtime.GOMAXPROCS(0); procs > 1 {
+		workers = append(workers, procs)
+	}
+	for _, w := range workers {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { benchWarmedTrialPhase(b, w) })
 	}
 }
 
-// TestTrialPhaseAllocFree runs BenchmarkTrialPhase's sequential case through
-// the benchmark harness and asserts the acceptance criterion directly:
-// a warmed-up phase at n = 10k reports 0 allocs/op.
+// TestTrialPhaseAllocFree runs BenchmarkTrialPhase's body through the
+// benchmark harness, inline and on a worker team, and asserts the acceptance
+// criterion directly: a warmed-up phase at n = 10k reports 0 allocs/op.
 func TestTrialPhaseAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=10k benchmark probe skipped in -short mode")
 	}
-	res := testing.Benchmark(func(b *testing.B) { benchWarmedTrialPhase(b, false) })
-	if allocs := res.AllocsPerOp(); allocs != 0 {
-		t.Errorf("warmed-up trial phase at n=10k: %d allocs/op, want 0", allocs)
+	for _, workers := range []int{1, 4} {
+		res := testing.Benchmark(func(b *testing.B) { benchWarmedTrialPhase(b, workers) })
+		if allocs := res.AllocsPerOp(); allocs != 0 {
+			t.Errorf("workers=%d: warmed-up trial phase at n=10k: %d allocs/op, want 0", workers, allocs)
+		}
 	}
 }

@@ -106,11 +106,9 @@ type Config struct {
 	AvoidKnownUsed bool
 	// Seed seeds the per-node randomness.
 	Seed uint64
-	// Parallel runs the underlying simulator on the sharded-parallel engine
-	// (byte-deterministic with the sequential one). Used by the Run
-	// convenience wrapper; a Runner fixes its engine at construction.
-	Parallel bool
-	// Workers bounds the sharded engine's goroutine pool; 0 means GOMAXPROCS.
+	// Workers is the simulator's worker count (≤ 1 runs rounds inline; see
+	// congest.Config.Workers). Results do not depend on it. Used by the Run
+	// convenience wrapper; a Runner fixes its worker count at construction.
 	Workers int
 	// Initial is an optional partial coloring to start from; nodes already
 	// colored in it never participate. It is not modified.
@@ -261,7 +259,7 @@ const uncolored int32 = int32(coloring.Uncolored)
 type Runner struct {
 	g   *graph.Graph
 	ix  *graph.EdgeIndex
-	net congest.Engine
+	net *congest.Engine
 
 	procs []nodeProc
 
@@ -317,7 +315,7 @@ type Runner struct {
 	// live is the number of uncolored nodes — the completion frontier that
 	// replaces the seed path's O(n) per-phase scan over all processes. It is
 	// only decremented (colors are permanent), from node steps; the counter
-	// is atomic because the sharded engine steps nodes concurrently, and the
+	// is atomic because a worker team steps nodes concurrently, and the
 	// final value is deterministic (decrements commute).
 	live   atomic.Int64
 	phases int
@@ -352,17 +350,19 @@ func (p *nodeProc) Step(ctx *congest.Context, round int, inbox []congest.Message
 	return false
 }
 
-// NewRunner builds a trial kernel for g. The engine implementation
-// (sequential or sharded-parallel) is fixed at construction; per-run knobs —
-// palette, scope, seed, picker, phase budgets — arrive with each Start/Run.
-func NewRunner(g *graph.Graph, parallel bool, workers int) *Runner {
+// NewRunner builds a trial kernel for g whose engine runs with the given
+// worker count (≤ 1 runs rounds inline), fixed at construction; per-run
+// knobs — palette, scope, seed, picker, phase budgets — arrive with each
+// Start/Run. The bool parameter is ignored: it once selected between two
+// engines and is kept only so existing callers compile; pass false.
+func NewRunner(g *graph.Graph, _ bool, workers int) *Runner {
 	n := g.NumNodes()
 	ix := g.EdgeIndex()
 	slots := ix.NumSlots()
 	r := &Runner{
 		g:           g,
 		ix:          ix,
-		net:         congest.New(g, congest.Config{Parallel: parallel, Workers: workers}),
+		net:         congest.New(g, congest.Config{Workers: workers}),
 		procs:       make([]nodeProc, n),
 		color:       make([]int32, n),
 		proposal:    make([]int32, n),
@@ -395,8 +395,8 @@ func (r *Runner) canceled() bool {
 	return r.cancelHook != nil && r.cancelHook()
 }
 
-// Close releases the kernel's network (parking the sharded engine's
-// persistent worker team). Idempotent; the Runner must not be used after
+// Close releases the kernel's network (parking the engine's persistent
+// worker team, if it has one). Idempotent; the Runner must not be used after
 // Close. Owners of long-lived kernels — the sweep engine's per-cell memo,
 // any future session cache — call this on teardown so pooled goroutines
 // never outlive the kernel they serve.
@@ -682,7 +682,7 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 // Callers running the primitive repeatedly on one graph should build a
 // Runner once and reuse it.
 func Run(g *graph.Graph, cfg Config) (Result, error) {
-	r := NewRunner(g, cfg.Parallel, cfg.Workers)
+	r := NewRunner(g, false, cfg.Workers)
 	defer r.Close()
 	return r.Run(cfg)
 }

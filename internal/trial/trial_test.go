@@ -178,20 +178,28 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-func TestParallelEngineMatchesSequential(t *testing.T) {
+// Workers 1 runs the kernel inline and is the reference; every team size
+// must reproduce its coloring, phase count and Metrics exactly.
+func TestWorkersMatchInline(t *testing.T) {
 	g := graph.GNP(60, 0.07, 4)
 	palette := g.MaxDegree()*g.MaxDegree() + 1
-	seq, err := Run(g, Config{PaletteSize: palette, Seed: 17, Parallel: false})
+	want, err := Run(g, Config{PaletteSize: palette, Seed: 17, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(g, Config{PaletteSize: palette, Seed: 17, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range seq.Coloring {
-		if seq.Coloring[v] != par.Coloring[v] {
-			t.Fatalf("node %d: sequential color %d, parallel color %d", v, seq.Coloring[v], par.Coloring[v])
+	for _, workers := range []int{2, 3, 4, 16} {
+		got, err := Run(g, Config{PaletteSize: palette, Seed: 17, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Phases != want.Phases || got.Metrics != want.Metrics {
+			t.Fatalf("workers=%d: phases/metrics (%d,%v), inline (%d,%v)",
+				workers, got.Phases, got.Metrics, want.Phases, want.Metrics)
+		}
+		for v := range want.Coloring {
+			if want.Coloring[v] != got.Coloring[v] {
+				t.Fatalf("workers=%d node %d: color %d, inline color %d", workers, v, got.Coloring[v], want.Coloring[v])
+			}
 		}
 	}
 }
