@@ -45,7 +45,7 @@ var pinnedSet = []struct {
 	bench string
 }{
 	{"./internal/trial", "BenchmarkTrialPhase$|BenchmarkCancelLatency$"},
-	{"./internal/verify", "BenchmarkVerify$|BenchmarkVerifyWarmed|BenchmarkVerifyOutOfRange"},
+	{"./internal/verify", "BenchmarkVerify$|BenchmarkVerifyWarmed|BenchmarkVerifyOutOfRange|BenchmarkRecheckD2$"},
 	{"./internal/baseline", "BenchmarkGreedyD2$|BenchmarkJohanssonD1$"},
 	{"./internal/bitset", "BenchmarkFirstFreePick"},
 	{"./internal/congest", "BenchmarkDeliver|BenchmarkPayloadRound"},
@@ -53,7 +53,7 @@ var pinnedSet = []struct {
 	{"./internal/sweep", "BenchmarkSweepGrid"},
 	{"./internal/repair", "BenchmarkRepairCorrupt|BenchmarkChurnEpoch"},
 	{"./internal/fault", "BenchmarkDropDecision"},
-	{"./internal/serve", "BenchmarkWarmVerifyRequest$|BenchmarkWarmRecolorRequest$|BenchmarkServeColorQueryBatched$|BenchmarkServeColorQueryUnbatched$"},
+	{"./internal/serve", "BenchmarkWarmVerifyRequest$|BenchmarkWarmVerifyRequestUnchanged$|BenchmarkWarmRecolorRequest$|BenchmarkServeColorQueryBatched$|BenchmarkServeColorQueryUnbatched$"},
 }
 
 // measurement is one benchmark's snapshot entry.

@@ -9,9 +9,12 @@ import (
 
 // TestServeWarmRequestAllocFree enforces the zero-alloc steady-state claim
 // with the same teeth as the trial plane's TestTrialPhaseAllocFree: once a
-// session is warm, a verify request and an explicit-dirty recolor request
-// (ModeGlobal) allocate nothing — not in the dispatch path, not in the
-// kernels. testing.Benchmark measures the whole request round-trip through
+// session is warm, a verify request — the certified answer for an unchanged
+// coloring, and the full CheckD2 + HashColors of a stale session — and an
+// explicit-dirty recolor request (ModeGlobal) followed by a verify (the
+// certified recheck of the repaired nodes) allocate nothing — not in the
+// dispatch path, not in the kernels.
+// testing.Benchmark measures the whole request round-trip through
 // the client, so a regression anywhere in the hot path fails this test.
 func TestServeWarmRequestAllocFree(t *testing.T) {
 	if testing.Short() {
@@ -41,18 +44,26 @@ func TestServeWarmRequestAllocFree(t *testing.T) {
 	}
 
 	verifyReq := Request{Op: OpVerify, Session: "g"}
-	verifyRes := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := cl.Do(&verifyReq, &resp); err != nil {
-				b.Fatal(err)
+	ses := sessionState(t, srv, "g")
+	for _, stale := range []bool{false, true} {
+		verifyRes := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// The worker is idle between requests; the hand-off orders
+				// this write before its read.
+				ses.stale = stale
+				if err := cl.Do(&verifyReq, &resp); err != nil {
+					b.Fatal(err)
+				}
 			}
+		})
+		if allocs := verifyRes.AllocsPerOp(); allocs != 0 {
+			t.Errorf("warm verify request (stale=%v): %d allocs/op, want 0", stale, allocs)
 		}
-	})
-	if allocs := verifyRes.AllocsPerOp(); allocs != 0 {
-		t.Errorf("warm verify request: %d allocs/op, want 0", allocs)
 	}
 
+	// Each recolor is followed by a verify: the non-empty certified
+	// recheck of the nodes the repair changed, plus the cached hash.
 	recolorReq := Request{Op: OpRecolor, Session: "g", Dirty: dirty}
 	recolorRes := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -61,9 +72,12 @@ func TestServeWarmRequestAllocFree(t *testing.T) {
 			if err := cl.Do(&recolorReq, &resp); err != nil {
 				b.Fatal(err)
 			}
+			if err := cl.Do(&verifyReq, &resp); err != nil || !resp.Valid {
+				b.Fatalf("verify after recolor: valid=%v err=%v", resp.Valid, err)
+			}
 		}
 	})
 	if allocs := recolorRes.AllocsPerOp(); allocs != 0 {
-		t.Errorf("warm recolor request (global mode, explicit dirty): %d allocs/op, want 0", allocs)
+		t.Errorf("warm recolor + verify requests (global mode, explicit dirty): %d allocs/op, want 0", allocs)
 	}
 }

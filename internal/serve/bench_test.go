@@ -9,9 +9,19 @@ import (
 	"d2color/internal/repair"
 )
 
-// BenchmarkWarmVerifyRequest measures one warm verify round-trip through the
-// client — the steady-state read path. Allocations must report 0.
-func BenchmarkWarmVerifyRequest(b *testing.B) {
+// BenchmarkWarmVerifyRequest measures one warm full verify round-trip
+// through the client: the session is marked stale before every request, so
+// each one runs the whole CheckD2 plus HashColors — the path every verify
+// took before the certified recheck, and the one a stale session still
+// takes. Allocations must report 0.
+func BenchmarkWarmVerifyRequest(b *testing.B) { benchWarmVerify(b, true) }
+
+// BenchmarkWarmVerifyRequestUnchanged measures a warm verify of a coloring
+// nothing changed since the last pass: the certified O(1) answer plus the
+// cached hash. Allocations must report 0.
+func BenchmarkWarmVerifyRequestUnchanged(b *testing.B) { benchWarmVerify(b, false) }
+
+func benchWarmVerify(b *testing.B, stale bool) {
 	srv := NewServer(Options{})
 	defer srv.Close()
 	spec := graph.GeneratorSpec{Kind: "gnp-avg", N: 10000, P: 8, Seed: 3}
@@ -28,10 +38,14 @@ func BenchmarkWarmVerifyRequest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	ses := sessionState(b, srv, "g")
 	req := Request{Op: OpVerify, Session: "g"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// Between requests the worker is idle; the request's hand-off
+		// orders this write before its read.
+		ses.stale = stale
 		if err := cl.Do(&req, &resp); err != nil {
 			b.Fatal(err)
 		}

@@ -55,7 +55,9 @@ const (
 	// the result as the session's working coloring.
 	OpColor Op = "color"
 	// OpVerify checks the working coloring against the distance-2 constraint
-	// on the warm checker. Zero allocations warm.
+	// on the warm checker: a certified recheck of the nodes changed since
+	// the last pass, falling back to a full check whenever the session
+	// cannot vouch for its change list. Zero allocations warm.
 	OpVerify Op = "verify"
 	// OpRecolor is a churn epoch: corrupt-and-repair (Corrupt > 0), repair an
 	// explicit dirty set (Dirty), or a full Stabilize sweep (neither). Zero

@@ -398,6 +398,38 @@ func TestServeErrors(t *testing.T) {
 	}
 }
 
+// TestServeVerifyOnMISSession pins verify on a non-d2 session: an MIS
+// output is set membership, not a distance-2 coloring, so verify refuses it
+// with ErrNotD2 — as recolor does — instead of answering color's vacuous
+// valid:true with a contradicting valid:false.
+func TestServeVerifyOnMISSession(t *testing.T) {
+	srv := NewServer(Options{})
+	defer srv.Close()
+	spec := graph.GeneratorSpec{Kind: "gnp-avg", N: 60, P: 4, Seed: 2}
+	var resp Response
+	if err := srv.Do(&Request{Op: OpOpen, Session: "x", Spec: &spec}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"mis", "mis-d2"} {
+		if err := srv.Do(&Request{Op: OpColor, Session: "x", Algorithm: name, Seed: 3}, &resp); err != nil {
+			t.Fatalf("%s: color: %v", name, err)
+		}
+		if !resp.Valid {
+			t.Errorf("%s: color answered valid:false", name)
+		}
+		if err := srv.Do(&Request{Op: OpVerify, Session: "x"}, &resp); !errors.Is(err, ErrNotD2) {
+			t.Errorf("%s: verify: err = %v, want ErrNotD2", name, err)
+		}
+	}
+	// A d2 coloring afterwards verifies again.
+	if err := srv.Do(&Request{Op: OpColor, Session: "x", Algorithm: "greedy", Seed: 3}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Do(&Request{Op: OpVerify, Session: "x"}, &resp); err != nil || !resp.Valid {
+		t.Errorf("verify after a d2 color: valid=%v err=%v", resp.Valid, err)
+	}
+}
+
 // TestHashColorsMatchesByteReference pins HashColors — including its
 // two-byte fast path for colors in [0, 2¹⁶) — to the standard library's
 // byte-at-a-time FNV-64a over 8-byte little-endian words, on colorings drawn

@@ -42,6 +42,15 @@ type session struct {
 	algorithm string
 	isD2      bool
 	memo      batchMemo
+	// The verify certificate. touched lists every node whose color changed
+	// since the checker's last pass (fed to RecheckD2), and hash is the
+	// working coloring's HashColors. stale is set before any mutation of
+	// the working coloring and cleared only once touched and hash describe
+	// it again, so a panic, cancel or error mid-mutation leaves it set and
+	// the next verify rescans and rehashes the whole coloring.
+	touched []graph.NodeID
+	hash    uint64
+	stale   bool
 
 	// Worker-owned failure state. cur is the request currently executing —
 	// the kernels' cancel hook reads it between simulated rounds (always on
@@ -361,22 +370,28 @@ func (ses *session) doColor(req *Request, resp *Response) error {
 		ses.rs.Close()
 		ses.rs = nil
 	}
+	ses.stale = true
 	ses.colors = res.Coloring
 	ses.palette = res.PaletteSize
 	ses.algorithm = name
 	ses.isD2 = alg.IsD2Coloring(a)
+	ses.hash = HashColors(res.Coloring)
 	resp.Algorithm = name
-	resp.Hash = HashColors(res.Coloring)
+	resp.Hash = ses.hash
 	resp.PaletteSize = res.PaletteSize
 	resp.Metrics = res.Metrics
 	if ses.isD2 {
+		// This full pass re-seeds the checker's certificate.
 		rep := ses.lazyChecker().CheckD2(ses.g, res.Coloring, res.PaletteSize)
 		if rep.Canceled {
 			// The run itself finished (the coloring is installed), but its
 			// validation was cut short — report cancellation rather than an
-			// unverified "valid: false".
+			// unverified "valid: false". stale stays set: the next verify
+			// rescans.
 			return ErrCanceled
 		}
+		ses.touched = ses.touched[:0]
+		ses.stale = false
 		resp.Valid = rep.Valid
 		resp.ColorsUsed = rep.ColorsUsed
 		resp.MaxColor = rep.MaxColor
@@ -394,18 +409,35 @@ func (ses *session) doColor(req *Request, resp *Response) error {
 	return nil
 }
 
-// doVerify checks the working coloring on the warm checker. Allocation-free
-// once the checker is warm and the coloring valid.
+// doVerify checks the working coloring on the warm checker: a certified
+// recheck of the nodes touched since the last pass plus the cached hash, or
+// — when the session is stale — a full CheckD2 and a fresh hash that
+// re-seed both. Allocation-free once the checker is warm and the coloring
+// valid.
 func (ses *session) doVerify(resp *Response) error {
 	if ses.colors == nil {
 		return ErrNotColored
 	}
-	rep := ses.lazyChecker().CheckD2(ses.g, ses.colors, ses.palette)
+	if !ses.isD2 {
+		return ErrNotD2
+	}
+	ch := ses.lazyChecker()
+	var rep verify.Report
+	if ses.stale {
+		ses.hash = HashColors(ses.colors)
+		rep = ch.CheckD2(ses.g, ses.colors, ses.palette)
+		ses.stale = false
+	} else {
+		rep = ch.RecheckD2(ses.g, ses.colors, ses.palette, ses.touched)
+	}
+	// Either way the checker's certificate now covers the current coloring
+	// (or is void, and the next recheck is a full pass).
+	ses.touched = ses.touched[:0]
 	if rep.Canceled {
 		return ErrCanceled
 	}
 	resp.Algorithm = ses.algorithm
-	resp.Hash = HashColors(ses.colors)
+	resp.Hash = ses.hash
 	resp.PaletteSize = ses.palette
 	resp.Valid = rep.Valid
 	resp.ColorsUsed = rep.ColorsUsed
@@ -424,6 +456,14 @@ func (ses *session) doRecolor(req *Request, resp *Response) error {
 	if !ses.isD2 {
 		return ErrNotD2
 	}
+	// A stale session stays stale (its touched list is already void, so
+	// drop it); a clean one is stale until this epoch's changes are
+	// recorded.
+	wasStale := ses.stale
+	if wasStale {
+		ses.touched = ses.touched[:0]
+	}
+	ses.stale = true
 	if ses.rs == nil {
 		ses.rs = repair.NewSession(ses.g, ses.colors, repair.Options{
 			Palette:        ses.palette,
@@ -440,6 +480,9 @@ func (ses *session) doRecolor(req *Request, resp *Response) error {
 	case req.Corrupt > 0:
 		inj := fault.NewInjector(req.Seed)
 		victims := inj.CorruptColors(ses.g, ses.rs.Colors(), req.Corrupt, fault.TargetUniform, ses.rs.Palette())
+		// The repair recolors only inside its dirty set (Report.Recolored
+		// ⊆ victims), so the victims cover every change of this epoch.
+		ses.touched = append(ses.touched, victims...)
 		rep, err := ses.rs.Repair(victims, req.Seed)
 		if err != nil {
 			return err
@@ -450,8 +493,11 @@ func (ses *session) doRecolor(req *Request, resp *Response) error {
 		if err != nil {
 			return err
 		}
+		ses.touched = append(ses.touched, rep.Recolored...)
 		fillRepairResponse(resp, rep, 1)
 	default:
+		// The sweep reports no per-node changes across its iterations;
+		// the session stays stale and the next verify is a full pass.
 		reports, err := ses.rs.Stabilize(req.Seed, 0)
 		for _, rep := range reports {
 			resp.Dirty += rep.Dirty
@@ -468,9 +514,19 @@ func (ses *session) doRecolor(req *Request, resp *Response) error {
 		}
 		resp.Complete = true
 	}
+	ses.hash = HashColors(ses.rs.Colors())
+	if (req.Corrupt > 0 || len(req.Dirty) > 0) && !wasStale {
+		// A recheck walks about d + d² adjacency entries per touched node
+		// (d the mean degree) against the n + 2m of a full pass, so past
+		// n/d nodes it could not pay off: give up the certificate rather
+		// than start a walk that ends in the full pass anyway. This also
+		// bounds the list for a recolor-only client.
+		n, m := int64(ses.g.NumNodes()), int64(ses.g.NumEdges())
+		ses.stale = int64(len(ses.touched))*2*m > n*n
+	}
 	resp.Algorithm = ses.algorithm
 	resp.PaletteSize = ses.palette
-	resp.Hash = HashColors(ses.rs.Colors())
+	resp.Hash = ses.hash
 	return nil
 }
 

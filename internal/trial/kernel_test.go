@@ -173,7 +173,12 @@ func TestTrialPhaseAllocFree(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		res := testing.Benchmark(func(b *testing.B) { benchWarmedTrialPhase(b, workers) })
-		if allocs := res.AllocsPerOp(); allocs != 0 {
+		switch allocs := res.AllocsPerOp(); {
+		case allocs == 0:
+		case raceEnabled:
+			// Runtime sudogs amortized over a tiny b.N (see race_test.go).
+			t.Logf("workers=%d: %d allocs/op over b.N=%d under the race detector (not asserted)", workers, allocs, res.N)
+		default:
 			t.Errorf("workers=%d: warmed-up trial phase at n=10k: %d allocs/op, want 0", workers, allocs)
 		}
 	}

@@ -89,6 +89,79 @@ func BenchmarkVerify(b *testing.B) {
 	}
 }
 
+// recheckFlip is BenchmarkRecheckD2's workload: nodes pairwise more than two
+// hops apart, each with an alternative color free in its distance-2
+// neighborhood, so flipping all of them together keeps the coloring valid.
+type recheckFlip struct {
+	nodes     []graph.NodeID
+	orig, alt []int
+	flipped   bool
+}
+
+func newRecheckFlip(g *graph.Graph, c coloring.Coloring, palette, k int) *recheckFlip {
+	rng := rand.New(rand.NewSource(5))
+	blocked := make([]bool, g.NumNodes())
+	f := &recheckFlip{}
+	for len(f.nodes) < k {
+		v := graph.NodeID(rng.Intn(g.NumNodes()))
+		if blocked[v] {
+			continue
+		}
+		col := freeColor(g, c, v, palette, rng)
+		if col < 0 {
+			continue
+		}
+		blocked[v] = true
+		for _, u := range g.Neighbors(v) {
+			blocked[u] = true
+			for _, w := range g.Neighbors(u) {
+				blocked[w] = true
+			}
+		}
+		f.nodes = append(f.nodes, v)
+		f.orig = append(f.orig, c[v])
+		f.alt = append(f.alt, col)
+	}
+	return f
+}
+
+// flip moves every node to its other color.
+func (f *recheckFlip) flip(c coloring.Coloring) {
+	f.flipped = !f.flipped
+	to := f.orig
+	if f.flipped {
+		to = f.alt
+	}
+	for i, v := range f.nodes {
+		c[v] = to[i]
+	}
+}
+
+// BenchmarkRecheckD2 measures the certified recheck of 32 changed nodes on
+// the wide (Δ²+1 random) coloring — the served verify after a churn epoch —
+// against BenchmarkVerify's full pass at the same n.
+func BenchmarkRecheckD2(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g, c := wideGraphAndColoring(n)
+			palette := g.MaxDegree()*g.MaxDegree() + 1
+			f := newRecheckFlip(g, c, palette, 32)
+			ch := NewChecker()
+			ch.CheckD2(g, c, palette)
+			f.flip(c)
+			ch.RecheckD2(g, c, palette, f.nodes) // builds the count table
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.flip(c)
+				if rep := ch.RecheckD2(g, c, palette, f.nodes); !rep.Valid {
+					b.Fatal("valid coloring rejected")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkVerifyOutOfRange measures CheckD2 on a coloring sprinkled with
 // colors outside the dense table range (the corrupt-coloring slow path): the
 // out-of-range bookkeeping must not churn allocations per neighborhood.

@@ -22,7 +22,7 @@ import (
 // (mirror CheckPartialD2); use the Report checks for completeness.
 func ConflictNodesD2(g *graph.Graph, c coloring.Coloring) []graph.NodeID {
 	ch := checkerPool.Get().(*Checker)
-	defer checkerPool.Put(ch)
+	defer release(ch)
 	return ch.AppendConflictNodesD2(g, c, nil)
 }
 

@@ -8,7 +8,10 @@
 // colors outside it — is reused across calls, so a warmed verifier performs
 // zero heap allocations per pass (see BenchmarkVerify). The package-level
 // functions draw Checkers from an internal pool; hot callers that verify in
-// a loop can hold their own via NewChecker.
+// a loop can hold their own via NewChecker. A held Checker also certifies:
+// after a valid CheckD2, RecheckD2 re-verifies a slightly changed coloring
+// by visiting only the distance-2 neighborhoods of the changed nodes
+// (recheck.go).
 package verify
 
 import (
@@ -107,6 +110,12 @@ type Checker struct {
 	// one bit per node, cleared per call. Allocated on the first conflict-set
 	// call, so count-only Checkers never pay for it.
 	nodeSeen bitset.Row
+	// cert is the last valid distance-2 verdict and counts the per-color use
+	// counts of the coloring it certified (RecheckD2, recheck.go). prepare
+	// voids both: any pass that rewrites colors ends the certificate.
+	cert     certificate
+	counts   []int32
+	countsOK bool
 	// cancel is the optional cooperative cancellation hook (SetCancel),
 	// polled every cancelStride nodes by the O(n+m) conflict scan. nil (the
 	// default, and always the case for pool-drawn Checkers) disables polling.
@@ -155,6 +164,13 @@ func (ch *Checker) resetSlow() {
 
 var checkerPool = sync.Pool{New: func() any { return NewChecker() }}
 
+// release returns a package-level call's Checker to the pool, dropping its
+// certificate first so an idle pooled Checker never pins the caller's graph.
+func release(ch *Checker) {
+	ch.cert = certificate{}
+	checkerPool.Put(ch)
+}
+
 // colorView is the read access the checks need; coloring.Coloring and
 // *coloring.Packed both satisfy it. The checks are generic over it as a type
 // parameter — not an interface value — so neither backing is boxed and the
@@ -169,7 +185,7 @@ type colorView interface {
 // palette bound check.
 func CheckD2(g *graph.Graph, c coloring.Coloring, paletteSize int) Report {
 	ch := checkerPool.Get().(*Checker)
-	defer checkerPool.Put(ch)
+	defer release(ch)
 	return ch.CheckD2(g, c, paletteSize)
 }
 
@@ -178,7 +194,7 @@ func CheckD2(g *graph.Graph, c coloring.Coloring, paletteSize int) Report {
 // the palette bound check.
 func CheckD1(g *graph.Graph, c coloring.Coloring, paletteSize int) Report {
 	ch := checkerPool.Get().(*Checker)
-	defer checkerPool.Put(ch)
+	defer release(ch)
 	return ch.CheckD1(g, c, paletteSize)
 }
 
@@ -187,21 +203,21 @@ func CheckD1(g *graph.Graph, c coloring.Coloring, paletteSize int) Report {
 // at every intermediate step of every algorithm.
 func CheckPartialD2(g *graph.Graph, c coloring.Coloring) Report {
 	ch := checkerPool.Get().(*Checker)
-	defer checkerPool.Put(ch)
+	defer release(ch)
 	return ch.CheckPartialD2(g, c)
 }
 
 // CheckD2Packed is CheckD2 over a bit-packed coloring, without unpacking it.
 func CheckD2Packed(g *graph.Graph, c *coloring.Packed, paletteSize int) Report {
 	ch := checkerPool.Get().(*Checker)
-	defer checkerPool.Put(ch)
+	defer release(ch)
 	return ch.CheckD2Packed(g, c, paletteSize)
 }
 
 // CheckD1Packed is CheckD1 over a bit-packed coloring.
 func CheckD1Packed(g *graph.Graph, c *coloring.Packed, paletteSize int) Report {
 	ch := checkerPool.Get().(*Checker)
-	defer checkerPool.Put(ch)
+	defer release(ch)
 	return ch.CheckD1Packed(g, c, paletteSize)
 }
 
@@ -273,15 +289,20 @@ func check[C colorView](ch *Checker, g *graph.Graph, c C, paletteSize int, dist2
 	limit, maxColor := prepare(ch, c)
 	checkConflicts(ch, g, c, dist2, &rep)
 	fillColorStats(ch, c, limit, maxColor, &rep)
+	if dist2 && rep.Valid {
+		ch.cert = certificate{ok: true, g: g, palette: paletteSize, rep: rep}
+	}
 	return rep
 }
 
 // prepare sizes the per-color marks for c's color range and rebuilds the
-// int32 color scratch, shared by the conflict scan and the color stats. One
+// int32 color scratch, shared by the conflict scan and the color stats; the
+// rebuild voids RecheckD2's certificate and counts. One
 // fused pass: any color in [0, denseColorLimit) is below the final limit
 // (limit = min(maxColor+1, denseColorLimit) and the color is ≤ maxColor), so
 // the conversion can use the fixed cap while the same loop finds maxColor.
 func prepare[C colorView](ch *Checker, c C) (limit, maxColor int) {
+	ch.cert.ok, ch.countsOK = false, false
 	n := c.Len()
 	if cap(ch.colors) < n {
 		ch.colors = make([]int32, n)
