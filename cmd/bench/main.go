@@ -53,7 +53,7 @@ var pinnedSet = []struct {
 	{"./internal/sweep", "BenchmarkSweepGrid"},
 	{"./internal/repair", "BenchmarkRepairCorrupt|BenchmarkChurnEpoch"},
 	{"./internal/fault", "BenchmarkDropDecision"},
-	{"./internal/serve", "BenchmarkWarmVerifyRequest$|BenchmarkWarmVerifyRequestUnchanged$|BenchmarkWarmRecolorRequest$|BenchmarkServeColorQueryBatched$|BenchmarkServeColorQueryUnbatched$"},
+	{"./internal/serve", "BenchmarkWarmVerifyRequest$|BenchmarkWarmVerifyRequestUnchanged$|BenchmarkWarmRecolorRequest$|BenchmarkWarmCorruptRecolorRequest$|BenchmarkServeColorQueryBatched$|BenchmarkServeColorQueryUnbatched$"},
 }
 
 // measurement is one benchmark's snapshot entry.

@@ -76,6 +76,21 @@ const insertAttemptSlack = 20
 // colored nodes means every one is hit. The sorted victim set is returned —
 // exactly the dirty set a repair pass should be seeded with.
 func (in *Injector) CorruptColors(g *graph.Graph, c coloring.Coloring, k int, target Target, palette int) []graph.NodeID {
+	var uncolored []graph.NodeID
+	for v, col := range c {
+		if col == coloring.Uncolored {
+			uncolored = append(uncolored, graph.NodeID(v))
+		}
+	}
+	return in.CorruptKnown(g, c, k, target, palette, uncolored)
+}
+
+// CorruptKnown is CorruptColors for a caller that already knows c's
+// uncolored nodes: uncolored must list exactly them, ascending (nil for a
+// complete coloring). Given that, it draws the same victims and colors as
+// CorruptColors, and the uniform draw makes no pass over c — a served
+// churn epoch pays for its victims' balls, not for n.
+func (in *Injector) CorruptKnown(g *graph.Graph, c coloring.Coloring, k int, target Target, palette int, uncolored []graph.NodeID) []graph.NodeID {
 	n := g.NumNodes()
 	if len(c) != n {
 		panic(fmt.Sprintf("fault: coloring has %d entries for %d nodes", len(c), n))
@@ -88,12 +103,12 @@ func (in *Injector) CorruptColors(g *graph.Graph, c coloring.Coloring, k int, ta
 			}
 		}
 	}
-	victims := in.pickVictims(g, c, k, target)
+	victims := in.pickVictims(g, c, k, target, uncolored)
 	slices.Sort(victims)
 	var nbrColors []int
-	seen := make(map[graph.NodeID]struct{})
+	var seen nodeSet
 	for _, v := range victims {
-		nbrColors = appendDist2Colors(g, c, v, seen, nbrColors[:0])
+		nbrColors = appendDist2Colors(g, c, v, &seen, nbrColors[:0])
 		if len(nbrColors) > 0 {
 			c[v] = nbrColors[in.src.Intn(len(nbrColors))]
 		} else {
@@ -106,21 +121,21 @@ func (in *Injector) CorruptColors(g *graph.Graph, c coloring.Coloring, k int, ta
 // appendDist2Colors appends the colors of v's colored distance-2 neighbors
 // to dst in graph.Dist2View.ForEachDist2 order — direct neighbors ascending,
 // then two-hop neighbors in CSR walk order, each once. It deduplicates
-// through seen (emptied first), whose size is the ball's, where a
-// Dist2View would allocate a mark buffer the size of the graph.
-func appendDist2Colors(g *graph.Graph, c coloring.Coloring, v graph.NodeID, seen map[graph.NodeID]struct{}, dst []int) []int {
-	clear(seen)
-	seen[v] = struct{}{}
+// through seen, reset to v's ball size, where a Dist2View would allocate a
+// mark buffer the size of the graph.
+func appendDist2Colors(g *graph.Graph, c coloring.Coloring, v graph.NodeID, seen *nodeSet, dst []int) []int {
+	nbrs := g.Neighbors(v)
+	ball := 1 + len(nbrs)
+	for _, u := range nbrs {
+		ball += g.Degree(u)
+	}
+	seen.reset(ball)
+	seen.add(v)
 	visit := func(w graph.NodeID) {
-		if _, dup := seen[w]; dup {
-			return
-		}
-		seen[w] = struct{}{}
-		if c[w] != coloring.Uncolored {
+		if seen.add(w) && c[w] != coloring.Uncolored {
 			dst = append(dst, c[w])
 		}
 	}
-	nbrs := g.Neighbors(v)
 	for _, u := range nbrs {
 		visit(u)
 	}
@@ -132,14 +147,49 @@ func appendDist2Colors(g *graph.Graph, c coloring.Coloring, v graph.NodeID, seen
 	return dst
 }
 
-// pickVictims selects k distinct colored nodes per target.
-func (in *Injector) pickVictims(g *graph.Graph, c coloring.Coloring, k int, target Target) []graph.NodeID {
-	var uncolored []graph.NodeID
-	for v, col := range c {
-		if col == coloring.Uncolored {
-			uncolored = append(uncolored, graph.NodeID(v))
+// nodeSet is an open-addressing set of node IDs sized to one distance-2
+// ball and reused across balls, so deduplicating a victim's ball allocates
+// nothing once the set has grown to the largest ball seen. A slot holds
+// v+1; 0 marks it empty.
+type nodeSet struct {
+	slots []int32
+	shift uint // 64 - log2(len(slots)): the multiplicative hash keeps the top bits
+}
+
+// reset empties the set and sizes it for up to size members at load ≤ 1/2.
+func (s *nodeSet) reset(size int) {
+	slots, shift := 16, uint(60)
+	for slots < 2*size {
+		slots <<= 1
+		shift--
+	}
+	if cap(s.slots) < slots {
+		s.slots = make([]int32, slots)
+	} else {
+		s.slots = s.slots[:slots]
+		clear(s.slots)
+	}
+	s.shift = shift
+}
+
+// add inserts v and reports whether it was absent.
+func (s *nodeSet) add(v graph.NodeID) bool {
+	mask := uint64(len(s.slots) - 1)
+	key := int32(v) + 1
+	for i := uint64(v) * 0x9E3779B97F4A7C15 >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case key:
+			return false
+		case 0:
+			s.slots[i] = key
+			return true
 		}
 	}
+}
+
+// pickVictims selects k distinct colored nodes per target; uncolored lists
+// c's uncolored nodes, ascending.
+func (in *Injector) pickVictims(g *graph.Graph, c coloring.Coloring, k int, target Target, uncolored []graph.NodeID) []graph.NodeID {
 	numColored := len(c) - len(uncolored)
 	if k >= numColored {
 		return coloredNodes(c, numColored)

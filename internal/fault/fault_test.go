@@ -96,6 +96,42 @@ func TestCorruptAllWhenKExceedsColored(t *testing.T) {
 	}
 }
 
+// TestCorruptKnownMatchesCorruptColors pins the scan-free draw: handed the
+// uncolored list (nil for a complete coloring), CorruptKnown picks the same
+// victims and forges the same colors as CorruptColors, for every target, on
+// complete and partly uncolored colorings of random graphs across k.
+func TestCorruptKnownMatchesCorruptColors(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + r.Intn(300)
+		g := graph.GNPWithAverageDegree(n, 1+r.Float64()*8, int64(trial))
+		clean := greedyD2(g)
+		var uncolored []graph.NodeID
+		if trial%2 == 1 {
+			for i := 0; i < n/4; i++ {
+				clean[r.Intn(n)] = coloring.Uncolored
+			}
+			for v, col := range clean {
+				if col == coloring.Uncolored {
+					uncolored = append(uncolored, graph.NodeID(v))
+				}
+			}
+		}
+		for _, target := range []Target{TargetUniform, TargetHighDegree, TargetConflictDense} {
+			for _, k := range []int{1, 16, n / 2, n} {
+				seed := uint64(trial*1000 + k)
+				want, got := slices.Clone(clean), slices.Clone(clean)
+				wantV := NewInjector(seed).CorruptColors(g, want, k, target, 0)
+				gotV := NewInjector(seed).CorruptKnown(g, got, k, target, 0, uncolored)
+				if !slices.Equal(gotV, wantV) || !slices.Equal(got, want) {
+					t.Fatalf("trial %d n=%d %s k=%d (%d uncolored): CorruptKnown victims %v, CorruptColors %v (colors equal: %v)",
+						trial, n, target, k, len(uncolored), gotV, wantV, slices.Equal(got, want))
+				}
+			}
+		}
+	}
+}
+
 // TestInjectorDeterminism: two injectors with one seed and one call sequence
 // produce byte-identical corruption and churn scripts, and the overlays they
 // drive end in identical states.

@@ -145,20 +145,23 @@ type Session struct {
 
 	ballMark  *graph.MarkSet
 	dirtyMark *graph.MarkSet
-	dirty     []graph.NodeID
-	ball      []graph.NodeID
-	oldColors []int          // pre-repair colors of the ball, index-aligned with ball
+	dirty     []graph.NodeID // the deduplicated dirty set, ascending
+	ball      []graph.NodeID // N²[D] in walk order
+	oldColors []int          // pre-repair colors of the dirty set, index-aligned with dirty
 	recolored []graph.NodeID // Report.Recolored scratch under Options.ScratchReports
 
 	// ModeGlobal scratch.
 	active  []bool
 	initial coloring.Coloring
 	// ModeLocal scratch: the sorted node list N[D] of the extracted
-	// subgraph, and the graph-sized old→new index InducedSubgraphOf reuses
+	// subgraph, the graph-sized old→new index InducedSubgraphOf reuses
 	// across calls (allocated once per bound graph, written only at the kept
-	// entries).
-	keep     []graph.NodeID
-	subIndex []int32
+	// entries), and the subgraph run's initial coloring and per-node
+	// out-of-subgraph colors, regrown only when a ball outgrows them.
+	keep       []graph.NodeID
+	subIndex   []int32
+	subInitial coloring.Coloring
+	subExtra   [][]int32
 }
 
 // NewSession builds a repair session for g starting from colors (copied, so
@@ -279,9 +282,10 @@ func (s *Session) Repair(dirty []graph.NodeID, seed uint64) (Report, error) {
 			}
 		}
 	}
-	slices.Sort(s.ball)
+	// Both modes write colors back to dirty nodes only, so the dirty set's
+	// old colors are all the report needs to find what changed.
 	s.oldColors = s.oldColors[:0]
-	for _, v := range s.ball {
+	for _, v := range s.dirty {
 		s.oldColors = append(s.oldColors, s.colors[v])
 	}
 
@@ -303,7 +307,7 @@ func (s *Session) Repair(dirty []graph.NodeID, seed uint64) (Report, error) {
 	if s.opts.ScratchReports {
 		res.Recolored = s.recolored[:0]
 	}
-	for i, v := range s.ball {
+	for i, v := range s.dirty {
 		if s.colors[v] != s.oldColors[i] {
 			res.Recolored = append(res.Recolored, v)
 		}
@@ -339,8 +343,17 @@ func (s *Session) repairLocal(seed uint64) (Report, error) {
 		s.subIndex = make([]int32, s.g.NumNodes())
 	}
 	sub := s.g.InducedSubgraphOf(s.keep, s.subIndex)
-	initial := coloring.New(sub.NumNodes())
-	extra := make([][]int32, sub.NumNodes())
+	ns := sub.NumNodes()
+	if cap(s.subInitial) < ns {
+		s.subInitial = make(coloring.Coloring, ns)
+	}
+	if cap(s.subExtra) < ns {
+		s.subExtra = append(s.subExtra[:cap(s.subExtra)], make([][]int32, ns-cap(s.subExtra))...)
+	}
+	initial, extra := s.subInitial[:ns], s.subExtra[:ns]
+	for i := range extra {
+		extra[i] = extra[i][:0]
+	}
 	for i, orig := range s.keep {
 		if s.dirtyMark.Contains(orig) {
 			initial[i] = coloring.Uncolored

@@ -273,6 +273,83 @@ func TestStabilizeUnderMessageLoss(t *testing.T) {
 	t.Logf("stabilized in %d iterations under 5%% message loss", len(reports))
 }
 
+// TestRepairChangesOnlyDirtyNodes pins the invariant the report is built on:
+// over random repairs on warm sessions in both modes — dirty sets with
+// duplicates, uncolored nodes and lossy, phase-capped runs that leave some
+// dirty nodes uncolored — no node outside the dirty set ever changes color,
+// Recolored is exactly the ascending list of dirty nodes whose color
+// changed, and Ball is |N²[D]|.
+func TestRepairChangesOnlyDirtyNodes(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for _, fam := range testFamilies() {
+		n := fam.g.NumNodes()
+		view := graph.NewDist2View(fam.g)
+		for _, mode := range []Mode{ModeLocal, ModeGlobal} {
+			for _, lossy := range []bool{false, true} {
+				opts := Options{Mode: mode}
+				if lossy {
+					opts.MaxPhases, opts.Faults = 2, &fault.DropPlan{Seed: 4, P: 0.3}
+				}
+				s := NewSession(fam.g, greedyD2(fam.g), opts)
+				incomplete := 0
+				for epoch := 0; epoch < 25; epoch++ {
+					var dirty []graph.NodeID
+					for i := r.Intn(12); i >= 0; i-- {
+						v := graph.NodeID(r.Intn(n))
+						dirty = append(dirty, v, v)
+						if r.Intn(4) == 0 {
+							s.colors[v] = coloring.Uncolored // a join: the node arrives without a color
+						}
+					}
+					before := slices.Clone(s.Colors())
+					rep, err := s.Repair(dirty, uint64(epoch))
+					if err != nil {
+						t.Fatalf("%s/%s lossy=%v epoch %d: %v", fam.name, mode, lossy, epoch, err)
+					}
+					if !rep.Complete {
+						incomplete++
+					}
+					isDirty := make(map[graph.NodeID]bool)
+					for _, v := range dirty {
+						isDirty[v] = true
+					}
+					var changed []graph.NodeID
+					for v := range before {
+						if before[v] == s.Colors()[v] {
+							continue
+						}
+						if !isDirty[graph.NodeID(v)] {
+							t.Fatalf("%s/%s lossy=%v epoch %d: non-dirty node %d changed color %d -> %d",
+								fam.name, mode, lossy, epoch, v, before[v], s.Colors()[v])
+						}
+						changed = append(changed, graph.NodeID(v))
+					}
+					if !slices.Equal(rep.Recolored, changed) {
+						t.Fatalf("%s/%s lossy=%v epoch %d: Recolored %v, changed nodes %v",
+							fam.name, mode, lossy, epoch, rep.Recolored, changed)
+					}
+					ball := map[graph.NodeID]bool{}
+					for v := range isDirty {
+						ball[v] = true
+						view.ForEachDist2(v, func(w graph.NodeID) bool {
+							ball[w] = true
+							return true
+						})
+					}
+					if rep.Dirty != len(isDirty) || rep.Ball != len(ball) {
+						t.Fatalf("%s/%s lossy=%v epoch %d: Dirty=%d Ball=%d, want %d and %d",
+							fam.name, mode, lossy, epoch, rep.Dirty, rep.Ball, len(isDirty), len(ball))
+					}
+				}
+				s.Close()
+				if lossy && incomplete == 0 {
+					t.Errorf("%s/%s: no lossy repair left a dirty node uncolored", fam.name, mode)
+				}
+			}
+		}
+	}
+}
+
 func TestRepairEdgeCases(t *testing.T) {
 	g := graph.Path(6)
 	colors := greedyD2(g)

@@ -10,7 +10,8 @@ import (
 // TestServeWarmRequestAllocFree enforces the zero-alloc steady-state claim
 // with the same teeth as the trial plane's TestTrialPhaseAllocFree: once a
 // session is warm, a verify request — the certified answer for an unchanged
-// coloring, and the full CheckD2 + HashColors of a stale session — and an
+// coloring, and the full CheckD2 plus full rehash of a session a failed
+// mutation left stale — and an
 // explicit-dirty recolor request (ModeGlobal) followed by a verify (the
 // certified recheck of the repaired nodes) allocate nothing — not in the
 // dispatch path, not in the kernels.
@@ -51,7 +52,7 @@ func TestServeWarmRequestAllocFree(t *testing.T) {
 			for i := 0; i < b.N; i++ {
 				// The worker is idle between requests; the hand-off orders
 				// this write before its read.
-				ses.stale = stale
+				ses.stale, ses.hashed = stale, !stale
 				if err := cl.Do(&verifyReq, &resp); err != nil {
 					b.Fatal(err)
 				}

@@ -10,10 +10,10 @@ import (
 )
 
 // BenchmarkWarmVerifyRequest measures one warm full verify round-trip
-// through the client: the session is marked stale before every request, so
-// each one runs the whole CheckD2 plus HashColors — the path every verify
-// took before the certified recheck, and the one a stale session still
-// takes. Allocations must report 0.
+// through the client: the session is marked stale and its hash void before
+// every request, so each one runs the whole CheckD2 plus a full rehash —
+// the path every verify took before the certified recheck, and the one the
+// verify after a failed mutation still takes. Allocations must report 0.
 func BenchmarkWarmVerifyRequest(b *testing.B) { benchWarmVerify(b, true) }
 
 // BenchmarkWarmVerifyRequestUnchanged measures a warm verify of a coloring
@@ -45,7 +45,7 @@ func benchWarmVerify(b *testing.B, stale bool) {
 	for i := 0; i < b.N; i++ {
 		// Between requests the worker is idle; the request's hand-off
 		// orders this write before its read.
-		ses.stale = stale
+		ses.stale, ses.hashed = stale, !stale
 		if err := cl.Do(&req, &resp); err != nil {
 			b.Fatal(err)
 		}
@@ -74,6 +74,41 @@ func BenchmarkWarmRecolorRequest(b *testing.B) {
 		}
 	}
 	req := Request{Op: OpRecolor, Session: "g", Dirty: dirty, Seed: 100}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Seed++
+		if err := cl.Do(&req, &resp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWarmCorruptRecolorRequest measures one warm fault-injection
+// recolor round-trip on the perfbench serve-churn shape: a local-mode
+// server, one gnp-avg session with n = 10⁵ and average degree 8, and 16
+// corrupted colors per request. Such an epoch costs O(ball + n/256): a
+// scan-free victim draw, a repair confined to the ball, and a rehash of
+// the victims' 256-node blocks.
+func BenchmarkWarmCorruptRecolorRequest(b *testing.B) {
+	srv := NewServer(Options{RepairMode: repair.ModeLocal})
+	defer srv.Close()
+	spec := graph.GeneratorSpec{Kind: "gnp-avg", N: 100_000, P: 8, Seed: 3}
+	cl := srv.NewClient()
+	var resp Response
+	if err := cl.Do(&Request{Op: OpOpen, Session: "g", Spec: &spec}, &resp); err != nil {
+		b.Fatal(err)
+	}
+	if err := cl.Do(&Request{Op: OpColor, Session: "g", Algorithm: "relaxed", Seed: 5}, &resp); err != nil {
+		b.Fatal(err)
+	}
+	req := Request{Op: OpRecolor, Session: "g", Corrupt: 16, Seed: 100}
+	for i := 0; i < 3; i++ {
+		req.Seed++
+		if err := cl.Do(&req, &resp); err != nil || !resp.Complete {
+			b.Fatalf("warm-up recolor: complete=%v err=%v", resp.Complete, err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"d2color/internal/alg"
-	"d2color/internal/coloring"
 	"d2color/internal/congest"
 	"d2color/internal/graph"
 	"d2color/internal/repair"
@@ -96,9 +95,11 @@ type Request struct {
 
 // Response is the result of one request. It carries only scalars on the hot
 // paths (the coloring hash stands in for the coloring itself), so filling it
-// never allocates. Hash is FNV-64a over the per-node colors as 8-byte
-// little-endian words — the registry golden's hash, comparable across
-// serve/direct runs.
+// never allocates. Hash is HashColors of the session's coloring: FNV-64a
+// over the 8-byte little-endian FNV-64a digests of its 256-node blocks,
+// comparable across serve/direct runs through HashColors (it is not the
+// registry golden's flat FNV-64a). A Corrupt or Dirty recolor updates it
+// in O(changed nodes × 256 + n/256).
 type Response struct {
 	Op      Op     `json:"op"`
 	Session string `json:"session,omitempty"`
@@ -718,33 +719,6 @@ func sortSessionStats(ss []SessionStats) {
 			ss[j], ss[j-1] = ss[j-1], ss[j]
 		}
 	}
-}
-
-// HashColors is the registry golden's coloring hash: FNV-64a over the
-// per-node colors as 8-byte little-endian words. Two colorings hash equal
-// iff they are byte-identical (modulo hash collisions).
-func HashColors(c coloring.Coloring) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-		// prime64⁷ mod 2⁶⁴: byte 1's multiply and the six rounds over a
-		// color's zero high bytes (each xor a no-op), folded into one.
-		prime64Pow7 = prime64 * prime64 * prime64 * prime64 * prime64 * prime64 * prime64 % (1 << 64)
-	)
-	h := uint64(offset64)
-	for _, col := range c {
-		w := uint64(col)
-		if w < 1<<16 { // colors in [0, 2¹⁶): only the two low bytes are nonzero
-			h = ((h^w&0xff)*prime64 ^ w>>8) * prime64Pow7
-			continue
-		}
-		for b := 0; b < 8; b++ {
-			h ^= w & 0xff
-			h *= prime64
-			w >>= 8
-		}
-	}
-	return h
 }
 
 // resolveAlgorithm maps a request's algorithm name to a registry instance.

@@ -430,20 +430,33 @@ func TestServeVerifyOnMISSession(t *testing.T) {
 	}
 }
 
-// TestHashColorsMatchesByteReference pins HashColors — including its
-// two-byte fast path for colors in [0, 2¹⁶) — to the standard library's
-// byte-at-a-time FNV-64a over 8-byte little-endian words, on colorings drawn
-// from each color range the fast path splits: negative, below 2⁸, below 2¹⁶,
-// above, and the int extremes.
+// TestHashColorsMatchesByteReference pins HashColors — its 256-node block
+// definition and the two-byte fast path for colors in [0, 2¹⁶) — to a
+// reference built from the standard library's byte-at-a-time FNV-64a: each
+// block's digest over its colors as 8-byte little-endian words, then the
+// digest of those digests as 8-byte little-endian words. Colorings are drawn
+// from each color range the fast path splits (negative, below 2⁸, below
+// 2¹⁶, above, and the int extremes) at lengths around the block boundaries.
 func TestHashColorsMatchesByteReference(t *testing.T) {
-	reference := func(c coloring.Coloring) uint64 {
+	fnvWords := func(words []uint64) uint64 {
 		h := fnv.New64a()
 		var buf [8]byte
-		for _, col := range c {
-			binary.LittleEndian.PutUint64(buf[:], uint64(col))
+		for _, w := range words {
+			binary.LittleEndian.PutUint64(buf[:], w)
 			h.Write(buf[:])
 		}
 		return h.Sum64()
+	}
+	reference := func(c coloring.Coloring) uint64 {
+		var digests []uint64
+		for lo := 0; lo < len(c); lo += 256 {
+			var block []uint64
+			for _, col := range c[lo:min(lo+256, len(c))] {
+				block = append(block, uint64(col))
+			}
+			digests = append(digests, fnvWords(block))
+		}
+		return fnvWords(digests)
 	}
 	rng := rand.New(rand.NewSource(11))
 	type draw struct {
@@ -462,13 +475,65 @@ func TestHashColorsMatchesByteReference(t *testing.T) {
 	ranges := draws
 	draws = append(draws, draw{"mixed", func() int { return ranges[rng.Intn(len(ranges))].next() }})
 	for _, d := range draws {
-		for _, n := range []int{0, 1, 7, 300} {
+		for _, n := range []int{0, 1, 7, 255, 256, 257, 300, 1025} {
 			c := coloring.New(n)
 			for i := range c {
 				c[i] = d.next()
 			}
 			if got, want := HashColors(c), reference(c); got != want {
 				t.Errorf("%s n=%d: HashColors = %#x, byte reference = %#x", d.name, n, got, want)
+			}
+		}
+	}
+}
+
+// TestBlockDigestsUpdateMatchesHashColors is the differential test of the
+// incremental hash: random change scripts — single nodes, two changes in
+// one block (ascending and not), the last partial block, every node, and
+// none — applied to a coloring must leave the updated digests hashing equal
+// to a fresh HashColors.
+func TestBlockDigestsUpdateMatchesHashColors(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	color := func() int {
+		if rng.Intn(8) == 0 {
+			return -1 - rng.Intn(3) + rng.Intn(2)<<20
+		}
+		return rng.Intn(100)
+	}
+	for _, n := range []int{1, 255, 256, 257, 1000, 1025} {
+		c := coloring.New(n)
+		for i := range c {
+			c[i] = color()
+		}
+		var d blockDigests
+		if got, want := d.full(c), HashColors(c); got != want {
+			t.Fatalf("n=%d: full = %#x, HashColors = %#x", n, got, want)
+		}
+		for step := 0; step < 200; step++ {
+			var changed []graph.NodeID
+			kind := rng.Intn(5)
+			switch kind {
+			case 0: // one node
+				changed = []graph.NodeID{graph.NodeID(rng.Intn(n))}
+			case 1: // the same block twice, in either order
+				lo := rng.Intn(n) / 256 * 256
+				hi := min(lo+256, n)
+				a, b := graph.NodeID(lo+rng.Intn(hi-lo)), graph.NodeID(lo+rng.Intn(hi-lo))
+				changed = []graph.NodeID{a, b}
+			case 2: // the last, possibly partial, block
+				lo := (n - 1) / 256 * 256
+				changed = []graph.NodeID{graph.NodeID(lo + rng.Intn(n-lo))}
+			case 3: // every node
+				for v := 0; v < n; v++ {
+					changed = append(changed, graph.NodeID(v))
+				}
+			default: // nothing
+			}
+			for _, v := range changed {
+				c[v] = color()
+			}
+			if got, want := d.update(c, changed), HashColors(c); got != want {
+				t.Fatalf("n=%d step %d (script %d, changed %v): update = %#x, HashColors = %#x", n, step, kind, changed, got, want)
 			}
 		}
 	}

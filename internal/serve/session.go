@@ -43,14 +43,25 @@ type session struct {
 	isD2      bool
 	memo      batchMemo
 	// The verify certificate. touched lists every node whose color changed
-	// since the checker's last pass (fed to RecheckD2), and hash is the
-	// working coloring's HashColors. stale is set before any mutation of
-	// the working coloring and cleared only once touched and hash describe
-	// it again, so a panic, cancel or error mid-mutation leaves it set and
-	// the next verify rescans and rehashes the whole coloring.
+	// since the checker's last pass (fed to RecheckD2). stale is set before
+	// any mutation of the working coloring and cleared only once touched
+	// describes it again, so a panic, cancel or error mid-mutation leaves it
+	// set and the next verify rescans the whole coloring.
 	touched []graph.NodeID
-	hash    uint64
 	stale   bool
+	// The hash cache, under the same discipline: hash is the working
+	// coloring's HashColors and digests its block digests while hashed is
+	// set. hashed is cleared before any mutation and set again only by a
+	// full rehash or by an update naming every node the mutation changed,
+	// so after a failed mutation the next hash is a full pass.
+	hash    uint64
+	digests blockDigests
+	hashed  bool
+	// complete says the working coloring is known to color every node. It
+	// is cleared before any mutation and set by a valid check or a complete
+	// repair of a complete coloring; a Corrupt epoch on a complete coloring
+	// then draws its victims without scanning for uncolored nodes.
+	complete bool
 
 	// Worker-owned failure state. cur is the request currently executing —
 	// the kernels' cancel hook reads it between simulated rounds (always on
@@ -370,12 +381,12 @@ func (ses *session) doColor(req *Request, resp *Response) error {
 		ses.rs.Close()
 		ses.rs = nil
 	}
-	ses.stale = true
+	ses.stale, ses.hashed, ses.complete = true, false, false
 	ses.colors = res.Coloring
 	ses.palette = res.PaletteSize
 	ses.algorithm = name
 	ses.isD2 = alg.IsD2Coloring(a)
-	ses.hash = HashColors(res.Coloring)
+	ses.hash, ses.hashed = ses.digests.full(res.Coloring), true
 	resp.Algorithm = name
 	resp.Hash = ses.hash
 	resp.PaletteSize = res.PaletteSize
@@ -391,7 +402,7 @@ func (ses *session) doColor(req *Request, resp *Response) error {
 			return ErrCanceled
 		}
 		ses.touched = ses.touched[:0]
-		ses.stale = false
+		ses.stale, ses.complete = false, rep.Valid
 		resp.Valid = rep.Valid
 		resp.ColorsUsed = rep.ColorsUsed
 		resp.MaxColor = rep.MaxColor
@@ -410,10 +421,11 @@ func (ses *session) doColor(req *Request, resp *Response) error {
 }
 
 // doVerify checks the working coloring on the warm checker: a certified
-// recheck of the nodes touched since the last pass plus the cached hash, or
-// — when the session is stale — a full CheckD2 and a fresh hash that
-// re-seed both. Allocation-free once the checker is warm and the coloring
-// valid.
+// recheck of the nodes touched since the last pass, or — when the session
+// is stale — a full CheckD2 that re-seeds the certificate. The hash is the
+// cached one, rehashed in full only when a failed mutation voided it.
+// Allocation-free once the checker and the digests are warm and the
+// coloring valid.
 func (ses *session) doVerify(resp *Response) error {
 	if ses.colors == nil {
 		return ErrNotColored
@@ -422,9 +434,11 @@ func (ses *session) doVerify(resp *Response) error {
 		return ErrNotD2
 	}
 	ch := ses.lazyChecker()
+	if !ses.hashed {
+		ses.hash, ses.hashed = ses.digests.full(ses.colors), true
+	}
 	var rep verify.Report
 	if ses.stale {
-		ses.hash = HashColors(ses.colors)
 		rep = ch.CheckD2(ses.g, ses.colors, ses.palette)
 		ses.stale = false
 	} else {
@@ -436,6 +450,7 @@ func (ses *session) doVerify(resp *Response) error {
 	if rep.Canceled {
 		return ErrCanceled
 	}
+	ses.complete = ses.complete || rep.Valid
 	resp.Algorithm = ses.algorithm
 	resp.Hash = ses.hash
 	resp.PaletteSize = ses.palette
@@ -447,8 +462,12 @@ func (ses *session) doVerify(resp *Response) error {
 
 // doRecolor is one churn epoch against the session's repair kernel: corrupt
 // k colors and repair them (Corrupt), repair an explicit dirty set (Dirty),
-// or run the self-stabilization sweep (neither). The explicit-dirty path on
-// a ModeGlobal server is allocation-free once warm.
+// or run the self-stabilization sweep (neither). A Corrupt or Dirty epoch on
+// a warm session costs O(ball + n/hashBlock): the victim draw skips its
+// scan when the coloring is known complete, the repair reads and writes
+// only the ball, and the hash update rehashes only the changed nodes'
+// blocks. The explicit-dirty path on a ModeGlobal server is
+// allocation-free once warm.
 func (ses *session) doRecolor(req *Request, resp *Response) error {
 	if ses.colors == nil {
 		return ErrNotColored
@@ -458,12 +477,12 @@ func (ses *session) doRecolor(req *Request, resp *Response) error {
 	}
 	// A stale session stays stale (its touched list is already void, so
 	// drop it); a clean one is stale until this epoch's changes are
-	// recorded.
-	wasStale := ses.stale
+	// recorded. The hash and completeness are void until then too.
+	wasStale, wasHashed, wasComplete := ses.stale, ses.hashed, ses.complete
 	if wasStale {
 		ses.touched = ses.touched[:0]
 	}
-	ses.stale = true
+	ses.stale, ses.hashed, ses.complete = true, false, false
 	if ses.rs == nil {
 		ses.rs = repair.NewSession(ses.g, ses.colors, repair.Options{
 			Palette:        ses.palette,
@@ -476,10 +495,20 @@ func (ses *session) doRecolor(req *Request, resp *Response) error {
 		// alias it so verify sees every repair.
 		ses.colors = ses.rs.Colors()
 	}
+	// A Corrupt or Dirty epoch names, in changed (ascending), every node it
+	// changes; the sweep cannot, so its hash is a full pass.
+	named := req.Corrupt > 0 || len(req.Dirty) > 0
+	var changed []graph.NodeID
+	complete := false
 	switch {
 	case req.Corrupt > 0:
 		inj := fault.NewInjector(req.Seed)
-		victims := inj.CorruptColors(ses.g, ses.rs.Colors(), req.Corrupt, fault.TargetUniform, ses.rs.Palette())
+		var victims []graph.NodeID
+		if wasComplete {
+			victims = inj.CorruptKnown(ses.g, ses.rs.Colors(), req.Corrupt, fault.TargetUniform, ses.rs.Palette(), nil)
+		} else {
+			victims = inj.CorruptColors(ses.g, ses.rs.Colors(), req.Corrupt, fault.TargetUniform, ses.rs.Palette())
+		}
 		// The repair recolors only inside its dirty set (Report.Recolored
 		// ⊆ victims), so the victims cover every change of this epoch.
 		ses.touched = append(ses.touched, victims...)
@@ -488,6 +517,7 @@ func (ses *session) doRecolor(req *Request, resp *Response) error {
 			return err
 		}
 		fillRepairResponse(resp, rep, 1)
+		changed, complete = victims, wasComplete && rep.Complete
 	case len(req.Dirty) > 0:
 		rep, err := ses.rs.Repair(req.Dirty, req.Seed)
 		if err != nil {
@@ -495,6 +525,7 @@ func (ses *session) doRecolor(req *Request, resp *Response) error {
 		}
 		ses.touched = append(ses.touched, rep.Recolored...)
 		fillRepairResponse(resp, rep, 1)
+		changed, complete = rep.Recolored, wasComplete && rep.Complete
 	default:
 		// The sweep reports no per-node changes across its iterations;
 		// the session stays stale and the next verify is a full pass.
@@ -513,9 +544,15 @@ func (ses *session) doRecolor(req *Request, resp *Response) error {
 			return err
 		}
 		resp.Complete = true
+		complete = true
 	}
-	ses.hash = HashColors(ses.rs.Colors())
-	if (req.Corrupt > 0 || len(req.Dirty) > 0) && !wasStale {
+	if wasHashed && named {
+		ses.hash = ses.digests.update(ses.rs.Colors(), changed)
+	} else {
+		ses.hash = ses.digests.full(ses.rs.Colors())
+	}
+	ses.hashed, ses.complete = true, complete
+	if named && !wasStale {
 		// A recheck walks about d + d² adjacency entries per touched node
 		// (d the mean degree) against the n + 2m of a full pass, so past
 		// n/d nodes it could not pay off: give up the certificate rather

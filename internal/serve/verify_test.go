@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"d2color/internal/coloring"
@@ -38,13 +39,16 @@ func fullVerifyResponse(ses *session) Response {
 }
 
 // TestServeVerifyMatchesFullCheck is the serving plane's differential suite
-// of the certified verify: random op scripts — Corrupt, Dirty (duplicates,
-// uncolored nodes, all nodes), Stabilize, color with a new algorithm or
-// seed, recolors canceled by DeadlineMillis and mid-mutation, and injected
-// worker panics — in both repair modes, on a narrow-palette and a
-// wide-palette (MaxColor ≥ n) family. After most ops (some run back to
-// back, so touched lists and staleness carry over), every verify must
-// answer exactly a fresh CheckD2 + HashColors of the session's coloring.
+// of the certified verify and the incremental hash: random op scripts —
+// Corrupt, Dirty (duplicates, uncolored nodes, all nodes, an out-of-range
+// node), Stabilize, color with a new algorithm or seed, recolors canceled
+// by DeadlineMillis and mid-mutation, and injected worker panics — in both
+// repair modes, on a narrow-palette and a wide-palette (MaxColor ≥ n)
+// family. Every answered color and recolor must carry a fresh HashColors of
+// the session's coloring, including the op after a failed one. After most
+// ops (some run back to back, so touched lists, digests and staleness carry
+// over), every verify must answer exactly a fresh CheckD2 + HashColors of
+// the session's coloring.
 func TestServeVerifyMatchesFullCheck(t *testing.T) {
 	steps := 160
 	specs := []graph.GeneratorSpec{
@@ -116,11 +120,17 @@ func TestServeVerifyMatchesFullCheck(t *testing.T) {
 						v := graph.NodeID(rng.Intn(n))
 						ses.colors[v] = coloring.Uncolored
 						ses.touched = append(ses.touched, v)
-						ses.hash = HashColors(ses.colors)
+						if ses.hashed {
+							ses.hash = ses.digests.update(ses.colors, []graph.NodeID{v})
+						}
+						ses.complete = false
 						if rng.Intn(2) == 0 {
 							checkServedVerify(t, srv, step, kind+" (before repair)")
 						}
 						req.Dirty = []graph.NodeID{v}
+					case k < 62:
+						kind = "out-of-range dirty"
+						req.Dirty = []graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(n)}
 					case k < 64:
 						kind = "stabilize"
 					case k < 74:
@@ -152,12 +162,25 @@ func TestServeVerifyMatchesFullCheck(t *testing.T) {
 						err := srv.Do(&req, &resp)
 						panicNext, cancelNext = false, false
 						srv.hardCancel.Store(false)
-						if err != nil {
-							switch {
-							case errors.Is(err, ErrCanceled), errors.Is(err, ErrPanicked), errors.Is(err, ErrNotD2):
-								failures[kind]++
-							default:
-								t.Fatalf("step %d (%s): %v", step, kind, err)
+						switch {
+						case kind == "out-of-range dirty":
+							if err == nil {
+								t.Fatalf("step %d (%s): recolor accepted node %d of %d", step, kind, n, n)
+							}
+							failures[kind]++
+						case err == nil:
+							ses := sessionState(t, srv, "s")
+							if want := HashColors(ses.colors); resp.Hash != want {
+								t.Fatalf("step %d (%s): %s hash %#x, fresh HashColors %#x", step, kind, req.Op, resp.Hash, want)
+							}
+						case errors.Is(err, ErrCanceled), errors.Is(err, ErrPanicked), errors.Is(err, ErrNotD2):
+							failures[kind]++
+						default:
+							t.Fatalf("step %d (%s): %v", step, kind, err)
+						}
+						if ses := sessionState(t, srv, "s"); ses.complete {
+							if v := slices.Index(ses.colors, coloring.Uncolored); v >= 0 {
+								t.Fatalf("step %d (%s): session claims a complete coloring, node %d is uncolored", step, kind, v)
 							}
 						}
 					}
