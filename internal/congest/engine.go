@@ -48,7 +48,8 @@ func (e *Engine) Close() {
 
 // step executes one synchronous round: compute, account, deliver, advance.
 //
-// Inline (no team), the caller's goroutine steps every node and then
+// Inline (a plan of zero workers: Workers ≤ 1, or a graph rebound to fewer
+// than two nodes), the caller's goroutine steps every node and then
 // delivers every inbox, in node order. With a team, the publisher (this
 // goroutine) resets the per-rank cursors and metrics, wakes the team, works
 // as rank 0 through the fused compute+deliver pipeline, and merges the shard
@@ -65,7 +66,7 @@ func (e *Engine) Close() {
 // node order, so the result is byte-identical to the inline round for every
 // worker count and every steal schedule.
 func (e *Engine) step() {
-	if e.team == nil {
+	if e.plan.workers == 0 {
 		e.computeChunk(0, int32(e.g.NumNodes()))
 		e.collectSendCounters()
 		e.deliverRange(0, e.g.NumNodes(), &e.metrics)

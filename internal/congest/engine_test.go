@@ -103,8 +103,8 @@ func TestStepAllocFree(t *testing.T) {
 
 // TestInlineEngineStartsNoGoroutine pins what Workers ≤ 1 costs: no shard
 // plan, no per-rank state, no team, and no goroutine at any point of the
-// engine's life — so an engine built per repair call costs no more than the
-// topology-sized buffers it simulates on.
+// engine's life — so an inline engine costs no more than the topology-sized
+// buffers it simulates on.
 func TestInlineEngineStartsNoGoroutine(t *testing.T) {
 	g := graph.GNP(200, 0.06, 4)
 	for _, workers := range []int{-1, 0, 1} {
@@ -214,7 +214,7 @@ func TestShardPlanEdgeBalanced(t *testing.T) {
 	g := skewGraphN(2000, 8, 400)
 	ix := g.EdgeIndex()
 	n, workers := g.NumNodes(), 8
-	plan := buildShardPlan(ix, n, workers)
+	plan := buildShardPlan(ix, n, workers, shardPlan{})
 
 	if got := plan.chunkLo[0]; got != 0 {
 		t.Fatalf("first chunk starts at %d, want 0", got)
@@ -261,7 +261,7 @@ func TestShardPlanEdgeBalanced(t *testing.T) {
 func TestShardPlanTinyGraphs(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5} {
 		g := graph.Path(n)
-		plan := buildShardPlan(g.EdgeIndex(), n, max(n, 1))
+		plan := buildShardPlan(g.EdgeIndex(), n, max(n, 1), shardPlan{})
 		if got := int(plan.chunkLo[plan.numChunks()]); got != n {
 			t.Errorf("n=%d: plan covers %d nodes", n, got)
 		}

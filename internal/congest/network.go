@@ -3,6 +3,7 @@ package congest
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"d2color/internal/graph"
 	"d2color/internal/rng"
@@ -91,7 +92,8 @@ var (
 // Engine is one CONGEST simulation instance: the topology and its CSR edge
 // index, the per-node processes, the preallocated message plane, pooled
 // contexts and inbox buffers, and the accumulated metrics. All buffers are
-// allocated once by New and reused every round.
+// allocated once by New and reused every round, and by Rebind for the next
+// topology.
 //
 // Config.Workers selects how a round executes. With Workers ≤ 1 the engine
 // steps nodes and delivers messages inline on the calling goroutine, in node
@@ -111,6 +113,7 @@ type Engine struct {
 	halted  []bool
 	ctxs    []Context   // pooled, one per node, reused across rounds
 	inboxes [][]Message // pooled per-destination buffers, reused across rounds
+	arena   []Message   // backing of the inbox buffers, one slot per directed edge
 	// ids is nil under IDSequential (ID(v) = v needs no table); the
 	// randomized assignments allocate it on demand. At n = 10⁷ the implicit
 	// default saves 80 MB per engine.
@@ -136,7 +139,9 @@ type Engine struct {
 
 	// The multi-worker machinery (pool.go): the ownership map, the padded
 	// per-rank cursors and metrics, and the persistent team. All three stay
-	// zero when the engine runs inline (Workers ≤ 1).
+	// zero when the engine runs inline (Workers ≤ 1). plan.workers == 0 marks
+	// an inline round; a team kept across a Rebind to a graph too small for
+	// one stays parked until a larger graph needs it again.
 	plan shardPlan
 	ws   []shardWorker
 	team *shardTeam
@@ -144,68 +149,83 @@ type Engine struct {
 
 // New creates a simulation over the given topology. cfg.Workers > 1 gives the
 // engine a worker team of that many ranks (at most n); otherwise rounds run
-// inline on the caller's goroutine.
+// inline on the caller's goroutine. It is Rebind on a zero engine.
 func New(g *graph.Graph, cfg Config) *Engine {
-	n := g.NumNodes()
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = defaultMaxRounds
 	}
 	if cfg.IDs == 0 {
 		cfg.IDs = IDSequential
 	}
+	e := &Engine{cfg: cfg}
+	e.Rebind(g)
+	return e
+}
+
+// Rebind points the engine at a new topology, keeping its Config and its
+// buffers: every per-node and per-slot buffer grows only when g needs more
+// room than any graph the engine held before, the message plane's
+// generation stamps restart, the IDs are re-derived from Config.Seed, and
+// the engine is Reset to that seed. Every installed process is removed
+// (they belonged to the old topology). A worker team whose rank
+// count still fits g is kept; otherwise it is parked and, when g needs one,
+// replaced. A rebound engine behaves byte-identically to New(g, cfg).
+func (e *Engine) Rebind(g *graph.Graph) {
+	n := g.NumNodes()
 	ix := g.EdgeIndex()
-	e := &Engine{
-		g:       g,
-		cfg:     cfg,
-		ix:      ix,
-		plane:   newPlane(ix),
-		procs:   make([]Process, n),
-		halted:  make([]bool, n),
-		ctxs:    make([]Context, n),
-		inboxes: make([][]Message, n),
-		rands:   make([]rng.Source, n),
+	slots := ix.NumSlots()
+	e.g, e.ix = g, ix
+	if e.plane == nil {
+		e.plane = &plane{}
 	}
+	e.plane.rebind(ix)
+	e.procs = slices.Grow(e.procs[:0], n)[:n]
+	clear(e.procs)
+	e.halted = slices.Grow(e.halted[:0], n)[:n]
+	e.ctxs = slices.Grow(e.ctxs[:0], n)[:n]
+	e.inboxes = slices.Grow(e.inboxes[:0], n)[:n]
+	e.rands = slices.Grow(e.rands[:0], n)[:n]
 	// The per-destination inbox buffers are carved out of one exact-size
 	// arena — one Message slot per incoming directed edge, the most a
 	// one-message-per-edge round can deliver. Full-capacity slicing keeps the
 	// regions disjoint, so delivery appends in place with no growth doubling
 	// and no per-node allocations; a protocol that double-sends over an edge
 	// overflows that node's region onto the heap (append past cap) and simply
-	// keeps the grown buffer, exactly like the old lazily-grown layout.
-	arena := make([]Message, ix.NumSlots())
+	// keeps the grown buffer until the next Rebind recarves the arena.
+	e.arena = slices.Grow(e.arena[:0], slots)[:slots]
 	for v := 0; v < n; v++ {
 		lo, hi := ix.Offsets[v], ix.Offsets[v+1]
-		e.inboxes[v] = arena[lo:lo:hi]
+		e.inboxes[v] = e.arena[lo:lo:hi]
 		e.ctxs[v] = Context{net: e, id: graph.NodeID(v), base: lo}
 	}
 	e.assignIDs()
-	for v := 0; v < n; v++ {
-		e.rands[v].ResetSplit(cfg.Seed, uint64(v))
+	e.Reset(e.cfg.Seed) // round, metrics, hooks, halted flags, random streams
+	e.plan.workers = 0  // inline unless g needs a team
+	if workers := min(e.cfg.Workers, n); workers > 1 {
+		e.plan = buildShardPlan(ix, n, workers, e.plan)
+		e.ws = slices.Grow(e.ws[:0], workers)[:workers]
+		if e.team != nil && e.team.barrier.parties != workers {
+			e.team.stop()
+			e.team = nil
+		}
+		if e.team == nil {
+			e.team = newShardTeam(e)
+		}
 	}
-	if workers := min(cfg.Workers, n); workers > 1 {
-		e.plan = buildShardPlan(ix, n, workers)
-		e.ws = make([]shardWorker, workers)
-		e.team = newShardTeam(e)
-	}
-	return e
 }
 
 func (e *Engine) assignIDs() {
 	n := e.g.NumNodes()
 	switch e.cfg.IDs {
 	case IDRandomPermutation:
-		if e.ids == nil {
-			e.ids = make([]uint64, n)
-		}
+		e.ids = slices.Grow(e.ids[:0], n)[:n]
 		src := rng.Split(e.cfg.Seed, 0xC0FFEE)
 		perm := src.Perm(n)
 		for v := 0; v < n; v++ {
 			e.ids[v] = uint64(perm[v]) + 1
 		}
 	case IDSparseRandom:
-		if e.ids == nil {
-			e.ids = make([]uint64, n)
-		}
+		e.ids = slices.Grow(e.ids[:0], n)[:n]
 		src := rng.Split(e.cfg.Seed, 0xC0FFEE)
 		space := uint64(n) * uint64(n) * uint64(n)
 		if n > 0 && space/uint64(n)/uint64(n) != uint64(n) {

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"slices"
 	"sync"
 
 	"d2color/internal/graph"
@@ -43,14 +44,19 @@ type plane struct {
 	extraOnce sync.Once
 }
 
-func newPlane(ix *graph.EdgeIndex) *plane {
+// rebind sizes the plane for ix's slots, growing the inline tier (and an
+// already allocated overflow tier) only past every earlier size, and
+// restarts the generation stamps so no slot reads as fresh.
+func (p *plane) rebind(ix *graph.EdgeIndex) {
 	n := ix.NumSlots()
-	return &plane{
-		ix:    ix,
-		first: make([]Message, n),
-		cnt:   make([]int32, n),
-		gen:   make([]uint32, n),
-		cur:   1,
+	p.ix = ix
+	p.first = slices.Grow(p.first[:0], n)[:n]
+	p.cnt = slices.Grow(p.cnt[:0], n)[:n]
+	p.gen = slices.Grow(p.gen[:0], n)[:n]
+	clear(p.gen)
+	p.cur = 1
+	if p.extra != nil && len(p.extra) < n {
+		p.extra = append(p.extra, make([][]Message, n-len(p.extra))...)
 	}
 }
 
@@ -72,7 +78,8 @@ func (p *plane) put(e int32, m Message) {
 }
 
 // growExtra allocates the overflow tier's headers (once per plane lifetime;
-// bucket capacities then persist across rounds like the old layout's did).
+// bucket capacities then persist across rounds like the old layout's did,
+// and rebind extends the headers when a larger topology arrives).
 func (p *plane) growExtra() {
 	p.extra = make([][]Message, len(p.first))
 }

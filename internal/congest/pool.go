@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,8 +57,9 @@ func (p *shardPlan) nodeRange(w int) (lo, hi int32) {
 // contiguous owned run per worker. The cumulative weight of the first u
 // nodes is Offsets[u] + u, strictly increasing, so boundary b_c for target
 // weight total·c/nChunks is found by binary search; equal chunk counts per
-// worker then give equal worker weights up to one chunk.
-func buildShardPlan(ix *graph.EdgeIndex, n, workers int) shardPlan {
+// worker then give equal worker weights up to one chunk. The plan is written
+// into reuse's slices when they are large enough.
+func buildShardPlan(ix *graph.EdgeIndex, n, workers int, reuse shardPlan) shardPlan {
 	total := int(ix.Offsets[n]) + n // slots + nodes
 	nChunks := workers * shardChunksPerWorker
 	if most := total / shardMinChunkWeight; nChunks > most {
@@ -71,8 +73,8 @@ func buildShardPlan(ix *graph.EdgeIndex, n, workers int) shardPlan {
 	}
 	plan := shardPlan{
 		workers:    workers,
-		chunkLo:    make([]int32, nChunks+1),
-		firstChunk: make([]int32, workers+1),
+		chunkLo:    slices.Grow(reuse.chunkLo[:0], nChunks+1)[:nChunks+1],
+		firstChunk: slices.Grow(reuse.firstChunk[:0], workers+1)[:workers+1],
 	}
 	weight := func(u int) int { return int(ix.Offsets[u]) + u }
 	for c := 1; c < nChunks; c++ {

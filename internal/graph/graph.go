@@ -399,16 +399,46 @@ func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []NodeID) {
 // v is recognized by nodes[index[v]] == v), so a caller that keeps one index
 // across calls extracts in O(|nodes| + their degrees), never O(n). It panics
 // if nodes is unsorted, out of range or duplicated, or index has the wrong
-// length.
+// length. It is InducedSubgraphInto with fresh storage.
 func (g *Graph) InducedSubgraphOf(nodes []NodeID, index []int32) *Graph {
+	return g.InducedSubgraphInto(nodes, index, new(Subgraph))
+}
+
+// Subgraph is caller-owned storage for induced subgraphs: the sub-CSR, its
+// edge index (Rev included), and each kept node's neighbors outside the
+// subgraph. Extracting into the same Subgraph again reuses every buffer,
+// growing one only when a subgraph outgrows all earlier ones, so a warm
+// extraction allocates nothing. The zero value is ready to use.
+type Subgraph struct {
+	g      Graph
+	ix     EdgeIndex
+	next   []int32  // per-node reverse-slot cursors of the Rev pass
+	outOff []int32  // outside neighbors of kept node i: outTgt[outOff[i]:outOff[i+1]]
+	outTgt []NodeID // original IDs, ascending within each node
+}
+
+// Outside returns the neighbors of kept node i (a subgraph ID) that are not
+// in the subgraph, as original node IDs in ascending order. The slice is
+// owned by the Subgraph and valid until its next extraction.
+func (s *Subgraph) Outside(i NodeID) []NodeID { return s.outTgt[s.outOff[i]:s.outOff[i+1]] }
+
+// InducedSubgraphInto is InducedSubgraphOf writing into dst: it returns
+// dst's graph, which — with its edge index and dst's Outside lists — stays
+// valid until the next extraction into dst overwrites it. One walk over
+// each kept node's adjacency emits both its in-subgraph neighbors (the
+// sub-CSR) and the rest (Outside); the reverse slots follow in one linear
+// pass with no neighbor search.
+func (g *Graph) InducedSubgraphInto(nodes []NodeID, index []int32, dst *Subgraph) *Graph {
 	if len(index) != g.n {
 		panic(fmt.Sprintf("graph: index has length %d, want %d", len(index), g.n))
 	}
+	slots := 0
 	for i, v := range nodes {
 		if v < 0 || int(v) >= g.n || (i > 0 && v <= nodes[i-1]) {
 			panic(fmt.Sprintf("graph: induced node list must be ascending in [0, %d); entry %d is %d", g.n, i, v))
 		}
 		index[v] = int32(i)
+		slots += g.Degree(v)
 	}
 	newID := func(v NodeID) int32 {
 		if i := index[v]; i >= 0 && int(i) < len(nodes) && nodes[i] == v {
@@ -416,30 +446,43 @@ func (g *Graph) InducedSubgraphOf(nodes []NodeID, index []int32) *Graph {
 		}
 		return -1
 	}
-	// Emit the sub-CSR directly: the source lists are sorted and the kept
-	// relabelling is monotone, so each new list stays sorted without resorting.
+	// The source lists are sorted and the kept relabelling is monotone, so
+	// each new list stays sorted without resorting. Both target arrays are
+	// presized to the kept degree sum, so the appends never reallocate.
 	nn := len(nodes)
-	off := make([]int32, nn+1)
-	for i, orig := range nodes {
-		cnt := int32(0)
-		for _, v := range g.Neighbors(orig) {
-			if newID(v) >= 0 {
-				cnt++
-			}
-		}
-		off[i+1] = off[i] + cnt
-	}
-	tgt := make([]NodeID, off[nn])
-	w := int32(0)
+	off := append(slices.Grow(dst.g.off[:0], nn+1), 0)
+	tgt := slices.Grow(dst.g.tgt[:0], slots)
+	outOff := append(slices.Grow(dst.outOff[:0], nn+1), 0)
+	outTgt := slices.Grow(dst.outTgt[:0], slots)
+	maxDeg := 0
 	for _, orig := range nodes {
 		for _, v := range g.Neighbors(orig) {
 			if i := newID(v); i >= 0 {
-				tgt[w] = NodeID(i)
-				w++
+				tgt = append(tgt, NodeID(i))
+			} else {
+				outTgt = append(outTgt, v)
 			}
 		}
+		if d := len(tgt) - int(off[len(off)-1]); d > maxDeg {
+			maxDeg = d
+		}
+		off = append(off, int32(len(tgt)))
+		outOff = append(outOff, int32(len(outTgt)))
 	}
-	return fromCSR(nn, off, tgt)
+	// Rev: sources are visited in ascending order and every list is sorted,
+	// so the k-th slot found pointing at v is the reverse of v's k-th slot.
+	next := slices.Grow(dst.next[:0], nn)[:nn]
+	copy(next, off[:nn])
+	rev := slices.Grow(dst.ix.Rev[:0], len(tgt))[:len(tgt)]
+	for e, v := range tgt {
+		rev[e] = next[v]
+		next[v]++
+	}
+	dst.next, dst.outOff, dst.outTgt = next, outOff, outTgt
+	dst.ix = EdgeIndex{Offsets: off, Targets: tgt, Rev: rev}
+	dst.g = Graph{n: nn, off: off, tgt: tgt, numEdges: len(tgt) / 2, maxDeg: maxDeg, ix: &dst.ix}
+	dst.g.ixOnce.Do(func() {}) // the index above is already built
+	return &dst.g
 }
 
 // DegreeHistogram returns a map from degree value to the number of nodes with

@@ -166,8 +166,13 @@ func TestInducedSubgraphPanicsOnBadMask(t *testing.T) {
 // reused across many extractions — so every call sees the previous calls'
 // stale entries — and checks each result against the keep-mask form and an
 // edge-list oracle built through FromEdges, on random graphs and node sets.
+// The same extractions into one reused Subgraph (growing and shrinking
+// across calls) must give the same CSR, an edge index whose Rev matches a
+// freshly searched one, and Outside lists holding exactly the dropped
+// neighbors.
 func TestInducedSubgraphOfMatchesMask(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	var reused Subgraph
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(120)
 		g := GNP(n, rng.Float64()*0.2, int64(trial))
@@ -204,10 +209,25 @@ func TestInducedSubgraphOfMatchesMask(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, h := range []*Graph{want, oracle} {
+			into := g.InducedSubgraphInto(nodes, index, &reused)
+			for _, h := range []*Graph{want, oracle, into} {
 				if !slices.Equal(got.off, h.off) || !slices.Equal(got.tgt, h.tgt) ||
 					got.NumEdges() != h.NumEdges() || got.MaxDegree() != h.MaxDegree() {
 					t.Fatalf("trial %d pick %d: list form %v differs from %v", trial, pick, got, h)
+				}
+			}
+			if rev := buildEdgeIndex(into).Rev; !slices.Equal(into.EdgeIndex().Rev, rev) {
+				t.Fatalf("trial %d pick %d: Rev %v, want %v", trial, pick, into.EdgeIndex().Rev, rev)
+			}
+			for i, v := range nodes {
+				var dropped []NodeID
+				for _, w := range g.Neighbors(v) {
+					if !keep[w] {
+						dropped = append(dropped, w)
+					}
+				}
+				if out := reused.Outside(NodeID(i)); len(out)+len(dropped) > 0 && !slices.Equal(out, dropped) {
+					t.Fatalf("trial %d pick %d: Outside(%d) = %v, want %v", trial, pick, i, out, dropped)
 				}
 			}
 		}

@@ -18,10 +18,12 @@
 //
 //   - ModeLocal extracts the induced subgraph G[N[D]] — the dirty nodes and
 //     their neighbors, the rest of B entering only as preloaded color
-//     knowledge — and runs a fresh trial kernel on it. The extraction and
-//     every phase cost O(|B|) work: nothing scales with n after the
-//     session's first local repair, the fastest path when balls are small
-//     (the repair-locality gate's regime).
+//     knowledge — into session-owned storage and runs the session's local
+//     trial kernel on it, rebound to each epoch's subgraph. The extraction
+//     and every phase cost O(|B|) work and a warm epoch allocates nothing:
+//     nothing scales with n after the session's first local repair, the
+//     fastest path when balls are small (the repair-locality gate's
+//     regime).
 //   - ModeGlobal reuses the session's warm full-graph trial kernel — and
 //     through it a warm congest.Engine via Reset — with an activation mask
 //     confining the run to B. Nothing is rebuilt between repairs, the
@@ -36,6 +38,7 @@ import (
 	"fmt"
 	"slices"
 
+	"d2color/internal/bitset"
 	"d2color/internal/coloring"
 	"d2color/internal/congest"
 	"d2color/internal/graph"
@@ -47,8 +50,9 @@ import (
 type Mode int
 
 const (
-	// ModeLocal runs a fresh trial kernel on the subgraph induced by the
-	// dirty nodes and their neighbors. Cheapest when |ball| ≪ n.
+	// ModeLocal runs the session's local trial kernel, rebound per repair,
+	// on the subgraph induced by the dirty nodes and their neighbors.
+	// Cheapest when |ball| ≪ n.
 	ModeLocal Mode = iota
 	// ModeGlobal runs the session's warm full-graph kernel under a
 	// partial-activation mask covering the ball, reusing the warm
@@ -94,11 +98,11 @@ type Options struct {
 	// ScratchReports makes Repair reuse one session-owned buffer for
 	// Report.Recolored instead of allocating a fresh slice per call: the
 	// returned slice is then valid only until the next Repair on this
-	// session. Combined with ModeGlobal this makes the warm steady-state
-	// repair path allocation-free — the serving plane's recolor requests
-	// run with it on. Off by default: callers that retain reports across
-	// calls (Stabilize's per-iteration list, cross-run comparisons) keep
-	// the safe copying behavior.
+	// session. With it the warm steady-state repair path is allocation-free
+	// in either mode — the serving plane's recolor requests run with it on.
+	// Off by default: callers that retain reports across calls
+	// (Stabilize's per-iteration list, cross-run comparisons) keep the safe
+	// copying behavior.
 	ScratchReports bool
 }
 
@@ -131,9 +135,9 @@ type Report struct {
 // Session is a reusable repair kernel bound to one graph and one working
 // coloring. The working coloring is owned by the session (NewSession
 // copies); Colors exposes it, Repair and Stabilize mutate it in place.
-// Sessions keep their scratch (ball marks, masks, the warm global kernel)
-// across calls, so steady-state churn repair stops allocating. Not safe for
-// concurrent use.
+// Sessions keep their scratch (ball marks, masks, subgraph storage, the warm
+// global and local kernels) across calls, so steady-state churn repair stops
+// allocating. Not safe for concurrent use.
 type Session struct {
 	g       *graph.Graph
 	colors  coloring.Coloring
@@ -154,14 +158,20 @@ type Session struct {
 	active  []bool
 	initial coloring.Coloring
 	// ModeLocal scratch: the sorted node list N[D] of the extracted
-	// subgraph, the graph-sized old→new index InducedSubgraphOf reuses
-	// across calls (allocated once per bound graph, written only at the kept
-	// entries), and the subgraph run's initial coloring and per-node
-	// out-of-subgraph colors, regrown only when a ball outgrows them.
-	keep       []graph.NodeID
-	subIndex   []int32
-	subInitial coloring.Coloring
-	subExtra   [][]int32
+	// subgraph, the graph-sized old→new index the extraction reuses across
+	// calls (allocated once per bound graph, written only at the kept
+	// entries), the subgraph's storage, the run's initial coloring and
+	// per-node out-of-subgraph colors (windows of one flat slice), and the
+	// local kernel rebound to each epoch's subgraph (kept across epochs
+	// under retainLocal's bound). All of it grows only when a ball outgrows
+	// every earlier one.
+	keep        []graph.NodeID
+	subIndex    []int32
+	sub         graph.Subgraph
+	subInitial  coloring.Coloring
+	subExtra    [][]int32
+	extraColors []int32
+	local       *trial.Runner
 }
 
 // NewSession builds a repair session for g starting from colors (copied, so
@@ -204,7 +214,8 @@ func (s *Session) bind(g *graph.Graph, colors coloring.Coloring) {
 // Rebind points the session at a new topology and working coloring — the
 // post-Compact step of a churn epoch, where the overlay's deltas were folded
 // into a fresh CSR. All topology-bound scratch (including the warm global
-// kernel) is dropped and rebuilt on demand.
+// kernel) is dropped and rebuilt on demand; the local kernel and subgraph
+// storage, rebound every epoch anyway, are kept.
 func (s *Session) Rebind(g *graph.Graph, colors coloring.Coloring) {
 	if len(colors) != g.NumNodes() {
 		panic(fmt.Sprintf("repair: coloring has %d entries for %d nodes", len(colors), g.NumNodes()))
@@ -212,12 +223,16 @@ func (s *Session) Rebind(g *graph.Graph, colors coloring.Coloring) {
 	s.bind(g, colors)
 }
 
-// Close releases the warm global kernel (if one was built). The session must
-// not be used afterwards.
+// Close releases the warm kernels (global and local, if built) and through
+// them their engines' worker teams. The session must not be used afterwards.
 func (s *Session) Close() {
 	if s.runner != nil {
 		s.runner.Close()
 		s.runner = nil
+	}
+	if s.local != nil {
+		s.local.Close()
+		s.local = nil
 	}
 }
 
@@ -322,15 +337,15 @@ func (s *Session) Repair(dirty []graph.NodeID, seed uint64) (Report, error) {
 }
 
 // repairLocal extracts G[N[D]] — just the dirty nodes and their direct
-// neighbors — and runs a fresh trial kernel on it to completion. The rest of
-// the ball never enters the subgraph: its only role is color context for the
-// answerers, which preloaded knowledge supplies instead (Initial colors are
-// pre-announced, and each boundary node carries the colors of its
-// out-of-subgraph neighbors via ExtraKnown). Correctness is the package-doc
-// ball argument one step tighter: every answerer of a dirty proposal is in
-// N[D], every common neighbor of two dirty nodes is in N[D], and every veto
-// an answerer could base on an N²[D]-boundary color is preserved verbatim in
-// its preloaded known set.
+// neighbors — and runs the session's local trial kernel, rebound to it, to
+// completion. The rest of the ball never enters the subgraph: its only role
+// is color context for the answerers, which preloaded knowledge supplies
+// instead (Initial colors are pre-announced, and each boundary node carries
+// the colors of its out-of-subgraph neighbors via ExtraKnown). Correctness
+// is the package-doc ball argument one step tighter: every answerer of a
+// dirty proposal is in N[D], every common neighbor of two dirty nodes is in
+// N[D], and every veto an answerer could base on an N²[D]-boundary color is
+// preserved verbatim in its preloaded known set.
 func (s *Session) repairLocal(seed uint64) (Report, error) {
 	s.keep = s.keep[:0]
 	for _, d := range s.dirty {
@@ -342,40 +357,39 @@ func (s *Session) repairLocal(seed uint64) (Report, error) {
 	if s.subIndex == nil {
 		s.subIndex = make([]int32, s.g.NumNodes())
 	}
-	sub := s.g.InducedSubgraphOf(s.keep, s.subIndex)
+	sub := s.g.InducedSubgraphInto(s.keep, s.subIndex, &s.sub)
 	ns := sub.NumNodes()
-	if cap(s.subInitial) < ns {
-		s.subInitial = make(coloring.Coloring, ns)
-	}
-	if cap(s.subExtra) < ns {
-		s.subExtra = append(s.subExtra[:cap(s.subExtra)], make([][]int32, ns-cap(s.subExtra))...)
-	}
-	initial, extra := s.subInitial[:ns], s.subExtra[:ns]
-	for i := range extra {
-		extra[i] = extra[i][:0]
-	}
+	initial := slices.Grow(s.subInitial[:0], ns)[:ns]
+	extra := slices.Grow(s.subExtra[:0], ns)[:ns]
+	known := s.extraColors[:0]
+	// keep and dirty are both ascending, so one merge pointer finds the
+	// dirty nodes. Each list of extra is a capped window of known: a later
+	// append that moves known leaves the earlier windows intact.
+	di := 0
 	for i, orig := range s.keep {
-		if s.dirtyMark.Contains(orig) {
+		if di < len(s.dirty) && s.dirty[di] == orig {
 			initial[i] = coloring.Uncolored
-			continue // a dirty node's full neighborhood is in the subgraph
+			di++
+		} else {
+			initial[i] = s.colors[orig]
 		}
-		initial[i] = s.colors[orig]
-		// Both lists are ascending and the relabelling is monotone, so one
-		// merge walk finds the neighbors that stayed outside the subgraph.
-		inSub := sub.Neighbors(graph.NodeID(i))
-		for _, w := range s.g.Neighbors(orig) {
-			if len(inSub) > 0 && s.keep[inSub[0]] == w {
-				inSub = inSub[1:]
-				continue
-			}
-			if s.colors[w] != coloring.Uncolored {
-				extra[i] = append(extra[i], int32(s.colors[w]))
+		start := len(known)
+		for _, w := range s.sub.Outside(graph.NodeID(i)) { // none for a dirty node
+			if c := s.colors[w]; c != coloring.Uncolored {
+				known = append(known, int32(c))
 			}
 		}
+		extra[i] = known[start:len(known):len(known)]
 	}
-	r := trial.NewRunner(sub, false, s.opts.Workers)
-	defer r.Close()
-	res, err := r.Run(trial.Config{
+	s.subInitial, s.subExtra, s.extraColors = initial, extra, known
+
+	if s.local == nil {
+		s.local = trial.NewRunner(sub, false, s.opts.Workers)
+	} else {
+		s.local.Rebind(sub)
+	}
+	r := s.local
+	err := r.Start(trial.Config{
 		PaletteSize:    s.palette,
 		Scope:          trial.ScopeDistance2,
 		MaxPhases:      s.opts.MaxPhases,
@@ -386,20 +400,37 @@ func (s *Session) repairLocal(seed uint64) (Report, error) {
 		Faults:         s.opts.Faults,
 		Cancel:         s.opts.Cancel,
 	})
-	if err != nil {
-		return Report{}, err
+	if err == nil {
+		err = r.RunPhases()
 	}
-	for i, orig := range s.keep {
-		if s.dirtyMark.Contains(orig) {
-			s.colors[orig] = res.Coloring[i]
+	var rep Report
+	if err == nil {
+		di = 0
+		for i, orig := range s.keep {
+			if di < len(s.dirty) && s.dirty[di] == orig {
+				s.colors[orig] = r.Color(graph.NodeID(i))
+				di++
+			}
 		}
+		m := r.Metrics()
+		rep = Report{Phases: r.Phases(), Rounds: m.Rounds, Metrics: m, Complete: r.Complete()}
 	}
-	return Report{
-		Phases:   res.Phases,
-		Rounds:   res.Metrics.Rounds,
-		Metrics:  res.Metrics,
-		Complete: res.Complete,
-	}, nil
+	if !s.retainLocal(ns) {
+		r.Close()
+		s.local = nil
+	}
+	return rep, err
+}
+
+// retainLocal reports whether the local kernel may be kept after an epoch
+// on an ns-node subgraph. ExtraKnown forces its palette-bitset tier, whose
+// rows take 8·ns·⌈palette/64⌉ bytes; the kernel stays only while they fit
+// in the session graph's own CSR footprint, 4·(n + 1 + 2m) bytes, so a wide
+// palette (Δ² on a hub-heavy graph) never parks a kernel larger than the
+// graph it repairs. A dropped kernel is rebuilt by the next epoch.
+func (s *Session) retainLocal(ns int) bool {
+	rows := 8 * ns * bitset.WordsFor(s.palette)
+	return rows <= 4*(s.g.NumNodes()+1+2*s.g.NumEdges())
 }
 
 // repairGlobal runs the warm full-graph kernel under an activation mask

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -163,37 +164,41 @@ func TestRepairWarmVsFresh(t *testing.T) {
 	}
 }
 
-// TestRepairWarmKernelReuse pins the no-Rebind path: one global-mode session
-// repairing many corruption rounds on one warm kernel stays byte-identical
-// to fresh per-round sessions — without ever rebuilding its engine.
+// TestRepairWarmKernelReuse pins the no-Rebind path in both modes: one
+// session repairing many corruption rounds on its warm kernel — the
+// global-mode full-graph kernel, or the local kernel rebound to each
+// round's subgraph — stays byte-identical to fresh per-round sessions.
 func TestRepairWarmKernelReuse(t *testing.T) {
 	g := graph.GNPWithAverageDegree(250, 7, 11)
-	colors := greedyD2(g)
-	warm := NewSession(g, colors, Options{Mode: ModeGlobal})
-	defer warm.Close()
-	in := fault.NewInjector(5)
-	for round := 0; round < 5; round++ {
-		victims := in.CorruptColors(g, warm.colors, 5, fault.TargetConflictDense, 0)
-		snapshot := slices.Clone(warm.Colors())
-		seed := uint64(round)
+	for _, mode := range []Mode{ModeLocal, ModeGlobal} {
+		t.Run(mode.String(), func(t *testing.T) {
+			warm := NewSession(g, greedyD2(g), Options{Mode: mode})
+			defer warm.Close()
+			in := fault.NewInjector(5)
+			for round := 0; round < 8; round++ {
+				victims := in.CorruptColors(g, warm.colors, 1+3*(round%3), fault.TargetConflictDense, 0)
+				snapshot := slices.Clone(warm.Colors())
+				seed := uint64(round)
 
-		rep, err := warm.Repair(victims, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := NewSession(g, snapshot, Options{Mode: ModeGlobal})
-		freshRep, err := fresh.Repair(victims, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(warm.Colors(), fresh.Colors()) {
-			t.Fatalf("round %d: warm kernel diverged from fresh", round)
-		}
-		if !slices.Equal(rep.Recolored, freshRep.Recolored) || rep.Metrics != freshRep.Metrics {
-			t.Fatalf("round %d: warm transcript diverged from fresh", round)
-		}
-		fresh.Close()
-		requireValidComplete(t, g, warm.Colors())
+				rep, err := warm.Repair(victims, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh := NewSession(g, snapshot, Options{Mode: mode})
+				freshRep, err := fresh.Repair(victims, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(warm.Colors(), fresh.Colors()) {
+					t.Fatalf("round %d: warm kernel diverged from fresh", round)
+				}
+				if !reflect.DeepEqual(rep, freshRep) {
+					t.Fatalf("round %d: warm report %+v, fresh %+v", round, rep, freshRep)
+				}
+				fresh.Close()
+				requireValidComplete(t, g, warm.Colors())
+			}
+		})
 	}
 }
 
@@ -370,45 +375,126 @@ func TestRepairEdgeCases(t *testing.T) {
 	requireValidComplete(t, g, s.Colors())
 }
 
-// TestRepairLocalAllocsScaleWithBall: once a session has run its first
-// local repair, a ModeLocal repair of 16 dirty nodes allocates only
-// ball-sized scratch — on a 6-regular graph (same Δ, hence the same palette
-// and ball shape, at both sizes) the bytes per repair at n = 10⁵ stay within
-// 2× of those at n = 10⁴.
+// TestRepairLocalAllocsScaleWithBall: a warm ModeLocal session allocates
+// nothing per repair — its subgraph storage, ExtraKnown lists and rebound
+// trial kernel are all reused — so nothing can scale with n. On a 6-regular
+// graph at n = 10⁴ and n = 10⁵, a sequence of 16-node dirty sets is run once
+// to size every buffer, then replayed: the replay must allocate 0 bytes.
 func TestRepairLocalAllocsScaleWithBall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 10⁵-node fixture")
 	}
-	bytesPerRepair := func(n int) float64 {
+	for _, n := range []int{10_000, 100_000} {
 		g := graph.RandomRegular(n, 6, 9)
 		s := NewSession(g, greedyD2(g), Options{Mode: ModeLocal, ScratchReports: true})
-		defer s.Close()
 		rng := rand.New(rand.NewSource(5))
-		dirty := make([]graph.NodeID, 16)
-		repair := func(seed uint64) {
-			for i := range dirty {
-				dirty[i] = graph.NodeID(rng.Intn(n))
-			}
-			rep, err := s.Repair(dirty, seed)
-			if err != nil || !rep.Complete {
-				t.Fatalf("n=%d: repair rep=%+v err=%v", n, rep, err)
+		const reps = 20
+		dirty := make([][]graph.NodeID, reps)
+		for i := range dirty {
+			dirty[i] = make([]graph.NodeID, 16)
+			for j := range dirty[i] {
+				dirty[i][j] = graph.NodeID(rng.Intn(n))
 			}
 		}
-		repair(0) // warm-up: sizes the session's graph-sized index once
-		const reps = 20
+		replay := func() {
+			for i, d := range dirty {
+				rep, err := s.Repair(d, uint64(i))
+				if err != nil || !rep.Complete {
+					t.Fatalf("n=%d: repair rep=%+v err=%v", n, rep, err)
+				}
+			}
+		}
+		replay() // warm-up: sizes the graph-sized index and every ball-sized buffer
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for i := 1; i <= reps; i++ {
-			repair(uint64(i))
-		}
+		replay()
 		runtime.ReadMemStats(&after)
 		requireValidComplete(t, g, s.Colors())
-		return float64(after.TotalAlloc-before.TotalAlloc) / reps
+		s.Close()
+		if b := after.TotalAlloc - before.TotalAlloc; b != 0 {
+			t.Errorf("n=%d: replaying %d warm local repairs allocated %d bytes, want 0", n, reps, b)
+		}
 	}
-	small, large := bytesPerRepair(10_000), bytesPerRepair(100_000)
-	t.Logf("bytes per 16-dirty local repair: n=10⁴ %.0f, n=10⁵ %.0f", small, large)
-	if large > 2*small {
-		t.Errorf("local repair allocates %.0f B at n=10⁵ vs %.0f B at n=10⁴: more than 2×, so something still scales with n", large, small)
+}
+
+// TestRepairLocalWorkersMatchInline: a ModeLocal session whose kept kernel
+// runs on a 4-rank team gives, over a multi-epoch script of corruptions and
+// explicit dirty sets, the same Reports and colorings as Workers 1; closing
+// it leaves no engine goroutine behind.
+func TestRepairLocalWorkersMatchInline(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	g := graph.GNPWithAverageDegree(400, 7, 21)
+	colors := greedyD2(g)
+	inline := NewSession(g, colors, Options{Mode: ModeLocal})
+	team := NewSession(g, colors, Options{Mode: ModeLocal, Workers: 4})
+	in := fault.NewInjector(31)
+	for epoch := 0; epoch < 12; epoch++ {
+		var dirty []graph.NodeID
+		if epoch%2 == 0 {
+			dirty = in.CorruptColors(g, inline.colors, 1+epoch, fault.TargetConflictDense, 0)
+			copy(team.colors, inline.colors)
+		} else {
+			for v := epoch; v < g.NumNodes(); v += 37 + epoch {
+				dirty = append(dirty, graph.NodeID(v))
+			}
+		}
+		seed := uint64(epoch)
+		want, err := inline.Repair(dirty, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := team.Repair(dirty, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("epoch %d: Workers 4 report %+v, Workers 1 %+v", epoch, got, want)
+		}
+		if !slices.Equal(team.Colors(), inline.Colors()) {
+			t.Fatalf("epoch %d: Workers 4 coloring diverged from Workers 1", epoch)
+		}
+		if team.local == nil {
+			t.Fatalf("epoch %d: the local kernel was not kept", epoch)
+		}
+	}
+	requireValidComplete(t, g, team.Colors())
+	inline.Close()
+	team.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines did not return to baseline after Close: %d > %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRepairLocalKernelRetention pins the retention bound: the local kernel
+// is kept while its palette rows fit in the session graph's CSR footprint
+// and dropped after any epoch whose rows would not, with the same repairs
+// either way.
+func TestRepairLocalKernelRetention(t *testing.T) {
+	g := graph.GNPWithAverageDegree(300, 6, 8)
+	colors := greedyD2(g)
+	dirty := []graph.NodeID{3, 90, 211}
+	narrow := NewSession(g, colors, Options{Mode: ModeLocal})
+	defer narrow.Close()
+	wide := NewSession(g, colors, Options{Mode: ModeLocal, Palette: 1 << 20})
+	defer wide.Close()
+	for epoch := 0; epoch < 3; epoch++ {
+		for _, s := range []*Session{narrow, wide} {
+			rep, err := s.Repair(dirty, uint64(epoch))
+			if err != nil || !rep.Complete {
+				t.Fatalf("palette %d: rep=%+v err=%v", s.Palette(), rep, err)
+			}
+			requireValidComplete(t, g, s.Colors())
+		}
+		if narrow.local == nil {
+			t.Errorf("epoch %d: palette %d: kernel dropped although its rows fit", epoch, narrow.Palette())
+		}
+		if wide.local != nil {
+			t.Errorf("epoch %d: palette %d: kernel kept although its rows exceed the graph", epoch, wide.Palette())
+		}
 	}
 }
 
@@ -498,6 +584,10 @@ func TestRepairLocalityGate(t *testing.T) {
 	}
 }
 
+// BenchmarkRepairCorrupt measures one warm repair of 20 corrupted nodes on a
+// 2·10⁴-node graph in each mode. The session reuses its report buffer and
+// has built its kernel before timing starts, so both modes report the
+// steady-state cost: 0 allocs/op.
 func BenchmarkRepairCorrupt(b *testing.B) {
 	g := graph.GNPWithAverageDegree(20_000, 8, 13)
 	base := greedyD2(g)
@@ -505,8 +595,11 @@ func BenchmarkRepairCorrupt(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			corrupt := slices.Clone(base)
 			victims := fault.NewInjector(23).CorruptColors(g, corrupt, 20, fault.TargetConflictDense, 0)
-			s := NewSession(g, corrupt, Options{Mode: mode})
+			s := NewSession(g, corrupt, Options{Mode: mode, ScratchReports: true})
 			defer s.Close()
+			if _, err := s.Repair(victims, 0); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

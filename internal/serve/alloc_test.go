@@ -11,17 +11,24 @@ import (
 // with the same teeth as the trial plane's TestTrialPhaseAllocFree: once a
 // session is warm, a verify request — the certified answer for an unchanged
 // coloring, and the full CheckD2 plus full rehash of a session a failed
-// mutation left stale — and an
-// explicit-dirty recolor request (ModeGlobal) followed by a verify (the
-// certified recheck of the repaired nodes) allocate nothing — not in the
-// dispatch path, not in the kernels.
+// mutation left stale — and an explicit-dirty recolor request followed by a
+// verify (the certified recheck of the repaired nodes) allocate nothing —
+// not in the dispatch path, not in the kernels — in both repair modes:
+// ModeLocal (the default) rebinds its kept kernel to each epoch's
+// subgraph, ModeGlobal reuses its full-graph kernel.
 // testing.Benchmark measures the whole request round-trip through
 // the client, so a regression anywhere in the hot path fails this test.
 func TestServeWarmRequestAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 5k-node session")
 	}
-	srv := NewServer(Options{RepairMode: repair.ModeGlobal})
+	for _, mode := range []repair.Mode{repair.ModeLocal, repair.ModeGlobal} {
+		t.Run(mode.String(), func(t *testing.T) { testWarmRequestAllocFree(t, mode) })
+	}
+}
+
+func testWarmRequestAllocFree(t *testing.T, mode repair.Mode) {
+	srv := NewServer(Options{RepairMode: mode})
 	defer srv.Close()
 	spec := graph.GeneratorSpec{Kind: "gnp-avg", N: 5000, P: 8, Seed: 3}
 	cl := srv.NewClient()
@@ -79,6 +86,6 @@ func TestServeWarmRequestAllocFree(t *testing.T) {
 		}
 	})
 	if allocs := recolorRes.AllocsPerOp(); allocs != 0 {
-		t.Errorf("warm recolor + verify requests (global mode, explicit dirty): %d allocs/op, want 0", allocs)
+		t.Errorf("warm recolor + verify requests (%s mode, explicit dirty): %d allocs/op, want 0", mode, allocs)
 	}
 }

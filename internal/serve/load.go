@@ -121,6 +121,12 @@ type LoadReport struct {
 	P95 time.Duration `json:"p95"`
 	P99 time.Duration `json:"p99"`
 	Max time.Duration `json:"max"`
+	// Per-op medians over the same latencies (0 for an op the mix never
+	// issued): a tail can be judged against the cost of one op kind rather
+	// than against a median the mix's cheapest op sets.
+	ColorP50   time.Duration `json:"colorP50,omitempty"`
+	VerifyP50  time.Duration `json:"verifyP50,omitempty"`
+	RecolorP50 time.Duration `json:"recolorP50,omitempty"`
 
 	// Overload outcome, client-side. Retried counts retry attempts issued
 	// (a request shed then accepted on retry contributes to Retried but not
@@ -266,7 +272,11 @@ func RunLoadWith(newTransport func() Transport, spec LoadSpec) (LoadReport, erro
 		Elapsed:     elapsed,
 	}
 	var all, accepted []time.Duration
+	byOp := map[Op][]time.Duration{}
 	for _, w := range workers {
+		for i, op := range w.ops {
+			byOp[op] = append(byOp[op], w.latencies[i])
+		}
 		all = append(all, w.latencies...)
 		accepted = append(accepted, w.accepted...)
 		rep.Requests += len(w.latencies)
@@ -285,6 +295,12 @@ func RunLoadWith(newTransport func() Transport, spec LoadSpec) (LoadReport, erro
 	if len(all) > 0 {
 		rep.Max = all[len(all)-1]
 	}
+	opP50 := func(op Op) time.Duration {
+		lat := byOp[op]
+		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		return quantile(lat, 0.50)
+	}
+	rep.ColorP50, rep.VerifyP50, rep.RecolorP50 = opP50(OpColor), opP50(OpVerify), opP50(OpRecolor)
 	sort.Slice(accepted, func(i, j int) bool { return accepted[i] < accepted[j] })
 	rep.AcceptedP50 = quantile(accepted, 0.50)
 	rep.AcceptedP95 = quantile(accepted, 0.95)
@@ -338,6 +354,7 @@ type loadWorker struct {
 	budget    int
 
 	latencies []time.Duration
+	ops       []Op            // the op of each latency
 	accepted  []time.Duration // latencies of ultimately-successful requests
 	errors    int
 	reopens   int
@@ -386,6 +403,7 @@ func (w *loadWorker) run() {
 		}
 		lat := time.Since(start)
 		w.latencies = append(w.latencies, lat)
+		w.ops = append(w.ops, req.Op)
 		if err != nil {
 			w.errors++
 			switch {

@@ -179,9 +179,10 @@ type Options struct {
 	// rounds inline on the session's goroutine; byte-identical results
 	// either way).
 	Workers int
-	// RepairMode confines recolor requests (ModeLocal extracts the ball's
-	// subgraph; ModeGlobal reuses the session's warm kernel — the
-	// allocation-free path).
+	// RepairMode confines recolor requests (ModeLocal, the default, runs a
+	// kept kernel rebound to each epoch's ball subgraph; ModeGlobal reuses
+	// the session's warm full-graph kernel). Both warm paths are
+	// allocation-free.
 	RepairMode repair.Mode
 	// QueueDepth bounds how many requests may be queued or executing against
 	// one session at a time; a request arriving past the bound is shed with

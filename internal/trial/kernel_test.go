@@ -2,6 +2,7 @@ package trial
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -63,6 +64,85 @@ func TestRunnerReuseMatchesFreshRuns(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// hashFaults is a deterministic fault model for the rebind differential:
+// it drops about one message in eight and crashes a node every eleventh
+// round of its own phase offset.
+type hashFaults struct{}
+
+func (hashFaults) DropMessage(round int, slot int32) bool {
+	return (uint64(round)*0x9E3779B97F4A7C15^uint64(slot)*0xBF58476D1CE4E5B9)>>61 == 0
+}
+
+func (hashFaults) Crashed(round int, v graph.NodeID) bool { return (round+int(v))%11 == 0 }
+
+// rebindConfigs extends kernelConfigs with the inputs a rebound kernel must
+// re-size for: preloaded partial Initial colors with ExtraKnown lists, an
+// activation mask, and a fault model.
+func rebindConfigs(g *graph.Graph, seed uint64) []Config {
+	n, delta := g.NumNodes(), g.MaxDegree()
+	palette := delta*delta + 1
+	src := rng.Split(seed, uint64(n))
+	initial := coloring.New(n)
+	extra := make([][]int32, n)
+	active := make([]bool, n)
+	for v := 0; v < n; v++ {
+		if v%3 == 0 {
+			initial[v] = src.Intn(palette)
+		}
+		for k := src.Intn(4); k > 0; k-- {
+			extra[v] = append(extra[v], int32(src.Intn(palette+2)-1))
+		}
+		active[v] = src.Intn(3) > 0
+	}
+	return append(kernelConfigs(g, seed),
+		Config{PaletteSize: palette + 3, Scope: ScopeDistance2, Seed: seed,
+			Initial: initial, PreloadInitial: true, ExtraKnown: extra},
+		Config{PaletteSize: palette, Scope: ScopeDistance2, Seed: seed, Active: active},
+		Config{PaletteSize: palette + 1, Scope: ScopeDistance2, Seed: seed, MaxPhases: 9, Faults: hashFaults{}},
+	)
+}
+
+// TestRunnerRebindMatchesFreshRunners: one Runner rebound through a script
+// of topologies — growing, shrinking, a star, a single node, an edgeless
+// graph, then larger again — returns on every graph exactly the Result
+// (coloring, phases, Metrics, flags) and error of a fresh NewRunner, for
+// both known tiers, ExtraKnown, PreloadInitial, activation masks and a
+// fault model, inline and on a worker team. Tier switches between graphs
+// of growing size catch a sorted tier sized only once.
+func TestRunnerRebindMatchesFreshRunners(t *testing.T) {
+	graphs := []*graph.Graph{
+		graph.GNP(30, 0.15, 1),
+		graph.GNP(90, 0.08, 2),
+		graph.GNPWithAverageDegree(160, 7, 3),
+		graph.GNP(40, 0.1, 4),
+		graph.Star(25),
+		graph.MustFromEdges(1, nil),
+		graph.MustFromEdges(12, nil),
+		graph.Grid(9, 9),
+	}
+	for _, workers := range []int{1, 4} {
+		reused := NewRunner(graphs[0], false, workers)
+		for gi, g := range graphs {
+			reused.Rebind(g)
+			for ci, cfg := range rebindConfigs(g, uint64(gi+1)) {
+				for _, tier := range []int{1, -1} {
+					fresh := NewRunner(g, false, workers)
+					fresh.forceKnownTier = tier
+					want, wantErr := fresh.Run(cfg)
+					fresh.Close()
+					reused.forceKnownTier = tier
+					got, gotErr := reused.Run(cfg)
+					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+						t.Fatalf("workers=%d graph=%d cfg=%d tier=%d: rebound (%+v, %v) differs from fresh (%+v, %v)",
+							workers, gi, ci, tier, got, gotErr, want, wantErr)
+					}
+				}
+			}
+		}
+		reused.Close()
 	}
 }
 

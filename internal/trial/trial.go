@@ -148,8 +148,10 @@ type Config struct {
 	// outside an extracted subgraph — a boundary node keeps vetoing the
 	// colors of full-graph neighbors that the subgraph does not contain.
 	// Non-nil ExtraKnown forces the palette-bitset known tier (the sorted
-	// per-slot tier has no room for colors without a slot); its length must
-	// be the node count.
+	// per-slot tier has no room for colors without a slot), whose rows cost
+	// n·⌈PaletteSize/64⌉ words whatever the degrees — the repair session
+	// bounds how long it keeps a kernel holding them. Its length must be
+	// the node count; the lists are read during Start only.
 	ExtraKnown [][]int32
 	// PackedOutput makes Run assemble the result bit-packed
 	// (Result.Packed set, Result.Coloring nil): ⌈log₂(palette+1)⌉ bits/node
@@ -248,7 +250,8 @@ const uncolored int32 = int32(coloring.Uncolored)
 // by node, by CSR edge slot for neighbor-color knowledge (the slot range of
 // node v doubles as v's scratch region in the answer round), or in per-node
 // palette bitset rows for known-color membership — and the underlying
-// network, its processes and every buffer are built once in NewRunner. Start
+// network, its processes and every buffer are built once in NewRunner (and
+// regrown by Rebind only when a new topology outgrows them). Start
 // rewinds the whole kernel for a new Config in O(n + m + n·palette/64),
 // allocating only when the palette outgrows every earlier Start, so repeated
 // sub-protocol invocations on the same graph (the harness's averaged
@@ -257,9 +260,10 @@ const uncolored int32 = int32(coloring.Uncolored)
 //
 // A Runner is not safe for concurrent use; run one Runner per goroutine.
 type Runner struct {
-	g   *graph.Graph
-	ix  *graph.EdgeIndex
-	net *congest.Engine
+	g       *graph.Graph
+	ix      *graph.EdgeIndex
+	net     *congest.Engine
+	workers int // the engine's worker count, fixed at construction
 
 	procs []nodeProc
 
@@ -354,28 +358,40 @@ func (p *nodeProc) Step(ctx *congest.Context, round int, inbox []congest.Message
 // worker count (≤ 1 runs rounds inline), fixed at construction; per-run
 // knobs — palette, scope, seed, picker, phase budgets — arrive with each
 // Start/Run. The bool parameter is ignored: it once selected between two
-// engines and is kept only so existing callers compile; pass false.
+// engines and is kept only so existing callers compile; pass false. It is
+// Rebind on a zero Runner.
 func NewRunner(g *graph.Graph, _ bool, workers int) *Runner {
+	r := &Runner{workers: workers}
+	r.cancelFn = r.canceled
+	r.Rebind(g)
+	return r
+}
+
+// Rebind points the kernel at a new topology, reusing its engine (and the
+// engine's worker team) and every flat array: a buffer grows only when g
+// needs more room than every graph the Runner held before, so rebinding
+// between graphs no larger than an earlier one allocates nothing. The next
+// Start behaves byte-identically to a fresh NewRunner(g, false, workers)
+// with the same worker count. The runner-level cancel hook is kept.
+func (r *Runner) Rebind(g *graph.Graph) {
 	n := g.NumNodes()
-	ix := g.EdgeIndex()
-	slots := ix.NumSlots()
-	r := &Runner{
-		g:           g,
-		ix:          ix,
-		net:         congest.New(g, congest.Config{Workers: workers}),
-		procs:       make([]nodeProc, n),
-		color:       make([]int32, n),
-		proposal:    make([]int32, n),
-		announced:   make([]bool, n),
-		nbrColor:    make([]int32, slots),
-		propScratch: make([]int32, slots),
+	r.g, r.ix = g, g.EdgeIndex()
+	slots := r.ix.NumSlots()
+	if r.net == nil {
+		r.net = congest.New(g, congest.Config{Workers: r.workers})
+	} else {
+		r.net.Rebind(g)
 	}
+	r.procs = slices.Grow(r.procs[:0], n)[:n]
 	for v := 0; v < n; v++ {
 		r.procs[v] = nodeProc{r: r, v: graph.NodeID(v)}
 		r.net.SetProcess(graph.NodeID(v), &r.procs[v])
 	}
-	r.cancelFn = r.canceled
-	return r
+	r.color = slices.Grow(r.color[:0], n)[:n]
+	r.proposal = slices.Grow(r.proposal[:0], n)[:n]
+	r.announced = slices.Grow(r.announced[:0], n)[:n]
+	r.nbrColor = slices.Grow(r.nbrColor[:0], slots)[:slots]
+	r.propScratch = slices.Grow(r.propScratch[:0], slots)[:slots]
 }
 
 // SetCancel installs a runner-level cooperative cancellation hook that
@@ -457,12 +473,9 @@ func (r *Runner) Start(cfg Config) error {
 			bitset.Row(r.knownBits).ClearAll()
 		}
 	} else {
-		if r.knownSorted == nil {
-			r.knownSorted = make([]int32, r.ix.NumSlots())
-			r.numKnown = make([]int32, n)
-		} else {
-			clear(r.numKnown)
-		}
+		r.knownSorted = slices.Grow(r.knownSorted[:0], r.ix.NumSlots())[:r.ix.NumSlots()]
+		r.numKnown = slices.Grow(r.numKnown[:0], n)[:n]
+		clear(r.numKnown)
 	}
 
 	live := int64(0)
