@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"d2color/internal/graph"
-	"d2color/internal/repair"
 	"d2color/internal/serve"
 
 	// Register every default algorithm instance.
@@ -65,7 +64,6 @@ func run(args []string, out io.Writer) error {
 		budget    = fs.Int64("budget", 0, "resident-bytes budget across cached sessions (0: unlimited)")
 		batchMax  = fs.Int("batchmax", 0, "max requests per dispatch window (0: default 64)")
 		unbatched = fs.Bool("unbatched", false, "disable request batching (control arm)")
-		mode      = fs.String("mode", "local", "recolor repair mode: local | global")
 		workers   = fs.Int("workers", 1, "CONGEST engine workers per session kernel (1: rounds run inline on the session's goroutine)")
 		selfcheck = fs.Bool("selfcheck", false, "serve on a loopback port, run a request cycle against it, and exit")
 		drainWait = fs.Duration("drain", 5*time.Second, "graceful-drain deadline on SIGTERM/SIGINT (in-flight work is hard-canceled past it)")
@@ -73,22 +71,11 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var rmode repair.Mode
-	switch *mode {
-	case "local":
-		rmode = repair.ModeLocal
-	case "global":
-		rmode = repair.ModeGlobal
-	default:
-		return fmt.Errorf("unknown -mode %q (want local or global)", *mode)
-	}
-
 	srv := serve.NewServer(serve.Options{
 		ResidentBudget: *budget,
 		BatchMax:       *batchMax,
 		Unbatched:      *unbatched,
 		Workers:        *workers,
-		RepairMode:     rmode,
 	})
 	defer srv.Close()
 

@@ -21,17 +21,10 @@ func TestSelfcheck(t *testing.T) {
 	}
 }
 
-func TestSelfcheckGlobalUnbatched(t *testing.T) {
+func TestSelfcheckUnbatched(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-selfcheck", "-mode", "global", "-unbatched", "-workers", "2"}, &sb); err != nil {
-		t.Fatalf("selfcheck (global, unbatched, 2 workers): %v\noutput:\n%s", err, sb.String())
-	}
-}
-
-func TestBadMode(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-mode", "sideways"}, &sb); err == nil {
-		t.Fatal("want error for unknown -mode")
+	if err := run([]string{"-selfcheck", "-unbatched", "-workers", "2"}, &sb); err != nil {
+		t.Fatalf("selfcheck (unbatched, 2 workers): %v\noutput:\n%s", err, sb.String())
 	}
 }
 

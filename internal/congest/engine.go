@@ -120,7 +120,7 @@ func (e *Engine) computePhase(w int) {
 
 // computeChunk steps the live nodes of [lo, hi) in node order.
 func (e *Engine) computeChunk(lo, hi int32) {
-	faulty := e.active != nil || e.faults != nil
+	faulty := e.faults != nil
 	for v := lo; v < hi; v++ {
 		if e.procs[v] == nil || e.halted[v] || (faulty && e.skipped(int(v))) {
 			continue

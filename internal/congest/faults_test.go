@@ -35,8 +35,8 @@ func (f *hashFaults) Crashed(round int, v graph.NodeID) bool {
 }
 
 // runDigestRounds runs the digest protocol for a fixed round count with an
-// optional activation mask and fault model installed.
-func runDigestRounds(t *testing.T, g *graph.Graph, cfg Config, rounds int, mask []bool, f FaultModel) ([]uint64, Metrics) {
+// optional fault model installed.
+func runDigestRounds(t *testing.T, g *graph.Graph, cfg Config, rounds int, f FaultModel) ([]uint64, Metrics) {
 	t.Helper()
 	net := New(g, cfg)
 	defer net.Close()
@@ -45,7 +45,6 @@ func runDigestRounds(t *testing.T, g *graph.Graph, cfg Config, rounds int, mask 
 		procs[v] = &digestProcess{rounds: rounds}
 		return procs[v]
 	})
-	net.SetActive(mask)
 	net.SetFaults(f)
 	net.RunRounds(rounds)
 	out := make([]uint64, len(procs))
@@ -56,21 +55,17 @@ func runDigestRounds(t *testing.T, g *graph.Graph, cfg Config, rounds int, mask 
 }
 
 // TestFaultyWorkersMatchInline pins the byte-identity contract under
-// injection: with the same deterministic fault model and activation mask, a
-// worker team must reproduce the inline engine's digests and metrics at every
-// worker count, exactly as it does in the clean case.
+// injection: with the same deterministic fault model, a worker team must
+// reproduce the inline engine's digests and metrics at every worker count,
+// exactly as it does in the clean case.
 func TestFaultyWorkersMatchInline(t *testing.T) {
 	g := skewGraphN(400, 4, 30)
-	mask := make([]bool, g.NumNodes())
-	for v := range mask {
-		mask[v] = v%5 != 3
-	}
 	faults := &hashFaults{seed: 99, dropP: 0.2, crashP: 0.3, crashFrom: 2, crashTo: 5}
 	const rounds = 8
-	wantDigest, wantMetrics := runDigestRounds(t, g, Config{Seed: 11, BandwidthWords: 2, Workers: 1}, rounds, mask, faults)
+	wantDigest, wantMetrics := runDigestRounds(t, g, Config{Seed: 11, BandwidthWords: 2, Workers: 1}, rounds, faults)
 	for _, workers := range []int{2, 3, 8} {
 		digest, metrics := runDigestRounds(t, g,
-			Config{Seed: 11, BandwidthWords: 2, Workers: workers}, rounds, mask, faults)
+			Config{Seed: 11, BandwidthWords: 2, Workers: workers}, rounds, faults)
 		if metrics != wantMetrics {
 			t.Fatalf("workers=%d: metrics diverged\nteam:   %v\ninline: %v", workers, metrics, wantMetrics)
 		}
@@ -82,45 +77,12 @@ func TestFaultyWorkersMatchInline(t *testing.T) {
 	}
 }
 
-// TestPartialActivationFreezesNodes: masked-out nodes neither step nor
-// receive — their digests stay zero and they send nothing — while active
-// nodes keep running.
-func TestPartialActivationFreezesNodes(t *testing.T) {
-	g := graph.Cycle(12)
-	mask := make([]bool, 12)
-	for v := 0; v < 12; v++ {
-		mask[v] = v >= 6
-	}
-	digest, metrics := runDigestRounds(t, g, Config{Seed: 3}, 6, mask, nil)
-	for v := 0; v < 6; v++ {
-		if digest[v] != 0 {
-			t.Errorf("inactive node %d accumulated digest %x", v, digest[v])
-		}
-	}
-	active := 0
-	for v := 6; v < 12; v++ {
-		if digest[v] != 0 {
-			active++
-		}
-	}
-	if active == 0 {
-		t.Error("no active node accumulated anything")
-	}
-	// 6 active nodes broadcasting on a cycle: strictly fewer messages than
-	// the all-active run.
-	_, full := runDigestRounds(t, g, Config{Seed: 3}, 6, nil, nil)
-	if metrics.MessagesSent >= full.MessagesSent {
-		t.Errorf("masked run sent %d messages, all-active %d — mask had no effect",
-			metrics.MessagesSent, full.MessagesSent)
-	}
-}
-
 // TestDropAllSeversNetwork: a model that drops every message must leave all
 // receivers with empty inboxes (digest 0) even though sends are accounted.
 func TestDropAllSeversNetwork(t *testing.T) {
 	g := graph.GNP(40, 0.2, 7)
 	dropAll := &hashFaults{dropP: 1.1}
-	digest, metrics := runDigestRounds(t, g, Config{Seed: 2}, 5, nil, dropAll)
+	digest, metrics := runDigestRounds(t, g, Config{Seed: 2}, 5, dropAll)
 	for v, d := range digest {
 		if d != 0 {
 			t.Fatalf("node %d received something through a drop-all model (digest %x)", v, d)
@@ -134,21 +96,17 @@ func TestDropAllSeversNetwork(t *testing.T) {
 	}
 }
 
-// TestPartialActivationResetRegression is the satellite regression: after a
-// masked, fault-injected run, Reset must return the engine to a state
-// byte-identical to a freshly constructed one — the all-active determinism
-// goldens cannot shift because a repair pass borrowed the engine first.
-func TestPartialActivationResetRegression(t *testing.T) {
+// TestResetClearsFaults: after a fault-injected run, Reset must return the
+// engine to a state byte-identical to a freshly constructed one — the
+// fault-free determinism goldens cannot shift because a faulty run borrowed
+// the engine first.
+func TestResetClearsFaults(t *testing.T) {
 	g := graph.GNP(150, 0.06, 9)
 	const rounds = 7
 	for _, workers := range []int{1, 4} {
-		wantDigest, wantMetrics := runDigestRounds(t, g, Config{Seed: 21, Workers: workers}, rounds, nil, nil)
+		wantDigest, wantMetrics := runDigestRounds(t, g, Config{Seed: 21, Workers: workers}, rounds, nil)
 
 		net := New(g, Config{Seed: 21, Workers: workers})
-		mask := make([]bool, g.NumNodes())
-		for v := range mask {
-			mask[v] = v%3 == 0
-		}
 		procs := make([]*digestProcess, g.NumNodes())
 		install := func() {
 			net.SetProcesses(func(v graph.NodeID) Process {
@@ -157,11 +115,10 @@ func TestPartialActivationResetRegression(t *testing.T) {
 			})
 		}
 		install()
-		net.SetActive(mask)
 		net.SetFaults(&hashFaults{seed: 5, dropP: 0.5})
-		net.RunRounds(4) // dirty the engine under mask + faults
+		net.RunRounds(4) // dirty the engine under faults
 
-		net.Reset(21) // must clear mask and faults, not just the round state
+		net.Reset(21) // must clear the faults, not just the round state
 		install()
 		net.RunRounds(rounds)
 		if got := net.Metrics(); got != wantMetrics {

@@ -125,15 +125,13 @@ type Engine struct {
 	metrics Metrics
 	round   int
 
-	// active is the optional partial-activation mask (nil = every node runs)
-	// and faults the optional fault model; see faults.go. Both are cleared by
-	// Reset so warm reuse stays byte-identical to a fresh engine.
-	active []bool
+	// faults is the optional fault model; see faults.go. Cleared by Reset so
+	// warm reuse stays byte-identical to a fresh engine.
 	faults FaultModel
 
 	// cancel is the optional cooperative cancellation hook, polled between
 	// rounds (never mid-round); see SetCancel in faults.go. Cleared by Reset
-	// for the same reason as active/faults: a warm reused engine must be
+	// for the same reason as faults: a warm reused engine must be
 	// byte-identical to a fresh one.
 	cancel func() bool
 
@@ -294,7 +292,6 @@ func (e *Engine) Round() int { return e.round }
 func (e *Engine) Reset(seed uint64) {
 	e.round = 0
 	e.metrics = Metrics{}
-	e.active = nil
 	e.faults = nil
 	e.cancel = nil
 	clear(e.halted)
@@ -328,13 +325,11 @@ func (e *Engine) ChargeRounds(k int) {
 	}
 }
 
-// AllHalted reports whether every active node with a process has halted.
-// Nodes masked out by SetActive are ignored: they never step, so they could
-// never halt, and counting them would make Run spin forever under partial
-// activation. Crashed nodes still count — crash windows are transient.
+// AllHalted reports whether every node with a process has halted. Crashed
+// nodes still count — crash windows are transient.
 func (e *Engine) AllHalted() bool {
 	for v := range e.procs {
-		if e.procs[v] != nil && !e.halted[v] && (e.active == nil || e.active[v]) {
+		if e.procs[v] != nil && !e.halted[v] {
 			return false
 		}
 	}
@@ -374,10 +369,10 @@ func (e *Engine) collectSendCounters() {
 func (e *Engine) deliverRange(lo, hi int, m *Metrics) {
 	ix, p := e.ix, e.plane
 	limit := e.cfg.BandwidthWords
-	faulty := e.active != nil || e.faults != nil
+	faulty := e.faults != nil
 	for u := lo; u < hi; u++ {
 		if faulty && e.skipped(u) {
-			// Inactive or crashed destination: its round of traffic is lost.
+			// Crashed destination: its round of traffic is lost.
 			e.inboxes[u] = e.inboxes[u][:0]
 			continue
 		}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"d2color/internal/graph"
-	"d2color/internal/repair"
 	"d2color/internal/serve"
 )
 
@@ -67,7 +66,7 @@ func runE14(cfg Config) (*Table, error) {
 		Sessions: sessions, Family: "ba", N: n, Deg: 3,
 		Requests: reqs, Concurrency: conc,
 		VerifyFraction: 0.7, RecolorFraction: 0.1, Corrupt: 4, ColorSeeds: 1,
-		Hot: 1.0, Seed: cfg.Seed, Mode: repair.ModeLocal,
+		Hot: 1.0, Seed: cfg.Seed,
 	}
 
 	// baseline/1x: low concurrency, deep queue — the unloaded tail.
@@ -125,7 +124,7 @@ func runE14(cfg Config) (*Table, error) {
 	spec = base
 	spec.Mix = "deadline-storm"
 	spec.Sessions, spec.Family, spec.N, spec.Deg = 1, "gnp", stormN, 8
-	spec.Requests, spec.Mode = stormReqs, repair.ModeGlobal
+	spec.Requests = stormReqs
 	spec.VerifyFraction, spec.RecolorFraction, spec.ColorSeeds = 0.3, 0.2, 64
 	spec.Retries = 2
 	spec.Chaos = serve.ChaosOptions{

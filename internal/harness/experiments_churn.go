@@ -76,7 +76,6 @@ func runE12(cfg Config) (*Table, error) {
 				// degree drift edge churn causes.
 				ses := repair.NewSession(cur, rel.Coloring, repair.Options{
 					Palette: rel.PaletteSize,
-					Mode:    repair.ModeLocal,
 					Workers: workers,
 				})
 				var totDirty, totBall, totRecolored, totPhases, totRounds int

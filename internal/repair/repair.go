@@ -13,25 +13,18 @@
 // neither step nor receive — and the repaired coloring is valid by the same
 // argument that makes the trial primitive correct globally.
 //
-// Two execution modes realize the confinement (byte-different but both
-// valid; fixed colors outside the dirty set are never touched in either):
+// The session realizes the confinement one step tighter than B: it
+// extracts the induced subgraph G[N[D]] — the dirty nodes and their
+// neighbors, the rest of B entering only as preloaded color knowledge — into
+// session-owned storage and runs its local trial kernel on it, rebound to
+// each epoch's subgraph. Fixed colors outside the dirty set are never
+// touched. The extraction and every phase cost O(|B|) work and a warm epoch
+// allocates nothing: nothing scales with n after the session's first
+// repair.
 //
-//   - ModeLocal extracts the induced subgraph G[N[D]] — the dirty nodes and
-//     their neighbors, the rest of B entering only as preloaded color
-//     knowledge — into session-owned storage and runs the session's local
-//     trial kernel on it, rebound to each epoch's subgraph. The extraction
-//     and every phase cost O(|B|) work and a warm epoch allocates nothing:
-//     nothing scales with n after the session's first local repair, the
-//     fastest path when balls are small (the repair-locality gate's
-//     regime).
-//   - ModeGlobal reuses the session's warm full-graph trial kernel — and
-//     through it a warm congest.Engine via Reset — with an activation mask
-//     confining the run to B. Nothing is rebuilt between repairs, the
-//     reuse machinery the engine was designed for.
-//
-// Both modes report rounds, messages, and the exact recolored-node set, and
-// both are deterministic per seed: a warm session and a freshly built one
-// produce byte-identical repairs (the property suite pins this).
+// A repair reports rounds, messages, and the exact recolored-node set, and
+// is deterministic per seed: a warm session and a freshly built one produce
+// byte-identical repairs (the property suite pins this).
 package repair
 
 import (
@@ -46,35 +39,12 @@ import (
 	"d2color/internal/verify"
 )
 
-// Mode selects how a repair run is confined to the dirty ball.
-type Mode int
-
-const (
-	// ModeLocal runs the session's local trial kernel, rebound per repair,
-	// on the subgraph induced by the dirty nodes and their neighbors.
-	// Cheapest when |ball| ≪ n.
-	ModeLocal Mode = iota
-	// ModeGlobal runs the session's warm full-graph kernel under a
-	// partial-activation mask covering the ball, reusing the warm
-	// congest.Engine via Reset.
-	ModeGlobal
-)
-
-func (m Mode) String() string {
-	if m == ModeGlobal {
-		return "global"
-	}
-	return "local"
-}
-
 // Options configures a Session.
 type Options struct {
 	// Palette is the repair palette [0, Palette); 0 means Δ²+1 for the
 	// session's graph — large enough that a dirty node always has a free
 	// color no matter what fixed colors surround it.
 	Palette int
-	// Mode selects local-subgraph or warm-global confinement.
-	Mode Mode
 	// Workers is the trial kernels' engine worker count (≤ 1 runs inline;
 	// byte-identical results either way).
 	Workers int
@@ -87,8 +57,8 @@ type Options struct {
 	// the coloring is clean anyway.
 	Faults congest.FaultModel
 	// Cancel is an optional cooperative cancellation hook threaded into every
-	// kernel the session drives: the trial configs of both repair modes (so a
-	// confined run stops within O(one simulated round)), the conflict-scan
+	// kernel the session drives: the repair trial config (so a confined run
+	// stops within O(one simulated round)), the conflict-scan
 	// checker, and Stabilize's iteration loop. A canceled call returns
 	// trial.ErrCanceled (wrapped); the session itself stays fully usable —
 	// the working coloring simply keeps whatever the interrupted run had
@@ -99,10 +69,9 @@ type Options struct {
 	// Report.Recolored instead of allocating a fresh slice per call: the
 	// returned slice is then valid only until the next Repair on this
 	// session. With it the warm steady-state repair path is allocation-free
-	// in either mode — the serving plane's recolor requests run with it on.
-	// Off by default: callers that retain reports across calls
-	// (Stabilize's per-iteration list, cross-run comparisons) keep the safe
-	// copying behavior.
+	// — the serving plane's recolor requests run with it on. Off by default:
+	// callers that retain reports across calls (Stabilize's per-iteration
+	// list, cross-run comparisons) keep the safe copying behavior.
 	ScratchReports bool
 }
 
@@ -135,29 +104,24 @@ type Report struct {
 // Session is a reusable repair kernel bound to one graph and one working
 // coloring. The working coloring is owned by the session (NewSession
 // copies); Colors exposes it, Repair and Stabilize mutate it in place.
-// Sessions keep their scratch (ball marks, masks, subgraph storage, the warm
-// global and local kernels) across calls, so steady-state churn repair stops
-// allocating. Not safe for concurrent use.
+// Sessions keep their scratch (ball marks, subgraph storage, the local
+// kernel) across calls, so steady-state churn repair stops allocating. Not
+// safe for concurrent use.
 type Session struct {
 	g       *graph.Graph
 	colors  coloring.Coloring
 	opts    Options
 	palette int
 
-	runner  *trial.Runner // ModeGlobal's warm kernel, built on first use
 	checker *verify.Checker
 
 	ballMark  *graph.MarkSet
 	dirtyMark *graph.MarkSet
 	dirty     []graph.NodeID // the deduplicated dirty set, ascending
-	ball      []graph.NodeID // N²[D] in walk order
 	oldColors []int          // pre-repair colors of the dirty set, index-aligned with dirty
 	recolored []graph.NodeID // Report.Recolored scratch under Options.ScratchReports
 
-	// ModeGlobal scratch.
-	active  []bool
-	initial coloring.Coloring
-	// ModeLocal scratch: the sorted node list N[D] of the extracted
+	// Repair scratch: the sorted node list N[D] of the extracted
 	// subgraph, the graph-sized old→new index the extraction reuses across
 	// calls (allocated once per bound graph, written only at the kept
 	// entries), the subgraph's storage, the run's initial coloring and
@@ -202,20 +166,14 @@ func (s *Session) bind(g *graph.Graph, colors coloring.Coloring) {
 	}
 	s.ballMark = graph.NewMarkSet(g.NumNodes())
 	s.dirtyMark = graph.NewMarkSet(g.NumNodes())
-	if s.runner != nil {
-		s.runner.Close()
-		s.runner = nil
-	}
-	s.active = nil
-	s.initial = nil
 	s.subIndex = nil
 }
 
 // Rebind points the session at a new topology and working coloring — the
 // post-Compact step of a churn epoch, where the overlay's deltas were folded
-// into a fresh CSR. All topology-bound scratch (including the warm global
-// kernel) is dropped and rebuilt on demand; the local kernel and subgraph
-// storage, rebound every epoch anyway, are kept.
+// into a fresh CSR. All topology-bound scratch is dropped and rebuilt on
+// demand; the local kernel and subgraph storage, rebound every epoch anyway,
+// are kept.
 func (s *Session) Rebind(g *graph.Graph, colors coloring.Coloring) {
 	if len(colors) != g.NumNodes() {
 		panic(fmt.Sprintf("repair: coloring has %d entries for %d nodes", len(colors), g.NumNodes()))
@@ -223,13 +181,9 @@ func (s *Session) Rebind(g *graph.Graph, colors coloring.Coloring) {
 	s.bind(g, colors)
 }
 
-// Close releases the warm kernels (global and local, if built) and through
-// them their engines' worker teams. The session must not be used afterwards.
+// Close releases the local kernel, if built, and through it its engine's
+// worker team. The session must not be used afterwards.
 func (s *Session) Close() {
-	if s.runner != nil {
-		s.runner.Close()
-		s.runner = nil
-	}
 	if s.local != nil {
 		s.local.Close()
 		s.local = nil
@@ -277,48 +231,40 @@ func (s *Session) Repair(dirty []graph.NodeID, seed uint64) (Report, error) {
 	}
 	slices.Sort(s.dirty)
 
-	// The ball B = N²[D]: the dirty nodes, their neighbors, and their
-	// neighbors' neighbors — exactly the set of nodes whose participation
-	// the dirty trials can observe.
+	// |B| for the report, B = N²[D]: the dirty nodes, their neighbors, and
+	// their neighbors' neighbors — exactly the set of nodes whose
+	// participation the dirty trials can observe.
 	s.ballMark.Reset()
-	s.ball = s.ball[:0]
+	ball := 0
 	for _, d := range s.dirty {
 		if s.ballMark.Add(d) {
-			s.ball = append(s.ball, d)
+			ball++
 		}
 		for _, u := range s.g.Neighbors(d) {
 			if s.ballMark.Add(u) {
-				s.ball = append(s.ball, u)
+				ball++
 			}
 			for _, w := range s.g.Neighbors(u) {
 				if s.ballMark.Add(w) {
-					s.ball = append(s.ball, w)
+					ball++
 				}
 			}
 		}
 	}
-	// Both modes write colors back to dirty nodes only, so the dirty set's
+	// The repair writes colors back to dirty nodes only, so the dirty set's
 	// old colors are all the report needs to find what changed.
 	s.oldColors = s.oldColors[:0]
 	for _, v := range s.dirty {
 		s.oldColors = append(s.oldColors, s.colors[v])
 	}
 
-	var (
-		res Report
-		err error
-	)
-	if s.opts.Mode == ModeGlobal {
-		res, err = s.repairGlobal(seed)
-	} else {
-		res, err = s.repairLocal(seed)
-	}
+	res, err := s.repairLocal(seed)
 	if err != nil {
 		return Report{}, err
 	}
 
 	res.Dirty = len(s.dirty)
-	res.Ball = len(s.ball)
+	res.Ball = ball
 	if s.opts.ScratchReports {
 		res.Recolored = s.recolored[:0]
 	}
@@ -431,62 +377,6 @@ func (s *Session) repairLocal(seed uint64) (Report, error) {
 func (s *Session) retainLocal(ns int) bool {
 	rows := 8 * ns * bitset.WordsFor(s.palette)
 	return rows <= 4*(s.g.NumNodes()+1+2*s.g.NumEdges())
-}
-
-// repairGlobal runs the warm full-graph kernel under an activation mask
-// covering the ball; everything outside is frozen.
-func (s *Session) repairGlobal(seed uint64) (Report, error) {
-	if s.runner == nil {
-		s.runner = trial.NewRunner(s.g, false, s.opts.Workers)
-	}
-	n := s.g.NumNodes()
-	if s.active == nil {
-		s.active = make([]bool, n)
-		s.initial = coloring.New(n)
-	}
-	clear(s.active)
-	for _, v := range s.ball {
-		s.active[v] = true
-	}
-	copy(s.initial, s.colors)
-	for _, d := range s.dirty {
-		s.initial[d] = coloring.Uncolored
-	}
-	// Start + RunPhases + Color read-back instead of Run: Finish would
-	// materialize a full fresh coloring per call just so the dirty handful
-	// can be copied out of it. Reading the kernel's flat color array
-	// directly keeps the warm steady-state repair path allocation-free.
-	if err := s.runner.Start(trial.Config{
-		PaletteSize: s.palette,
-		Scope:       trial.ScopeDistance2,
-		MaxPhases:   s.opts.MaxPhases,
-		Seed:        seed,
-		Initial:     s.initial,
-		Active:      s.active,
-		Faults:      s.opts.Faults,
-		Cancel:      s.opts.Cancel,
-	}); err != nil {
-		return Report{}, err
-	}
-	if err := s.runner.RunPhases(); err != nil {
-		return Report{}, err
-	}
-	// A masked run leaves frozen uncolored nodes uncolored; completeness of
-	// the *repair* is about the dirty set.
-	complete := true
-	for _, d := range s.dirty {
-		s.colors[d] = s.runner.Color(d)
-		if s.colors[d] == coloring.Uncolored {
-			complete = false
-		}
-	}
-	m := s.runner.Metrics()
-	return Report{
-		Phases:   s.runner.Phases(),
-		Rounds:   m.Rounds,
-		Metrics:  m,
-		Complete: complete,
-	}, nil
 }
 
 // RepairConflicts detects the current conflict-node set and repairs it —

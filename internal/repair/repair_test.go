@@ -69,47 +69,44 @@ func testFamilies() []struct {
 
 // TestRepairCorruption: corrupt k colors, repair, and check the repaired
 // coloring is valid and complete, only dirty nodes were touched, and the
-// reports are internally consistent — for both confinement modes and all
-// three corruption targets.
+// reports are internally consistent — for all three corruption targets.
 func TestRepairCorruption(t *testing.T) {
 	for _, fam := range testFamilies() {
 		clean := greedyD2(fam.g)
-		for _, mode := range []Mode{ModeLocal, ModeGlobal} {
-			for _, target := range []fault.Target{fault.TargetUniform, fault.TargetHighDegree, fault.TargetConflictDense} {
-				t.Run(fmt.Sprintf("%s/%s/%s", fam.name, mode, target), func(t *testing.T) {
-					corrupt := slices.Clone(clean)
-					victims := fault.NewInjector(31).CorruptColors(fam.g, corrupt, 8, target, 0)
-					s := NewSession(fam.g, corrupt, Options{Mode: mode})
-					defer s.Close()
-					rep, err := s.Repair(victims, 7)
-					if err != nil {
-						t.Fatal(err)
+		for _, target := range []fault.Target{fault.TargetUniform, fault.TargetHighDegree, fault.TargetConflictDense} {
+			t.Run(fmt.Sprintf("%s/%s", fam.name, target), func(t *testing.T) {
+				corrupt := slices.Clone(clean)
+				victims := fault.NewInjector(31).CorruptColors(fam.g, corrupt, 8, target, 0)
+				s := NewSession(fam.g, corrupt, Options{})
+				defer s.Close()
+				rep, err := s.Repair(victims, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.Complete {
+					t.Fatal("repair reported incomplete without faults or phase caps")
+				}
+				requireValidComplete(t, fam.g, s.Colors())
+				if rep.Dirty != len(victims) {
+					t.Fatalf("Dirty = %d, want %d", rep.Dirty, len(victims))
+				}
+				for _, v := range rep.Recolored {
+					if _, ok := slices.BinarySearch(victims, v); !ok {
+						t.Fatalf("non-dirty node %d was recolored", v)
 					}
-					if !rep.Complete {
-						t.Fatal("repair reported incomplete without faults or phase caps")
+				}
+				for v := 0; v < fam.g.NumNodes(); v++ {
+					if _, dirty := slices.BinarySearch(victims, graph.NodeID(v)); !dirty && s.Colors()[v] != clean[v] {
+						t.Fatalf("fixed node %d changed color %d -> %d", v, clean[v], s.Colors()[v])
 					}
-					requireValidComplete(t, fam.g, s.Colors())
-					if rep.Dirty != len(victims) {
-						t.Fatalf("Dirty = %d, want %d", rep.Dirty, len(victims))
-					}
-					for _, v := range rep.Recolored {
-						if _, ok := slices.BinarySearch(victims, v); !ok {
-							t.Fatalf("non-dirty node %d was recolored", v)
-						}
-					}
-					for v := 0; v < fam.g.NumNodes(); v++ {
-						if _, dirty := slices.BinarySearch(victims, graph.NodeID(v)); !dirty && s.Colors()[v] != clean[v] {
-							t.Fatalf("fixed node %d changed color %d -> %d", v, clean[v], s.Colors()[v])
-						}
-					}
-					if rep.Locality < 0 || rep.Locality > 1 {
-						t.Fatalf("locality %f outside [0,1] for a dirty-only repair", rep.Locality)
-					}
-					if rep.Rounds != 3*rep.Phases {
-						t.Fatalf("Rounds = %d, want 3·Phases = %d", rep.Rounds, 3*rep.Phases)
-					}
-				})
-			}
+				}
+				if rep.Locality < 0 || rep.Locality > 1 {
+					t.Fatalf("locality %f outside [0,1] for a dirty-only repair", rep.Locality)
+				}
+				if rep.Rounds != 3*rep.Phases {
+					t.Fatalf("Rounds = %d, want 3·Phases = %d", rep.Rounds, 3*rep.Phases)
+				}
+			})
 		}
 	}
 }
@@ -121,84 +118,77 @@ func TestRepairCorruption(t *testing.T) {
 // level.
 func TestRepairWarmVsFresh(t *testing.T) {
 	for _, fam := range testFamilies() {
-		for _, mode := range []Mode{ModeLocal, ModeGlobal} {
-			t.Run(fmt.Sprintf("%s/%s", fam.name, mode), func(t *testing.T) {
-				colors := greedyD2(fam.g)
-				warm := NewSession(fam.g, colors, Options{Mode: mode})
-				defer warm.Close()
-				in := fault.NewInjector(99)
-				for epoch := 0; epoch < 4; epoch++ {
-					// Corrupt the warm session's current coloring, snapshot
-					// it, and repair the same snapshot warm and fresh.
-					working := slices.Clone(warm.Colors())
-					victims := in.CorruptColors(fam.g, working, 6, fault.TargetUniform, 0)
-					seed := uint64(100 + epoch)
-
-					fresh := NewSession(fam.g, working, Options{Mode: mode})
-					freshRep, err := fresh.Repair(victims, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					// Rebind drops the global kernel, so this loop checks
-					// scratch reuse across epochs; the no-Rebind warm-kernel
-					// path is pinned by TestRepairWarmKernelReuse below.
-					warm.Rebind(fam.g, working)
-					warmRep, err := warm.Repair(victims, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(warm.Colors(), fresh.Colors()) {
-						t.Fatalf("epoch %d: warm and fresh colorings diverge", epoch)
-					}
-					if !slices.Equal(warmRep.Recolored, freshRep.Recolored) {
-						t.Fatalf("epoch %d: recolored sets diverge: %v vs %v", epoch, warmRep.Recolored, freshRep.Recolored)
-					}
-					if warmRep.Metrics != freshRep.Metrics {
-						t.Fatalf("epoch %d: metrics diverge:\nwarm  %+v\nfresh %+v", epoch, warmRep.Metrics, freshRep.Metrics)
-					}
-					fresh.Close()
-				}
-			})
-		}
-	}
-}
-
-// TestRepairWarmKernelReuse pins the no-Rebind path in both modes: one
-// session repairing many corruption rounds on its warm kernel — the
-// global-mode full-graph kernel, or the local kernel rebound to each
-// round's subgraph — stays byte-identical to fresh per-round sessions.
-func TestRepairWarmKernelReuse(t *testing.T) {
-	g := graph.GNPWithAverageDegree(250, 7, 11)
-	for _, mode := range []Mode{ModeLocal, ModeGlobal} {
-		t.Run(mode.String(), func(t *testing.T) {
-			warm := NewSession(g, greedyD2(g), Options{Mode: mode})
+		t.Run(fam.name, func(t *testing.T) {
+			colors := greedyD2(fam.g)
+			warm := NewSession(fam.g, colors, Options{})
 			defer warm.Close()
-			in := fault.NewInjector(5)
-			for round := 0; round < 8; round++ {
-				victims := in.CorruptColors(g, warm.colors, 1+3*(round%3), fault.TargetConflictDense, 0)
-				snapshot := slices.Clone(warm.Colors())
-				seed := uint64(round)
+			in := fault.NewInjector(99)
+			for epoch := 0; epoch < 4; epoch++ {
+				// Corrupt the warm session's current coloring, snapshot
+				// it, and repair the same snapshot warm and fresh.
+				working := slices.Clone(warm.Colors())
+				victims := in.CorruptColors(fam.g, working, 6, fault.TargetUniform, 0)
+				seed := uint64(100 + epoch)
 
-				rep, err := warm.Repair(victims, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fresh := NewSession(g, snapshot, Options{Mode: mode})
+				fresh := NewSession(fam.g, working, Options{})
 				freshRep, err := fresh.Repair(victims, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(warm.Colors(), fresh.Colors()) {
-					t.Fatalf("round %d: warm kernel diverged from fresh", round)
+
+				// Rebind drops the topology-bound scratch, so this loop
+				// checks the rebind path across epochs; the no-Rebind
+				// path is pinned by TestRepairWarmKernelReuse below.
+				warm.Rebind(fam.g, working)
+				warmRep, err := warm.Repair(victims, seed)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(rep, freshRep) {
-					t.Fatalf("round %d: warm report %+v, fresh %+v", round, rep, freshRep)
+				if !slices.Equal(warm.Colors(), fresh.Colors()) {
+					t.Fatalf("epoch %d: warm and fresh colorings diverge", epoch)
+				}
+				if !slices.Equal(warmRep.Recolored, freshRep.Recolored) {
+					t.Fatalf("epoch %d: recolored sets diverge: %v vs %v", epoch, warmRep.Recolored, freshRep.Recolored)
+				}
+				if warmRep.Metrics != freshRep.Metrics {
+					t.Fatalf("epoch %d: metrics diverge:\nwarm  %+v\nfresh %+v", epoch, warmRep.Metrics, freshRep.Metrics)
 				}
 				fresh.Close()
-				requireValidComplete(t, g, warm.Colors())
 			}
 		})
+	}
+}
+
+// TestRepairWarmKernelReuse pins the no-Rebind path: one session repairing
+// many corruption rounds on its warm kernel, rebound to each round's
+// subgraph, stays byte-identical to fresh per-round sessions.
+func TestRepairWarmKernelReuse(t *testing.T) {
+	g := graph.GNPWithAverageDegree(250, 7, 11)
+	warm := NewSession(g, greedyD2(g), Options{})
+	defer warm.Close()
+	in := fault.NewInjector(5)
+	for round := 0; round < 8; round++ {
+		victims := in.CorruptColors(g, warm.colors, 1+3*(round%3), fault.TargetConflictDense, 0)
+		snapshot := slices.Clone(warm.Colors())
+		seed := uint64(round)
+
+		rep, err := warm.Repair(victims, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewSession(g, snapshot, Options{})
+		freshRep, err := fresh.Repair(victims, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(warm.Colors(), fresh.Colors()) {
+			t.Fatalf("round %d: warm kernel diverged from fresh", round)
+		}
+		if !reflect.DeepEqual(rep, freshRep) {
+			t.Fatalf("round %d: warm report %+v, fresh %+v", round, rep, freshRep)
+		}
+		fresh.Close()
+		requireValidComplete(t, g, warm.Colors())
 	}
 }
 
@@ -279,77 +269,75 @@ func TestStabilizeUnderMessageLoss(t *testing.T) {
 }
 
 // TestRepairChangesOnlyDirtyNodes pins the invariant the report is built on:
-// over random repairs on warm sessions in both modes — dirty sets with
-// duplicates, uncolored nodes and lossy, phase-capped runs that leave some
-// dirty nodes uncolored — no node outside the dirty set ever changes color,
-// Recolored is exactly the ascending list of dirty nodes whose color
-// changed, and Ball is |N²[D]|.
+// over random repairs on warm sessions — dirty sets with duplicates,
+// uncolored nodes and lossy, phase-capped runs that leave some dirty nodes
+// uncolored — no node outside the dirty set ever changes color, Recolored
+// is exactly the ascending list of dirty nodes whose color changed, and
+// Ball is |N²[D]|.
 func TestRepairChangesOnlyDirtyNodes(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for _, fam := range testFamilies() {
 		n := fam.g.NumNodes()
 		view := graph.NewDist2View(fam.g)
-		for _, mode := range []Mode{ModeLocal, ModeGlobal} {
-			for _, lossy := range []bool{false, true} {
-				opts := Options{Mode: mode}
-				if lossy {
-					opts.MaxPhases, opts.Faults = 2, &fault.DropPlan{Seed: 4, P: 0.3}
-				}
-				s := NewSession(fam.g, greedyD2(fam.g), opts)
-				incomplete := 0
-				for epoch := 0; epoch < 25; epoch++ {
-					var dirty []graph.NodeID
-					for i := r.Intn(12); i >= 0; i-- {
-						v := graph.NodeID(r.Intn(n))
-						dirty = append(dirty, v, v)
-						if r.Intn(4) == 0 {
-							s.colors[v] = coloring.Uncolored // a join: the node arrives without a color
-						}
-					}
-					before := slices.Clone(s.Colors())
-					rep, err := s.Repair(dirty, uint64(epoch))
-					if err != nil {
-						t.Fatalf("%s/%s lossy=%v epoch %d: %v", fam.name, mode, lossy, epoch, err)
-					}
-					if !rep.Complete {
-						incomplete++
-					}
-					isDirty := make(map[graph.NodeID]bool)
-					for _, v := range dirty {
-						isDirty[v] = true
-					}
-					var changed []graph.NodeID
-					for v := range before {
-						if before[v] == s.Colors()[v] {
-							continue
-						}
-						if !isDirty[graph.NodeID(v)] {
-							t.Fatalf("%s/%s lossy=%v epoch %d: non-dirty node %d changed color %d -> %d",
-								fam.name, mode, lossy, epoch, v, before[v], s.Colors()[v])
-						}
-						changed = append(changed, graph.NodeID(v))
-					}
-					if !slices.Equal(rep.Recolored, changed) {
-						t.Fatalf("%s/%s lossy=%v epoch %d: Recolored %v, changed nodes %v",
-							fam.name, mode, lossy, epoch, rep.Recolored, changed)
-					}
-					ball := map[graph.NodeID]bool{}
-					for v := range isDirty {
-						ball[v] = true
-						view.ForEachDist2(v, func(w graph.NodeID) bool {
-							ball[w] = true
-							return true
-						})
-					}
-					if rep.Dirty != len(isDirty) || rep.Ball != len(ball) {
-						t.Fatalf("%s/%s lossy=%v epoch %d: Dirty=%d Ball=%d, want %d and %d",
-							fam.name, mode, lossy, epoch, rep.Dirty, rep.Ball, len(isDirty), len(ball))
+		for _, lossy := range []bool{false, true} {
+			opts := Options{}
+			if lossy {
+				opts.MaxPhases, opts.Faults = 2, &fault.DropPlan{Seed: 4, P: 0.3}
+			}
+			s := NewSession(fam.g, greedyD2(fam.g), opts)
+			incomplete := 0
+			for epoch := 0; epoch < 25; epoch++ {
+				var dirty []graph.NodeID
+				for i := r.Intn(12); i >= 0; i-- {
+					v := graph.NodeID(r.Intn(n))
+					dirty = append(dirty, v, v)
+					if r.Intn(4) == 0 {
+						s.colors[v] = coloring.Uncolored // a join: the node arrives without a color
 					}
 				}
-				s.Close()
-				if lossy && incomplete == 0 {
-					t.Errorf("%s/%s: no lossy repair left a dirty node uncolored", fam.name, mode)
+				before := slices.Clone(s.Colors())
+				rep, err := s.Repair(dirty, uint64(epoch))
+				if err != nil {
+					t.Fatalf("%s lossy=%v epoch %d: %v", fam.name, lossy, epoch, err)
 				}
+				if !rep.Complete {
+					incomplete++
+				}
+				isDirty := make(map[graph.NodeID]bool)
+				for _, v := range dirty {
+					isDirty[v] = true
+				}
+				var changed []graph.NodeID
+				for v := range before {
+					if before[v] == s.Colors()[v] {
+						continue
+					}
+					if !isDirty[graph.NodeID(v)] {
+						t.Fatalf("%s lossy=%v epoch %d: non-dirty node %d changed color %d -> %d",
+							fam.name, lossy, epoch, v, before[v], s.Colors()[v])
+					}
+					changed = append(changed, graph.NodeID(v))
+				}
+				if !slices.Equal(rep.Recolored, changed) {
+					t.Fatalf("%s lossy=%v epoch %d: Recolored %v, changed nodes %v",
+						fam.name, lossy, epoch, rep.Recolored, changed)
+				}
+				ball := map[graph.NodeID]bool{}
+				for v := range isDirty {
+					ball[v] = true
+					view.ForEachDist2(v, func(w graph.NodeID) bool {
+						ball[w] = true
+						return true
+					})
+				}
+				if rep.Dirty != len(isDirty) || rep.Ball != len(ball) {
+					t.Fatalf("%s lossy=%v epoch %d: Dirty=%d Ball=%d, want %d and %d",
+						fam.name, lossy, epoch, rep.Dirty, rep.Ball, len(isDirty), len(ball))
+				}
+			}
+			s.Close()
+			if lossy && incomplete == 0 {
+				t.Errorf("%s: no lossy repair left a dirty node uncolored", fam.name)
 			}
 		}
 	}
@@ -375,7 +363,7 @@ func TestRepairEdgeCases(t *testing.T) {
 	requireValidComplete(t, g, s.Colors())
 }
 
-// TestRepairLocalAllocsScaleWithBall: a warm ModeLocal session allocates
+// TestRepairLocalAllocsScaleWithBall: a warm session allocates
 // nothing per repair — its subgraph storage, ExtraKnown lists and rebound
 // trial kernel are all reused — so nothing can scale with n. On a 6-regular
 // graph at n = 10⁴ and n = 10⁵, a sequence of 16-node dirty sets is run once
@@ -386,7 +374,7 @@ func TestRepairLocalAllocsScaleWithBall(t *testing.T) {
 	}
 	for _, n := range []int{10_000, 100_000} {
 		g := graph.RandomRegular(n, 6, 9)
-		s := NewSession(g, greedyD2(g), Options{Mode: ModeLocal, ScratchReports: true})
+		s := NewSession(g, greedyD2(g), Options{ScratchReports: true})
 		rng := rand.New(rand.NewSource(5))
 		const reps = 20
 		dirty := make([][]graph.NodeID, reps)
@@ -417,7 +405,7 @@ func TestRepairLocalAllocsScaleWithBall(t *testing.T) {
 	}
 }
 
-// TestRepairLocalWorkersMatchInline: a ModeLocal session whose kept kernel
+// TestRepairLocalWorkersMatchInline: a session whose kept kernel
 // runs on a 4-rank team gives, over a multi-epoch script of corruptions and
 // explicit dirty sets, the same Reports and colorings as Workers 1; closing
 // it leaves no engine goroutine behind.
@@ -425,8 +413,8 @@ func TestRepairLocalWorkersMatchInline(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	g := graph.GNPWithAverageDegree(400, 7, 21)
 	colors := greedyD2(g)
-	inline := NewSession(g, colors, Options{Mode: ModeLocal})
-	team := NewSession(g, colors, Options{Mode: ModeLocal, Workers: 4})
+	inline := NewSession(g, colors, Options{})
+	team := NewSession(g, colors, Options{Workers: 4})
 	in := fault.NewInjector(31)
 	for epoch := 0; epoch < 12; epoch++ {
 		var dirty []graph.NodeID
@@ -477,9 +465,9 @@ func TestRepairLocalKernelRetention(t *testing.T) {
 	g := graph.GNPWithAverageDegree(300, 6, 8)
 	colors := greedyD2(g)
 	dirty := []graph.NodeID{3, 90, 211}
-	narrow := NewSession(g, colors, Options{Mode: ModeLocal})
+	narrow := NewSession(g, colors, Options{})
 	defer narrow.Close()
-	wide := NewSession(g, colors, Options{Mode: ModeLocal, Palette: 1 << 20})
+	wide := NewSession(g, colors, Options{Palette: 1 << 20})
 	defer wide.Close()
 	for epoch := 0; epoch < 3; epoch++ {
 		for _, s := range []*Session{narrow, wide} {
@@ -585,29 +573,24 @@ func TestRepairLocalityGate(t *testing.T) {
 }
 
 // BenchmarkRepairCorrupt measures one warm repair of 20 corrupted nodes on a
-// 2·10⁴-node graph in each mode. The session reuses its report buffer and
-// has built its kernel before timing starts, so both modes report the
-// steady-state cost: 0 allocs/op.
+// 2·10⁴-node graph. The session reuses its report buffer and has built its
+// kernel before timing starts, so it reports the steady-state cost:
+// 0 allocs/op.
 func BenchmarkRepairCorrupt(b *testing.B) {
 	g := graph.GNPWithAverageDegree(20_000, 8, 13)
-	base := greedyD2(g)
-	for _, mode := range []Mode{ModeLocal, ModeGlobal} {
-		b.Run(mode.String(), func(b *testing.B) {
-			corrupt := slices.Clone(base)
-			victims := fault.NewInjector(23).CorruptColors(g, corrupt, 20, fault.TargetConflictDense, 0)
-			s := NewSession(g, corrupt, Options{Mode: mode, ScratchReports: true})
-			defer s.Close()
-			if _, err := s.Repair(victims, 0); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Repair(victims, uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	corrupt := greedyD2(g)
+	victims := fault.NewInjector(23).CorruptColors(g, corrupt, 20, fault.TargetConflictDense, 0)
+	s := NewSession(g, corrupt, Options{ScratchReports: true})
+	defer s.Close()
+	if _, err := s.Repair(victims, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Repair(victims, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"d2color/internal/graph"
-	"d2color/internal/repair"
 )
 
 // TestServeWarmRequestAllocFree enforces the zero-alloc steady-state claim
@@ -13,22 +12,15 @@ import (
 // coloring, and the full CheckD2 plus full rehash of a session a failed
 // mutation left stale — and an explicit-dirty recolor request followed by a
 // verify (the certified recheck of the repaired nodes) allocate nothing —
-// not in the dispatch path, not in the kernels — in both repair modes:
-// ModeLocal (the default) rebinds its kept kernel to each epoch's
-// subgraph, ModeGlobal reuses its full-graph kernel.
+// not in the dispatch path, not in the kernels, where the repair session
+// rebinds its kept kernel to each epoch's subgraph.
 // testing.Benchmark measures the whole request round-trip through
 // the client, so a regression anywhere in the hot path fails this test.
 func TestServeWarmRequestAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 5k-node session")
 	}
-	for _, mode := range []repair.Mode{repair.ModeLocal, repair.ModeGlobal} {
-		t.Run(mode.String(), func(t *testing.T) { testWarmRequestAllocFree(t, mode) })
-	}
-}
-
-func testWarmRequestAllocFree(t *testing.T, mode repair.Mode) {
-	srv := NewServer(Options{RepairMode: mode})
+	srv := NewServer(Options{})
 	defer srv.Close()
 	spec := graph.GeneratorSpec{Kind: "gnp-avg", N: 5000, P: 8, Seed: 3}
 	cl := srv.NewClient()
@@ -86,6 +78,6 @@ func testWarmRequestAllocFree(t *testing.T, mode repair.Mode) {
 		}
 	})
 	if allocs := recolorRes.AllocsPerOp(); allocs != 0 {
-		t.Errorf("warm recolor + verify requests (%s mode, explicit dirty): %d allocs/op, want 0", mode, allocs)
+		t.Errorf("warm recolor + verify requests (explicit dirty): %d allocs/op, want 0", allocs)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"d2color/internal/graph"
-	"d2color/internal/repair"
 )
 
 // BenchmarkWarmVerifyRequest measures one warm full verify round-trip
@@ -53,10 +52,10 @@ func benchWarmVerify(b *testing.B, stale bool) {
 }
 
 // BenchmarkWarmRecolorRequest measures one warm explicit-dirty recolor
-// round-trip on a global-mode server — the steady-state churn path.
+// round-trip on a default server — the steady-state churn path.
 // Allocations must report 0.
 func BenchmarkWarmRecolorRequest(b *testing.B) {
-	srv := NewServer(Options{RepairMode: repair.ModeGlobal})
+	srv := NewServer(Options{})
 	defer srv.Close()
 	spec := graph.GeneratorSpec{Kind: "gnp-avg", N: 10000, P: 8, Seed: 3}
 	cl := srv.NewClient()
@@ -85,13 +84,13 @@ func BenchmarkWarmRecolorRequest(b *testing.B) {
 }
 
 // BenchmarkWarmCorruptRecolorRequest measures one warm fault-injection
-// recolor round-trip on the perfbench serve-churn shape: a local-mode
+// recolor round-trip on the perfbench serve-churn shape: a default
 // server, one gnp-avg session with n = 10⁵ and average degree 8, and 16
 // corrupted colors per request. Such an epoch costs O(ball + n/256): a
 // scan-free victim draw, a repair confined to the ball, and a rehash of
 // the victims' 256-node blocks.
 func BenchmarkWarmCorruptRecolorRequest(b *testing.B) {
-	srv := NewServer(Options{RepairMode: repair.ModeLocal})
+	srv := NewServer(Options{})
 	defer srv.Close()
 	spec := graph.GeneratorSpec{Kind: "gnp-avg", N: 100_000, P: 8, Seed: 3}
 	cl := srv.NewClient()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"d2color/internal/graph"
-	"d2color/internal/repair"
 )
 
 // LoadSpec describes one closed-loop load mix: a session population, a
@@ -50,7 +49,6 @@ type LoadSpec struct {
 	Unbatched bool
 	BatchMax  int
 	Budget    int64
-	Mode      repair.Mode
 	Workers   int
 	// Overload shape (RunLoad's in-process server; remote servers bring their
 	// own): per-session queue depth, in-flight byte budget, and the
@@ -193,7 +191,6 @@ func RunLoad(spec LoadSpec) (LoadReport, error) {
 		ResidentBudget:  spec.Budget,
 		Unbatched:       spec.Unbatched,
 		BatchMax:        spec.BatchMax,
-		RepairMode:      spec.Mode,
 		Workers:         spec.Workers,
 		QueueDepth:      spec.QueueDepth,
 		InflightBudget:  spec.InflightBudget,
@@ -550,25 +547,25 @@ func StandardMixes(quick bool) []LoadSpec {
 			Mix: "many-small/query", Sessions: smallSessions, Family: "ba", N: smallN, Deg: baM,
 			Requests: smallReqs, Concurrency: conc,
 			VerifyFraction: 0.82, RecolorFraction: 0.06, Corrupt: 4, ColorSeeds: 1, Hot: 0.5,
-			Seed: 1, Budget: smallBudget, Mode: repair.ModeLocal,
+			Seed: 1, Budget: smallBudget,
 		},
 		{
 			Mix: "many-small/churn", Sessions: smallSessions, Family: "ba", N: smallN, Deg: baM,
 			Requests: churnReqs, Concurrency: conc,
 			VerifyFraction: 0.15, RecolorFraction: 0.78, Corrupt: 8, ColorSeeds: 4,
-			Seed: 2, Budget: smallBudget, Mode: repair.ModeLocal,
+			Seed: 2, Budget: smallBudget,
 		},
 		{
 			Mix: "one-huge/query", Sessions: 1, Family: "gnp", N: hugeN, Deg: 8,
 			Requests: hugeReqs, Concurrency: conc,
 			VerifyFraction: 0.9, RecolorFraction: 0.06, Corrupt: 16, ColorSeeds: 1,
-			Seed: 3, Mode: repair.ModeGlobal,
+			Seed: 3,
 		},
 		{
 			Mix: "one-huge/churn", Sessions: 1, Family: "gnp", N: hugeN, Deg: 8,
 			Requests: hugeChurnReqs, Concurrency: conc,
 			VerifyFraction: 0.12, RecolorFraction: 0.84, Corrupt: 32, ColorSeeds: 1,
-			Seed: 4, Mode: repair.ModeGlobal,
+			Seed: 4,
 		},
 	}
 }

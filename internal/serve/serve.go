@@ -40,7 +40,6 @@ import (
 	"d2color/internal/alg"
 	"d2color/internal/congest"
 	"d2color/internal/graph"
-	"d2color/internal/repair"
 )
 
 // Op names a request operation.
@@ -60,7 +59,7 @@ const (
 	OpVerify Op = "verify"
 	// OpRecolor is a churn epoch: corrupt-and-repair (Corrupt > 0), repair an
 	// explicit dirty set (Dirty), or a full Stabilize sweep (neither). Zero
-	// allocations warm for the explicit-dirty global-mode path.
+	// allocations warm for the explicit-dirty path.
 	OpRecolor Op = "recolor"
 	// OpStats snapshots the server and per-session counters.
 	OpStats Op = "stats"
@@ -179,11 +178,6 @@ type Options struct {
 	// rounds inline on the session's goroutine; byte-identical results
 	// either way).
 	Workers int
-	// RepairMode confines recolor requests (ModeLocal, the default, runs a
-	// kept kernel rebound to each epoch's ball subgraph; ModeGlobal reuses
-	// the session's warm full-graph kernel). Both warm paths are
-	// allocation-free.
-	RepairMode repair.Mode
 	// QueueDepth bounds how many requests may be queued or executing against
 	// one session at a time; a request arriving past the bound is shed with
 	// ErrOverloaded instead of blocking its dispatcher. 0 means 1024.

@@ -97,93 +97,88 @@ func TestServedMatchesDirect(t *testing.T) {
 
 // TestServeRecolorMatchesDirectRepair pins recolor byte-identity: the served
 // churn epoch (corrupt k colors, repair the victims) produces exactly the
-// working coloring of a direct repair.Session fed the same injector script,
-// in both repair modes.
+// working coloring of a direct repair.Session fed the same injector script.
 func TestServeRecolorMatchesDirectRepair(t *testing.T) {
 	spec := graph.GeneratorSpec{Kind: "gnp-avg", N: 500, P: 8, Seed: 11}
-	for _, mode := range []repair.Mode{repair.ModeLocal, repair.ModeGlobal} {
-		srv := NewServer(Options{RepairMode: mode})
-		var resp Response
-		if err := srv.Do(&Request{Op: OpOpen, Session: "g", Spec: &spec}, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Do(&Request{Op: OpColor, Session: "g", Algorithm: "relaxed", Seed: 5}, &resp); err != nil {
-			t.Fatal(err)
-		}
+	srv := NewServer(Options{})
+	defer srv.Close()
+	var resp Response
+	if err := srv.Do(&Request{Op: OpOpen, Session: "g", Spec: &spec}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Do(&Request{Op: OpColor, Session: "g", Algorithm: "relaxed", Seed: 5}, &resp); err != nil {
+		t.Fatal(err)
+	}
 
-		// The direct twin: same graph, same algorithm, same repair options,
-		// same fault script.
-		g, _ := spec.Generate()
-		a, _ := alg.Get("relaxed")
-		direct, err := a.Run(g, alg.Engine{}, 5)
+	// The direct twin: same graph, same algorithm, same repair options,
+	// same fault script.
+	g, _ := spec.Generate()
+	a, _ := alg.Get("relaxed")
+	direct, err := a.Run(g, alg.Engine{}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resp.Hash, HashColors(direct.Coloring); got != want {
+		t.Fatal("initial coloring diverged before any repair")
+	}
+	rs := repair.NewSession(g, direct.Coloring, repair.Options{Palette: direct.PaletteSize})
+	defer rs.Close()
+
+	for epoch := uint64(0); epoch < 3; epoch++ {
+		seed := 100 + epoch
+		if err := srv.Do(&Request{Op: OpRecolor, Session: "g", Corrupt: 20, Seed: seed}, &resp); err != nil {
+			t.Fatalf("epoch %d: served recolor: %v", epoch, err)
+		}
+		inj := fault.NewInjector(seed)
+		victims := inj.CorruptColors(g, rs.Colors(), 20, fault.TargetUniform, rs.Palette())
+		rep, err := rs.Repair(victims, seed)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := resp.Hash, HashColors(direct.Coloring); got != want {
-			t.Fatalf("mode %v: initial coloring diverged before any repair", mode)
-		}
-		rs := repair.NewSession(g, direct.Coloring, repair.Options{
-			Palette: direct.PaletteSize, Mode: mode,
-		})
-		defer rs.Close()
-
-		for epoch := uint64(0); epoch < 3; epoch++ {
-			seed := 100 + epoch
-			if err := srv.Do(&Request{Op: OpRecolor, Session: "g", Corrupt: 20, Seed: seed}, &resp); err != nil {
-				t.Fatalf("mode %v epoch %d: served recolor: %v", mode, epoch, err)
-			}
-			inj := fault.NewInjector(seed)
-			victims := inj.CorruptColors(g, rs.Colors(), 20, fault.TargetUniform, rs.Palette())
-			rep, err := rs.Repair(victims, seed)
-			if err != nil {
-				t.Fatalf("mode %v epoch %d: direct repair: %v", mode, epoch, err)
-			}
-			if want := HashColors(rs.Colors()); resp.Hash != want {
-				t.Errorf("mode %v epoch %d: served hash %016x != direct %016x", mode, epoch, resp.Hash, want)
-			}
-			if resp.Dirty != rep.Dirty || resp.Ball != rep.Ball || resp.Recolored != len(rep.Recolored) {
-				t.Errorf("mode %v epoch %d: served (dirty=%d ball=%d recolored=%d) != direct (%d %d %d)",
-					mode, epoch, resp.Dirty, resp.Ball, resp.Recolored, rep.Dirty, rep.Ball, len(rep.Recolored))
-			}
-			if resp.Metrics != rep.Metrics {
-				t.Errorf("mode %v epoch %d: served metrics %+v != direct %+v", mode, epoch, resp.Metrics, rep.Metrics)
-			}
-			if !resp.Complete {
-				t.Errorf("mode %v epoch %d: served repair incomplete", mode, epoch)
-			}
-		}
-
-		// Explicit-dirty path.
-		dirty := []graph.NodeID{3, 77, 250, 499}
-		if err := srv.Do(&Request{Op: OpRecolor, Session: "g", Dirty: dirty, Seed: 7}, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rs.Repair(dirty, 7); err != nil {
-			t.Fatal(err)
+			t.Fatalf("epoch %d: direct repair: %v", epoch, err)
 		}
 		if want := HashColors(rs.Colors()); resp.Hash != want {
-			t.Errorf("mode %v: explicit-dirty served hash %016x != direct %016x", mode, resp.Hash, want)
+			t.Errorf("epoch %d: served hash %016x != direct %016x", epoch, resp.Hash, want)
 		}
+		if resp.Dirty != rep.Dirty || resp.Ball != rep.Ball || resp.Recolored != len(rep.Recolored) {
+			t.Errorf("epoch %d: served (dirty=%d ball=%d recolored=%d) != direct (%d %d %d)",
+				epoch, resp.Dirty, resp.Ball, resp.Recolored, rep.Dirty, rep.Ball, len(rep.Recolored))
+		}
+		if resp.Metrics != rep.Metrics {
+			t.Errorf("epoch %d: served metrics %+v != direct %+v", epoch, resp.Metrics, rep.Metrics)
+		}
+		if !resp.Complete {
+			t.Errorf("epoch %d: served repair incomplete", epoch)
+		}
+	}
 
-		// Stabilize path on a clean coloring: no iterations, hash unchanged.
-		if err := srv.Do(&Request{Op: OpRecolor, Session: "g", Seed: 9}, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Iterations != 0 || !resp.Complete {
-			t.Errorf("mode %v: stabilize on clean coloring: iterations=%d complete=%v", mode, resp.Iterations, resp.Complete)
-		}
-		if want := HashColors(rs.Colors()); resp.Hash != want {
-			t.Errorf("mode %v: stabilize changed the coloring", mode)
-		}
+	// Explicit-dirty path.
+	dirty := []graph.NodeID{3, 77, 250, 499}
+	if err := srv.Do(&Request{Op: OpRecolor, Session: "g", Dirty: dirty, Seed: 7}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Repair(dirty, 7); err != nil {
+		t.Fatal(err)
+	}
+	if want := HashColors(rs.Colors()); resp.Hash != want {
+		t.Errorf("explicit-dirty served hash %016x != direct %016x", resp.Hash, want)
+	}
 
-		// The served working coloring must verify clean after the epochs.
-		if err := srv.Do(&Request{Op: OpVerify, Session: "g"}, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if !resp.Valid {
-			t.Errorf("mode %v: post-churn working coloring invalid", mode)
-		}
-		srv.Close()
+	// Stabilize path on a clean coloring: no iterations, hash unchanged.
+	if err := srv.Do(&Request{Op: OpRecolor, Session: "g", Seed: 9}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Iterations != 0 || !resp.Complete {
+		t.Errorf("stabilize on clean coloring: iterations=%d complete=%v", resp.Iterations, resp.Complete)
+	}
+	if want := HashColors(rs.Colors()); resp.Hash != want {
+		t.Error("stabilize changed the coloring")
+	}
+
+	// The served working coloring must verify clean after the epochs.
+	if err := srv.Do(&Request{Op: OpVerify, Session: "g"}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Valid {
+		t.Error("post-churn working coloring invalid")
 	}
 }
 

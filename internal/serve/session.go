@@ -466,8 +466,7 @@ func (ses *session) doVerify(resp *Response) error {
 // a warm session costs O(ball + n/hashBlock): the victim draw skips its
 // scan when the coloring is known complete, the repair reads and writes
 // only the ball, and the hash update rehashes only the changed nodes'
-// blocks. The explicit-dirty path on a ModeGlobal server is
-// allocation-free once warm.
+// blocks. The explicit-dirty path is allocation-free once warm.
 func (ses *session) doRecolor(req *Request, resp *Response) error {
 	if ses.colors == nil {
 		return ErrNotColored
@@ -486,7 +485,6 @@ func (ses *session) doRecolor(req *Request, resp *Response) error {
 	if ses.rs == nil {
 		ses.rs = repair.NewSession(ses.g, ses.colors, repair.Options{
 			Palette:        ses.palette,
-			Mode:           ses.srv.opts.RepairMode,
 			Workers:        ses.srv.opts.Workers,
 			ScratchReports: true,
 			Cancel:         ses.cancelFn,

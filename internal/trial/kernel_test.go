@@ -12,8 +12,8 @@ import (
 )
 
 // kernelConfigs is a spread of trial configurations exercising every code
-// path of the kernel: both scopes, the known-colors picker, partial activity
-// and an initial coloring.
+// path of the kernel: both scopes, the known-colors picker, a phase cap and
+// an initial coloring.
 func kernelConfigs(g *graph.Graph, seed uint64) []Config {
 	delta := g.MaxDegree()
 	init := coloring.New(g.NumNodes())
@@ -21,7 +21,7 @@ func kernelConfigs(g *graph.Graph, seed uint64) []Config {
 	return []Config{
 		{PaletteSize: delta*delta + 1, Scope: ScopeDistance2, Seed: seed},
 		{PaletteSize: delta + 1, Scope: ScopeDistance1, Seed: seed, AvoidKnownUsed: true},
-		{PaletteSize: 2*delta*delta + 5, Scope: ScopeDistance2, Seed: seed, ActiveProbability: 0.5, MaxPhases: 6},
+		{PaletteSize: 2*delta*delta + 5, Scope: ScopeDistance2, Seed: seed, MaxPhases: 6},
 		{PaletteSize: delta*delta + 4, Scope: ScopeDistance2, Seed: seed, Initial: init},
 	}
 }
@@ -39,8 +39,8 @@ func TestRunnerReuseMatchesFreshRuns(t *testing.T) {
 			for i, cfg := range kernelConfigs(g, seed) {
 				t.Run(fmt.Sprintf("workers=%d/seed=%d/cfg=%d", workers, seed, i), func(t *testing.T) {
 					fresh, err := Run(g, Config{PaletteSize: cfg.PaletteSize, Scope: cfg.Scope,
-						MaxPhases: cfg.MaxPhases, ActiveProbability: cfg.ActiveProbability,
-						AvoidKnownUsed: cfg.AvoidKnownUsed, Seed: cfg.Seed, Initial: cfg.Initial})
+						MaxPhases: cfg.MaxPhases, AvoidKnownUsed: cfg.AvoidKnownUsed,
+						Seed: cfg.Seed, Initial: cfg.Initial})
 					if err != nil {
 						t.Fatalf("fresh: %v", err)
 					}
@@ -79,15 +79,14 @@ func (hashFaults) DropMessage(round int, slot int32) bool {
 func (hashFaults) Crashed(round int, v graph.NodeID) bool { return (round+int(v))%11 == 0 }
 
 // rebindConfigs extends kernelConfigs with the inputs a rebound kernel must
-// re-size for: preloaded partial Initial colors with ExtraKnown lists, an
-// activation mask, and a fault model.
+// re-size for: preloaded partial Initial colors with ExtraKnown lists and a
+// fault model.
 func rebindConfigs(g *graph.Graph, seed uint64) []Config {
 	n, delta := g.NumNodes(), g.MaxDegree()
 	palette := delta*delta + 1
 	src := rng.Split(seed, uint64(n))
 	initial := coloring.New(n)
 	extra := make([][]int32, n)
-	active := make([]bool, n)
 	for v := 0; v < n; v++ {
 		if v%3 == 0 {
 			initial[v] = src.Intn(palette)
@@ -95,12 +94,11 @@ func rebindConfigs(g *graph.Graph, seed uint64) []Config {
 		for k := src.Intn(4); k > 0; k-- {
 			extra[v] = append(extra[v], int32(src.Intn(palette+2)-1))
 		}
-		active[v] = src.Intn(3) > 0
+		src.Intn(3) // unused third draw per node: keeps the layouts drawn above unchanged
 	}
 	return append(kernelConfigs(g, seed),
 		Config{PaletteSize: palette + 3, Scope: ScopeDistance2, Seed: seed,
 			Initial: initial, PreloadInitial: true, ExtraKnown: extra},
-		Config{PaletteSize: palette, Scope: ScopeDistance2, Seed: seed, Active: active},
 		Config{PaletteSize: palette + 1, Scope: ScopeDistance2, Seed: seed, MaxPhases: 9, Faults: hashFaults{}},
 	)
 }
@@ -109,8 +107,7 @@ func rebindConfigs(g *graph.Graph, seed uint64) []Config {
 // of topologies — growing, shrinking, a star, a single node, an edgeless
 // graph, then larger again — returns on every graph exactly the Result
 // (coloring, phases, Metrics, flags) and error of a fresh NewRunner, for
-// both known tiers, ExtraKnown, PreloadInitial, activation masks and a
-// fault model, inline and on a worker team. Tier switches between graphs
+// both known tiers, ExtraKnown, PreloadInitial and a fault model, inline and on a worker team. Tier switches between graphs
 // of growing size catch a sorted tier sized only once.
 func TestRunnerRebindMatchesFreshRunners(t *testing.T) {
 	graphs := []*graph.Graph{

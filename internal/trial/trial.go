@@ -8,7 +8,7 @@
 //
 // Each trial phase costs three simulated rounds:
 //
-//	round 3t   (propose): live, active nodes broadcast their candidate color;
+//	round 3t   (propose): live nodes broadcast their candidate color;
 //	                      nodes that adopted a color in the previous phase
 //	                      broadcast the adoption so neighbors stay up to date;
 //	round 3t+1 (answer):  every node answers each proposing neighbor whether
@@ -91,9 +91,6 @@ type Config struct {
 	// as ErrPhaseBudget with Result.BudgetExhausted set rather than silently
 	// returning an incomplete coloring.
 	PhaseCap int
-	// ActiveProbability is the probability that a live node participates in a
-	// phase; 0 means 1 (always active).
-	ActiveProbability float64
 	// Picker chooses candidate colors; nil means UniformPicker.
 	Picker Picker
 	// AvoidKnownUsed makes live nodes draw their candidate uniformly from the
@@ -113,15 +110,6 @@ type Config struct {
 	// Initial is an optional partial coloring to start from; nodes already
 	// colored in it never participate. It is not modified.
 	Initial coloring.Coloring
-	// Active is an optional partial-activation mask forwarded to the engine:
-	// nodes with Active[v] false are frozen — they neither step nor receive —
-	// and uncolored frozen nodes do not count toward completion, so the run
-	// terminates once every *active* node is colored. This is how the repair
-	// kernel confines a run to a dirty distance-2 ball on a warm full-graph
-	// kernel. nil means every node runs. The caller must not mutate the mask
-	// while the run executes, and should ensure every uncolored node it wants
-	// colored is active.
-	Active []bool
 	// Faults is an optional fault model (message drops, transient node
 	// crashes) installed on the engine for this run; nil disables injection.
 	// Injected loss can leave conflicts or uncolored nodes behind — that is
@@ -433,12 +421,6 @@ func (r *Runner) Start(cfg Config) error {
 	if cfg.Scope == 0 {
 		cfg.Scope = ScopeDistance2
 	}
-	if cfg.ActiveProbability <= 0 || cfg.ActiveProbability > 1 {
-		cfg.ActiveProbability = 1
-	}
-	if cfg.Active != nil && len(cfg.Active) != r.g.NumNodes() {
-		return fmt.Errorf("trial: activation mask has length %d, want %d", len(cfg.Active), r.g.NumNodes())
-	}
 	if cfg.ExtraKnown != nil && len(cfg.ExtraKnown) != r.g.NumNodes() {
 		return fmt.Errorf("trial: ExtraKnown has length %d, want %d", len(cfg.ExtraKnown), r.g.NumNodes())
 	}
@@ -447,7 +429,6 @@ func (r *Runner) Start(cfg Config) error {
 	r.palette = int32(cfg.PaletteSize)
 	r.phases = 0
 	r.net.Reset(cfg.Seed)
-	r.net.SetActive(cfg.Active)
 	r.net.SetFaults(cfg.Faults)
 	if cfg.Cancel != nil || r.cancelHook != nil {
 		// Reset cleared the engine-level hook; reinstall the bound method
@@ -483,8 +464,8 @@ func (r *Runner) Start(cfg Config) error {
 		c := uncolored
 		if cfg.Initial != nil && cfg.Initial[v] != coloring.Uncolored {
 			c = int32(cfg.Initial[v])
-		} else if cfg.Active == nil || cfg.Active[v] {
-			live++ // frozen uncolored nodes are not part of this run's frontier
+		} else {
+			live++
 		}
 		r.color[v] = c
 		r.proposal[v] = -1
@@ -582,7 +563,7 @@ func (r *Runner) Metrics() congest.Metrics { return r.net.Metrics() }
 // Color returns v's current color, coloring.Uncolored if it has none. This is
 // the read-back hook for callers that drive Start/RunPhases themselves and
 // want the result without a Finish allocation (the repair kernel's zero-alloc
-// global mode reads back only the dirty set this way).
+// path reads back only the dirty set this way).
 func (r *Runner) Color(v graph.NodeID) int { return int(r.color[v]) }
 
 // RunPhases executes phases until the coloring completes or the phase budget
@@ -615,10 +596,6 @@ func (r *Runner) RunPhases() error {
 		return fmt.Errorf("%w (%d phases, %d nodes uncolored)",
 			ErrCanceled, r.phases, r.live.Load())
 	}
-	// Budget exhaustion is judged against the run's frontier (live active
-	// uncolored nodes), not completeness of the full coloring: under a
-	// partial-activation mask frozen uncolored nodes legitimately stay
-	// uncolored.
 	if !r.Complete() && !capped {
 		return fmt.Errorf("%w (%d phases, %d nodes uncolored)",
 			ErrPhaseBudget, r.phases, r.live.Load())
@@ -701,7 +678,7 @@ func Run(g *graph.Graph, cfg Config) (Result, error) {
 }
 
 // stepPropose records adoption notifications from the previous phase and
-// broadcasts this node's candidate (if live and active) or its fresh adoption.
+// broadcasts this node's candidate (if live) or its fresh adoption.
 func (r *Runner) stepPropose(v graph.NodeID, ctx *congest.Context, inbox []congest.Message) {
 	r.recordAdoptions(v, inbox)
 	r.proposal[v] = -1
@@ -710,9 +687,6 @@ func (r *Runner) stepPropose(v graph.NodeID, ctx *congest.Context, inbox []conge
 			ctx.Broadcast(kindAdopt, EncodeColor(int(r.color[v])))
 			r.announced[v] = true
 		}
-		return
-	}
-	if r.cfg.ActiveProbability < 1 && !ctx.Rand().Bernoulli(r.cfg.ActiveProbability) {
 		return
 	}
 	var cand int

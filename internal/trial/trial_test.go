@@ -143,20 +143,6 @@ func TestCustomPickerAndQuietNodes(t *testing.T) {
 	}
 }
 
-func TestActiveProbability(t *testing.T) {
-	g := graph.Complete(6)
-	res, err := Run(g, Config{PaletteSize: 40, ActiveProbability: 0.5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Complete {
-		t.Fatal("run with activity 0.5 should still complete")
-	}
-	if rep := verify.CheckD2(g, res.Coloring, 40); !rep.Valid {
-		t.Errorf("invalid coloring: %v", rep.Error())
-	}
-}
-
 func TestDeterministicGivenSeed(t *testing.T) {
 	g := graph.GNP(50, 0.08, 9)
 	palette := g.MaxDegree()*g.MaxDegree() + 1
