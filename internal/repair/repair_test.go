@@ -70,11 +70,13 @@ func testFamilies() []struct {
 // TestRepairCorruption: corrupt k colors, repair, and check the repaired
 // coloring is valid and complete, only dirty nodes were touched, and the
 // reports are internally consistent — for all three corruption targets.
+// Subtests carry a /local level naming the ball-confined repair path, so
+// their names stay those of the two-path suite.
 func TestRepairCorruption(t *testing.T) {
 	for _, fam := range testFamilies() {
 		clean := greedyD2(fam.g)
 		for _, target := range []fault.Target{fault.TargetUniform, fault.TargetHighDegree, fault.TargetConflictDense} {
-			t.Run(fmt.Sprintf("%s/%s", fam.name, target), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/local/%s", fam.name, target), func(t *testing.T) {
 				corrupt := slices.Clone(clean)
 				victims := fault.NewInjector(31).CorruptColors(fam.g, corrupt, 8, target, 0)
 				s := NewSession(fam.g, corrupt, Options{})
@@ -115,10 +117,10 @@ func TestRepairCorruption(t *testing.T) {
 // epoch after epoch on one kernel produces byte-identical colorings and
 // recolored sets to a session built from scratch for each epoch's snapshot.
 // This is exactly the Engine.Reset reuse contract surfaced at the repair
-// level.
+// level. Subtests are named <family>/local, like TestRepairCorruption's.
 func TestRepairWarmVsFresh(t *testing.T) {
 	for _, fam := range testFamilies() {
-		t.Run(fam.name, func(t *testing.T) {
+		t.Run(fam.name+"/local", func(t *testing.T) {
 			colors := greedyD2(fam.g)
 			warm := NewSession(fam.g, colors, Options{})
 			defer warm.Close()
@@ -161,8 +163,13 @@ func TestRepairWarmVsFresh(t *testing.T) {
 
 // TestRepairWarmKernelReuse pins the no-Rebind path: one session repairing
 // many corruption rounds on its warm kernel, rebound to each round's
-// subgraph, stays byte-identical to fresh per-round sessions.
+// subgraph, stays byte-identical to fresh per-round sessions. The subtest
+// is named local, like TestRepairCorruption's /local level.
 func TestRepairWarmKernelReuse(t *testing.T) {
+	t.Run("local", testRepairWarmKernelReuse)
+}
+
+func testRepairWarmKernelReuse(t *testing.T) {
 	g := graph.GNPWithAverageDegree(250, 7, 11)
 	warm := NewSession(g, greedyD2(g), Options{})
 	defer warm.Close()
@@ -367,7 +374,8 @@ func TestRepairEdgeCases(t *testing.T) {
 // nothing per repair — its subgraph storage, ExtraKnown lists and rebound
 // trial kernel are all reused — so nothing can scale with n. On a 6-regular
 // graph at n = 10⁴ and n = 10⁵, a sequence of 16-node dirty sets is run once
-// to size every buffer, then replayed: the replay must allocate 0 bytes.
+// to size every buffer, then replayed: the replay's Repair calls must
+// allocate 0 bytes.
 func TestRepairLocalAllocsScaleWithBall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 10⁵-node fixture")
@@ -393,16 +401,60 @@ func TestRepairLocalAllocsScaleWithBall(t *testing.T) {
 			}
 		}
 		replay() // warm-up: sizes the graph-sized index and every ball-sized buffer
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		replay()
-		runtime.ReadMemStats(&after)
+		b := repairAllocBytes(replay)
 		requireValidComplete(t, g, s.Colors())
 		s.Close()
-		if b := after.TotalAlloc - before.TotalAlloc; b != 0 {
+		if b != 0 {
 			t.Errorf("n=%d: replaying %d warm local repairs allocated %d bytes, want 0", n, reps, b)
 		}
 	}
+}
+
+// repairAllocBytes returns the bytes that calls of (*Session).Repair
+// allocate while f runs, counted exactly: every allocation is profiled for
+// the duration and attributed by its stack. runtime.MemStats cannot tell
+// them apart from what the runtime's own goroutines (GC mark workers, the
+// scavenger's timer) allocate in the same window.
+func repairAllocBytes(f func()) int64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := repairProfiledBytes()
+	f()
+	return repairProfiledBytes() - before
+}
+
+// repairProfiledBytes sums the heap profile's allocated bytes over the
+// stacks that pass through (*Session).Repair. A forced GC publishes every
+// allocation made before it to the profile unless another cycle ends
+// first; the second call covers that case.
+func repairProfiledBytes() int64 {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	for {
+		n, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	var total int64
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if f.Function == "d2color/internal/repair.(*Session).Repair" {
+				total += r.AllocBytes
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
 }
 
 // TestRepairLocalWorkersMatchInline: a session whose kept kernel

@@ -16,10 +16,16 @@ import (
 // rebinds its kept kernel to each epoch's subgraph.
 // testing.Benchmark measures the whole request round-trip through
 // the client, so a regression anywhere in the hot path fails this test.
+// The subtest is named for the local (ball-confined) repair path the
+// recolor requests run on.
 func TestServeWarmRequestAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 5k-node session")
 	}
+	t.Run("local", testWarmRequestAllocFree)
+}
+
+func testWarmRequestAllocFree(t *testing.T) {
 	srv := NewServer(Options{})
 	defer srv.Close()
 	spec := graph.GeneratorSpec{Kind: "gnp-avg", N: 5000, P: 8, Seed: 3}
