@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"d2color/internal/alg"
 	"d2color/internal/baseline"
 	"d2color/internal/detd2"
 	"d2color/internal/graph"
@@ -86,7 +87,7 @@ func BenchmarkRandomizedImprovedByN(b *testing.B) {
 			g := graph.GNPWithAverageDegree(n, 12, int64(n))
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				res, err := randd2.Run(g, randd2.Options{Seed: uint64(i + 1), SkipVerify: true})
+				res, err := randd2.Run(g, randd2.Options{}, alg.Engine{}, uint64(i+1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -105,7 +106,7 @@ func BenchmarkDeterministicByDelta(b *testing.B) {
 			g := graph.RandomRegular(300, d, int64(d))
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				res, err := detd2.Run(g, detd2.Options{SkipVerify: true})
+				res, err := detd2.Run(g, detd2.Options{}, alg.Engine{}, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -121,8 +122,7 @@ func BenchmarkPolylogColorG2(b *testing.B) {
 	g := graph.GNPWithAverageDegree(256, 8, 3)
 	var rounds, colors int
 	for i := 0; i < b.N; i++ {
-		res, err := polylogd2.ColorG2(g, polylogd2.Options{
-			Epsilon: 1, DegreeThreshold: 6, ThresholdCoeff: 1, Seed: 1, SkipVerify: true})
+		res, err := polylogd2.ColorG2(g, polylogd2.Options{Epsilon: 1, DegreeThreshold: 6, ThresholdCoeff: 1}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func BenchmarkNaiveBaseline(b *testing.B) {
 	g := graph.GNPWithAverageDegree(512, 16, 5)
 	var rounds int
 	for i := 0; i < b.N; i++ {
-		res, err := baseline.NaiveD2(g, baseline.Options{Seed: uint64(i + 1)})
+		res, err := baseline.NaiveD2(g, alg.Engine{}, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func BenchmarkAblationFinalPhase(b *testing.B) {
 		b.Run(variant.String(), func(b *testing.B) {
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				res, err := randd2.Run(g, randd2.Options{Variant: variant, Seed: uint64(i + 1), SkipVerify: true})
+				res, err := randd2.Run(g, randd2.Options{Variant: variant}, alg.Engine{}, uint64(i+1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -193,8 +193,7 @@ func BenchmarkAblationSimilarity(b *testing.B) {
 			params := randd2.Default()
 			params.ExactSimilarity = exact
 			for i := 0; i < b.N; i++ {
-				if _, err := randd2.Run(g, randd2.Options{Params: &params, Seed: uint64(i + 1),
-					SkipVerify: true, DisableDeterministicFallback: true}); err != nil {
+				if _, err := randd2.Run(g, randd2.Options{Params: &params, DisableDeterministicFallback: true}, alg.Engine{}, uint64(i+1)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -215,9 +214,7 @@ func BenchmarkAblationSplittingMethod(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				res, err := polylogd2.ColorG(g, polylogd2.Options{
-					Epsilon: 1, DegreeThreshold: 8, ThresholdCoeff: 1,
-					UseRandomizedSplit: randomized, Seed: uint64(i + 1), SkipVerify: true})
+				res, err := polylogd2.ColorG(g, polylogd2.Options{Epsilon: 1, DegreeThreshold: 8, ThresholdCoeff: 1, UseRandomizedSplit: randomized}, uint64(i+1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -258,7 +255,7 @@ func BenchmarkDistanceKMIS(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				res, err := mis.Run(g, mis.Options{K: k, Seed: uint64(i + 1)})
+				res, err := mis.Run(g, mis.Options{K: k}, uint64(i+1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -303,7 +300,7 @@ func BenchmarkCongestBroadcastRound(b *testing.B) {
 	g := graph.GNPWithAverageDegree(2000, 16, 11)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := baseline.JohanssonD1(g, baseline.Options{Seed: uint64(i + 1)})
+		res, err := baseline.JohanssonD1(g, alg.Engine{}, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}

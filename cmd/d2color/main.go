@@ -16,10 +16,18 @@ import (
 	"os"
 	"strings"
 
-	"d2color/internal/core"
+	"d2color/internal/alg"
+	"d2color/internal/baseline"
+	_ "d2color/internal/core" // links every algorithm into the registry
 	"d2color/internal/graph"
+	"d2color/internal/polylogd2"
 	"d2color/internal/verify"
 )
+
+// autoAlgo is the default -algo: the paper's algorithm, rand-improved, which
+// itself applies step 0 of d2-Color (the deterministic pipeline when
+// Δ² = O(log n)).
+const autoAlgo = "auto"
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -28,15 +36,41 @@ func main() {
 	}
 }
 
-// algoNames lists core's own algorithm set for the -algo flag help. Solve
-// additionally accepts any name registered in the alg registry by a linked
-// package; its unknown-algorithm error lists what is actually registered.
+// algoNames lists the -algo values: auto plus every registered distance-2
+// coloring algorithm (coloring-shaped entries such as mis are left out, as
+// the CLI checks its output as a distance-2 coloring).
 func algoNames() string {
-	names := make([]string, 0, 8)
-	for _, a := range core.Algorithms() {
-		names = append(names, string(a))
+	names := []string{autoAlgo}
+	for _, a := range alg.All() {
+		if alg.IsD2Coloring(a) {
+			names = append(names, a.Name())
+		}
 	}
 	return strings.Join(names, ", ")
+}
+
+// lookup resolves an -algo value to the algorithm to run; polylog and relaxed
+// are built with the -eps slack (≤ 0 means 1).
+func lookup(name string, eps float64) (alg.Algorithm, error) {
+	if eps <= 0 {
+		eps = 1
+	}
+	switch name {
+	case autoAlgo:
+		name = "rand-improved"
+	case "polylog":
+		return polylogd2.Algorithm(polylogd2.Options{Epsilon: eps}), nil
+	case "relaxed":
+		return baseline.RelaxedAlgorithm(baseline.Options{Epsilon: eps}), nil
+	}
+	a, ok := alg.Get(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown algorithm %q (choose from: %s)", name, algoNames())
+	}
+	if !alg.IsD2Coloring(a) {
+		return nil, fmt.Errorf("%q is not a distance-2 coloring algorithm (choose from: %s)", name, algoNames())
+	}
+	return a, nil
 }
 
 type output struct {
@@ -63,7 +97,7 @@ func run(args []string, w io.Writer) error {
 		degree  = fs.Int("degree", 8, "degree-like parameter (regular degree, tree branching, tasks per resource)")
 		p       = fs.Float64("p", 0.05, "probability / radius / average degree parameter")
 		seed    = fs.Uint64("seed", 1, "random seed")
-		algo    = fs.String("algo", string(core.AlgorithmAuto), "algorithm: "+algoNames())
+		algo    = fs.String("algo", autoAlgo, "algorithm: "+algoNames())
 		eps     = fs.Float64("eps", 1, "epsilon for the polylog and relaxed algorithms")
 		workers = fs.Int("workers", 1, "CONGEST engine workers: 1 runs rounds inline, k > 1 on a team of k goroutines (same results, different wall clock)")
 		asJSON  = fs.Bool("json", false, "emit JSON instead of text")
@@ -71,10 +105,13 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	a, err := lookup(*algo, *eps)
+	if err != nil {
+		return err
+	}
 
 	spec := graph.GeneratorSpec{Kind: *kind, N: *n, M: *m, Degree: *degree, P: *p, Seed: int64(*seed)}
 	var g *graph.Graph
-	var err error
 	graphLabel := spec.String()
 	if *input != "" {
 		f, ferr := os.Open(*input)
@@ -91,14 +128,9 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	res, err := core.Solve(g, core.Options{
-		Algorithm: core.Algorithm(*algo),
-		Seed:      *seed,
-		Epsilon:   *eps,
-		Workers:   *workers,
-	})
+	res, err := a.Run(g, alg.Engine{Workers: *workers}, *seed)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", a.Name(), err)
 	}
 	rep := verify.CheckD2(g, res.Coloring, res.PaletteSize)
 
@@ -107,9 +139,9 @@ func run(args []string, w io.Writer) error {
 		Nodes:       g.NumNodes(),
 		Edges:       g.NumEdges(),
 		MaxDegree:   g.MaxDegree(),
-		Algorithm:   string(res.Algorithm),
+		Algorithm:   a.Name(),
 		PaletteSize: res.PaletteSize,
-		ColorsUsed:  res.ColorsUsed,
+		ColorsUsed:  res.ColorsUsed(),
 		Rounds:      res.Metrics.TotalRounds(),
 		Messages:    res.Metrics.MessagesSent,
 		Valid:       rep.Valid,

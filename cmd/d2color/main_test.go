@@ -47,11 +47,61 @@ func TestRunJSONOutput(t *testing.T) {
 }
 
 func TestRunAllAlgorithmsViaCLI(t *testing.T) {
-	for _, algo := range []string{"auto", "rand-basic", "polylog", "greedy", "naive", "relaxed"} {
+	names := strings.Split(algoNames(), ", ")
+	if len(names) != 8 {
+		t.Fatalf("-algo values = %v, want auto plus the seven distance-2 algorithms", names)
+	}
+	for _, algo := range names {
 		var buf bytes.Buffer
-		err := run([]string{"-graph", "gnp", "-n", "80", "-p", "0.06", "-algo", algo, "-seed", "2"}, &buf)
+		err := run([]string{"-graph", "gnp", "-n", "80", "-p", "0.06", "-algo", algo, "-seed", "2", "-json"}, &buf)
 		if err != nil {
 			t.Errorf("%s: %v", algo, err)
+			continue
+		}
+		var out output
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+			t.Fatalf("%s: invalid JSON: %v", algo, err)
+		}
+		if !out.Valid {
+			t.Errorf("%s: invalid coloring", algo)
+		}
+		if algo != "auto" && out.Algorithm != algo {
+			t.Errorf("%s: algorithm = %q", algo, out.Algorithm)
+		}
+	}
+}
+
+// TestAutoIsRandImproved pins the default -algo: auto runs rand-improved and
+// reports that name.
+func TestAutoIsRandImproved(t *testing.T) {
+	var auto, direct bytes.Buffer
+	if err := run([]string{"-graph", "star", "-n", "12", "-json"}, &auto); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-graph", "star", "-n", "12", "-algo", "rand-improved", "-json"}, &direct); err != nil {
+		t.Fatal(err)
+	}
+	if auto.String() != direct.String() {
+		t.Errorf("auto output differs from rand-improved:\n%s\nvs\n%s", auto.String(), direct.String())
+	}
+}
+
+// TestRunRejectsNonColoringAlgorithms checks that registered coloring-shaped
+// entries (MIS membership) are refused rather than reported as invalid
+// distance-2 colorings, and that the error lists the valid choices.
+func TestRunRejectsNonColoringAlgorithms(t *testing.T) {
+	for _, algo := range []string{"mis", "mis-d2", "nonsense"} {
+		var buf bytes.Buffer
+		err := run([]string{"-algo", algo, "-graph", "path", "-n", "5"}, &buf)
+		if err == nil {
+			t.Errorf("%s: should be rejected", algo)
+			continue
+		}
+		if !strings.Contains(err.Error(), algoNames()) {
+			t.Errorf("%s: error %q does not list %q", algo, err, algoNames())
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: printed output before rejecting: %q", algo, buf.String())
 		}
 	}
 }

@@ -37,14 +37,8 @@ import (
 	"strings"
 	"time"
 
+	_ "d2color/internal/core" // links every algorithm into the registry
 	"d2color/internal/serve"
-
-	// Register every default algorithm instance.
-	_ "d2color/internal/baseline"
-	_ "d2color/internal/detd2"
-	_ "d2color/internal/mis"
-	_ "d2color/internal/polylogd2"
-	_ "d2color/internal/randd2"
 )
 
 func main() {

@@ -11,8 +11,10 @@
 //
 // Entry points:
 //
-//   - internal/core.Solve — run any algorithm on a graph and get a verified
-//     coloring plus CONGEST cost metrics;
+//   - internal/alg — the registry: alg.MustGet(name).Run(g, engine, seed)
+//     runs any algorithm on a graph and returns its self-checked coloring
+//     plus CONGEST cost metrics (a blank import of internal/core links every
+//     algorithm into it);
 //   - cmd/d2color — command-line front end for one-off runs;
 //   - cmd/experiments — regenerate the experiment tables (EXPERIMENTS.md);
 //   - examples/ — runnable walkthroughs (quickstart, wireless frequency

@@ -14,33 +14,30 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"d2color/internal/core"
+	"d2color/internal/alg"
+	_ "d2color/internal/core" // links every algorithm into the registry
 	"d2color/internal/graph"
+	"d2color/internal/verify"
 )
 
 func main() {
 	g := graph.CliqueChain(8, 8, 0) // dense d2-neighbourhoods: the hard regime
 	fmt.Printf("workload: clique chain, %s, Δ²+1 = %d\n\n", g, g.MaxDegree()*g.MaxDegree()+1)
 
-	algos := []core.Algorithm{
-		core.AlgorithmRandomizedImproved,
-		core.AlgorithmRandomizedBasic,
-		core.AlgorithmDeterministic,
-		core.AlgorithmPolylog,
-		core.AlgorithmRelaxed,
-		core.AlgorithmNaive,
-		core.AlgorithmGreedy,
-	}
+	algos := []string{"rand-improved", "rand-basic", "deterministic", "polylog", "relaxed", "naive", "greedy"}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "algorithm\tpalette\tcolors used\trounds\tmessages")
 	for _, algo := range algos {
-		res, err := core.Solve(g, core.Options{Algorithm: algo, Seed: 5, Epsilon: 1})
+		res, err := alg.MustGet(algo).Run(g, alg.Engine{}, 5)
 		if err != nil {
 			log.Fatalf("%s: %v", algo, err)
 		}
+		if rep := verify.CheckD2(g, res.Coloring, res.PaletteSize); !rep.Valid {
+			log.Fatalf("%s: invalid coloring: %v", algo, rep.Error())
+		}
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\n",
-			res.Algorithm, res.PaletteSize, res.ColorsUsed,
+			algo, res.PaletteSize, res.ColorsUsed(),
 			res.Metrics.TotalRounds(), res.Metrics.MessagesSent)
 	}
 	if err := w.Flush(); err != nil {

@@ -14,7 +14,8 @@ import (
 	"fmt"
 	"log"
 
-	"d2color/internal/core"
+	"d2color/internal/alg"
+	_ "d2color/internal/core" // links every algorithm into the registry
 	"d2color/internal/graph"
 )
 
@@ -29,7 +30,10 @@ func main() {
 	fmt.Printf("hypergraph: %d tasks, %d resources, %d resources per task → %s\n",
 		tasks, resources, perTask, g)
 
-	res, err := core.Solve(g, core.Options{Algorithm: core.AlgorithmAuto, Seed: seed})
+	// The paper's algorithm; on low-degree inputs it applies step 0 of
+	// d2-Color and runs the deterministic pipeline.
+	const algo = "rand-improved"
+	res, err := alg.MustGet(algo).Run(g, alg.Engine{}, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +58,7 @@ func main() {
 		}
 	}
 
-	fmt.Printf("algorithm:            %s\n", res.Algorithm)
+	fmt.Printf("algorithm:            %s\n", algo)
 	fmt.Printf("distinct task colors: %d (palette bound %d)\n", len(taskColors), res.PaletteSize)
 	fmt.Printf("CONGEST rounds:       %d\n", res.Metrics.TotalRounds())
 	fmt.Printf("strong-coloring conflicts: %d\n", conflicts)

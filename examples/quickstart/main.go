@@ -10,7 +10,8 @@ import (
 	"fmt"
 	"log"
 
-	"d2color/internal/core"
+	"d2color/internal/alg"
+	_ "d2color/internal/core" // links every algorithm into the registry
 	"d2color/internal/graph"
 	"d2color/internal/verify"
 )
@@ -20,17 +21,18 @@ func main() {
 	g := graph.GNPWithAverageDegree(400, 10, 42)
 	fmt.Printf("network: %s\n", g)
 
-	// Solve with the default (the paper's improved randomized algorithm,
-	// falling back to the deterministic one on low-degree graphs).
-	res, err := core.Solve(g, core.Options{Seed: 42})
+	// Color with the paper's improved randomized algorithm (which falls back
+	// to the deterministic one on low-degree graphs).
+	const algo = "rand-improved"
+	res, err := alg.MustGet(algo).Run(g, alg.Engine{}, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	delta := g.MaxDegree()
-	fmt.Printf("algorithm:     %s\n", res.Algorithm)
+	fmt.Printf("algorithm:     %s\n", algo)
 	fmt.Printf("palette bound: Δ²+1 = %d\n", delta*delta+1)
-	fmt.Printf("colors used:   %d\n", res.ColorsUsed)
+	fmt.Printf("colors used:   %d\n", res.ColorsUsed())
 	fmt.Printf("CONGEST rounds: %d\n", res.Metrics.TotalRounds())
 
 	// Independently verify: no two nodes at distance ≤ 2 share a color.

@@ -18,7 +18,8 @@ import (
 	"fmt"
 	"log"
 
-	"d2color/internal/core"
+	"d2color/internal/alg"
+	_ "d2color/internal/core" // links every algorithm into the registry
 	"d2color/internal/graph"
 	"d2color/internal/verify"
 )
@@ -34,19 +35,19 @@ func main() {
 	fmt.Printf("deployment: %d stations, radio range %.2f → %s\n", stations, radius, st.String())
 
 	// The paper's algorithm (Theorem 1.1).
-	assignment, err := core.Solve(g, core.Options{Algorithm: core.AlgorithmRandomizedImproved, Seed: seed})
+	assignment, err := alg.MustGet("rand-improved").Run(g, alg.Engine{}, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// The strawman: run the simple algorithm on the interference graph G² and
 	// pay Δ rounds per simulated round.
-	naive, err := core.Solve(g, core.Options{Algorithm: core.AlgorithmNaive, Seed: seed})
+	naive, err := alg.MustGet("naive").Run(g, alg.Engine{}, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("\n%-22s %12s %12s\n", "", "improved", "naive-G²")
-	fmt.Printf("%-22s %12d %12d\n", "frequencies used", assignment.ColorsUsed, naive.ColorsUsed)
+	fmt.Printf("%-22s %12d %12d\n", "frequencies used", assignment.ColorsUsed(), naive.ColorsUsed())
 	fmt.Printf("%-22s %12d %12d\n", "frequency budget", assignment.PaletteSize, naive.PaletteSize)
 	fmt.Printf("%-22s %12d %12d\n", "CONGEST rounds", assignment.Metrics.TotalRounds(), naive.Metrics.TotalRounds())
 

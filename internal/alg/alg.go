@@ -43,26 +43,30 @@ func (d Determinism) String() string {
 	return "randomized"
 }
 
-// Engine selects the CONGEST execution substrate for one run. Every worker
-// count is byte-deterministic with every other, so the choice changes
-// wall-clock time, never results.
+// Engine is the run context of one algorithm run besides the seed: the
+// CONGEST execution substrate and the output form. The algorithm packages'
+// entry points take it as an argument, so their Options carry only the
+// algorithms' own parameters. Every worker count is byte-deterministic with
+// every other, so the choice changes wall-clock time, never results.
 type Engine struct {
 	// Workers is the simulator's worker count: ≤ 1 runs rounds inline on
 	// the caller's goroutine, k > 1 on a persistent team of k goroutines.
 	Workers int
 	// Kernel, when non-nil, returns a reusable trial kernel built for the
-	// graph being solved. Adapters whose algorithm runs random-trial phases
-	// (the randd2 family) call it instead of letting the algorithm build a
-	// throwaway kernel, so repeated runs on one topology — the sweep engine's
-	// seed repetitions — share the kernel's network and flat per-node state.
-	// The provider is expected to memoize; algorithms that do not run trial
+	// graph being solved. Algorithms that run random-trial phases on that
+	// graph (the randd2 family, the relaxed and Johansson baselines) run
+	// them on it instead of building a throwaway kernel, so repeated runs on
+	// one topology — the sweep engine's seed repetitions — share the
+	// kernel's network and flat per-node state; a kernel built for another
+	// graph is an error. The kernel's own worker count then applies. The
+	// provider is expected to memoize; algorithms that do not run trial
 	// phases never call it, so no kernel is built for them.
 	Kernel func() *trial.Runner
-	// PackedColors asks the adapter to emit the coloring bit-packed
-	// (Result.Packed instead of Result.Coloring): ⌈log₂(palette+1)⌉ bits/node,
-	// the representation the 10⁷-node scale runs keep resident. The colors
-	// are byte-identical either way. Adapters that have no packed path
-	// (results flowing through Details) ignore the flag and fill Coloring.
+	// PackedColors asks for the coloring bit-packed (Result.Packed instead
+	// of Result.Coloring): ⌈log₂(palette+1)⌉ bits/node, the representation
+	// the 10⁷-node scale runs keep resident. The colors are byte-identical
+	// either way. Algorithms that have no packed path ignore the flag and
+	// fill Coloring.
 	PackedColors bool
 }
 

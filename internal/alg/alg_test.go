@@ -5,15 +5,11 @@ import (
 
 	"d2color/internal/alg"
 	"d2color/internal/congest"
+	_ "d2color/internal/core" // links every algorithm into the registry
 	"d2color/internal/detd2"
 	"d2color/internal/graph"
 	"d2color/internal/polylogd2"
 	"d2color/internal/verify"
-
-	// Trigger the remaining self-registrations under test.
-	_ "d2color/internal/baseline"
-	_ "d2color/internal/mis"
-	_ "d2color/internal/randd2"
 )
 
 func TestDefaultRegistrations(t *testing.T) {

@@ -10,14 +10,8 @@ import (
 	"testing"
 
 	"d2color/internal/alg"
+	_ "d2color/internal/core" // links every algorithm into the registry
 	"d2color/internal/graph"
-
-	// Blank imports populate the registry with every default instance.
-	_ "d2color/internal/baseline"
-	_ "d2color/internal/detd2"
-	_ "d2color/internal/mis"
-	_ "d2color/internal/polylogd2"
-	_ "d2color/internal/randd2"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the palette-kernel golden file")

@@ -18,6 +18,7 @@ package baseline
 import (
 	"fmt"
 
+	"d2color/internal/alg"
 	"d2color/internal/bitset"
 	"d2color/internal/coloring"
 	"d2color/internal/congest"
@@ -31,41 +32,30 @@ type Result struct {
 	// Coloring is the assignment as a plain []int; nil when the run was asked
 	// for packed output.
 	Coloring coloring.Coloring
-	// Packed is the bit-packed assignment, set instead of Coloring when
-	// Options.PackedColors was requested. Colors are byte-identical.
+	// Packed is the bit-packed assignment, set instead of Coloring when the
+	// engine asked for PackedColors. Colors are byte-identical.
 	Packed      *coloring.Packed
 	PaletteSize int
 	Metrics     congest.Metrics
 	Algorithm   string
 }
 
-// Options configures the simulated baselines (the greedy baselines take no
-// options: they are sequential reference algorithms with zero communication).
+// Options holds RelaxedD2's parameter (the greedy baselines, JohanssonD1 and
+// NaiveD2 have none beyond the engine and the seed).
 type Options struct {
-	// Seed drives the per-node randomness.
-	Seed uint64
-	// Epsilon is the palette slack of RelaxedD2 (ignored by the others);
-	// negative values are treated as 0.
+	// Epsilon is the palette slack of RelaxedD2; negative values are treated
+	// as 0.
 	Epsilon float64
-	// Workers is the simulator's worker count (≤ 1 runs inline; results are
-	// byte-identical for every worker count).
-	Workers int
-	// TrialKernel optionally injects a reusable trial kernel built for the
-	// input graph; JohanssonD1 and RelaxedD2 then run on it instead of
-	// building (and tearing down) a fresh network per call — the per-call
-	// allocation profile drops from O(n + m) to the output coloring alone.
-	// The kernel must have been built for the same graph; it is not closed.
-	// NaiveD2 cannot use it (its trial runs on the materialized square).
-	TrialKernel *trial.Runner
-	// PackedColors emits the result bit-packed (Result.Packed set,
-	// Result.Coloring nil); see trial.Config.PackedOutput.
-	PackedColors bool
 }
 
-// runTrial dispatches a trial run to the injected reusable kernel, or to a
-// throwaway one (trial.Run) when none was supplied.
-func runTrial(g *graph.Graph, opts Options, cfg trial.Config) (trial.Result, error) {
-	if tk := opts.TrialKernel; tk != nil {
+// runTrial runs a trial on the reusable kernel eng.Kernel returns (built for
+// g, not closed), or on a throwaway one (trial.Run) when the engine offers
+// none; eng.Workers and eng.PackedColors fill the config's engine fields.
+func runTrial(g *graph.Graph, eng alg.Engine, cfg trial.Config) (trial.Result, error) {
+	cfg.Workers = eng.Workers
+	cfg.PackedOutput = eng.PackedColors
+	if eng.Kernel != nil {
+		tk := eng.Kernel()
 		if tk.Graph() != g {
 			return trial.Result{}, fmt.Errorf("baseline: injected trial kernel was built for a different graph")
 		}
@@ -172,16 +162,16 @@ func GreedyD1(g *graph.Graph) Result {
 
 // JohanssonD1 runs the simple randomized (Δ+1)-coloring of G on the CONGEST
 // simulator: in every phase each uncolored node tries a uniformly random
-// color and keeps it if no neighbor uses or simultaneously tries it.
-func JohanssonD1(g *graph.Graph, opts Options) (Result, error) {
+// color and keeps it if no neighbor uses or simultaneously tries it. The
+// seed drives the per-node randomness; eng's worker count, reusable kernel
+// and packed switch are honored (see runTrial).
+func JohanssonD1(g *graph.Graph, eng alg.Engine, seed uint64) (Result, error) {
 	palette := g.MaxDegree() + 1
-	res, err := runTrial(g, opts, trial.Config{
+	res, err := runTrial(g, eng, trial.Config{
 		PaletteSize:    palette,
 		Scope:          trial.ScopeDistance1,
-		Seed:           opts.Seed,
+		Seed:           seed,
 		AvoidKnownUsed: true,
-		Workers:        opts.Workers,
-		PackedOutput:   opts.PackedColors,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("johansson: %w", err)
@@ -195,15 +185,13 @@ func JohanssonD1(g *graph.Graph, opts Options) (Result, error) {
 // RelaxedD2 runs the simple whole-palette random-trial d2-coloring with
 // ceil((1+epsilon)·Δ²)+1 colors directly on G (Section 2.1's first
 // observation). It is fast but uses more colors than the paper's main
-// algorithms.
-func RelaxedD2(g *graph.Graph, opts Options) (Result, error) {
+// algorithms. The engine and the seed are used as by JohanssonD1.
+func RelaxedD2(g *graph.Graph, opts Options, eng alg.Engine, seed uint64) (Result, error) {
 	palette := relaxedPalette(g.MaxDegree(), opts.Epsilon)
-	res, err := runTrial(g, opts, trial.Config{
-		PaletteSize:  palette,
-		Scope:        trial.ScopeDistance2,
-		Seed:         opts.Seed,
-		Workers:      opts.Workers,
-		PackedOutput: opts.PackedColors,
+	res, err := runTrial(g, eng, trial.Config{
+		PaletteSize: palette,
+		Scope:       trial.ScopeDistance2,
+		Seed:        seed,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("relaxed-d2: %w", err)
@@ -232,7 +220,10 @@ func relaxedPalette(delta int, epsilon float64) int {
 // The returned metrics contain the charged G-rounds (simulated G²-rounds ×
 // Δ); the simulated rounds of the inner run are reported as G²-rounds via the
 // Rounds field of the inner metrics and folded into ChargedRounds here.
-func NaiveD2(g *graph.Graph, opts Options) (Result, error) {
+// The seed drives the per-node randomness; eng's worker count and packed
+// switch are honored, and its reusable kernel is not (the trial runs on the
+// materialized square, not on g).
+func NaiveD2(g *graph.Graph, eng alg.Engine, seed uint64) (Result, error) {
 	// The strawman genuinely runs a CONGEST simulation ON the square, so this
 	// is the one place the square is (deliberately) built as a standing
 	// graph — through the streaming view and the sort-dedupe builder, which
@@ -246,13 +237,13 @@ func NaiveD2(g *graph.Graph, opts Options) (Result, error) {
 	res, err := trial.Run(sq, trial.Config{
 		PaletteSize: palette,
 		Scope:       trial.ScopeDistance1, // distance-1 on G² is distance-2 on G
-		Seed:        opts.Seed,
-		Workers:     opts.Workers,
+		Seed:        seed,
+		Workers:     eng.Workers,
 		// The whole point of paying the Δ-factor simulation is that nodes can
 		// track their G²-neighbors' colors, so the simple algorithm picks
 		// among colors it has not seen used.
 		AvoidKnownUsed: true,
-		PackedOutput:   opts.PackedColors,
+		PackedOutput:   eng.PackedColors,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("naive-d2: %w", err)

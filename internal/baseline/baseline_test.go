@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"d2color/internal/alg"
 	"d2color/internal/graph"
 	"d2color/internal/verify"
 )
@@ -54,7 +55,7 @@ func TestGreedyD2UsesAtMostSquareDegreePlusOne(t *testing.T) {
 
 func TestJohanssonD1(t *testing.T) {
 	g := graph.GNP(90, 0.07, 2)
-	res, err := JohanssonD1(g, Options{Seed: 11})
+	res, err := JohanssonD1(g, alg.Engine{}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestJohanssonD1(t *testing.T) {
 
 func TestRelaxedD2(t *testing.T) {
 	g := graph.CliqueChain(5, 5, 0)
-	res, err := RelaxedD2(g, Options{Seed: 3, Epsilon: 1.0})
+	res, err := RelaxedD2(g, Options{Epsilon: 1.0}, alg.Engine{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestRelaxedD2(t *testing.T) {
 		t.Errorf("invalid coloring: %v", rep.Error())
 	}
 	// Negative epsilon clamps to 0.
-	res2, err := RelaxedD2(graph.Star(6), Options{Seed: 3, Epsilon: -1})
+	res2, err := RelaxedD2(graph.Star(6), Options{Epsilon: -1}, alg.Engine{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestRelaxedD2(t *testing.T) {
 
 func TestNaiveD2(t *testing.T) {
 	g := graph.GNP(60, 0.08, 5)
-	res, err := NaiveD2(g, Options{Seed: 9})
+	res, err := NaiveD2(g, alg.Engine{}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +117,11 @@ func TestNaiveD2ChargesGrowWithDelta(t *testing.T) {
 	// faster than logarithmically. Compare two average degrees.
 	lo := graph.GNPWithAverageDegree(300, 4, 1)
 	hi := graph.GNPWithAverageDegree(300, 16, 1)
-	resLo, err := NaiveD2(lo, Options{Seed: 1})
+	resLo, err := NaiveD2(lo, alg.Engine{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resHi, err := NaiveD2(hi, Options{Seed: 1})
+	resHi, err := NaiveD2(hi, alg.Engine{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +133,11 @@ func TestNaiveD2ChargesGrowWithDelta(t *testing.T) {
 
 func TestBaselinesDeterministic(t *testing.T) {
 	g := graph.GNP(40, 0.1, 4)
-	a, err := NaiveD2(g, Options{Seed: 21})
+	a, err := NaiveD2(g, alg.Engine{}, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NaiveD2(g, Options{Seed: 21})
+	b, err := NaiveD2(g, alg.Engine{}, 21)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"d2color/internal/alg"
 	"d2color/internal/graph"
 	"d2color/internal/trial"
 )
@@ -40,7 +41,7 @@ func BenchmarkJohanssonD1(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := JohanssonD1(g, Options{Seed: uint64(i + 1), TrialKernel: tk}); err != nil {
+		if _, err := JohanssonD1(g, alg.Engine{Kernel: kernelOf(tk)}, uint64(i+1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,9 +4,15 @@ import (
 	"fmt"
 	"testing"
 
+	"d2color/internal/alg"
 	"d2color/internal/graph"
 	"d2color/internal/trial"
 )
+
+// kernelOf returns an engine kernel provider that always offers tk.
+func kernelOf(tk *trial.Runner) func() *trial.Runner {
+	return func() *trial.Runner { return tk }
+}
 
 // TestBaselineKernelReuseByteIdentical pins the hoisted-kernel contract: the
 // simulated baselines on an injected, repeatedly reused trial kernel produce
@@ -15,19 +21,19 @@ func TestBaselineKernelReuseByteIdentical(t *testing.T) {
 	g := graph.GNPWithAverageDegree(600, 8, 17)
 	tk := trial.NewRunner(g, false, 0)
 	defer tk.Close()
-	type run func(opts Options) (Result, error)
+	type run func(eng alg.Engine, seed uint64) (Result, error)
 	cases := map[string]run{
-		"johansson": func(o Options) (Result, error) { return JohanssonD1(g, o) },
-		"relaxed":   func(o Options) (Result, error) { return RelaxedD2(g, o) },
+		"johansson": func(eng alg.Engine, seed uint64) (Result, error) { return JohanssonD1(g, eng, seed) },
+		"relaxed":   func(eng alg.Engine, seed uint64) (Result, error) { return RelaxedD2(g, Options{}, eng, seed) },
 	}
 	for name, fn := range cases {
 		for _, seed := range []uint64{1, 2, 3} {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				fresh, err := fn(Options{Seed: seed})
+				fresh, err := fn(alg.Engine{}, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				reused, err := fn(Options{Seed: seed, TrialKernel: tk})
+				reused, err := fn(alg.Engine{Kernel: kernelOf(tk)}, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -51,10 +57,10 @@ func TestBaselineKernelGraphMismatch(t *testing.T) {
 	gB := graph.GNP(50, 0.1, 2)
 	tk := trial.NewRunner(gA, false, 0)
 	defer tk.Close()
-	if _, err := JohanssonD1(gB, Options{Seed: 1, TrialKernel: tk}); err == nil {
+	if _, err := JohanssonD1(gB, alg.Engine{Kernel: kernelOf(tk)}, 1); err == nil {
 		t.Error("johansson accepted a kernel built for a different graph")
 	}
-	if _, err := RelaxedD2(gB, Options{Seed: 1, TrialKernel: tk}); err == nil {
+	if _, err := RelaxedD2(gB, Options{}, alg.Engine{Kernel: kernelOf(tk)}, 1); err == nil {
 		t.Error("relaxed accepted a kernel built for a different graph")
 	}
 }
@@ -70,13 +76,13 @@ func TestJohanssonHoistedAllocs(t *testing.T) {
 	g := graph.GNPWithAverageDegree(4_000, 8, 29)
 	tk := trial.NewRunner(g, false, 0)
 	defer tk.Close()
-	if _, err := JohanssonD1(g, Options{Seed: 1, TrialKernel: tk}); err != nil {
+	if _, err := JohanssonD1(g, alg.Engine{Kernel: kernelOf(tk)}, 1); err != nil {
 		t.Fatal(err) // warm the kernel (palette rows grow on first Start)
 	}
 	seed := uint64(2)
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := JohanssonD1(g, Options{Seed: seed, TrialKernel: tk}); err != nil {
+			if _, err := JohanssonD1(g, alg.Engine{Kernel: kernelOf(tk)}, seed); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -101,13 +107,13 @@ func TestBaselinePackedParity(t *testing.T) {
 			return GreedyD2(g), nil
 		},
 		"johansson": func(packed bool) (Result, error) {
-			return JohanssonD1(g, Options{Seed: 9, PackedColors: packed, TrialKernel: tk})
+			return JohanssonD1(g, alg.Engine{PackedColors: packed, Kernel: kernelOf(tk)}, 9)
 		},
 		"relaxed": func(packed bool) (Result, error) {
-			return RelaxedD2(g, Options{Seed: 9, PackedColors: packed, TrialKernel: tk})
+			return RelaxedD2(g, Options{}, alg.Engine{PackedColors: packed, Kernel: kernelOf(tk)}, 9)
 		},
 		"naive": func(packed bool) (Result, error) {
-			return NaiveD2(g, Options{Seed: 9, PackedColors: packed})
+			return NaiveD2(g, alg.Engine{PackedColors: packed}, 9)
 		},
 	}
 	for name, fn := range cases {

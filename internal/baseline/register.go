@@ -19,28 +19,24 @@ func GreedyAlgorithm() alg.Algorithm {
 			} else {
 				r = GreedyD2(g)
 			}
-			return alg.Result{Coloring: r.Coloring, Packed: r.Packed, PaletteSize: r.PaletteSize, Metrics: r.Metrics, Details: &r}, nil
+			return result(r), nil
 		},
 	}
 }
 
 // NaiveAlgorithm wraps the Θ(Δ)-per-round G²-simulation strawman in the
 // unified alg.Algorithm interface.
-func NaiveAlgorithm(opts Options) alg.Algorithm {
+func NaiveAlgorithm() alg.Algorithm {
 	return alg.Func{
 		AlgName: "naive",
 		Class:   alg.Randomized,
 		Palette: alg.D2Palette,
 		RunFunc: func(g *graph.Graph, eng alg.Engine, seed uint64) (alg.Result, error) {
-			o := opts
-			o.Seed = seed
-			o.Workers = eng.Workers
-			o.PackedColors = eng.PackedColors
-			r, err := NaiveD2(g, o)
+			r, err := NaiveD2(g, eng, seed)
 			if err != nil {
 				return alg.Result{}, err
 			}
-			return alg.Result{Coloring: r.Coloring, Packed: r.Packed, PaletteSize: r.PaletteSize, Metrics: r.Metrics, Details: &r}, nil
+			return result(r), nil
 		},
 	}
 }
@@ -55,24 +51,21 @@ func RelaxedAlgorithm(opts Options) alg.Algorithm {
 			return relaxedPalette(g.MaxDegree(), opts.Epsilon)
 		},
 		RunFunc: func(g *graph.Graph, eng alg.Engine, seed uint64) (alg.Result, error) {
-			o := opts
-			o.Seed = seed
-			o.Workers = eng.Workers
-			o.PackedColors = eng.PackedColors
-			if o.TrialKernel == nil && eng.Kernel != nil {
-				o.TrialKernel = eng.Kernel()
-			}
-			r, err := RelaxedD2(g, o)
+			r, err := RelaxedD2(g, opts, eng, seed)
 			if err != nil {
 				return alg.Result{}, err
 			}
-			return alg.Result{Coloring: r.Coloring, Packed: r.Packed, PaletteSize: r.PaletteSize, Metrics: r.Metrics, Details: &r}, nil
+			return result(r), nil
 		},
 	}
 }
 
+func result(r Result) alg.Result {
+	return alg.Result{Coloring: r.Coloring, Packed: r.Packed, PaletteSize: r.PaletteSize, Metrics: r.Metrics, Details: &r}
+}
+
 func init() {
 	alg.Register(GreedyAlgorithm())
-	alg.Register(NaiveAlgorithm(Options{}))
+	alg.Register(NaiveAlgorithm())
 	alg.Register(RelaxedAlgorithm(Options{Epsilon: 1}))
 }

@@ -14,6 +14,7 @@ package detd2
 import (
 	"fmt"
 
+	"d2color/internal/alg"
 	"d2color/internal/coloring"
 	"d2color/internal/congest"
 	"d2color/internal/detcolor"
@@ -34,20 +35,13 @@ type Options struct {
 	// IDs selects how the model's unique identifiers are assigned (they seed
 	// Linial's first iteration). Zero value means sequential IDs.
 	IDs congest.IDAssignment
-	// Seed is used only for the ID assignment when IDs is randomized.
-	Seed uint64
-	// Workers is the simulator's worker count (≤ 1 runs inline). The
-	// deterministic pipeline charges its rounds rather than simulating them
-	// message-by-message, so this only affects the engine construction, but
-	// it keeps the option surface uniform across the algorithm layers.
-	Workers int
-	// SkipVerify disables the internal validity check (used by benchmarks
-	// that verify separately).
-	SkipVerify bool
 }
 
-// Run executes the deterministic algorithm of Theorem 1.2 on g.
-func Run(g *graph.Graph, opts Options) (Result, error) {
+// Run executes the deterministic algorithm of Theorem 1.2 on g. The seed is
+// used only for the ID assignment when opts.IDs is randomized. The pipeline
+// charges its rounds rather than simulating them message-by-message, so
+// eng.Workers only affects the engine construction.
+func Run(g *graph.Graph, opts Options, eng alg.Engine, seed uint64) (Result, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return Result{Coloring: coloring.New(0), PaletteSize: 1}, nil
@@ -56,7 +50,7 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	// The simulator owns ID assignment; Linial consumes the IDs as its
 	// initial coloring. IDSparseRandom produces IDs from a space of size n³,
 	// exactly the O(log n)-bit assumption.
-	net := congest.New(g, congest.Config{Seed: opts.Seed, IDs: opts.IDs, Workers: opts.Workers})
+	net := congest.New(g, congest.Config{Seed: seed, IDs: opts.IDs, Workers: eng.Workers})
 	defer net.Close()
 	ids := make([]int, n)
 	for v := 0; v < n; v++ {
@@ -76,10 +70,8 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 		Metrics:     stages.Metrics,
 		Stages:      stages,
 	}
-	if !opts.SkipVerify {
-		if rep := verify.CheckD2(g, res.Coloring, res.PaletteSize); !rep.Valid {
-			return Result{}, fmt.Errorf("detd2: produced invalid coloring: %w", rep.Error())
-		}
+	if rep := verify.CheckD2(g, res.Coloring, res.PaletteSize); !rep.Valid {
+		return Result{}, fmt.Errorf("detd2: produced invalid coloring: %w", rep.Error())
 	}
 	return res, nil
 }

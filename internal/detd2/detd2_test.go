@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"d2color/internal/alg"
 	"d2color/internal/congest"
 	"d2color/internal/graph"
 	"d2color/internal/verify"
@@ -19,7 +20,7 @@ func TestRunOnVariousGraphs(t *testing.T) {
 		"path":  graph.Path(25),
 	}
 	for name, g := range cases {
-		res, err := Run(g, Options{})
+		res, err := Run(g, Options{}, alg.Engine{}, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -34,7 +35,7 @@ func TestRunOnVariousGraphs(t *testing.T) {
 }
 
 func TestRunEmptyGraph(t *testing.T) {
-	res, err := Run(graph.NewBuilder(0).Build(), Options{})
+	res, err := Run(graph.NewBuilder(0).Build(), Options{}, alg.Engine{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +50,11 @@ func TestRoundsScaleRoughlyWithDeltaSquared(t *testing.T) {
 	n := 400
 	small := graph.RandomRegular(n, 4, 1)
 	large := graph.RandomRegular(n, 16, 1)
-	rs, err := Run(small, Options{})
+	rs, err := Run(small, Options{}, alg.Engine{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := Run(large, Options{})
+	rl, err := Run(large, Options{}, alg.Engine{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestRoundsScaleRoughlyWithDeltaSquared(t *testing.T) {
 func TestIDAssignmentsProduceValidColorings(t *testing.T) {
 	g := graph.GNP(50, 0.07, 2)
 	for _, ids := range []congest.IDAssignment{congest.IDSequential, congest.IDRandomPermutation, congest.IDSparseRandom} {
-		res, err := Run(g, Options{IDs: ids, Seed: 3})
+		res, err := Run(g, Options{IDs: ids}, alg.Engine{}, 3)
 		if err != nil {
 			t.Fatalf("ids=%d: %v", ids, err)
 		}
@@ -84,11 +85,11 @@ func TestIDAssignmentsProduceValidColorings(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	g := graph.Grid(6, 7)
-	a, err := Run(g, Options{})
+	a, err := Run(g, Options{}, alg.Engine{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, Options{})
+	b, err := Run(g, Options{}, alg.Engine{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestStagesReported(t *testing.T) {
 	g := graph.GNP(60, 0.06, 9)
-	res, err := Run(g, Options{})
+	res, err := Run(g, Options{}, alg.Engine{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestStagesReported(t *testing.T) {
 func TestPropertyValidOnRandomGraphs(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.GNP(40, 0.1, seed)
-		res, err := Run(g, Options{SkipVerify: true})
+		res, err := Run(g, Options{}, alg.Engine{}, 0)
 		if err != nil {
 			return false
 		}

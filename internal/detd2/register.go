@@ -21,10 +21,7 @@ func Algorithm(opts Options) alg.Algorithm {
 		Class:   class,
 		Palette: alg.D2Palette,
 		RunFunc: func(g *graph.Graph, eng alg.Engine, seed uint64) (alg.Result, error) {
-			o := opts
-			o.Seed = seed
-			o.Workers = eng.Workers
-			r, err := Run(g, o)
+			r, err := Run(g, opts, eng, seed)
 			if err != nil {
 				return alg.Result{}, err
 			}

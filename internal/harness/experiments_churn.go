@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"d2color/internal/alg"
 	"d2color/internal/baseline"
 	"d2color/internal/coloring"
 	"d2color/internal/fault"
@@ -62,7 +63,7 @@ func runE12(cfg Config) (*Table, error) {
 		g0 := fam.build()
 		// One clean starting coloring per family, shared by every cell: the
 		// same baseline whose full rerun each epoch is timed against.
-		rel, err := baseline.RelaxedD2(g0, baseline.Options{Epsilon: 1, Seed: cfg.Seed + uint64(fi)})
+		rel, err := baseline.RelaxedD2(g0, baseline.Options{Epsilon: 1}, alg.Engine{}, cfg.Seed+uint64(fi))
 		if err != nil {
 			return nil, fmt.Errorf("E12 %s: initial coloring: %w", fam.name, err)
 		}
@@ -143,7 +144,7 @@ func runE12(cfg Config) (*Table, error) {
 					// The comparison point: recolor the post-churn topology
 					// from scratch with the same baseline family.
 					rerunStart := time.Now()
-					if _, err := baseline.RelaxedD2(cur, baseline.Options{Epsilon: 1, Seed: seed, Workers: workers}); err != nil {
+					if _, err := baseline.RelaxedD2(cur, baseline.Options{Epsilon: 1}, alg.Engine{Workers: workers}, seed); err != nil {
 						return nil, fmt.Errorf("E12 %s/%s/%g epoch %d rerun: %w", fam.name, mix, rate, e, err)
 					}
 					rerunWall += time.Since(rerunStart)

@@ -87,8 +87,9 @@ func unitDiskRadius(n int, avgDeg float64) float64 {
 // each cell the heap is scavenged (debug.FreeOSMemory) and the VmHWM
 // high-water mark reset, so each row's peak RSS covers the resident graph
 // plus that cell's kernel alone. Colorings are produced bit-packed
-// (sweep.Spec.PackedColors) and every sample is re-verified distance-2
-// valid outside the timed region — round-count validation at true scale.
+// (alg.Engine.PackedColors on every engine axis) and every sample is
+// re-verified distance-2 valid outside the timed region — round-count
+// validation at true scale.
 func runE11(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:    "E11",
@@ -133,12 +134,12 @@ func runE11(cfg Config) (*Table, error) {
 	}
 	cellsFor := func(n int) []cellSpec {
 		cells := []cellSpec{
-			{"greedy", sweep.EngineAxis{Name: "1"}},
-			{"relaxed", sweep.EngineAxis{Name: "1"}},
+			{"greedy", sweep.EngineAxis{Name: "1", Engine: alg.Engine{PackedColors: true}}},
+			{"relaxed", sweep.EngineAxis{Name: "1", Engine: alg.Engine{PackedColors: true}}},
 		}
 		if n <= 1_000_000 {
 			procs := runtime.GOMAXPROCS(0)
-			cells = append(cells, cellSpec{"relaxed", sweep.EngineAxis{Name: strconv.Itoa(procs), Engine: alg.Engine{Workers: procs}}})
+			cells = append(cells, cellSpec{"relaxed", sweep.EngineAxis{Name: strconv.Itoa(procs), Engine: alg.Engine{Workers: procs, PackedColors: true}}})
 		}
 		return cells
 	}
@@ -157,12 +158,11 @@ func runE11(cfg Config) (*Table, error) {
 			debug.FreeOSMemory()
 			perCellRSS = resetPeakRSS() && perCellRSS
 			spec := sweep.Spec{
-				Name:         "E11/" + sp.name,
-				Points:       []sweep.Point{pt},
-				Algorithms:   []sweep.AlgAxis{{Alg: alg.MustGet(cs.algName), Reps: 1}},
-				Engines:      []sweep.EngineAxis{cs.engine},
-				Seed:         cfg.Seed,
-				PackedColors: true,
+				Name:       "E11/" + sp.name,
+				Points:     []sweep.Point{pt},
+				Algorithms: []sweep.AlgAxis{{Alg: alg.MustGet(cs.algName), Reps: 1}},
+				Engines:    []sweep.EngineAxis{cs.engine},
+				Seed:       cfg.Seed,
 			}
 			grid, err := sweep.Run(spec, sweep.Options{Jobs: 1})
 			if err != nil {

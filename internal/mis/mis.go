@@ -44,8 +44,6 @@ type Result struct {
 type Options struct {
 	// K is the distance parameter (K >= 1).
 	K int
-	// Seed drives the per-node randomness.
-	Seed uint64
 	// MaxPhases bounds the Luby loop; 0 means 64·log₂ n + 64 (completion
 	// happens in O(log n) phases w.h.p.).
 	MaxPhases int
@@ -57,8 +55,9 @@ var (
 	ErrIncomplete = errors.New("mis: phase budget exhausted before the set became maximal")
 )
 
-// Run computes a distance-K maximal independent set of g.
-func Run(g *graph.Graph, opts Options) (Result, error) {
+// Run computes a distance-K maximal independent set of g; the seed drives
+// the per-node randomness.
+func Run(g *graph.Graph, opts Options, seed uint64) (Result, error) {
 	if opts.K < 1 {
 		return Result{}, fmt.Errorf("%w (got %d)", ErrBadK, opts.K)
 	}
@@ -83,7 +82,7 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	state := make([]int, n)
 	rand := make([]*rng.Source, n)
 	for v := 0; v < n; v++ {
-		rand[v] = rng.Split(opts.Seed, uint64(v)+0xA11CE)
+		rand[v] = rng.Split(seed, uint64(v)+0xA11CE)
 	}
 
 	// Phase buffers are hoisted out of the loop and reused, in the same

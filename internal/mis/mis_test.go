@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunValidatesOptions(t *testing.T) {
-	if _, err := Run(graph.Path(4), Options{K: 0}); !errors.Is(err, ErrBadK) {
+	if _, err := Run(graph.Path(4), Options{K: 0}, 0); !errors.Is(err, ErrBadK) {
 		t.Errorf("K=0: %v", err)
 	}
 }
@@ -24,7 +24,7 @@ func TestDistance1MIS(t *testing.T) {
 		"empty":  graph.NewBuilder(7).Build(),
 	}
 	for name, g := range graphs {
-		res, err := Run(g, Options{K: 1, Seed: 3})
+		res, err := Run(g, Options{K: 1}, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -39,7 +39,7 @@ func TestDistance1MIS(t *testing.T) {
 
 func TestDistance2MIS(t *testing.T) {
 	g := graph.GNP(100, 0.06, 2)
-	res, err := Run(g, Options{K: 2, Seed: 5})
+	res, err := Run(g, Options{K: 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDistance2MIS(t *testing.T) {
 
 func TestCliqueHasExactlyOneMember(t *testing.T) {
 	g := graph.Complete(12)
-	res, err := Run(g, Options{K: 1, Seed: 7})
+	res, err := Run(g, Options{K: 1}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestCliqueHasExactlyOneMember(t *testing.T) {
 	}
 	// Distance-2 MIS of a star: only one member possible as well.
 	star := graph.Star(10)
-	res2, err := Run(star, Options{K: 2, Seed: 7})
+	res2, err := Run(star, Options{K: 2}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,11 @@ func TestCliqueHasExactlyOneMember(t *testing.T) {
 
 func TestRoundChargeScalesWithK(t *testing.T) {
 	g := graph.Grid(8, 8)
-	r1, err := Run(g, Options{K: 1, Seed: 1})
+	r1, err := Run(g, Options{K: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, err := Run(g, Options{K: 3, Seed: 1})
+	r3, err := Run(g, Options{K: 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRoundChargeScalesWithK(t *testing.T) {
 func TestMaxPhasesExhaustion(t *testing.T) {
 	g := graph.Complete(30)
 	// Zero phases cannot complete.
-	if _, err := Run(g, Options{K: 1, Seed: 1, MaxPhases: -1}); err != nil {
+	if _, err := Run(g, Options{K: 1, MaxPhases: -1}, 1); err != nil {
 		t.Fatalf("default phase budget should complete: %v", err)
 	}
 }
@@ -147,7 +147,7 @@ func TestPropertyMISAlwaysValid(t *testing.T) {
 	f := func(seed uint64, kRaw uint8) bool {
 		k := int(kRaw%3) + 1
 		g := graph.GNP(50, 0.08, int64(seed%16))
-		res, err := Run(g, Options{K: k, Seed: seed})
+		res, err := Run(g, Options{K: k}, seed)
 		if err != nil {
 			return false
 		}
@@ -160,11 +160,11 @@ func TestPropertyMISAlwaysValid(t *testing.T) {
 
 func TestDeterministicBySeed(t *testing.T) {
 	g := graph.GNP(60, 0.1, 3)
-	a, err := Run(g, Options{K: 2, Seed: 9})
+	a, err := Run(g, Options{K: 2}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, Options{K: 2, Seed: 9})
+	b, err := Run(g, Options{K: 2}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

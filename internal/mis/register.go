@@ -26,9 +26,7 @@ func Algorithm(opts Options) alg.Algorithm {
 		NotD2:   true, // set membership, not a distance-2 coloring
 		Palette: func(*graph.Graph) int { return 2 },
 		RunFunc: func(g *graph.Graph, _ alg.Engine, seed uint64) (alg.Result, error) {
-			o := opts
-			o.Seed = seed
-			r, err := Run(g, o)
+			r, err := Run(g, opts, seed)
 			if err != nil {
 				return alg.Result{}, err
 			}

@@ -55,10 +55,6 @@ type Options struct {
 	// zero-round randomized one (used by tests and by the randomized-vs-
 	// deterministic ablation).
 	UseRandomizedSplit bool
-	// Seed drives the randomized splitting variant.
-	Seed uint64
-	// SkipVerify disables internal validity checking.
-	SkipVerify bool
 }
 
 // ErrBadEpsilon is returned for non-positive ε.
@@ -99,7 +95,8 @@ type PartitionResult struct {
 
 // Partition recursively splits V until every vertex has at most
 // DegreeThreshold neighbours in every part (or the level cap is reached).
-func Partition(g *graph.Graph, opts Options) (PartitionResult, error) {
+// The seed drives the randomized splitting variant.
+func Partition(g *graph.Graph, opts Options, seed uint64) (PartitionResult, error) {
 	n := g.NumNodes()
 	delta := g.MaxDegree()
 	opts, err := opts.normalize(delta, n)
@@ -112,7 +109,7 @@ func Partition(g *graph.Graph, opts Options) (PartitionResult, error) {
 		sopts := splitting.Options{
 			Lambda:         opts.Lambda,
 			ThresholdCoeff: opts.ThresholdCoeff,
-			Seed:           opts.Seed + uint64(res.Levels)*7919,
+			Seed:           seed + uint64(res.Levels)*7919,
 		}
 		var split splitting.Result
 		var serr error
@@ -158,15 +155,16 @@ type conflictTarget interface {
 
 // ColorG implements Theorem 3.4: a (1+ε)Δ coloring of G in polylogarithmic
 // time (given the splitting substrate), by coloring the parts of the
-// Lemma-3.3 partition in parallel with disjoint palettes.
-func ColorG(g *graph.Graph, opts Options) (Result, error) {
+// Lemma-3.3 partition in parallel with disjoint palettes. The seed drives
+// the randomized splitting variant.
+func ColorG(g *graph.Graph, opts Options, seed uint64) (Result, error) {
 	delta := g.MaxDegree()
 	bound := paletteBound(delta, opts.Epsilon)
-	res, err := colorPartitioned(g, g, opts, bound, 1)
+	res, err := colorPartitioned(g, g, opts, seed, bound, 1)
 	if err != nil {
 		return Result{}, err
 	}
-	if !opts.SkipVerify && g.NumNodes() > 0 {
+	if g.NumNodes() > 0 {
 		if rep := verify.CheckD1(g, res.Coloring, res.PaletteBound); !rep.Valid {
 			return Result{}, fmt.Errorf("polylogd2: ColorG produced invalid coloring: %w", rep.Error())
 		}
@@ -177,8 +175,9 @@ func ColorG(g *graph.Graph, opts Options) (Result, error) {
 // ColorG2 implements Theorem 1.3: a (1+ε)Δ² coloring of G², by partitioning G
 // with parameter ε/4, coloring the induced square subgraphs Hᵢ = G²[Vᵢ] in
 // parallel with disjoint palettes, and charging the Δ_h simulation overhead
-// of Lemma 3.5 for the rounds spent on the Hᵢ.
-func ColorG2(g *graph.Graph, opts Options) (Result, error) {
+// of Lemma 3.5 for the rounds spent on the Hᵢ. The seed drives the
+// randomized splitting variant.
+func ColorG2(g *graph.Graph, opts Options, seed uint64) (Result, error) {
 	if opts.Epsilon <= 0 {
 		return Result{}, fmt.Errorf("%w (got %g)", ErrBadEpsilon, opts.Epsilon)
 	}
@@ -186,12 +185,12 @@ func ColorG2(g *graph.Graph, opts Options) (Result, error) {
 	bound := paletteBound(delta*delta, opts.Epsilon)
 	inner := opts
 	inner.Epsilon = opts.Epsilon / 4
-	res, err := colorPartitioned(g, graph.NewDist2View(g), inner, bound, 0)
+	res, err := colorPartitioned(g, graph.NewDist2View(g), inner, seed, bound, 0)
 	if err != nil {
 		return Result{}, err
 	}
 	res.PaletteBound = bound
-	if !opts.SkipVerify && g.NumNodes() > 0 {
+	if g.NumNodes() > 0 {
 		if rep := verify.CheckD2(g, res.Coloring, res.PaletteBound); !rep.Valid {
 			return Result{}, fmt.Errorf("polylogd2: ColorG2 produced invalid coloring: %w", rep.Error())
 		}
@@ -205,7 +204,7 @@ func ColorG2(g *graph.Graph, opts Options) (Result, error) {
 // the target: 1 when target = G (vertex-disjoint parts communicate directly),
 // 0 when target = G² (the Δ_h overhead of Lemma 3.5 is derived from the
 // computed partition).
-func colorPartitioned(g *graph.Graph, target conflictTarget, opts Options, bound int, simulationScale int) (Result, error) {
+func colorPartitioned(g *graph.Graph, target conflictTarget, opts Options, seed uint64, bound int, simulationScale int) (Result, error) {
 	n := g.NumNodes()
 	res := Result{PaletteBound: bound}
 	if n == 0 {
@@ -213,7 +212,7 @@ func colorPartitioned(g *graph.Graph, target conflictTarget, opts Options, bound
 		return res, nil
 	}
 
-	part, err := Partition(g, opts)
+	part, err := Partition(g, opts, seed)
 	if err != nil {
 		return Result{}, err
 	}

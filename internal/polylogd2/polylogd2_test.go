@@ -12,13 +12,13 @@ import (
 
 func TestOptionsValidation(t *testing.T) {
 	g := graph.Complete(10)
-	if _, err := ColorG(g, Options{Epsilon: 0}); !errors.Is(err, ErrBadEpsilon) {
+	if _, err := ColorG(g, Options{Epsilon: 0}, 0); !errors.Is(err, ErrBadEpsilon) {
 		t.Errorf("epsilon 0: %v", err)
 	}
-	if _, err := ColorG2(g, Options{Epsilon: -1}); !errors.Is(err, ErrBadEpsilon) {
+	if _, err := ColorG2(g, Options{Epsilon: -1}, 0); !errors.Is(err, ErrBadEpsilon) {
 		t.Errorf("negative epsilon: %v", err)
 	}
-	if _, err := Partition(g, Options{Epsilon: 0}); !errors.Is(err, ErrBadEpsilon) {
+	if _, err := Partition(g, Options{Epsilon: 0}, 0); !errors.Is(err, ErrBadEpsilon) {
 		t.Errorf("partition epsilon 0: %v", err)
 	}
 }
@@ -26,7 +26,7 @@ func TestOptionsValidation(t *testing.T) {
 func TestPartitionReducesPartDegree(t *testing.T) {
 	// A clique with a small degree threshold forces several splitting levels.
 	g := graph.Complete(64)
-	res, err := Partition(g, Options{Epsilon: 1, DegreeThreshold: 10, ThresholdCoeff: 1, Seed: 1})
+	res, err := Partition(g, Options{Epsilon: 1, DegreeThreshold: 10, ThresholdCoeff: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPartitionPaperThresholdIsTrivial(t *testing.T) {
 	// With the paper's degree threshold (default), laptop-scale graphs are
 	// already below it, so no splitting happens (documented scaling note).
 	g := graph.GNP(100, 0.2, 1)
-	res, err := Partition(g, Options{Epsilon: 1})
+	res, err := Partition(g, Options{Epsilon: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestColorGRespectsBudget(t *testing.T) {
 		"bipartite": graph.CompleteBipartite(40, 40),
 	}
 	for name, g := range cases {
-		res, err := ColorG(g, Options{Epsilon: 1, DegreeThreshold: 8, ThresholdCoeff: 1, Seed: 3})
+		res, err := ColorG(g, Options{Epsilon: 1, DegreeThreshold: 8, ThresholdCoeff: 1}, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -86,7 +86,7 @@ func TestColorGPartitionedPathIsExercised(t *testing.T) {
 	// (not the direct fallback) should be used, and it should still meet the
 	// (1+ε)Δ budget with ε = 1.
 	g := graph.Complete(64)
-	res, err := ColorG(g, Options{Epsilon: 1, DegreeThreshold: 8, ThresholdCoeff: 1, Seed: 1})
+	res, err := ColorG(g, Options{Epsilon: 1, DegreeThreshold: 8, ThresholdCoeff: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestColorG2RespectsBudgetAndValidity(t *testing.T) {
 		"grid":        graph.Grid(8, 8),
 	}
 	for name, g := range cases {
-		res, err := ColorG2(g, Options{Epsilon: 1, DegreeThreshold: 6, ThresholdCoeff: 1, Seed: 5})
+		res, err := ColorG2(g, Options{Epsilon: 1, DegreeThreshold: 6, ThresholdCoeff: 1}, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -129,7 +129,7 @@ func TestColorG2RespectsBudgetAndValidity(t *testing.T) {
 }
 
 func TestColorG2EmptyGraph(t *testing.T) {
-	res, err := ColorG2(graph.NewBuilder(0).Build(), Options{Epsilon: 1})
+	res, err := ColorG2(graph.NewBuilder(0).Build(), Options{Epsilon: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,7 @@ func TestColorG2EmptyGraph(t *testing.T) {
 
 func TestRandomizedSplitVariant(t *testing.T) {
 	g := graph.Complete(50)
-	res, err := ColorG(g, Options{Epsilon: 1, DegreeThreshold: 8, ThresholdCoeff: 1,
-		UseRandomizedSplit: true, Seed: 7})
+	res, err := ColorG(g, Options{Epsilon: 1, DegreeThreshold: 8, ThresholdCoeff: 1, UseRandomizedSplit: true}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +165,7 @@ func TestPaletteBoundHelper(t *testing.T) {
 func TestPropertyColorGValidAcrossSeeds(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := graph.GNP(60, 0.25, int64(seed%8))
-		res, err := ColorG(g, Options{Epsilon: 1, DegreeThreshold: 6, ThresholdCoeff: 1,
-			UseRandomizedSplit: true, Seed: seed, SkipVerify: true})
+		res, err := ColorG(g, Options{Epsilon: 1, DegreeThreshold: 6, ThresholdCoeff: 1, UseRandomizedSplit: true}, seed)
 		if err != nil {
 			return false
 		}
@@ -181,7 +179,7 @@ func TestPropertyColorGValidAcrossSeeds(t *testing.T) {
 
 func TestPartitionIsConsistentWithSplittingHelpers(t *testing.T) {
 	g := graph.Complete(32)
-	res, err := Partition(g, Options{Epsilon: 1, DegreeThreshold: 4, ThresholdCoeff: 1, Seed: 9})
+	res, err := Partition(g, Options{Epsilon: 1, DegreeThreshold: 4, ThresholdCoeff: 1}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

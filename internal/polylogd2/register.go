@@ -26,9 +26,7 @@ func Algorithm(opts Options) alg.Algorithm {
 			return paletteBound(d*d, opts.Epsilon)
 		},
 		RunFunc: func(g *graph.Graph, eng alg.Engine, seed uint64) (alg.Result, error) {
-			o := opts
-			o.Seed = seed
-			r, err := ColorG2(g, o)
+			r, err := ColorG2(g, opts, seed)
 			if err != nil {
 				return alg.Result{}, err
 			}

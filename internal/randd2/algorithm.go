@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"d2color/internal/alg"
 	"d2color/internal/coloring"
 	"d2color/internal/congest"
 	"d2color/internal/detd2"
@@ -42,27 +43,11 @@ type Options struct {
 	Variant Variant
 	// Params are the algorithm constants; the zero value means Default().
 	Params *Params
-	// Seed drives all randomness.
-	Seed uint64
-	// Workers is the worker count of the simulated sub-protocols (the step-2
-	// trial phases and the deterministic fallback's engine); ≤ 1 runs them
-	// inline. Results are byte-identical for every worker count.
-	Workers int
-	// SkipVerify disables the internal validity check.
-	SkipVerify bool
 	// DisableDeterministicFallback forces the randomized machinery even when
 	// Δ² < C2·log n (step 0 of d2-Color would normally defer to Theorem 1.2).
 	// Used by tests and by experiments that want the randomized path on small
 	// graphs.
 	DisableDeterministicFallback bool
-	// TrialKernel optionally injects a reusable trial kernel built for the
-	// same graph (trial.NewRunner). Repeated runs on one topology — the
-	// harness's averaged repetitions, parameter sweeps — then share the
-	// kernel's network, processes and flat state instead of rebuilding them
-	// per run. The kernel's worker count overrides Workers; a
-	// kernel must not be shared between concurrent runs. nil means build one
-	// internally.
-	TrialKernel *trial.Runner
 }
 
 // Result is the outcome of a run.
@@ -90,8 +75,13 @@ type Result struct {
 	FallbackPhases   int
 }
 
-// Run executes the randomized d2-coloring algorithm on g.
-func Run(g *graph.Graph, opts Options) (Result, error) {
+// Run executes the randomized d2-coloring algorithm on g; the seed drives all
+// randomness. The trial phases run on eng.Kernel's reusable kernel when the
+// engine offers one (it must be built for g and is not closed), otherwise on
+// a throwaway kernel with eng.Workers workers, which also sizes the
+// deterministic fallback's engine. Results are byte-identical for every
+// worker count.
+func Run(g *graph.Graph, opts Options, eng alg.Engine, seed uint64) (Result, error) {
 	if opts.Variant == 0 {
 		opts.Variant = VariantImproved
 	}
@@ -112,7 +102,7 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	// Step 0: for low-degree graphs use the deterministic algorithm
 	// (Theorem 1.2), exactly as Algorithm d2-Color does.
 	if float64(delta*delta) < params.C2*log2(n) && !opts.DisableDeterministicFallback {
-		det, err := detd2.Run(g, detd2.Options{Seed: opts.Seed, Workers: opts.Workers, SkipVerify: opts.SkipVerify})
+		det, err := detd2.Run(g, detd2.Options{}, eng, seed)
 		if err != nil {
 			return Result{}, fmt.Errorf("randd2: deterministic fallback: %w", err)
 		}
@@ -126,18 +116,18 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 		}, nil
 	}
 
-	tk := opts.TrialKernel
-	if tk == nil {
-		tk = trial.NewRunner(g, false, opts.Workers)
+	var tk *trial.Runner
+	if eng.Kernel == nil {
+		tk = trial.NewRunner(g, false, eng.Workers)
 		defer tk.Close() // owned kernel: injected ones are closed by their owner
-	} else if tk.Graph() != g {
+	} else if tk = eng.Kernel(); tk.Graph() != g {
 		return Result{}, fmt.Errorf("randd2: injected trial kernel was built for a different graph")
 	}
-	r := newRunner(g, params, opts.Seed, tk)
+	r := newRunner(g, params, seed, tk)
 	res := Result{Variant: opts.Variant, PaletteSize: r.palette}
 
 	// Step 1: form the similarity graphs H and Ĥ (Section 2.3).
-	r.sim = buildSimilarity(g, r.d2, delta, params, opts.Seed)
+	r.sim = buildSimilarity(g, r.d2, delta, params, seed)
 	r.charge(r.sim.rounds)
 	res.SimilarityRounds = r.sim.rounds
 
@@ -148,7 +138,7 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 		PaletteSize: r.palette,
 		Scope:       trial.ScopeDistance2,
 		MaxPhases:   initialPhases,
-		Seed:        opts.Seed ^ 0x1234,
+		Seed:        seed ^ 0x1234,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("randd2: initial phase: %w", err)
@@ -198,10 +188,8 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	if res.ActiveRounds < 0 {
 		res.ActiveRounds = r.metrics.TotalRounds()
 	}
-	if !opts.SkipVerify {
-		if rep := verify.CheckD2(g, res.Coloring, res.PaletteSize); !rep.Valid {
-			return Result{}, fmt.Errorf("randd2: produced invalid coloring: %w", rep.Error())
-		}
+	if rep := verify.CheckD2(g, res.Coloring, res.PaletteSize); !rep.Valid {
+		return Result{}, fmt.Errorf("randd2: produced invalid coloring: %w", rep.Error())
 	}
 	return res, nil
 }

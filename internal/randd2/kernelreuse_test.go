@@ -4,9 +4,15 @@ import (
 	"fmt"
 	"testing"
 
+	"d2color/internal/alg"
 	"d2color/internal/graph"
 	"d2color/internal/trial"
 )
+
+// kernelOf returns an engine kernel provider that always offers tk.
+func kernelOf(tk *trial.Runner) func() *trial.Runner {
+	return func() *trial.Runner { return tk }
+}
 
 // TestTrialKernelReuseByteDeterminism is the byte-determinism property suite
 // for the word-encoded kernel: for every graph family, variant, worker count
@@ -35,13 +41,12 @@ func TestTrialKernelReuseByteDeterminism(t *testing.T) {
 			for _, variant := range []Variant{VariantImproved, VariantBasic} {
 				for _, seed := range seeds {
 					t.Run(fmt.Sprintf("%s/%s/workers=%d/seed=%d", fam.name, variant, workers, seed), func(t *testing.T) {
-						fresh, err := Run(fam.g, Options{Variant: variant, Seed: seed, Workers: 1,
-							DisableDeterministicFallback: true})
+						opts := Options{Variant: variant, DisableDeterministicFallback: true}
+						fresh, err := Run(fam.g, opts, alg.Engine{Workers: 1}, seed)
 						if err != nil {
 							t.Fatalf("fresh: %v", err)
 						}
-						reused, err := Run(fam.g, Options{Variant: variant, Seed: seed,
-							DisableDeterministicFallback: true, TrialKernel: shared})
+						reused, err := Run(fam.g, opts, alg.Engine{Kernel: kernelOf(shared)}, seed)
 						if err != nil {
 							t.Fatalf("reused: %v", err)
 						}
@@ -70,7 +75,7 @@ func TestTrialKernelGraphMismatchRejected(t *testing.T) {
 	gA := graph.Grid(8, 8)
 	gB := graph.Grid(4, 4)
 	tk := trial.NewRunner(gA, false, 0)
-	if _, err := Run(gB, Options{Seed: 1, TrialKernel: tk, DisableDeterministicFallback: true}); err == nil {
+	if _, err := Run(gB, Options{DisableDeterministicFallback: true}, alg.Engine{Kernel: kernelOf(tk)}, 1); err == nil {
 		t.Fatal("mismatched trial kernel should be rejected")
 	}
 }

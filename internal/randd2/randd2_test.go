@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"d2color/internal/alg"
 	"d2color/internal/graph"
 	"d2color/internal/verify"
 )
@@ -23,7 +24,7 @@ func testWorkloads() map[string]*graph.Graph {
 
 func TestImprovedVariantValidOnWorkloads(t *testing.T) {
 	for name, g := range testWorkloads() {
-		res, err := Run(g, Options{Variant: VariantImproved, Seed: 7})
+		res, err := Run(g, Options{Variant: VariantImproved}, alg.Engine{}, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -45,7 +46,7 @@ func TestImprovedVariantValidOnWorkloads(t *testing.T) {
 
 func TestBasicVariantValidOnWorkloads(t *testing.T) {
 	for name, g := range testWorkloads() {
-		res, err := Run(g, Options{Variant: VariantBasic, Seed: 11})
+		res, err := Run(g, Options{Variant: VariantBasic}, alg.Engine{}, 11)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -59,7 +60,7 @@ func TestDeterministicFallbackOnLowDegree(t *testing.T) {
 	// A long path has Δ = 2, so Δ² = 4 < C2·log n for n = 200: step 0 defers
 	// to the deterministic algorithm.
 	g := graph.Path(200)
-	res, err := Run(g, Options{Seed: 1})
+	res, err := Run(g, Options{}, alg.Engine{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestDeterministicFallbackOnLowDegree(t *testing.T) {
 		t.Errorf("%v", rep.Error())
 	}
 	// Forcing the randomized path must still give a valid coloring.
-	res2, err := Run(g, Options{Seed: 1, DisableDeterministicFallback: true})
+	res2, err := Run(g, Options{DisableDeterministicFallback: true}, alg.Engine{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestDeterministicFallbackOnLowDegree(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	res, err := Run(graph.NewBuilder(0).Build(), Options{})
+	res, err := Run(graph.NewBuilder(0).Build(), Options{}, alg.Engine{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestEmptyGraph(t *testing.T) {
 func TestInvalidParamsRejected(t *testing.T) {
 	p := Default()
 	p.C0 = 0
-	if _, err := Run(graph.Star(10), Options{Params: &p}); !errors.Is(err, ErrBadParams) {
+	if _, err := Run(graph.Star(10), Options{Params: &p}, alg.Engine{}, 0); !errors.Is(err, ErrBadParams) {
 		t.Errorf("err = %v, want ErrBadParams", err)
 	}
 	p = Default()
@@ -127,11 +128,11 @@ func TestVariantString(t *testing.T) {
 
 func TestDeterministicGivenSeed(t *testing.T) {
 	g := graph.CliqueChain(5, 6, 0)
-	a, err := Run(g, Options{Seed: 42})
+	a, err := Run(g, Options{}, alg.Engine{}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, Options{Seed: 42})
+	b, err := Run(g, Options{}, alg.Engine{}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +148,11 @@ func TestDeterministicGivenSeed(t *testing.T) {
 
 func TestDifferentSeedsExploreDifferentColorings(t *testing.T) {
 	g := graph.CliqueChain(5, 6, 0)
-	a, err := Run(g, Options{Seed: 1})
+	a, err := Run(g, Options{}, alg.Engine{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, Options{Seed: 2})
+	b, err := Run(g, Options{}, alg.Engine{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +180,7 @@ func TestReduceIsExercisedOnDenseWorkloads(t *testing.T) {
 	params.C1 = 0.9
 	params.QueryDenominator = 1
 	params.ActiveDenominator = 1
-	res, err := Run(g, Options{Seed: 3, Variant: VariantImproved, Params: &params,
-		DisableDeterministicFallback: true})
+	res, err := Run(g, Options{Variant: VariantImproved, Params: &params, DisableDeterministicFallback: true}, alg.Engine{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestReduceIsExercisedOnDenseWorkloads(t *testing.T) {
 
 func TestImprovedReportsPaletteAndFinishStats(t *testing.T) {
 	g := graph.CliqueChain(6, 7, 0)
-	res, err := Run(g, Options{Seed: 5, Variant: VariantImproved})
+	res, err := Run(g, Options{Variant: VariantImproved}, alg.Engine{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestImprovedReportsPaletteAndFinishStats(t *testing.T) {
 func TestPropertyAlwaysValid(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := graph.GNPWithAverageDegree(80, 8, int64(seed%16))
-		res, err := Run(g, Options{Seed: seed, SkipVerify: true})
+		res, err := Run(g, Options{}, alg.Engine{}, seed)
 		if err != nil {
 			return false
 		}
@@ -239,11 +239,11 @@ func TestBothVariantsRoundsGrowWithN(t *testing.T) {
 	small := graph.GNPWithAverageDegree(100, 12, 1)
 	large := graph.GNPWithAverageDegree(800, 12, 1)
 	for _, variant := range []Variant{VariantBasic, VariantImproved} {
-		rs, err := Run(small, Options{Seed: 1, Variant: variant})
+		rs, err := Run(small, Options{Variant: variant}, alg.Engine{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rl, err := Run(large, Options{Seed: 1, Variant: variant})
+		rl, err := Run(large, Options{Variant: variant}, alg.Engine{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package randd2
 import (
 	"testing"
 
+	"d2color/internal/alg"
 	"d2color/internal/coloring"
 	"d2color/internal/graph"
 	"d2color/internal/trial"
@@ -226,8 +227,7 @@ func TestPaperParamsStillProduceValidColoring(t *testing.T) {
 	// The paper's C0 would schedule ~500k initial phases; cap it so the test
 	// finishes while keeping every other constant at its published value.
 	p.C0 = 3
-	res, err := Run(g, Options{Params: &p, Seed: 1, Variant: VariantImproved,
-		DisableDeterministicFallback: true})
+	res, err := Run(g, Options{Params: &p, Variant: VariantImproved, DisableDeterministicFallback: true}, alg.Engine{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,8 @@ import (
 )
 
 // Algorithm wraps the randomized d2-coloring in the unified alg.Algorithm
-// interface. The fixed options carry everything but the seed and the engine,
-// which are supplied per Run call; a reusable trial kernel offered by the
-// engine (alg.Engine.Kernel) is consumed unless the options already inject
-// one.
+// interface. The fixed options carry the algorithm's own parameters; the
+// engine and the seed are supplied per Run call.
 func Algorithm(opts Options) alg.Algorithm {
 	name := "rand-improved"
 	if opts.Variant == VariantBasic {
@@ -20,13 +18,7 @@ func Algorithm(opts Options) alg.Algorithm {
 		Class:   alg.Randomized,
 		Palette: alg.D2Palette,
 		RunFunc: func(g *graph.Graph, eng alg.Engine, seed uint64) (alg.Result, error) {
-			o := opts
-			o.Seed = seed
-			o.Workers = eng.Workers
-			if o.TrialKernel == nil && eng.Kernel != nil {
-				o.TrialKernel = eng.Kernel()
-			}
-			r, err := Run(g, o)
+			r, err := Run(g, opts, eng, seed)
 			if err != nil {
 				return alg.Result{}, err
 			}

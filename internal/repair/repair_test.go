@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"d2color/internal/alg"
 	"d2color/internal/baseline"
 	"d2color/internal/coloring"
 	"d2color/internal/fault"
@@ -550,7 +551,7 @@ func TestRepairLocalityGate(t *testing.T) {
 	}
 	const n = 100_000
 	g := graph.GNPWithAverageDegree(n, 8, 17)
-	base, err := baseline.RelaxedD2(g, baseline.Options{Epsilon: 1, Seed: 4})
+	base, err := baseline.RelaxedD2(g, baseline.Options{Epsilon: 1}, alg.Engine{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +605,7 @@ func TestRepairLocalityGate(t *testing.T) {
 
 	// Wall time: < 5% of a full rerun of the relaxed baseline.
 	start := time.Now()
-	if _, err := baseline.RelaxedD2(g, baseline.Options{Epsilon: 1, Seed: 9}); err != nil {
+	if _, err := baseline.RelaxedD2(g, baseline.Options{Epsilon: 1}, alg.Engine{}, 9); err != nil {
 		t.Fatal(err)
 	}
 	rerun := time.Since(start)

@@ -11,16 +11,10 @@ import (
 
 	"d2color/internal/alg"
 	"d2color/internal/coloring"
+	_ "d2color/internal/core" // links every algorithm into the registry
 	"d2color/internal/fault"
 	"d2color/internal/graph"
 	"d2color/internal/repair"
-
-	// Blank imports populate the registry with every default instance.
-	_ "d2color/internal/baseline"
-	_ "d2color/internal/detd2"
-	_ "d2color/internal/mis"
-	_ "d2color/internal/polylogd2"
-	_ "d2color/internal/randd2"
 )
 
 // goldenSpecs mirrors the registry golden's family list (internal/alg's

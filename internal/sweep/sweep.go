@@ -93,12 +93,6 @@ type Spec struct {
 	// called once per repetition, possibly concurrently across cells but
 	// never concurrently for one cell.
 	Observe func(rep int, res *alg.Result, rec *Recorder)
-	// PackedColors asks every cell's engine for bit-packed colorings
-	// (alg.Engine.PackedColors): results of adapters with a packed path carry
-	// ⌈log₂(palette+1)⌉ bits/node instead of 8 bytes — the switch the scale
-	// experiments flip so a 10⁷-node cell's resident output stays small.
-	// Colors (and all aggregates) are byte-identical either way.
-	PackedColors bool
 }
 
 // Agg is a streaming aggregate over one measure: count, sum, min, max and a
@@ -361,7 +355,6 @@ func Run(spec Spec, opts Options) (*Grid, error) {
 		// and the cell closes it on the way out (parking the engine's worker
 		// team, if any — cells must not leak pooled goroutines).
 		eng := engines[ei].Engine
-		eng.PackedColors = eng.PackedColors || spec.PackedColors
 		var tk *trial.Runner
 		eng.Kernel = func() *trial.Runner {
 			if tk == nil {
