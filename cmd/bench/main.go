@@ -115,7 +115,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *memprobe > 0 {
-		fmt.Fprintf(stdout, "== memory probe (gnp avg deg 8, n=%d, packed colorings)\n", *memprobe)
+		fmt.Fprintf(stdout, "== memory probe (gnp avg deg 8, n=%d)\n", *memprobe)
 		probes, reliable, err := harness.RunMemoryProbe(*memprobe, 1, []string{"greedy", "relaxed"})
 		if err != nil {
 			return err

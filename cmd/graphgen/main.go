@@ -4,8 +4,8 @@
 //
 // For generator kinds with a closed-form expected size, graphgen first
 // prints the estimated resident bytes of simulating on the graph — the CSR,
-// the 32-bit engine's message plane and inbox arena, and a bit-packed
-// coloring — before paying the generation cost, so a 10⁷-node spec can be
+// the 32-bit engine's message plane and inbox arena, and the coloring —
+// before paying the generation cost, so a 10⁷-node spec can be
 // sized against a machine's memory in milliseconds.
 //
 // Example:
@@ -144,8 +144,8 @@ func expectedSize(s graph.GeneratorSpec) (n, m float64, ok bool) {
 func printResidentEstimate(w io.Writer, s graph.GeneratorSpec, n, m float64) {
 	est := graph.EstimateResidency(n, m)
 	fmt.Fprintf(w, "# est. simulation residency for %s: E[n]=%.3g E[m]=%.3g\n", s.String(), n, m)
-	fmt.Fprintf(w, "# est. CSR+edge-index %s, message plane+inboxes %s, packed coloring %s (%d bits/node) — total ≈ %s\n",
-		fmtBytes(est.CSRBytes), fmtBytes(est.PlaneBytes), fmtBytes(est.ColoringBytes), est.PackedBits, fmtBytes(est.Total()))
+	fmt.Fprintf(w, "# est. CSR+edge-index %s, message plane+inboxes %s, coloring %s (8 B/node) — total ≈ %s\n",
+		fmtBytes(est.CSRBytes), fmtBytes(est.PlaneBytes), fmtBytes(est.ColoringBytes), fmtBytes(est.Total()))
 }
 
 // fmtBytes renders a byte count with a binary unit.

@@ -43,13 +43,13 @@ func main() {
 	conflicts := 0
 	taskColors := make(map[int]int) // color -> count
 	for task := 0; task < tasks; task++ {
-		taskColors[res.Coloring.Get(graph.NodeID(task))]++
+		taskColors[res.Coloring[task]]++
 	}
 	for r := 0; r < resources; r++ {
 		resourceNode := graph.NodeID(tasks + r)
 		seen := make(map[int]graph.NodeID)
 		for _, t := range g.Neighbors(resourceNode) {
-			c := res.Coloring.Get(t)
+			c := res.Coloring[t]
 			if prev, ok := seen[c]; ok {
 				conflicts++
 				fmt.Printf("conflict: tasks %d and %d share resource %d and color %d\n", prev, t, r, c)

@@ -41,9 +41,9 @@ func main() {
 
 	// Show the colors around an arbitrary node.
 	v := graph.NodeID(0)
-	fmt.Printf("node %d has color %d; its neighbours:", v, res.Coloring.Get(v))
+	fmt.Printf("node %d has color %d; its neighbours:", v, res.Coloring[v])
 	for _, u := range g.Neighbors(v) {
-		fmt.Printf(" %d→%d", u, res.Coloring.Get(u))
+		fmt.Printf(" %d→%d", u, res.Coloring[u])
 	}
 	fmt.Println()
 }

@@ -60,6 +60,6 @@ func main() {
 	fmt.Println("\nsample assignments:")
 	for v := 0; v < 5 && v < g.NumNodes(); v++ {
 		fmt.Printf("  station %3d at (%.2f, %.2f): frequency %d\n",
-			v, xs[v], ys[v], assignment.Coloring.Get(graph.NodeID(v)))
+			v, xs[v], ys[v], assignment.Coloring[v])
 	}
 }

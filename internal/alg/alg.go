@@ -44,10 +44,10 @@ func (d Determinism) String() string {
 }
 
 // Engine is the run context of one algorithm run besides the seed: the
-// CONGEST execution substrate and the output form. The algorithm packages'
-// entry points take it as an argument, so their Options carry only the
-// algorithms' own parameters. Every worker count is byte-deterministic with
-// every other, so the choice changes wall-clock time, never results.
+// CONGEST execution substrate. The algorithm packages' entry points take it
+// as an argument, so their Options carry only the algorithms' own
+// parameters. Every worker count is byte-deterministic with every other, so
+// the choice changes wall-clock time, never results.
 type Engine struct {
 	// Workers is the simulator's worker count: ≤ 1 runs rounds inline on
 	// the caller's goroutine, k > 1 on a persistent team of k goroutines.
@@ -62,23 +62,13 @@ type Engine struct {
 	// provider is expected to memoize; algorithms that do not run trial
 	// phases never call it, so no kernel is built for them.
 	Kernel func() *trial.Runner
-	// PackedColors asks for the coloring bit-packed (Result.Packed instead
-	// of Result.Coloring): ⌈log₂(palette+1)⌉ bits/node, the representation
-	// the 10⁷-node scale runs keep resident. The colors are byte-identical
-	// either way. Algorithms that have no packed path ignore the flag and
-	// fill Coloring.
-	PackedColors bool
 }
 
 // Result is the algorithm-independent outcome of one run.
 type Result struct {
 	// Coloring assigns a color to every node (for MIS-shaped algorithms,
-	// membership encoded as colors 1/0). Nil when the run produced a packed
-	// coloring instead; use ColorsUsed/ColorAt for backing-agnostic reads.
+	// membership encoded as colors 1/0).
 	Coloring coloring.Coloring
-	// Packed is the bit-packed assignment, set instead of Coloring when the
-	// engine requested Engine.PackedColors and the adapter supports it.
-	Packed *coloring.Packed
 	// PaletteSize is the palette bound the run guarantees.
 	PaletteSize int
 	// Metrics is the CONGEST cost of the run.
@@ -88,22 +78,8 @@ type Result struct {
 	Details any
 }
 
-// ColorsUsed returns the distinct-color count of whichever backing the run
-// produced.
-func (r *Result) ColorsUsed() int {
-	if r.Packed != nil {
-		return r.Packed.NumColorsUsed()
-	}
-	return r.Coloring.NumColorsUsed()
-}
-
-// ColorAt returns node v's color from whichever backing the run produced.
-func (r *Result) ColorAt(v graph.NodeID) int {
-	if r.Packed != nil {
-		return r.Packed.Get(v)
-	}
-	return r.Coloring.Get(v)
-}
+// ColorsUsed returns the number of distinct colors in the run's coloring.
+func (r *Result) ColorsUsed() int { return r.Coloring.NumColorsUsed() }
 
 // Algorithm is one runnable algorithm instance. Implementations must be safe
 // for concurrent Run calls on distinct graphs; a single instance is shared by

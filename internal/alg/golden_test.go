@@ -128,45 +128,3 @@ func TestRegistryMatchesPaletteKernelGolden(t *testing.T) {
 		}
 	}
 }
-
-// TestRegistryPackedColorsByteIdentical runs the full registry with
-// Engine.PackedColors on and off over the golden families × seeds and demands
-// identical colors, palettes and Metrics: the bit-packed backing is a
-// representation change only. Adapters without a packed path fill Coloring
-// either way and pass trivially.
-func TestRegistryPackedColorsByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full registry twice per family")
-	}
-	sawPacked := false
-	for _, fam := range goldenFamilies() {
-		for _, a := range alg.All() {
-			for _, seed := range []uint64{1, 7, 42} {
-				key := fmt.Sprintf("%s/%s/seed=%d", a.Name(), fam.name, seed)
-				plain, err := a.Run(fam.g, alg.Engine{}, seed)
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				packed, err := a.Run(fam.g, alg.Engine{PackedColors: true}, seed)
-				if err != nil {
-					t.Fatalf("%s (packed): %v", key, err)
-				}
-				if plain.PaletteSize != packed.PaletteSize || plain.Metrics != packed.Metrics {
-					t.Fatalf("%s: palette/metrics diverge under PackedColors", key)
-				}
-				if packed.Packed != nil {
-					sawPacked = true
-				}
-				for v := 0; v < fam.g.NumNodes(); v++ {
-					id := graph.NodeID(v)
-					if plain.ColorAt(id) != packed.ColorAt(id) {
-						t.Fatalf("%s: node %d: plain %d, packed %d", key, v, plain.ColorAt(id), packed.ColorAt(id))
-					}
-				}
-			}
-		}
-	}
-	if !sawPacked {
-		t.Error("no registered adapter produced a packed coloring; the PackedColors plumbing is dead")
-	}
-}

@@ -29,12 +29,7 @@ import (
 
 // Result is the common shape of a baseline run.
 type Result struct {
-	// Coloring is the assignment as a plain []int; nil when the run was asked
-	// for packed output.
-	Coloring coloring.Coloring
-	// Packed is the bit-packed assignment, set instead of Coloring when the
-	// engine asked for PackedColors. Colors are byte-identical.
-	Packed      *coloring.Packed
+	Coloring    coloring.Coloring
 	PaletteSize int
 	Metrics     congest.Metrics
 	Algorithm   string
@@ -50,10 +45,9 @@ type Options struct {
 
 // runTrial runs a trial on the reusable kernel eng.Kernel returns (built for
 // g, not closed), or on a throwaway one (trial.Run) when the engine offers
-// none; eng.Workers and eng.PackedColors fill the config's engine fields.
+// none; eng.Workers fills the config's worker count.
 func runTrial(g *graph.Graph, eng alg.Engine, cfg trial.Config) (trial.Result, error) {
 	cfg.Workers = eng.Workers
-	cfg.PackedOutput = eng.PackedColors
 	if eng.Kernel != nil {
 		tk := eng.Kernel()
 		if tk.Graph() != g {
@@ -73,38 +67,9 @@ func runTrial(g *graph.Graph, eng alg.Engine, cfg trial.Config) (trial.Result, e
 // element-at-a-time prefix walk; the greedy floor scales to million-node
 // graphs.
 func GreedyD2(g *graph.Graph) Result {
-	colors, palette := greedyD2Colors(g)
-	n := g.NumNodes()
-	c := coloring.New(n)
-	for v := range c {
-		c[v] = int(colors[v])
-	}
-	return Result{Coloring: c, PaletteSize: palette, Algorithm: "greedy-d2"}
-}
-
-// GreedyD2Packed is GreedyD2 emitting the coloring bit-packed: the scan's
-// working set is the transient 4-bytes/node scratch plus the
-// ⌈log₂(palette+1)⌉-bits/node output — the representation 10⁷-node rows keep
-// resident. Colors are byte-identical to GreedyD2.
-func GreedyD2Packed(g *graph.Graph) Result {
-	colors, palette := greedyD2Colors(g)
-	out := coloring.NewPacked(g.NumNodes(), palette)
-	for v, c := range colors {
-		out.Set(graph.NodeID(v), int(c))
-	}
-	return Result{Packed: out, PaletteSize: palette, Algorithm: "greedy-d2"}
-}
-
-// greedyD2Colors is the shared greedy scan, writing into an int32 scratch
-// (every greedy color is at most Δ(G²) < n ≤ 2³¹) that the public entry
-// points expand or pack.
-func greedyD2Colors(g *graph.Graph) ([]int32, int) {
 	d2 := graph.NewDist2View(g)
 	n := g.NumNodes()
-	c := make([]int32, n)
-	for v := range c {
-		c[v] = int32(coloring.Uncolored)
-	}
+	c := coloring.New(n)
 	// Greedy assigns node v a color at most its d2-degree, so Δ(G²)+1 bits
 	// bound every pick; +1 more keeps FirstZero in range when a node's whole
 	// prefix is used. The walk visits the raw 1- and 2-hop lists without
@@ -116,10 +81,10 @@ func greedyD2Colors(g *graph.Graph) ([]int32, int) {
 	// nodes.
 	used := bitset.NewFixed(d2.MaxDist2Degree() + 2)
 	var touched []int32
-	mark := func(col int32) {
-		if col != int32(coloring.Uncolored) && !used.Test(int(col)) {
-			used.Set(int(col))
-			touched = append(touched, col)
+	mark := func(col int) {
+		if col != coloring.Uncolored && !used.Test(col) {
+			used.Set(col)
+			touched = append(touched, int32(col))
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -129,13 +94,13 @@ func greedyD2Colors(g *graph.Graph) ([]int32, int) {
 				mark(c[w])
 			}
 		}
-		c[v] = int32(used.FirstZero())
+		c[v] = used.FirstZero()
 		for _, t := range touched {
 			used.Clear(int(t))
 		}
 		touched = touched[:0]
 	}
-	return c, d2.MaxDist2Degree() + 1
+	return Result{Coloring: c, PaletteSize: d2.MaxDist2Degree() + 1, Algorithm: "greedy-d2"}
 }
 
 // GreedyD1 colors G sequentially with at most Δ+1 colors, picking first-free
@@ -163,8 +128,8 @@ func GreedyD1(g *graph.Graph) Result {
 // JohanssonD1 runs the simple randomized (Δ+1)-coloring of G on the CONGEST
 // simulator: in every phase each uncolored node tries a uniformly random
 // color and keeps it if no neighbor uses or simultaneously tries it. The
-// seed drives the per-node randomness; eng's worker count, reusable kernel
-// and packed switch are honored (see runTrial).
+// seed drives the per-node randomness; eng's worker count and reusable
+// kernel are honored (see runTrial).
 func JohanssonD1(g *graph.Graph, eng alg.Engine, seed uint64) (Result, error) {
 	palette := g.MaxDegree() + 1
 	res, err := runTrial(g, eng, trial.Config{
@@ -179,7 +144,7 @@ func JohanssonD1(g *graph.Graph, eng alg.Engine, seed uint64) (Result, error) {
 	if !res.Complete {
 		return Result{}, fmt.Errorf("johansson: did not complete within %d phases", res.Phases)
 	}
-	return Result{Coloring: res.Coloring, Packed: res.Packed, PaletteSize: palette, Metrics: res.Metrics, Algorithm: "johansson-d1"}, nil
+	return Result{Coloring: res.Coloring, PaletteSize: palette, Metrics: res.Metrics, Algorithm: "johansson-d1"}, nil
 }
 
 // RelaxedD2 runs the simple whole-palette random-trial d2-coloring with
@@ -199,7 +164,7 @@ func RelaxedD2(g *graph.Graph, opts Options, eng alg.Engine, seed uint64) (Resul
 	if !res.Complete {
 		return Result{}, fmt.Errorf("relaxed-d2: did not complete within %d phases", res.Phases)
 	}
-	return Result{Coloring: res.Coloring, Packed: res.Packed, PaletteSize: palette, Metrics: res.Metrics, Algorithm: "relaxed-d2"}, nil
+	return Result{Coloring: res.Coloring, PaletteSize: palette, Metrics: res.Metrics, Algorithm: "relaxed-d2"}, nil
 }
 
 // relaxedPalette is the (1+ε)Δ²+1 palette of RelaxedD2 (negative ε means 0),
@@ -220,9 +185,9 @@ func relaxedPalette(delta int, epsilon float64) int {
 // The returned metrics contain the charged G-rounds (simulated G²-rounds ×
 // Δ); the simulated rounds of the inner run are reported as G²-rounds via the
 // Rounds field of the inner metrics and folded into ChargedRounds here.
-// The seed drives the per-node randomness; eng's worker count and packed
-// switch are honored, and its reusable kernel is not (the trial runs on the
-// materialized square, not on g).
+// The seed drives the per-node randomness; eng's worker count is honored,
+// and its reusable kernel is not (the trial runs on the materialized square,
+// not on g).
 func NaiveD2(g *graph.Graph, eng alg.Engine, seed uint64) (Result, error) {
 	// The strawman genuinely runs a CONGEST simulation ON the square, so this
 	// is the one place the square is (deliberately) built as a standing
@@ -243,7 +208,6 @@ func NaiveD2(g *graph.Graph, eng alg.Engine, seed uint64) (Result, error) {
 		// track their G²-neighbors' colors, so the simple algorithm picks
 		// among colors it has not seen used.
 		AvoidKnownUsed: true,
-		PackedOutput:   eng.PackedColors,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("naive-d2: %w", err)
@@ -262,14 +226,8 @@ func NaiveD2(g *graph.Graph, eng alg.Engine, seed uint64) (Result, error) {
 	}
 	// Verify on the original graph as a belt-and-braces check: a proper
 	// coloring of G² is by definition a d2-coloring of G.
-	var rep verify.Report
-	if res.Packed != nil {
-		rep = verify.CheckD2Packed(g, res.Packed, palette)
-	} else {
-		rep = verify.CheckD2(g, res.Coloring, palette)
-	}
-	if !rep.Valid {
+	if rep := verify.CheckD2(g, res.Coloring, palette); !rep.Valid {
 		return Result{}, fmt.Errorf("naive-d2: internal error, produced invalid coloring: %w", rep.Error())
 	}
-	return Result{Coloring: res.Coloring, Packed: res.Packed, PaletteSize: palette, Metrics: m, Algorithm: "naive-d2"}, nil
+	return Result{Coloring: res.Coloring, PaletteSize: palette, Metrics: m, Algorithm: "naive-d2"}, nil
 }

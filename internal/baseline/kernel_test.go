@@ -91,55 +91,3 @@ func TestJohanssonHoistedAllocs(t *testing.T) {
 		t.Errorf("hoisted JohanssonD1: %d allocs/op, want a small n-independent constant (<= 32)", allocs)
 	}
 }
-
-// TestBaselinePackedParity checks every baseline's packed path against its
-// []int path color by color, on fresh and on injected kernels.
-func TestBaselinePackedParity(t *testing.T) {
-	g := graph.GNPWithAverageDegree(500, 8, 41)
-	tk := trial.NewRunner(g, false, 0)
-	defer tk.Close()
-	type run func(packed bool) (Result, error)
-	cases := map[string]run{
-		"greedy": func(packed bool) (Result, error) {
-			if packed {
-				return GreedyD2Packed(g), nil
-			}
-			return GreedyD2(g), nil
-		},
-		"johansson": func(packed bool) (Result, error) {
-			return JohanssonD1(g, alg.Engine{PackedColors: packed, Kernel: kernelOf(tk)}, 9)
-		},
-		"relaxed": func(packed bool) (Result, error) {
-			return RelaxedD2(g, Options{}, alg.Engine{PackedColors: packed, Kernel: kernelOf(tk)}, 9)
-		},
-		"naive": func(packed bool) (Result, error) {
-			return NaiveD2(g, alg.Engine{PackedColors: packed}, 9)
-		},
-	}
-	for name, fn := range cases {
-		t.Run(name, func(t *testing.T) {
-			plain, err := fn(false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			packed, err := fn(true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if packed.Packed == nil || packed.Coloring != nil {
-				t.Fatal("packed run should fill Packed and leave Coloring nil")
-			}
-			if plain.Packed != nil || plain.Coloring == nil {
-				t.Fatal("plain run should fill Coloring and leave Packed nil")
-			}
-			if plain.PaletteSize != packed.PaletteSize || plain.Metrics != packed.Metrics {
-				t.Fatalf("palette/metrics diverge: %+v vs %+v", plain, packed)
-			}
-			for v := range plain.Coloring {
-				if got := packed.Packed.Get(graph.NodeID(v)); got != plain.Coloring[v] {
-					t.Fatalf("node %d: plain %d, packed %d", v, plain.Coloring[v], got)
-				}
-			}
-		})
-	}
-}

@@ -12,14 +12,8 @@ func GreedyAlgorithm() alg.Algorithm {
 		AlgName: "greedy",
 		Class:   alg.Deterministic,
 		Palette: alg.D2Palette,
-		RunFunc: func(g *graph.Graph, eng alg.Engine, _ uint64) (alg.Result, error) {
-			var r Result
-			if eng.PackedColors {
-				r = GreedyD2Packed(g)
-			} else {
-				r = GreedyD2(g)
-			}
-			return result(r), nil
+		RunFunc: func(g *graph.Graph, _ alg.Engine, _ uint64) (alg.Result, error) {
+			return result(GreedyD2(g)), nil
 		},
 	}
 }
@@ -61,7 +55,7 @@ func RelaxedAlgorithm(opts Options) alg.Algorithm {
 }
 
 func result(r Result) alg.Result {
-	return alg.Result{Coloring: r.Coloring, Packed: r.Packed, PaletteSize: r.PaletteSize, Metrics: r.Metrics, Details: &r}
+	return alg.Result{Coloring: r.Coloring, PaletteSize: r.PaletteSize, Metrics: r.Metrics, Details: &r}
 }
 
 func init() {

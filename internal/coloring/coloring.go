@@ -35,16 +35,6 @@ func (c Coloring) Clone() Coloring {
 	return out
 }
 
-// Len returns the number of nodes, mirroring Packed.Len so generic code can
-// range over either backing.
-func (c Coloring) Len() int { return len(c) }
-
-// Get returns the color of node v.
-func (c Coloring) Get(v graph.NodeID) int { return c[v] }
-
-// Set assigns color to node v.
-func (c Coloring) Set(v graph.NodeID, color int) { c[v] = color }
-
 // IsColored reports whether node v has been assigned a color.
 func (c Coloring) IsColored(v graph.NodeID) bool { return c[v] != Uncolored }
 

@@ -28,15 +28,15 @@ func TestNewAllUncolored(t *testing.T) {
 
 func TestSetGetClone(t *testing.T) {
 	c := New(4)
-	c.Set(2, 7)
-	if !c.IsColored(2) || c.Get(2) != 7 {
-		t.Error("Set/Get mismatch")
+	c[2] = 7
+	if !c.IsColored(2) || c[2] != 7 {
+		t.Error("index write/read mismatch")
 	}
 	if c.IsColored(1) {
 		t.Error("node 1 should be uncolored")
 	}
 	cl := c.Clone()
-	cl.Set(1, 3)
+	cl[1] = 3
 	if c.IsColored(1) {
 		t.Error("Clone should not alias the original")
 	}
@@ -44,9 +44,9 @@ func TestSetGetClone(t *testing.T) {
 
 func TestCountsAndCompleteness(t *testing.T) {
 	c := New(4)
-	c.Set(0, 1)
-	c.Set(1, 1)
-	c.Set(2, 5)
+	c[0] = 1
+	c[1] = 1
+	c[2] = 5
 	if c.NumColored() != 3 {
 		t.Errorf("NumColored = %d, want 3", c.NumColored())
 	}
@@ -59,7 +59,7 @@ func TestCountsAndCompleteness(t *testing.T) {
 	if c.Complete() {
 		t.Error("coloring with an uncolored node should not be complete")
 	}
-	c.Set(3, 0)
+	c[3] = 0
 	if !c.Complete() {
 		t.Error("fully assigned coloring should be complete")
 	}

@@ -53,14 +53,28 @@ func (t Target) String() string {
 }
 
 // Injector is a deterministic fault source. Not safe for concurrent use.
+// It keeps CorruptKnown's scratch across calls, so an injector reused through
+// Reseed corrupts a coloring without allocating beyond the victims it returns.
 type Injector struct {
-	src *rng.Source
+	src       *rng.Source
+	nbrColors []int   // colors of one victim's colored distance-2 neighbors
+	seen      nodeSet // deduplicates one victim's distance-2 ball
+	picked    nodeSet // uniform victims drawn so far
 }
+
+// injectorStream is the Split index of every injector's stream.
+const injectorStream = 0xFA017
 
 // NewInjector returns an injector whose entire behavior is a function of
 // seed and the sequence of calls made on it.
 func NewInjector(seed uint64) *Injector {
-	return &Injector{src: rng.Split(seed, 0xFA017)}
+	return &Injector{src: rng.Split(seed, injectorStream)}
+}
+
+// Reseed rewinds in to the stream NewInjector(seed) starts, keeping its
+// scratch: every later call returns what it would on NewInjector(seed).
+func (in *Injector) Reseed(seed uint64) {
+	in.src.ResetSplit(seed, injectorStream)
 }
 
 // insertAttemptSlack bounds rejection sampling in the churn helpers: after
@@ -105,10 +119,8 @@ func (in *Injector) CorruptKnown(g *graph.Graph, c coloring.Coloring, k int, tar
 	}
 	victims := in.pickVictims(g, c, k, target, uncolored)
 	slices.Sort(victims)
-	var nbrColors []int
-	var seen nodeSet
 	for _, v := range victims {
-		nbrColors = appendDist2Colors(g, c, v, &seen, nbrColors[:0])
+		nbrColors := in.dist2Colors(g, c, v)
 		if len(nbrColors) > 0 {
 			c[v] = nbrColors[in.src.Intn(len(nbrColors))]
 		} else {
@@ -118,39 +130,40 @@ func (in *Injector) CorruptKnown(g *graph.Graph, c coloring.Coloring, k int, tar
 	return victims
 }
 
-// appendDist2Colors appends the colors of v's colored distance-2 neighbors
-// to dst in graph.Dist2View.ForEachDist2 order — direct neighbors ascending,
-// then two-hop neighbors in CSR walk order, each once. It deduplicates
-// through seen, reset to v's ball size, where a Dist2View would allocate a
-// mark buffer the size of the graph.
-func appendDist2Colors(g *graph.Graph, c coloring.Coloring, v graph.NodeID, seen *nodeSet, dst []int) []int {
+// dist2Colors returns the colors of v's colored distance-2 neighbors in
+// graph.Dist2View.ForEachDist2 order — direct neighbors ascending, then
+// two-hop neighbors in CSR walk order, each once — in the injector's reused
+// nbrColors buffer. It deduplicates through in.seen, reset to v's ball size,
+// where a Dist2View would allocate a mark buffer the size of the graph.
+func (in *Injector) dist2Colors(g *graph.Graph, c coloring.Coloring, v graph.NodeID) []int {
 	nbrs := g.Neighbors(v)
 	ball := 1 + len(nbrs)
 	for _, u := range nbrs {
 		ball += g.Degree(u)
 	}
-	seen.reset(ball)
-	seen.add(v)
-	visit := func(w graph.NodeID) {
-		if seen.add(w) && c[w] != coloring.Uncolored {
-			dst = append(dst, c[w])
-		}
-	}
+	in.seen.reset(ball)
+	in.seen.add(v)
+	dst := in.nbrColors[:0]
 	for _, u := range nbrs {
-		visit(u)
+		if in.seen.add(u) && c[u] != coloring.Uncolored {
+			dst = append(dst, c[u])
+		}
 	}
 	for _, u := range nbrs {
 		for _, w := range g.Neighbors(u) {
-			visit(w)
+			if in.seen.add(w) && c[w] != coloring.Uncolored {
+				dst = append(dst, c[w])
+			}
 		}
 	}
+	in.nbrColors = dst
 	return dst
 }
 
 // nodeSet is an open-addressing set of node IDs sized to one distance-2
-// ball and reused across balls, so deduplicating a victim's ball allocates
-// nothing once the set has grown to the largest ball seen. A slot holds
-// v+1; 0 marks it empty.
+// ball (or one uniform victim draw) and reused across them, so deduplicating
+// allocates nothing once the set has grown to the largest size seen. A slot
+// holds v+1; 0 marks it empty.
 type nodeSet struct {
 	slots []int32
 	shift uint // 64 - log2(len(slots)): the multiplicative hash keeps the top bits
@@ -232,13 +245,12 @@ func (in *Injector) pickVictims(g *graph.Graph, c coloring.Coloring, k int, targ
 		// the uncolored list U instead of an n-sized list of the colored
 		// ones: with j uncolored nodes before it, it is node i + j, where j
 		// is the first index with U[j] - j > i (U[j] - j is nondecreasing).
-		picked := make(map[graph.NodeID]struct{}, k)
+		in.picked.reset(k)
 		out := make([]graph.NodeID, 0, k)
 		for len(out) < k {
 			i := in.src.Intn(numColored)
 			v := graph.NodeID(i + sort.Search(len(uncolored), func(j int) bool { return int(uncolored[j])-j > i }))
-			if _, dup := picked[v]; !dup {
-				picked[v] = struct{}{}
+			if in.picked.add(v) {
 				out = append(out, v)
 			}
 		}

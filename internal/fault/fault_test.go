@@ -132,6 +132,42 @@ func TestCorruptKnownMatchesCorruptColors(t *testing.T) {
 	}
 }
 
+// TestReseedMatchesFreshInjector pins Reseed: one injector reseeded through
+// a script of seeds, targets and k values — its scratch warm from every
+// earlier call — returns the victims and forges the colors a fresh
+// NewInjector(seed) does, on complete and partly uncolored colorings.
+func TestReseedMatchesFreshInjector(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	reused := NewInjector(0)
+	for step := 0; step < 60; step++ {
+		n := 2 + r.Intn(250)
+		g := graph.GNPWithAverageDegree(n, 1+r.Float64()*8, int64(step))
+		clean := greedyD2(g)
+		var uncolored []graph.NodeID
+		if step%3 == 2 {
+			for i := 0; i < n/4; i++ {
+				clean[r.Intn(n)] = coloring.Uncolored
+			}
+			for v, col := range clean {
+				if col == coloring.Uncolored {
+					uncolored = append(uncolored, graph.NodeID(v))
+				}
+			}
+		}
+		target := []Target{TargetUniform, TargetHighDegree, TargetConflictDense}[r.Intn(3)]
+		k := []int{1, 16, n / 2, n}[r.Intn(4)]
+		seed := r.Uint64()
+		want, got := slices.Clone(clean), slices.Clone(clean)
+		wantV := NewInjector(seed).CorruptKnown(g, want, k, target, 0, uncolored)
+		reused.Reseed(seed)
+		gotV := reused.CorruptKnown(g, got, k, target, 0, uncolored)
+		if !slices.Equal(gotV, wantV) || !slices.Equal(got, want) {
+			t.Fatalf("step %d n=%d %s k=%d: reseeded victims %v, fresh %v (colors equal: %v)",
+				step, n, target, k, gotV, wantV, slices.Equal(got, want))
+		}
+	}
+}
+
 // TestInjectorDeterminism: two injectors with one seed and one call sequence
 // produce byte-identical corruption and churn scripts, and the overlays they
 // drive end in identical states.

@@ -86,15 +86,14 @@ func unitDiskRadius(n int, avgDeg float64) float64 {
 // (Jobs forced to 1) with the point's graph built once and shared: before
 // each cell the heap is scavenged (debug.FreeOSMemory) and the VmHWM
 // high-water mark reset, so each row's peak RSS covers the resident graph
-// plus that cell's kernel alone. Colorings are produced bit-packed
-// (alg.Engine.PackedColors on every engine axis) and every sample is
-// re-verified distance-2 valid outside the timed region — round-count
-// validation at true scale.
+// plus that cell's kernel alone. Every sample coloring is re-verified
+// distance-2 valid outside the timed region — round-count validation at true
+// scale.
 func runE11(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:    "E11",
-		Title: "Scale ceiling: throughput and memory of the packed 32-bit kernels up to n = 10⁷",
-		Claim: "ROADMAP north star: the 32-bit node plane and bit-packed colorings keep sparse workloads at n = 10⁷ within commodity memory while coloring millions of nodes per second (greedy) / simulating every CONGEST message at scale (relaxed)",
+		Title: "Scale ceiling: throughput and memory of the 32-bit kernels up to n = 10⁷",
+		Claim: "ROADMAP north star: the 32-bit node plane keeps sparse workloads at n = 10⁷ within commodity memory while coloring millions of nodes per second (greedy) / simulating every CONGEST message at scale (relaxed)",
 		Columns: []string{"workload", "n", "m", "Δ", "algorithm", "workers", "palette", "colors used",
 			"wall s", "colors/s", "peak RSS MiB", "B/node"},
 	}
@@ -134,12 +133,12 @@ func runE11(cfg Config) (*Table, error) {
 	}
 	cellsFor := func(n int) []cellSpec {
 		cells := []cellSpec{
-			{"greedy", sweep.EngineAxis{Name: "1", Engine: alg.Engine{PackedColors: true}}},
-			{"relaxed", sweep.EngineAxis{Name: "1", Engine: alg.Engine{PackedColors: true}}},
+			{"greedy", sweep.EngineAxis{Name: "1"}},
+			{"relaxed", sweep.EngineAxis{Name: "1"}},
 		}
 		if n <= 1_000_000 {
 			procs := runtime.GOMAXPROCS(0)
-			cells = append(cells, cellSpec{"relaxed", sweep.EngineAxis{Name: strconv.Itoa(procs), Engine: alg.Engine{Workers: procs, PackedColors: true}}})
+			cells = append(cells, cellSpec{"relaxed", sweep.EngineAxis{Name: strconv.Itoa(procs), Engine: alg.Engine{Workers: procs}}})
 		}
 		return cells
 	}
@@ -171,10 +170,10 @@ func runE11(cfg Config) (*Table, error) {
 			t.Elapsed += grid.Elapsed
 			rss := peakRSSMB()
 			c := grid.Cell(0, 0, 0)
-			if c.Sample == nil || c.Sample.Packed == nil {
-				return nil, fmt.Errorf("E11 %s/%s: sweep returned no packed sample coloring", sp.name, cs.algName)
+			if c.Sample == nil {
+				return nil, fmt.Errorf("E11 %s/%s: sweep returned no sample coloring", sp.name, cs.algName)
 			}
-			if err := verify.CheckD2Packed(g, c.Sample.Packed, c.Sample.PaletteSize).Error(); err != nil {
+			if err := verify.CheckD2(g, c.Sample.Coloring, c.Sample.PaletteSize).Error(); err != nil {
 				return nil, fmt.Errorf("E11 %s/%s/%s: sample coloring failed distance-2 verification: %w",
 					sp.name, cs.algName, cs.engine.Name, err)
 			}
@@ -196,7 +195,7 @@ func runE11(cfg Config) (*Table, error) {
 		t.AddNote("cells run sequentially in ascending size; the platform does not allow resetting VmHWM, so each peak-RSS reading is the monotone process high-water mark up to that cell")
 	}
 	t.AddNote("wall-clock, RSS and B/node columns are machine-dependent (the experiment is excluded from byte-identity checks); n, m, Δ, palette and colors are deterministic per seed")
-	t.AddNote("colorings are produced bit-packed (⌈log₂(palette+1)⌉ bits per node) and every sample is re-verified distance-2 valid by the packed checker outside the timed region")
+	t.AddNote("colorings are held as one int per node (8 B/node) and every sample is re-verified distance-2 valid outside the timed region")
 	t.AddNote("relaxed simulates every CONGEST message of the (1+ε)Δ² trial algorithm; greedy is the zero-communication sequential floor")
 	t.AddNote("workers axis (relaxed rows): the inline engine (1) vs a worker team of GOMAXPROCS; every worker count is byte-identical, so only the wall-clock columns may differ. The n = 10⁷ point runs inline only to bound single-run wall-clock")
 	return t, nil

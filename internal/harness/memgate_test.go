@@ -6,15 +6,14 @@ import (
 )
 
 // memoryEnvelope is the recorded bytes-per-node ceiling at n = 10⁶ (sparse
-// GNP, average degree 8, packed colorings, inline engine) that the
-// D2_MEMORY_GATE CI job enforces. The measured figures after the ISSUE 7
-// memory diet are ~50 B/node (greedy: resident CSR + packed output +
-// transient scratch) and ~730 B/node (relaxed: CSR + the 24-byte message
-// plane, the inbox arena, the trial kernel and the sorted known-colors
-// tier), down from 1551 B/node before the diet. The envelopes leave
-// headroom for allocator and GC variation across machines while still
-// locking in well over the 35% reduction the issue demanded (≤ ~1008
-// B/node for relaxed).
+// GNP, average degree 8, []int colorings, inline engine) that the
+// D2_MEMORY_GATE CI job enforces. The measured figures are ~56 B/node
+// (greedy: resident CSR + the 8 B/node output + transient scratch) and
+// ~741 B/node (relaxed: CSR + the 24-byte message plane, the inbox arena,
+// the trial kernel and the sorted known-colors tier), down from 1551 B/node
+// before the memory diet. The envelopes leave headroom for allocator and GC
+// variation across machines while still locking in well over the 35%
+// reduction the memory diet targeted (≤ ~1008 B/node for relaxed).
 var memoryEnvelope = map[string]float64{
 	"greedy":  96,
 	"relaxed": 900,

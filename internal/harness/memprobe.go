@@ -24,8 +24,8 @@ type MemoryProbe struct {
 }
 
 // RunMemoryProbe builds the standard scale workload (sparse GNP at average
-// degree 8) once and runs each named registry algorithm on it with
-// bit-packed output on the inline engine, reporting per-run peak RSS.
+// degree 8) once and runs each named registry algorithm on it on the inline
+// engine, reporting per-run peak RSS.
 // Before each run the heap is scavenged back to the OS and the VmHWM
 // high-water mark reset, so a probe covers the shared resident graph plus
 // that algorithm alone. reliable is false when the platform does not allow
@@ -44,15 +44,12 @@ func RunMemoryProbe(n int, seed uint64, algNames []string) (probes []MemoryProbe
 		}
 		debug.FreeOSMemory()
 		reliable = resetPeakRSS() && reliable
-		res, err := a.Run(g, alg.Engine{PackedColors: true}, seed)
+		res, err := a.Run(g, alg.Engine{}, seed)
 		if err != nil {
 			return nil, false, fmt.Errorf("memory probe %s: %w", name, err)
 		}
 		rss := peakRSSMB()
-		if res.Packed == nil {
-			return nil, false, fmt.Errorf("memory probe %s: no packed coloring produced", name)
-		}
-		if verr := verify.CheckD2Packed(g, res.Packed, res.PaletteSize).Error(); verr != nil {
+		if verr := verify.CheckD2(g, res.Coloring, res.PaletteSize).Error(); verr != nil {
 			return nil, false, fmt.Errorf("memory probe %s: invalid coloring: %w", name, verr)
 		}
 		probes = append(probes, MemoryProbe{

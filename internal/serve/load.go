@@ -516,10 +516,10 @@ func (w *loadWorker) reopen(ses string) (bool, error) {
 }
 
 // estimateSessionBytes mirrors the server's admission estimate (the
-// graphgen closed forms plus the unpacked working coloring) so the standard
-// mixes can size eviction-exercising budgets deterministically.
+// graphgen closed forms) so the standard mixes can size eviction-exercising
+// budgets deterministically.
 func estimateSessionBytes(n int, m float64) int64 {
-	return int64(graph.EstimateResidency(float64(n), m).Total()) + int64(8*n)
+	return int64(graph.EstimateResidency(float64(n), m).Total())
 }
 
 // StandardMixes returns the four named reference mixes of experiment E13 —

@@ -456,9 +456,8 @@ func (s *Server) open(req *Request, resp *Response) error {
 		return err
 	}
 	n, m := g.NumNodes(), g.NumEdges()
-	// The closed-form estimate `graphgen -estimate` prints, plus the 8-byte
-	// working coloring sessions keep unpacked for repair.
-	est := int64(graph.EstimateResidency(float64(n), float64(m)).Total()) + int64(8*n)
+	// The closed-form estimate `graphgen -estimate` prints.
+	est := int64(graph.EstimateResidency(float64(n), float64(m)).Total())
 
 	s.mu.Lock()
 	if s.closed {

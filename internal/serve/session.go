@@ -37,6 +37,7 @@ type session struct {
 	tk        *trial.Runner
 	checker   *verify.Checker
 	rs        *repair.Session
+	inj       *fault.Injector // reseeded per Corrupt epoch
 	colors    coloring.Coloring
 	palette   int
 	algorithm string
@@ -500,12 +501,16 @@ func (ses *session) doRecolor(req *Request, resp *Response) error {
 	complete := false
 	switch {
 	case req.Corrupt > 0:
-		inj := fault.NewInjector(req.Seed)
+		if ses.inj == nil {
+			ses.inj = fault.NewInjector(req.Seed)
+		} else {
+			ses.inj.Reseed(req.Seed)
+		}
 		var victims []graph.NodeID
 		if wasComplete {
-			victims = inj.CorruptKnown(ses.g, ses.rs.Colors(), req.Corrupt, fault.TargetUniform, ses.rs.Palette(), nil)
+			victims = ses.inj.CorruptKnown(ses.g, ses.rs.Colors(), req.Corrupt, fault.TargetUniform, ses.rs.Palette(), nil)
 		} else {
-			victims = inj.CorruptColors(ses.g, ses.rs.Colors(), req.Corrupt, fault.TargetUniform, ses.rs.Palette())
+			victims = ses.inj.CorruptColors(ses.g, ses.rs.Colors(), req.Corrupt, fault.TargetUniform, ses.rs.Palette())
 		}
 		// The repair recolors only inside its dirty set (Report.Recolored
 		// ⊆ victims), so the victims cover every change of this epoch.

@@ -141,11 +141,6 @@ type Config struct {
 	// bounds how long it keeps a kernel holding them. Its length must be
 	// the node count; the lists are read during Start only.
 	ExtraKnown [][]int32
-	// PackedOutput makes Run assemble the result bit-packed
-	// (Result.Packed set, Result.Coloring nil): ⌈log₂(palette+1)⌉ bits/node
-	// instead of 8 bytes, the representation the 10⁷-node scale runs keep.
-	// The colors themselves are byte-identical to the unpacked run.
-	PackedOutput bool
 	// Cancel is an optional cooperative cancellation hook, the request-scoped
 	// sibling of PhaseCap: RunPhases polls it before every phase and the
 	// engine polls it between simulated rounds, so a canceled run — even a
@@ -160,12 +155,7 @@ type Config struct {
 
 // Result reports the outcome of a trial run.
 type Result struct {
-	// Coloring is the assignment as a plain []int; nil when the run asked for
-	// packed output.
 	Coloring coloring.Coloring
-	// Packed is the bit-packed assignment, set instead of Coloring when
-	// Config.PackedOutput was requested (or FinishPacked called).
-	Packed   *coloring.Packed
 	Phases   int
 	Metrics  congest.Metrics
 	Complete bool
@@ -618,30 +608,6 @@ func (r *Runner) Finish() Result {
 	return Result{Coloring: out, Phases: r.phases, Metrics: r.net.Metrics(), Complete: complete}
 }
 
-// FinishPacked assembles the Result with the coloring bit-packed instead of
-// []int — the only allocation is the ⌈log₂(palette+1)⌉-bits/node backing.
-// The packing palette covers every color present (Config.Initial may carry
-// colors above Config.PaletteSize), so the pack never truncates.
-func (r *Runner) FinishPacked() Result {
-	n := r.g.NumNodes()
-	packPalette := int32(r.palette)
-	complete := true
-	for v := 0; v < n; v++ {
-		if c := r.color[v]; c == uncolored {
-			complete = false
-		} else if c >= packPalette {
-			packPalette = c + 1
-		}
-	}
-	out := coloring.NewPacked(n, int(packPalette))
-	for v := 0; v < n; v++ {
-		if c := r.color[v]; c != uncolored {
-			out.Set(graph.NodeID(v), int(c))
-		}
-	}
-	return Result{Packed: out, Phases: r.phases, Metrics: r.net.Metrics(), Complete: complete}
-}
-
 // Run executes trial phases until the coloring is complete or the phase
 // budget is exhausted. It may be called repeatedly with different configs;
 // each call behaves exactly like a fresh run on a fresh network.
@@ -650,12 +616,7 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	budgetErr := r.RunPhases()
-	var res Result
-	if cfg.PackedOutput {
-		res = r.FinishPacked()
-	} else {
-		res = r.Finish()
-	}
+	res := r.Finish()
 	if budgetErr != nil {
 		if errors.Is(budgetErr, ErrCanceled) {
 			res.Canceled = true

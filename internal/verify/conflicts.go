@@ -32,23 +32,11 @@ func ConflictNodesD2(g *graph.Graph, c coloring.Coloring) []graph.NodeID {
 // checks it never caps: a mass corruption reports every victim, which is what
 // seeds repair. It panics if c and g disagree on the node count.
 func (ch *Checker) AppendConflictNodesD2(g *graph.Graph, c coloring.Coloring, dst []graph.NodeID) []graph.NodeID {
-	return appendConflictNodes(ch, g, c, dst)
-}
-
-// AppendConflictNodesD2Packed is AppendConflictNodesD2 over a bit-packed
-// coloring, without unpacking it.
-func (ch *Checker) AppendConflictNodesD2Packed(g *graph.Graph, c *coloring.Packed, dst []graph.NodeID) []graph.NodeID {
-	return appendConflictNodes(ch, g, c, dst)
-}
-
-// appendConflictNodes runs scanD2 and marks both endpoints of every
-// duplicate into a per-node bitset instead of building (capped) Violations.
-func appendConflictNodes[C colorView](ch *Checker, g *graph.Graph, c C, dst []graph.NodeID) []graph.NodeID {
 	n := g.NumNodes()
-	if c.Len() != n {
-		panic(fmt.Sprintf("verify: coloring has %d entries for %d nodes", c.Len(), n))
+	if len(c) != n {
+		panic(fmt.Sprintf("verify: coloring has %d entries for %d nodes", len(c), n))
 	}
-	prepare(ch, c)
+	ch.prepare(c)
 	words := bitset.WordsFor(n)
 	if cap(ch.nodeSeen) < words {
 		ch.nodeSeen = make(bitset.Row, words)
@@ -60,7 +48,7 @@ func appendConflictNodes[C colorView](ch *Checker, g *graph.Graph, c C, dst []gr
 	// The slice has no Canceled flag, so a canceled scan simply returns the
 	// conflicts found so far — callers that install a hook re-check it
 	// themselves before acting on the (possibly partial) dirty set.
-	scanD2(ch, g, c, func(prev, x, _ graph.NodeID) {
+	ch.scanD2(g, c, func(prev, x, _ graph.NodeID) {
 		for _, v := range [2]graph.NodeID{prev, x} {
 			if !ch.nodeSeen.Test(int(v)) {
 				ch.nodeSeen.Set(int(v))

@@ -74,24 +74,6 @@ func TestConflictNodesD2MatchesOracle(t *testing.T) {
 				if again := ch.AppendConflictNodesD2(fam.g, c, nil); !slices.Equal(again, want) {
 					t.Fatalf("warm Checker diverged on reuse: %v", again)
 				}
-				// Packed path agrees wherever the packed form can represent
-				// the coloring (no huge colors).
-				clean := coloring.New(n)
-				for v := range clean {
-					if c[v] != coloring.Uncolored && c[v] < 6 {
-						clean[v] = c[v]
-					}
-				}
-				p := coloring.NewPacked(n, 6)
-				for v := range clean {
-					if clean[v] != coloring.Uncolored {
-						p.Set(graph.NodeID(v), clean[v])
-					}
-				}
-				wantClean := conflictNodesOracle(fam.g, clean)
-				if gotPacked := ch.AppendConflictNodesD2Packed(fam.g, p, nil); !slices.Equal(gotPacked, wantClean) {
-					t.Fatalf("packed conflict set diverges: got %v want %v", gotPacked, wantClean)
-				}
 			})
 		}
 	}

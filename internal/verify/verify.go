@@ -171,15 +171,6 @@ func release(ch *Checker) {
 	checkerPool.Put(ch)
 }
 
-// colorView is the read access the checks need; coloring.Coloring and
-// *coloring.Packed both satisfy it. The checks are generic over it as a type
-// parameter — not an interface value — so neither backing is boxed and the
-// warmed passes stay allocation-free.
-type colorView interface {
-	Len() int
-	Get(v graph.NodeID) int
-}
-
 // CheckD2 verifies that c is a complete, valid distance-2 coloring of g with
 // all colors inside [0, paletteSize). Pass paletteSize <= 0 to skip the
 // palette bound check.
@@ -207,76 +198,39 @@ func CheckPartialD2(g *graph.Graph, c coloring.Coloring) Report {
 	return ch.CheckPartialD2(g, c)
 }
 
-// CheckD2Packed is CheckD2 over a bit-packed coloring, without unpacking it.
-func CheckD2Packed(g *graph.Graph, c *coloring.Packed, paletteSize int) Report {
-	ch := checkerPool.Get().(*Checker)
-	defer release(ch)
-	return ch.CheckD2Packed(g, c, paletteSize)
-}
-
-// CheckD1Packed is CheckD1 over a bit-packed coloring.
-func CheckD1Packed(g *graph.Graph, c *coloring.Packed, paletteSize int) Report {
-	ch := checkerPool.Get().(*Checker)
-	defer release(ch)
-	return ch.CheckD1Packed(g, c, paletteSize)
-}
-
 // CheckD2 is the Checker-scoped form of the package-level CheckD2.
 func (ch *Checker) CheckD2(g *graph.Graph, c coloring.Coloring, paletteSize int) Report {
-	return check(ch, g, c, paletteSize, true)
+	return ch.check(g, c, paletteSize, true)
 }
 
 // CheckD1 is the Checker-scoped form of the package-level CheckD1.
 func (ch *Checker) CheckD1(g *graph.Graph, c coloring.Coloring, paletteSize int) Report {
-	return check(ch, g, c, paletteSize, false)
-}
-
-// CheckD2Packed is the Checker-scoped form of the package-level CheckD2Packed.
-func (ch *Checker) CheckD2Packed(g *graph.Graph, c *coloring.Packed, paletteSize int) Report {
-	return check(ch, g, c, paletteSize, true)
-}
-
-// CheckD1Packed is the Checker-scoped form of the package-level CheckD1Packed.
-func (ch *Checker) CheckD1Packed(g *graph.Graph, c *coloring.Packed, paletteSize int) Report {
-	return check(ch, g, c, paletteSize, false)
+	return ch.check(g, c, paletteSize, false)
 }
 
 // CheckPartialD2 is the Checker-scoped form of the package-level
 // CheckPartialD2.
 func (ch *Checker) CheckPartialD2(g *graph.Graph, c coloring.Coloring) Report {
-	return checkPartial(ch, g, c)
-}
-
-// CheckPartialD2Packed is CheckPartialD2 over a bit-packed coloring.
-func (ch *Checker) CheckPartialD2Packed(g *graph.Graph, c *coloring.Packed) Report {
-	return checkPartial(ch, g, c)
-}
-
-// checkPartial and check are generic free functions rather than Checker
-// methods only because Go methods cannot take type parameters; the Checker
-// still owns all scratch.
-func checkPartial[C colorView](ch *Checker, g *graph.Graph, c C) Report {
 	rep := Report{Valid: true}
-	if c.Len() != g.NumNodes() {
+	if len(c) != g.NumNodes() {
 		rep.addViolation(Violation{Kind: "palette", U: -1, V: -1,
-			Info: fmt.Sprintf("coloring has %d entries for %d nodes", c.Len(), g.NumNodes())})
+			Info: fmt.Sprintf("coloring has %d entries for %d nodes", len(c), g.NumNodes())})
 		return rep
 	}
-	limit, maxColor := prepare(ch, c)
-	checkConflicts(ch, g, c, true, &rep)
-	fillColorStats(ch, c, limit, maxColor, &rep)
+	limit, maxColor := ch.prepare(c)
+	ch.checkConflicts(g, c, true, &rep)
+	ch.fillColorStats(c, limit, maxColor, &rep)
 	return rep
 }
 
-func check[C colorView](ch *Checker, g *graph.Graph, c C, paletteSize int, dist2 bool) Report {
+func (ch *Checker) check(g *graph.Graph, c coloring.Coloring, paletteSize int, dist2 bool) Report {
 	rep := Report{Valid: true}
-	if c.Len() != g.NumNodes() {
+	if len(c) != g.NumNodes() {
 		rep.addViolation(Violation{Kind: "palette", U: -1, V: -1,
-			Info: fmt.Sprintf("coloring has %d entries for %d nodes", c.Len(), g.NumNodes())})
+			Info: fmt.Sprintf("coloring has %d entries for %d nodes", len(c), g.NumNodes())})
 		return rep
 	}
-	for u := 0; u < g.NumNodes(); u++ {
-		col := c.Get(graph.NodeID(u))
+	for u, col := range c {
 		if col == coloring.Uncolored {
 			rep.addViolation(Violation{Kind: "uncolored", U: graph.NodeID(u), V: -1, Info: "node has no color"})
 			continue
@@ -286,9 +240,9 @@ func check[C colorView](ch *Checker, g *graph.Graph, c C, paletteSize int, dist2
 				Info: fmt.Sprintf("color %d outside palette [0,%d)", col, paletteSize)})
 		}
 	}
-	limit, maxColor := prepare(ch, c)
-	checkConflicts(ch, g, c, dist2, &rep)
-	fillColorStats(ch, c, limit, maxColor, &rep)
+	limit, maxColor := ch.prepare(c)
+	ch.checkConflicts(g, c, dist2, &rep)
+	ch.fillColorStats(c, limit, maxColor, &rep)
 	if dist2 && rep.Valid {
 		ch.cert = certificate{ok: true, g: g, palette: paletteSize, rep: rep}
 	}
@@ -301,17 +255,16 @@ func check[C colorView](ch *Checker, g *graph.Graph, c C, paletteSize int, dist2
 // fused pass: any color in [0, denseColorLimit) is below the final limit
 // (limit = min(maxColor+1, denseColorLimit) and the color is ≤ maxColor), so
 // the conversion can use the fixed cap while the same loop finds maxColor.
-func prepare[C colorView](ch *Checker, c C) (limit, maxColor int) {
+func (ch *Checker) prepare(c coloring.Coloring) (limit, maxColor int) {
 	ch.cert.ok, ch.countsOK = false, false
-	n := c.Len()
+	n := len(c)
 	if cap(ch.colors) < n {
 		ch.colors = make([]int32, n)
 	} else {
 		ch.colors = ch.colors[:n]
 	}
 	maxColor = -1
-	for i := 0; i < n; i++ {
-		col := c.Get(graph.NodeID(i))
+	for i, col := range c {
 		if col > maxColor {
 			maxColor = col
 		}
@@ -351,7 +304,7 @@ func (ch *Checker) slowSeen(cx int, x graph.NodeID) (graph.NodeID, bool) {
 // checkConflicts finds colored node pairs at distance 1 (and, if dist2, also
 // distance 2) sharing a color. prepare must have run for this coloring: the
 // scan reads the cache-dense int32 scratch instead of the []int original.
-func checkConflicts[C colorView](ch *Checker, g *graph.Graph, c C, dist2 bool, rep *Report) {
+func (ch *Checker) checkConflicts(g *graph.Graph, c coloring.Coloring, dist2 bool, rep *Report) {
 	colors := ch.colors
 	cancel := ch.cancel
 	if !dist2 {
@@ -366,17 +319,17 @@ func checkConflicts[C colorView](ch *Checker, g *graph.Graph, c C, dist2 bool, r
 			}
 			for _, v := range g.Neighbors(graph.NodeID(u)) {
 				// Two slow markers only match when the real colors do.
-				if int(v) > u && colors[v] == cu && (cu != slowColor || c.Get(v) == c.Get(graph.NodeID(u))) {
+				if int(v) > u && colors[v] == cu && (cu != slowColor || c[v] == c[u]) {
 					rep.addViolation(Violation{Kind: "conflict-d1", U: graph.NodeID(u), V: v,
-						Info: fmt.Sprintf("both have color %d", c.Get(graph.NodeID(u)))})
+						Info: fmt.Sprintf("both have color %d", c[u])})
 				}
 			}
 		}
 		return
 	}
-	if !scanD2(ch, g, c, func(prev, x, w graph.NodeID) {
+	if !ch.scanD2(g, c, func(prev, x, w graph.NodeID) {
 		rep.addViolation(Violation{Kind: "conflict-d2", U: prev, V: x,
-			Info: fmt.Sprintf("share color %d within the closed neighborhood of %d", c.Get(x), w)})
+			Info: fmt.Sprintf("share color %d within the closed neighborhood of %d", c[x], w)})
 	}) {
 		rep.Canceled, rep.Valid = true, false
 	}
@@ -393,7 +346,7 @@ func checkConflicts[C colorView](ch *Checker, g *graph.Graph, c C, dist2 bool, r
 // prev of w's closed neighborhood already holds. scanD2 returns false if the
 // Checker's cancellation hook stopped the scan early. prepare must have run
 // for this coloring.
-func scanD2[C colorView](ch *Checker, g *graph.Graph, c C, dup func(prev, x, w graph.NodeID)) bool {
+func (ch *Checker) scanD2(g *graph.Graph, c coloring.Coloring, dup func(prev, x, w graph.NodeID)) bool {
 	colors, cancel := ch.colors, ch.cancel
 	for w := 0; w < g.NumNodes(); w++ {
 		if cancel != nil && w%cancelStride == 0 && cancel() {
@@ -406,7 +359,7 @@ func scanD2[C colorView](ch *Checker, g *graph.Graph, c C, dup func(prev, x, w g
 		if cw := colors[w]; cw >= 0 {
 			marks[cw] = gen
 		} else if cw == slowColor {
-			ch.slowSeen(c.Get(graph.NodeID(w)), graph.NodeID(w))
+			ch.slowSeen(c[w], graph.NodeID(w))
 		}
 		for i, x := range nbrs {
 			cx := colors[x]
@@ -426,7 +379,7 @@ func scanD2[C colorView](ch *Checker, g *graph.Graph, c C, dup func(prev, x, w g
 				}
 				continue
 			}
-			if prev, ok := ch.slowSeen(c.Get(x), x); ok && prev != x {
+			if prev, ok := ch.slowSeen(c[x], x); ok && prev != x {
 				dup(prev, x, graph.NodeID(w))
 			}
 		}
@@ -452,7 +405,7 @@ func (ch *Checker) firstHolder(w graph.NodeID, prefix []graph.NodeID, cx int32) 
 // pass over a plain bitset row plus one popcount, instead of a per-call map;
 // negative sentinels other than Uncolored count as distinct colors, matching
 // Coloring.NumColorsUsed. prepare must have run for this coloring.
-func fillColorStats[C colorView](ch *Checker, c C, limit, maxColor int, rep *Report) {
+func (ch *Checker) fillColorStats(c coloring.Coloring, limit, maxColor int, rep *Report) {
 	rep.MaxColor = maxColor
 	words := bitset.WordsFor(limit)
 	if cap(ch.statsRow) < words {
@@ -466,7 +419,7 @@ func fillColorStats[C colorView](ch *Checker, c C, limit, maxColor int, rep *Rep
 		if col >= 0 {
 			ch.statsRow.Set(int(col))
 		} else if col == slowColor {
-			ch.slowSeen(c.Get(graph.NodeID(i)), 0)
+			ch.slowSeen(c[i], 0)
 		}
 	}
 	rep.ColorsUsed = ch.statsRow.Count() + len(ch.slow)
