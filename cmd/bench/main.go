@@ -2,8 +2,9 @@
 // and writes a JSON snapshot mapping each benchmark to its ns/op, B/op and
 // allocs/op. The snapshot starts the perf trajectory of the project: every
 // PR regenerates BENCH_<pr>.json through the CI bench step, so regressions
-// in the hot kernels (trial phases, verification, greedy picks, the message
-// plane, the distance-2 stream, the sweep grid, since ISSUE 8 the
+// in the hot kernels (trial phases, verification, greedy picks, the
+// deterministic pipeline and its color reduction, the message plane, the
+// distance-2 stream, the sweep grid, since ISSUE 8 the
 // incremental repair and fault-decision kernels, and since ISSUE 10 the
 // cancellation latency of an in-flight kernel run) are visible as diffs
 // between snapshots rather than anecdotes.
@@ -47,6 +48,8 @@ var pinnedSet = []struct {
 	{"./internal/trial", "BenchmarkTrialPhase$|BenchmarkCancelLatency$"},
 	{"./internal/verify", "BenchmarkVerify$|BenchmarkVerifyWarmed|BenchmarkVerifyOutOfRange|BenchmarkRecheckD2$"},
 	{"./internal/baseline", "BenchmarkGreedyD2$|BenchmarkJohanssonD1$"},
+	{"./internal/detcolor", "BenchmarkReduceColors$"},
+	{"./internal/detd2", "BenchmarkDeterministicD2$"},
 	{"./internal/bitset", "BenchmarkFirstFreePick"},
 	{"./internal/congest", "BenchmarkDeliver|BenchmarkPayloadRound"},
 	{"./internal/graph", "BenchmarkDist2View$|BenchmarkBuilderSortDedupe$"},

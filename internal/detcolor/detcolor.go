@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"d2color/internal/bitset"
 	"d2color/internal/coloring"
@@ -228,15 +229,25 @@ func linial(h ConflictGraph, ids []int, idSpace int) (coloring.Coloring, int, in
 	}
 	palette := idSpace
 	iterations := 0
+	// coeffs is the flat per-iteration coefficient table: node v's polynomial
+	// occupies coeffs[v*k : (v+1)*k], its k = deg+1 base-q digits, constant
+	// term first. It is filled once per iteration, so evaluating a neighbor's
+	// polynomial allocates nothing.
+	var coeffs []int
 	for {
 		deg, q := linialParams(palette, d)
 		newPalette := q * q
 		if newPalette >= palette {
 			break
 		}
+		k := deg + 1
+		coeffs = slices.Grow(coeffs[:0], n*k)[:n*k]
+		for v := 0; v < n; v++ {
+			digitsBaseQ(coeffs[v*k:(v+1)*k], cur[v], q)
+		}
 		next := make(coloring.Coloring, n)
 		for v := 0; v < n; v++ {
-			coeffs := digitsBaseQ(cur[v], q, deg+1)
+			cv := coeffs[v*k : (v+1)*k]
 			point := -1
 			// One neighborhood fetch per node, reused across evaluation
 			// points (a streaming ConflictGraph may reuse the slice on the
@@ -244,10 +255,9 @@ func linial(h ConflictGraph, ids []int, idSpace int) (coloring.Coloring, int, in
 			nbrs := h.Neighbors(graph.NodeID(v))
 			for i := 0; i < q && point < 0; i++ {
 				ok := true
-				fv := evalPoly(coeffs, i, q)
+				fv := evalPoly(cv, i, q)
 				for _, u := range nbrs {
-					cu := digitsBaseQ(cur[u], q, deg+1)
-					if evalPoly(cu, i, q) == fv {
+					if evalPoly(coeffs[int(u)*k:(int(u)+1)*k], i, q) == fv {
 						ok = false
 						break
 					}
@@ -261,7 +271,7 @@ func linial(h ConflictGraph, ids []int, idSpace int) (coloring.Coloring, int, in
 				// parameter-selection bug, so surface it.
 				return nil, 0, 0, fmt.Errorf("detcolor: linial found no evaluation point for node %d (q=%d deg=%d)", v, q, deg)
 			}
-			next[v] = point*q + evalPoly(coeffs, point, q)
+			next[v] = point*q + evalPoly(cv, point, q)
 		}
 		cur = next
 		palette = newPalette
@@ -374,46 +384,55 @@ func locallyIterative(h ConflictGraph, input coloring.Coloring, inputPalette int
 // reduceColors implements Theorem B.2 generically: given a proper coloring of
 // h, it reduces the palette to target colors (target must be at least
 // Δ(h)+1). In every phase, each node whose color is >= target and is the
-// strict maximum among its H-neighborhood recolors itself with a free color
-// below target; the global maximum color strictly decreases every phase.
+// strict maximum among its H-neighborhood recolors itself with the smallest
+// free color below target, in ascending node order; the global maximum color
+// strictly decreases every phase.
+//
+// The phases are event-driven. One initial pass counts, for every high node
+// v (color >= target), its blockers: the H-neighbors with a strictly larger
+// color. A node is a local maximum exactly when its count is zero. Colors
+// only ever fall, and to below target, so a blocker u of v stops blocking
+// exactly when u recolors, and u's old color was then above out[v]. A
+// recoloring node therefore walks the one neighborhood it fetched for its
+// pick and decrements those neighbors' counts; the nodes it frees form the
+// next phase. A high node's neighborhood is fetched at most twice, instead
+// of once per phase, and the phases, their ready sets and the recolor order
+// match a snapshot rescan of every high node each phase.
 func reduceColors(h ConflictGraph, input coloring.Coloring, target int) (coloring.Coloring, int, error) {
 	n := h.NumNodes()
 	if target < h.MaxDegree()+1 {
 		return nil, 0, fmt.Errorf("detcolor: reduction target %d below Δ+1 = %d", target, h.MaxDegree()+1)
 	}
 	out := input.Clone()
-	phases := 0
 	maxPhases := out.MaxColor() - target + 2
 	if maxPhases < 1 {
 		maxPhases = 1
 	}
+	blockers := make([]int32, n)
+	var ready, next []graph.NodeID
+	for v := 0; v < n; v++ {
+		if out[v] < target {
+			continue
+		}
+		for _, u := range h.Neighbors(graph.NodeID(v)) {
+			if out[u] > out[v] {
+				blockers[v]++
+			}
+		}
+		if blockers[v] == 0 {
+			ready = append(ready, graph.NodeID(v))
+		}
+	}
 	// used is the palette bitset behind every free-color pick, shared across
 	// phases; the pick itself is a FirstZero word scan.
 	used := bitset.NewFixed(target)
-	var recolor []int
-	for ; phases < maxPhases; phases++ {
-		recolor = recolor[:0]
-		for v := 0; v < n; v++ {
-			if out[v] < target {
-				continue
-			}
-			isMax := true
-			for _, u := range h.Neighbors(graph.NodeID(v)) {
-				if out[u] > out[v] {
-					isMax = false
-					break
-				}
-			}
-			if isMax {
-				recolor = append(recolor, v)
-			}
-		}
-		if len(recolor) == 0 {
-			break
-		}
-		for _, v := range recolor {
+	phases := 0
+	for ; phases < maxPhases && len(ready) > 0; phases++ {
+		next = next[:0]
+		for _, v := range ready {
+			nbrs := h.Neighbors(v)
 			used.ClearAll()
-			for _, u := range h.Neighbors(graph.NodeID(v)) {
+			for _, u := range nbrs {
 				if out[u] >= 0 && out[u] < target {
 					used.Set(out[u])
 				}
@@ -422,8 +441,18 @@ func reduceColors(h ConflictGraph, input coloring.Coloring, target int) (colorin
 			if newColor < 0 {
 				return nil, phases, fmt.Errorf("%w: no free color below %d for node %d", ErrIncomplete, target, v)
 			}
+			old := out[v]
 			out[v] = newColor
+			for _, u := range nbrs {
+				if out[u] >= target && out[u] < old {
+					if blockers[u]--; blockers[u] == 0 {
+						next = append(next, u)
+					}
+				}
+			}
 		}
+		slices.Sort(next)
+		ready, next = next, ready
 	}
 	// Final sanity: everything below target.
 	for v := 0; v < n; v++ {
@@ -434,14 +463,13 @@ func reduceColors(h ConflictGraph, input coloring.Coloring, target int) (colorin
 	return out, phases, nil
 }
 
-// digitsBaseQ returns the count least-significant base-q digits of x.
-func digitsBaseQ(x, q, count int) []int {
-	out := make([]int, count)
-	for i := 0; i < count; i++ {
-		out[i] = x % q
+// digitsBaseQ writes the len(dst) least-significant base-q digits of x into
+// dst, least significant first.
+func digitsBaseQ(dst []int, x, q int) {
+	for i := range dst {
+		dst[i] = x % q
 		x /= q
 	}
-	return out
 }
 
 // evalPoly evaluates the polynomial with the given coefficients (constant

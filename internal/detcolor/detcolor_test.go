@@ -200,7 +200,8 @@ func TestPrimeHelpers(t *testing.T) {
 }
 
 func TestPolynomialHelpers(t *testing.T) {
-	digits := digitsBaseQ(23, 5, 3) // 23 = 3 + 4*5
+	digits := make([]int, 3)
+	digitsBaseQ(digits, 23, 5) // 23 = 3 + 4*5
 	if digits[0] != 3 || digits[1] != 4 || digits[2] != 0 {
 		t.Errorf("digitsBaseQ(23,5,3) = %v", digits)
 	}

@@ -39,22 +39,25 @@ type Options struct {
 
 // Run executes the deterministic algorithm of Theorem 1.2 on g. The seed is
 // used only for the ID assignment when opts.IDs is randomized. The pipeline
-// charges its rounds rather than simulating them message-by-message, so
-// eng.Workers only affects the engine construction.
+// charges its rounds rather than simulating them message by message and
+// builds no engine, so eng is unused: Run takes it for the common run
+// signature of the algorithm packages.
 func Run(g *graph.Graph, opts Options, eng alg.Engine, seed uint64) (Result, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return Result{Coloring: coloring.New(0), PaletteSize: 1}, nil
 	}
 
-	// The simulator owns ID assignment; Linial consumes the IDs as its
-	// initial coloring. IDSparseRandom produces IDs from a space of size n³,
-	// exactly the O(log n)-bit assumption.
-	net := congest.New(g, congest.Config{Seed: seed, IDs: opts.IDs, Workers: eng.Workers})
-	defer net.Close()
-	ids := make([]int, n)
-	for v := 0; v < n; v++ {
-		ids[v] = int(net.ID(graph.NodeID(v)))
+	// Linial consumes the model's IDs as its initial coloring; they come from
+	// the simulator's one ID assignment. IDSparseRandom draws IDs from a space
+	// of size n³, exactly the O(log n)-bit assumption. Sequential IDs need no
+	// table: detcolor.Color treats nil as ID(v) = v.
+	var ids []int
+	if assigned := congest.AssignIDs(opts.IDs, n, seed, nil); assigned != nil {
+		ids = make([]int, n)
+		for v, id := range assigned {
+			ids[v] = int(id)
+		}
 	}
 
 	// The conflict graph H = G² is streamed, never materialized: the pipeline

@@ -1,6 +1,10 @@
 package detd2
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -130,4 +134,92 @@ func TestPropertyValidOnRandomGraphs(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
+}
+
+// hashColoring is FNV-64a over each color's 8-byte little-endian encoding,
+// the same digest the registry golden uses.
+func hashColoring(c []int) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, col := range c {
+		binary.LittleEndian.PutUint64(buf[:], uint64(int64(col)))
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestRandomIDRunsPinned pins the coloring and every stage's palette and
+// rounds under the two randomized ID assignments, captured before Linial
+// switched to a flat coefficient table and before the IDs were drawn
+// without building an engine. IDSparseRandom drives Linial through a real
+// iteration; IDRandomPermutation starts it from a compact ID space.
+func TestRandomIDRunsPinned(t *testing.T) {
+	pins := []struct {
+		spec            graph.GeneratorSpec
+		ids             congest.IDAssignment
+		hash            string
+		linialColors    int
+		linialRounds    int
+		iterativeColors int
+		iterativeRounds int
+		reductionRounds int
+	}{
+		{graph.GeneratorSpec{Kind: "gnp-avg", N: 600, P: 8, Seed: 1}, congest.IDSparseRandom, "ebbdcfbea5896d9f", 94249, 34, 307, 10, 63},
+		{graph.GeneratorSpec{Kind: "gnp-avg", N: 600, P: 8, Seed: 1}, congest.IDRandomPermutation, "df1b41edea5b7974", 601, 34, 307, 10, 72},
+		{graph.GeneratorSpec{Kind: "ba", N: 500, Degree: 3, Seed: 2}, congest.IDSparseRandom, "11772d4ed0b03851", 502681, 116, 709, 8, 113},
+		{graph.GeneratorSpec{Kind: "ba", N: 500, Degree: 3, Seed: 2}, congest.IDRandomPermutation, "86789e60c875cd9b", 501, 116, 709, 4, 91},
+		{graph.GeneratorSpec{Kind: "unitdisk", N: 300, P: 0.09, Seed: 3}, congest.IDSparseRandom, "d3f320223ad59799", 3721, 34, 67, 8, 30},
+		{graph.GeneratorSpec{Kind: "unitdisk", N: 300, P: 0.09, Seed: 3}, congest.IDRandomPermutation, "0aee589bc8e8dc8c", 301, 34, 67, 10, 32},
+	}
+	for _, p := range pins {
+		g, err := p.spec.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(g, Options{IDs: p.ids}, alg.Engine{}, 5)
+		if err != nil {
+			t.Fatalf("%s ids=%d: %v", p.spec, p.ids, err)
+		}
+		st := res.Stages
+		got := []int{st.LinialColors, st.LinialRounds, st.IterativeColors, st.IterativeRounds, st.ReductionRounds}
+		want := []int{p.linialColors, p.linialRounds, p.iterativeColors, p.iterativeRounds, p.reductionRounds}
+		if h := hashColoring(res.Coloring); h != p.hash || !slices.Equal(got, want) {
+			t.Errorf("%s ids=%d: hash %s stages %v, want %s %v", p.spec, p.ids, h, got, p.hash, want)
+		}
+	}
+}
+
+// BenchmarkDeterministicD2 times the whole Theorem 1.2 pipeline on the
+// perfbench solve shape: gnp-avg, n = 4000, average degree 10, sequential
+// IDs (the registry's "deterministic" entry).
+func BenchmarkDeterministicD2(b *testing.B) {
+	g := graph.GNPWithAverageDegree(4000, 10, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(g, Options{}, alg.Engine{}, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRunSparseIDsAllocs bounds the allocations of a run on the perfbench
+// solve shape under IDSparseRandom, the assignment that drives Linial
+// through a real iteration: Linial evaluates neighbor polynomials from one
+// flat coefficient table per iteration, and the IDs are drawn without
+// building an engine.
+func TestRunSparseIDsAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full pipeline on n = 4000 four times")
+	}
+	g := graph.GNPWithAverageDegree(4000, 10, 1)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Run(g, Options{IDs: congest.IDSparseRandom}, alg.Engine{}, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 1000 {
+		t.Errorf("detd2.Run with IDSparseRandom: %.0f allocs/op, want < 1000", allocs)
+	}
+	t.Logf("%.0f allocs/op", allocs)
 }
