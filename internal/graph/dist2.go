@@ -113,14 +113,26 @@ func (d *Dist2View) ForEachDist2(u NodeID, fn func(v NodeID) bool) {
 	}
 }
 
-// AppendDist2 appends the distance-2 neighbors of u to buf and returns the
-// extended slice. buf is caller-owned, so the result survives further view
-// calls (unlike Neighbors).
+// AppendDist2 appends the distance-2 neighbors of u to buf, in
+// ForEachDist2's order, and returns the extended slice. buf is caller-owned,
+// so the result survives further view calls (unlike Neighbors). It repeats
+// ForEachDist2's walk instead of calling it, so no callback runs per node.
 func (d *Dist2View) AppendDist2(buf []NodeID, u NodeID) []NodeID {
-	d.ForEachDist2(u, func(v NodeID) bool {
-		buf = append(buf, v)
-		return true
-	})
+	d.marks.Reset()
+	d.marks.Add(u)
+	nbrs := d.g.Neighbors(u)
+	for _, v := range nbrs {
+		if d.marks.Add(v) {
+			buf = append(buf, v)
+		}
+	}
+	for _, v := range nbrs {
+		for _, w := range d.g.Neighbors(v) {
+			if d.marks.Add(w) {
+				buf = append(buf, w)
+			}
+		}
+	}
 	return buf
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -69,6 +70,38 @@ func TestPropertyDist2ViewMatchesSquareOracle(t *testing.T) {
 			}
 			if got, want := view.NumDist2Edges(), sq.NumEdges(); got != want {
 				t.Fatalf("%s seed %d: NumDist2Edges %d, oracle m(G²) %d", spec, seed, got, want)
+			}
+		}
+	}
+}
+
+// TestPropertyAppendDist2MatchesForEachOrder checks, for every generator
+// family and three seeds, that AppendDist2 and Neighbors yield exactly
+// ForEachDist2's sequence (same nodes, same order), and that AppendDist2
+// keeps what buf already held.
+func TestPropertyAppendDist2MatchesForEachOrder(t *testing.T) {
+	for _, spec := range dist2TestSpecs() {
+		for seed := int64(1); seed <= 3; seed++ {
+			spec.Seed = seed
+			g, err := spec.Generate()
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			view := NewDist2View(g)
+			var want []NodeID
+			for u := 0; u < g.NumNodes(); u++ {
+				want = want[:0]
+				view.ForEachDist2(NodeID(u), func(v NodeID) bool {
+					want = append(want, v)
+					return true
+				})
+				prefix := []NodeID{-1}
+				if got := view.AppendDist2(prefix, NodeID(u)); !slices.Equal(got[1:], want) || got[0] != -1 {
+					t.Fatalf("%s seed %d: node %d: AppendDist2 %v, ForEachDist2 %v", spec, seed, u, got, want)
+				}
+				if got := view.Neighbors(NodeID(u)); !slices.Equal(got, want) {
+					t.Fatalf("%s seed %d: node %d: Neighbors %v, ForEachDist2 %v", spec, seed, u, got, want)
+				}
 			}
 		}
 	}

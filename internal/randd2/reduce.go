@@ -2,6 +2,7 @@ package randd2
 
 import (
 	"math"
+	"slices"
 
 	"d2color/internal/coloring"
 	"d2color/internal/graph"
@@ -207,7 +208,7 @@ func (r *runner) reducePhase(phi, activeProb float64, ru [][]graph.NodeID, phase
 	for w := range byW {
 		ws = append(ws, w)
 	}
-	sortNodeSlice(ws)
+	slices.Sort(ws)
 	for _, w := range ws {
 		f := byW[w]
 		// Step 5: w checks whether v is a d2-neighbour; if not, w's own colour

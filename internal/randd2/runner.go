@@ -36,7 +36,7 @@ type runner struct {
 	col      coloring.Coloring
 	liveLeft int
 	sim      *similarity
-	rand     []*rng.Source
+	rand     []rng.Source
 	tk       *trial.Runner // reusable trial kernel (step 2; shared across reps when injected)
 
 	// live is the maintained list of uncolored nodes, always in ascending
@@ -75,7 +75,7 @@ func newRunner(g *graph.Graph, p Params, seed uint64, tk *trial.Runner) *runner 
 		seed:         seed,
 		col:          coloring.New(n),
 		liveLeft:     n,
-		rand:         make([]*rng.Source, n),
+		rand:         make([]rng.Source, n),
 		tk:           tk,
 		live:         make([]graph.NodeID, n),
 		tryColor:     make([]int32, n),
@@ -86,7 +86,7 @@ func newRunner(g *graph.Graph, p Params, seed uint64, tk *trial.Runner) *runner 
 		activeRounds: -1,
 	}
 	for v := 0; v < n; v++ {
-		r.rand[v] = rng.Split(seed, uint64(v)+1)
+		r.rand[v].ResetSplit(seed, uint64(v)+1)
 		r.live[v] = graph.NodeID(v)
 	}
 	return r

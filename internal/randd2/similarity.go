@@ -1,7 +1,7 @@
 package randd2
 
 import (
-	"sort"
+	"slices"
 
 	"d2color/internal/graph"
 	"d2color/internal/rng"
@@ -29,9 +29,8 @@ func (s *similarity) hDegree(v graph.NodeID) int { return len(s.h[v]) }
 
 // isHNeighbor reports whether u is an H-neighbour of v.
 func (s *similarity) isHNeighbor(v, u graph.NodeID) bool {
-	lst := s.h[v]
-	i := sort.Search(len(lst), func(i int) bool { return lst[i] >= u })
-	return i < len(lst) && lst[i] == u
+	_, found := slices.BinarySearch(s.h[v], u)
+	return found
 }
 
 // buildSimilarity constructs H and Ĥ.
@@ -48,10 +47,13 @@ func (s *similarity) isHNeighbor(v, u graph.NodeID) bool {
 // pipelined comparison all fit in O(log n) rounds (Section 2.3); the exact
 // variant for Δ² = O(log n) also costs O(log n) rounds.
 //
-// Implementation: distance-2 neighborhoods are streamed from the Dist2View;
-// the exact common-neighbour counts |N²(u) ∩ N²(v)| are taken against a
-// pooled MarkSet holding N²(v), so no square adjacency and no per-pair sets
-// are ever allocated.
+// Implementation: a pair can share no more than the smaller of its two sets
+// (Sv, or N²(v) on the exact path), and the qualifying test is monotone in
+// the shared count, so a node whose own set is below the weaker of the two
+// thresholds has no H- or Ĥ-edge at all; such nodes are skipped before any
+// of their pairs is looked at (DESIGN.md §16). The exact common-neighbour
+// counts |N²(u) ∩ N²(v)| are taken against a pooled MarkSet holding N²(v),
+// so no square adjacency and no per-pair sets are ever allocated.
 func buildSimilarity(g *graph.Graph, d2v *graph.Dist2View, delta int, p Params, seed uint64) *similarity {
 	n := g.NumNodes()
 	s := &similarity{
@@ -68,39 +70,6 @@ func buildSimilarity(g *graph.Graph, d2v *graph.Dist2View, delta int, p Params, 
 
 	useExact := p.ExactSimilarity || float64(d2) <= p.C10*logN
 
-	// inV marks N²(v) while the inner loop streams N²(u); nbrsV is the
-	// caller-owned materialization of N²(v) (the view's stream cannot be
-	// nested inside itself).
-	inV := graph.NewMarkSet(n)
-	nbrsV := make([]graph.NodeID, 0, d2)
-
-	var samples [][]graph.NodeID
-	var expected float64
-	if !useExact {
-		// Sampling protocol. S is drawn with per-node coins; Sv is the sorted
-		// list of sampled d2-neighbours of v.
-		prob := p.C10 * logN / float64(d2)
-		if prob > 1 {
-			prob = 1
-		}
-		inSample := make([]bool, n)
-		src := rng.Split(seed, 0x51A11)
-		for v := 0; v < n; v++ {
-			inSample[v] = src.Bernoulli(prob)
-		}
-		samples = make([][]graph.NodeID, n)
-		for v := 0; v < n; v++ {
-			d2v.ForEachDist2(graph.NodeID(v), func(u graph.NodeID) bool {
-				if inSample[u] {
-					samples[v] = append(samples[v], u)
-				}
-				return true
-			})
-			sortNodeSlice(samples[v])
-		}
-		expected = prob * float64(d2)
-	}
-
 	// Thresholds per Theorem 2.2: H_{1-1/k} requires a (1 − 1/(2k)) fraction
 	// of the reference quantity (Δ² exactly, or the expected sample size).
 	kH := 1 / (1 - p.SimilarityH)      // k = 3 for H_{2/3}
@@ -112,10 +81,37 @@ func buildSimilarity(g *graph.Graph, d2v *graph.Dist2View, delta int, p Params, 
 		fracH = p.SimilarityH
 		fracHat = p.SimilarityHHat
 	}
+	// A node whose set size k gives k/denom below minFrac shares too little
+	// with anyone to enter H or Ĥ. Validate makes minFrac = fracH.
+	minFrac := min(fracH, fracHat)
+
+	// nbrsV is the caller-owned materialization of N²(v) (the view's stream
+	// cannot be nested inside itself); |N²(v)| ≤ Δ², so it never grows.
+	nbrsV := make([]graph.NodeID, 0, d2)
+	// inV marks N²(v) while the exact path streams N²(u).
+	var inV *graph.MarkSet
+	var samples sampleSets
+	denom := float64(d2)
+	if useExact {
+		inV = graph.NewMarkSet(n)
+	} else {
+		prob := min(p.C10*logN/float64(d2), 1)
+		samples = drawSamples(d2v, prob, seed, nbrsV)
+		denom = prob * float64(d2) // the expected sample size
+	}
+	if !(denom > 0) {
+		return s
+	}
 
 	for v := 0; v < n; v++ {
+		if !useExact && float64(len(samples.of(graph.NodeID(v))))/denom < minFrac {
+			continue
+		}
 		nbrsV = d2v.AppendDist2(nbrsV[:0], graph.NodeID(v))
 		if useExact {
+			if float64(len(nbrsV))/denom < minFrac {
+				continue
+			}
 			inV.Reset()
 			for _, u := range nbrsV {
 				inV.Add(u)
@@ -126,7 +122,6 @@ func buildSimilarity(g *graph.Graph, d2v *graph.Dist2View, delta int, p Params, 
 				continue
 			}
 			var count int
-			var denom float64
 			if useExact {
 				// |N²(u) ∩ N²(v)| streamed against the mark set (v itself is
 				// never marked, matching the set semantics of N²(v)).
@@ -136,13 +131,12 @@ func buildSimilarity(g *graph.Graph, d2v *graph.Dist2View, delta int, p Params, 
 					}
 					return true
 				})
-				denom = float64(d2)
 			} else {
-				count = commonSortedCount(samples[u], samples[v])
-				denom = expected
-			}
-			if denom <= 0 {
-				continue
+				su := samples.of(u)
+				if float64(len(su))/denom < minFrac {
+					continue
+				}
+				count = commonSortedCount(su, samples.of(graph.NodeID(v)))
 			}
 			frac := float64(count) / denom
 			if frac >= fracH {
@@ -156,8 +150,59 @@ func buildSimilarity(g *graph.Graph, d2v *graph.Dist2View, delta int, p Params, 
 		}
 	}
 	for v := 0; v < n; v++ {
-		sortNodeSlice(s.h[v])
-		sortNodeSlice(s.hHat[v])
+		slices.Sort(s.h[v])
+		slices.Sort(s.hHat[v])
+	}
+	return s
+}
+
+// sampleSets holds Sv = S ∩ N²(v) for every node v in CSR form: Sv is
+// flat[offsets[v]:offsets[v+1]], in ascending order.
+type sampleSets struct {
+	offsets []int
+	flat    []graph.NodeID
+}
+
+// of returns Sv.
+func (s sampleSets) of(v graph.NodeID) []graph.NodeID {
+	return s.flat[s.offsets[v]:s.offsets[v+1]]
+}
+
+// drawSamples flips one coin per node, in node order, from the stream
+// Split(seed, 0x51A11) to draw S, and returns every Sv. Distance-2 adjacency
+// is symmetric, so Sv = {w ∈ S : v ∈ N²(w)}: only the sampled nodes' N²(w)
+// are streamed, once to size the sets and once to fill them, and taking w in
+// ascending order leaves every Sv sorted. buf is a reusable buffer.
+func drawSamples(d2v *graph.Dist2View, prob float64, seed uint64, buf []graph.NodeID) sampleSets {
+	n := d2v.NumNodes()
+	var src rng.Source
+	src.ResetSplit(seed, 0x51A11)
+	inSample := make([]bool, n)
+	for w := range inSample {
+		inSample[w] = src.Bernoulli(prob)
+	}
+	s := sampleSets{offsets: make([]int, n+1)}
+	for w := 0; w < n; w++ {
+		if inSample[w] {
+			buf = d2v.AppendDist2(buf[:0], graph.NodeID(w))
+			for _, v := range buf {
+				s.offsets[v+1]++
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		s.offsets[v+1] += s.offsets[v]
+	}
+	s.flat = make([]graph.NodeID, s.offsets[n])
+	next := slices.Clone(s.offsets[:n])
+	for w := 0; w < n; w++ {
+		if inSample[w] {
+			buf = d2v.AppendDist2(buf[:0], graph.NodeID(w))
+			for _, v := range buf {
+				s.flat[next[v]] = graph.NodeID(w)
+				next[v]++
+			}
+		}
 	}
 	return s
 }
@@ -178,8 +223,4 @@ func commonSortedCount(a, b []graph.NodeID) int {
 		}
 	}
 	return count
-}
-
-func sortNodeSlice(s []graph.NodeID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

@@ -1,9 +1,12 @@
 package randd2
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"d2color/internal/graph"
+	"d2color/internal/rng"
 )
 
 func buildSim(t *testing.T, g *graph.Graph, exact bool) *similarity {
@@ -146,5 +149,240 @@ func TestSimilarityRoundChargeLogarithmic(t *testing.T) {
 	}
 	if simLarge.rounds > 10*simSmall.rounds {
 		t.Errorf("round charge should grow only logarithmically: %d vs %d", simSmall.rounds, simLarge.rounds)
+	}
+}
+
+// buildSimilarityAllPairs is the construction buildSimilarity replaced,
+// kept as the test oracle: every node streams its own N²(v) to gather Sv,
+// and every distance-2 pair is intersected, whatever the sizes of its sets.
+func buildSimilarityAllPairs(g *graph.Graph, d2v *graph.Dist2View, delta int, p Params, seed uint64) *similarity {
+	n := g.NumNodes()
+	s := &similarity{
+		h:    make([][]graph.NodeID, n),
+		hHat: make([][]graph.NodeID, n),
+	}
+	logN := log2(n)
+	d2 := delta * delta
+	s.rounds = int(2*logN) + 2
+
+	if d2 == 0 {
+		return s
+	}
+
+	useExact := p.ExactSimilarity || float64(d2) <= p.C10*logN
+
+	inV := graph.NewMarkSet(n)
+	nbrsV := make([]graph.NodeID, 0, d2)
+
+	var samples [][]graph.NodeID
+	var expected float64
+	if !useExact {
+		prob := p.C10 * logN / float64(d2)
+		if prob > 1 {
+			prob = 1
+		}
+		inSample := make([]bool, n)
+		src := rng.Split(seed, 0x51A11)
+		for v := 0; v < n; v++ {
+			inSample[v] = src.Bernoulli(prob)
+		}
+		samples = make([][]graph.NodeID, n)
+		for v := 0; v < n; v++ {
+			d2v.ForEachDist2(graph.NodeID(v), func(u graph.NodeID) bool {
+				if inSample[u] {
+					samples[v] = append(samples[v], u)
+				}
+				return true
+			})
+			slices.Sort(samples[v])
+		}
+		expected = prob * float64(d2)
+	}
+
+	kH := 1 / (1 - p.SimilarityH)
+	kHat := 1 / (1 - p.SimilarityHHat)
+	fracH := 1 - 1/(2*kH)
+	fracHat := 1 - 1/(2*kHat)
+	if useExact {
+		fracH = p.SimilarityH
+		fracHat = p.SimilarityHHat
+	}
+
+	for v := 0; v < n; v++ {
+		nbrsV = d2v.AppendDist2(nbrsV[:0], graph.NodeID(v))
+		if useExact {
+			inV.Reset()
+			for _, u := range nbrsV {
+				inV.Add(u)
+			}
+		}
+		for _, u := range nbrsV {
+			if u <= graph.NodeID(v) {
+				continue
+			}
+			var count int
+			var denom float64
+			if useExact {
+				d2v.ForEachDist2(u, func(w graph.NodeID) bool {
+					if inV.Contains(w) {
+						count++
+					}
+					return true
+				})
+				denom = float64(d2)
+			} else {
+				count = commonSortedCount(samples[u], samples[v])
+				denom = expected
+			}
+			if denom <= 0 {
+				continue
+			}
+			frac := float64(count) / denom
+			if frac >= fracH {
+				s.h[v] = append(s.h[v], u)
+				s.h[u] = append(s.h[u], graph.NodeID(v))
+			}
+			if frac >= fracHat {
+				s.hHat[v] = append(s.hHat[v], u)
+				s.hHat[u] = append(s.hHat[u], graph.NodeID(v))
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		slices.Sort(s.h[v])
+		slices.Sort(s.hHat[v])
+	}
+	return s
+}
+
+// checkSimilarityMatchesAllPairs builds H and Ĥ both ways on g and fails on
+// any difference in an adjacency list or in the round charge. It returns
+// the number of directed H edges, so callers can tell an empty H from a
+// populated one.
+func checkSimilarityMatchesAllPairs(t *testing.T, label string, g *graph.Graph, p Params, seed uint64) int {
+	t.Helper()
+	want := buildSimilarityAllPairs(g, graph.NewDist2View(g), g.MaxDegree(), p, seed)
+	got := buildSimilarity(g, graph.NewDist2View(g), g.MaxDegree(), p, seed)
+	if got.rounds != want.rounds {
+		t.Fatalf("%s: rounds %d, all-pairs %d", label, got.rounds, want.rounds)
+	}
+	edges := 0
+	for v := range want.h {
+		if !slices.Equal(got.h[v], want.h[v]) {
+			t.Fatalf("%s: H(%d) = %v, all-pairs %v", label, v, got.h[v], want.h[v])
+		}
+		if !slices.Equal(got.hHat[v], want.hHat[v]) {
+			t.Fatalf("%s: Ĥ(%d) = %v, all-pairs %v", label, v, got.hHat[v], want.hHat[v])
+		}
+		edges += len(want.h[v])
+	}
+	return edges
+}
+
+// TestBuildSimilarityMatchesAllPairs checks the size-pruned, inverted
+// construction against the all-pairs oracle on both the sampled and the
+// exact path, on graphs where H is complete (the Moore graphs), empty
+// (clique chains, small cliques) and mixed (random graphs).
+func TestBuildSimilarityMatchesAllPairs(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    func(seed int64) *graph.Graph
+		c10  float64
+	}{
+		{"hoffman-singleton", func(int64) *graph.Graph { return graph.HoffmanSingleton() }, 3},
+		{"hoffman-singleton/C10=8", func(int64) *graph.Graph { return graph.HoffmanSingleton() }, 8},
+		{"petersen", func(int64) *graph.Graph { return graph.Petersen() }, 3},
+		{"cliquechain", func(int64) *graph.Graph { return graph.CliqueChain(6, 8, 0) }, 3},
+		{"complete", func(int64) *graph.Graph { return graph.Complete(10) }, 3},
+		{"gnp-avg", func(seed int64) *graph.Graph { return graph.GNPWithAverageDegree(600, 6, seed) }, 3},
+		{"ba", func(seed int64) *graph.Graph { return graph.BarabasiAlbert(500, 3, seed) }, 3},
+	}
+	sampledEdges := 0
+	for _, tc := range graphs {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g := tc.g(int64(seed))
+			for _, exact := range []bool{false, true} {
+				p := Default()
+				p.C10 = tc.c10
+				p.ExactSimilarity = exact
+				label := fmt.Sprintf("%s seed %d exact=%v", tc.name, seed, exact)
+				edges := checkSimilarityMatchesAllPairs(t, label, g, p, seed)
+				if !exact && tc.name == "hoffman-singleton/C10=8" {
+					sampledEdges += edges
+				}
+			}
+		}
+	}
+	if sampledEdges == 0 {
+		t.Fatal("the sampled H is empty on Hoffman–Singleton at C10=8; the comparison never sees an edge")
+	}
+}
+
+// FuzzBuildSimilarity compares buildSimilarity with the all-pairs oracle on
+// a fuzzed graph (1 + nb%48 nodes, edges from byte pairs, self-loops
+// dropped), sampling constant C10 = (1 + c10%64)/4, either path and any
+// seed.
+func FuzzBuildSimilarity(f *testing.F) {
+	f.Add(uint8(9), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 0, 5, 1, 6, 2, 7, 3, 8, 4, 9, 5, 7, 7, 9, 9, 6, 6, 8, 8, 5}, uint8(31), false, uint64(1))
+	f.Add(uint8(5), []byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4}, uint8(3), true, uint64(7))
+	f.Fuzz(func(t *testing.T, nb uint8, edges []byte, c10 uint8, exact bool, seed uint64) {
+		n := 1 + int(nb%48)
+		b := graph.NewBuilder(n)
+		for i := 0; i+1 < len(edges) && i < 512; i += 2 {
+			if u, v := graph.NodeID(int(edges[i])%n), graph.NodeID(int(edges[i+1])%n); u != v {
+				if err := b.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		p := Default()
+		p.C10 = float64(1+int(c10%64)) / 4
+		p.ExactSimilarity = exact
+		checkSimilarityMatchesAllPairs(t, "fuzz", b.Build(), p, seed)
+	})
+}
+
+// TestBuildSimilarityAllocs bounds the allocations of one construction by a
+// constant on graphs whose H is empty (the solve shape at two sizes): the
+// sample sets live in two flat arrays, so nothing is allocated per node.
+func TestBuildSimilarityAllocs(t *testing.T) {
+	const maxAllocs = 10
+	for _, n := range []int{1000, 4000} {
+		g := graph.GNPWithAverageDegree(n, 10, 1)
+		d2v := graph.NewDist2View(g)
+		for _, exact := range []bool{false, true} {
+			p := Default()
+			p.ExactSimilarity = exact
+			allocs := testing.AllocsPerRun(3, func() {
+				buildSimilarity(g, d2v, g.MaxDegree(), p, 1)
+			})
+			if allocs > maxAllocs {
+				t.Errorf("n=%d exact=%v: %.0f allocs per build, want at most %d", n, exact, allocs, maxAllocs)
+			}
+		}
+	}
+}
+
+// BenchmarkBuildSimilarity times the similarity-graph construction on the
+// perfbench solve shape (gnp-avg, n = 4000, average degree 10), where no
+// node's sample is large enough to enter H, and on the Hoffman–Singleton
+// graph, where H is dense.
+func BenchmarkBuildSimilarity(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"solve", graph.GNPWithAverageDegree(4000, 10, 1)},
+		{"hoffman-singleton", graph.HoffmanSingleton()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			d2v := graph.NewDist2View(bc.g)
+			p := Default()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buildSimilarity(bc.g, d2v, bc.g.MaxDegree(), p, uint64(i))
+			}
+		})
 	}
 }
