@@ -53,7 +53,7 @@ var pinnedSet = []struct {
 	{"./internal/randd2", "BenchmarkBuildSimilarity"},
 	{"./internal/bitset", "BenchmarkFirstFreePick"},
 	{"./internal/congest", "BenchmarkDeliver|BenchmarkPayloadRound"},
-	{"./internal/graph", "BenchmarkDist2View$|BenchmarkBuilderSortDedupe$"},
+	{"./internal/graph", "BenchmarkDist2View$|BenchmarkDist2InducedSubgraph|BenchmarkBuilderSortDedupe$"},
 	{"./internal/sweep", "BenchmarkSweepGrid"},
 	{"./internal/repair", "BenchmarkRepairCorrupt|BenchmarkChurnEpoch"},
 	{"./internal/fault", "BenchmarkDropDecision"},

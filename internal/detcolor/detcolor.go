@@ -150,19 +150,9 @@ func Color(h ConflictGraph, ids []int, cost CostModel) (Result, error) {
 	if len(ids) != n {
 		return res, fmt.Errorf("detcolor: got %d ids for %d nodes", len(ids), n)
 	}
-	seen := make(map[int]bool, n)
-	maxID := 0
-	for _, id := range ids {
-		if id < 0 {
-			return res, fmt.Errorf("%w: negative id %d", ErrIDsNotDistinct, id)
-		}
-		if seen[id] {
-			return res, fmt.Errorf("%w: id %d repeated", ErrIDsNotDistinct, id)
-		}
-		seen[id] = true
-		if id > maxID {
-			maxID = id
-		}
+	maxID, err := checkIDs(ids)
+	if err != nil {
+		return res, err
 	}
 
 	d := h.MaxDegree()
@@ -209,6 +199,33 @@ func Color(h ConflictGraph, ids []int, cost CostModel) (Result, error) {
 	res.PaletteSize = d + 1
 	res.Metrics = congest.Metrics{ChargedRounds: res.LinialRounds + res.IterativeRounds + res.ReductionRounds}
 	return res, nil
+}
+
+// checkIDs returns the largest identifier, or an ErrIDsNotDistinct error if
+// an identifier is negative or repeated. IDs may be sparse (up to n³ under
+// IDSparseRandom), so repeats are found by an adjacent compare on a sorted
+// copy rather than a bitset; an ascending list, the common case, needs no
+// copy.
+func checkIDs(ids []int) (int, error) {
+	maxID, ascending := 0, true
+	for i, id := range ids {
+		if id < 0 {
+			return 0, fmt.Errorf("%w: negative id %d", ErrIDsNotDistinct, id)
+		}
+		maxID = max(maxID, id)
+		ascending = ascending && (i == 0 || id > ids[i-1])
+	}
+	if ascending {
+		return maxID, nil
+	}
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return 0, fmt.Errorf("%w: id %d repeated", ErrIDsNotDistinct, sorted[i])
+		}
+	}
+	return maxID, nil
 }
 
 // linial iterates Linial's polynomial-based color reduction starting from the

@@ -2,6 +2,8 @@ package detcolor
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -91,14 +93,53 @@ func TestColorWithExplicitSparseIDs(t *testing.T) {
 
 func TestColorRejectsBadIDs(t *testing.T) {
 	g := graph.Path(4)
-	if _, err := Color(g, []int{1, 2, 2, 3}, DefaultCostModelG()); !errors.Is(err, ErrIDsNotDistinct) {
-		t.Errorf("duplicate ids: err = %v, want ErrIDsNotDistinct", err)
-	}
-	if _, err := Color(g, []int{1, -2, 3, 4}, DefaultCostModelG()); !errors.Is(err, ErrIDsNotDistinct) {
-		t.Errorf("negative id: err = %v, want ErrIDsNotDistinct", err)
+	for name, ids := range map[string][]int{
+		"duplicate adjacent":       {1, 2, 2, 3},
+		"duplicate apart":          {3, 1, 2, 3},
+		"duplicate descending":     {9, 7, 7, 1},
+		"negative":                 {1, -2, 3, 4},
+		"negative in unsorted ids": {4, 3, -1, 2},
+		"negative after duplicate": {5, 5, 6, -7},
+	} {
+		if _, err := Color(g, ids, DefaultCostModelG()); !errors.Is(err, ErrIDsNotDistinct) {
+			t.Errorf("%s %v: err = %v, want ErrIDsNotDistinct", name, ids, err)
+		}
 	}
 	if _, err := Color(g, []int{1, 2}, DefaultCostModelG()); err == nil {
 		t.Error("wrong id count should error")
+	}
+}
+
+// TestCheckIDsSparse checks the distinct-ID check on IDs as sparse as
+// IDSparseRandom draws them (just below n³), in ascending, shuffled and
+// descending order: it accepts them, reports the largest, and rejects the
+// same list once one ID is repeated.
+func TestCheckIDsSparse(t *testing.T) {
+	const n = 4000
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = n*n*n - 1 - (n-1-i)*(n*n/3)
+	}
+	want := n*n*n - 1
+	rng := rand.New(rand.NewSource(1))
+	shuffled := slices.Clone(ids)
+	rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	descending := slices.Clone(ids)
+	slices.Reverse(descending)
+	for name, list := range map[string][]int{"ascending": ids, "shuffled": shuffled, "descending": descending} {
+		before := slices.Clone(list)
+		got, err := checkIDs(list)
+		if err != nil || got != want {
+			t.Errorf("%s: checkIDs = %d, %v; want %d, nil", name, got, err, want)
+		}
+		if !slices.Equal(list, before) {
+			t.Errorf("%s: checkIDs reordered the caller's ids", name)
+		}
+		dup := slices.Clone(list)
+		dup[n/2] = dup[n/3]
+		if _, err := checkIDs(dup); !errors.Is(err, ErrIDsNotDistinct) {
+			t.Errorf("%s with a repeat: err = %v, want ErrIDsNotDistinct", name, err)
+		}
 	}
 }
 

@@ -136,3 +136,20 @@ func TestBuilderBuildConsumesAndReusable(t *testing.T) {
 		t.Fatalf("earlier graph mutated by builder reuse: %v", g1)
 	}
 }
+
+// TestEdgeSlotsGuard checks the 32-bit slot guard that the Builder and the
+// direct G² emission (Dist2View.InducedSubgraphOf) share, at its boundary:
+// maxEdgeSlots slots pass and one more fails with ErrTooManyEdges. Testing
+// the helper needs no 2³¹-slot graph.
+func TestEdgeSlotsGuard(t *testing.T) {
+	for _, slots := range []int{0, 2, maxEdgeSlots - 1, maxEdgeSlots} {
+		if err := edgeSlotsErr(slots); err != nil {
+			t.Errorf("edgeSlotsErr(%d) = %v, want nil", slots, err)
+		}
+	}
+	for _, slots := range []int{maxEdgeSlots + 1, 2 * maxEdgeSlots} {
+		if err := edgeSlotsErr(slots); !errors.Is(err, ErrTooManyEdges) {
+			t.Errorf("edgeSlotsErr(%d) = %v, want ErrTooManyEdges", slots, err)
+		}
+	}
+}

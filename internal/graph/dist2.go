@@ -219,49 +219,111 @@ func (d *Dist2View) IsDist2Neighbor(u, v NodeID) bool {
 // the rest of G². It mirrors Graph.InducedSubgraph so either graph can be the
 // partitioning target of the Section-3 algorithms.
 func (d *Dist2View) InducedSubgraph(keep []bool) (*Graph, []NodeID) {
-	n := d.g.NumNodes()
-	if len(keep) != n {
-		panic(fmt.Sprintf("graph: keep mask has length %d, want %d", len(keep), n))
-	}
-	oldToNew := make([]int32, n)
-	newToOld := make([]NodeID, 0, n)
-	for v := 0; v < n; v++ {
-		if keep[v] {
-			oldToNew[v] = int32(len(newToOld))
-			newToOld = append(newToOld, NodeID(v))
-		} else {
-			oldToNew[v] = -1
-		}
-	}
-	b := NewBuilder(len(newToOld))
-	for _, u := range newToOld {
-		d.ForEachDist2(u, func(w NodeID) bool {
-			if w > u && keep[w] {
-				_ = b.AddEdge(NodeID(oldToNew[u]), NodeID(oldToNew[w]))
-			}
-			return true
-		})
-	}
-	return b.Build(), newToOld
+	newToOld := keptNodes(keep, d.g.NumNodes())
+	return d.InducedSubgraphOf(newToOld, make([]int32, d.g.NumNodes())), newToOld
 }
 
-// Materialize builds the square graph through the streaming walk and the
-// sort-dedupe builder. It exists for the one consumer that genuinely needs G²
-// as a standing object — the naive baseline that simulates CONGEST on the
-// square — and for benchmarks; every other layer streams.
-func (d *Dist2View) Materialize() *Graph {
+// InducedSubgraphOf returns G²[nodes] under Graph.InducedSubgraphOf's
+// contract: nodes sorted ascending and duplicate-free, node i of the result
+// is nodes[i], and index is the caller's old→new scratch of length
+// NumNodes() of which only the entries of nodes are written, so one index
+// can be reused across calls.
+//
+// The square is emitted straight into CSR arrays, with no Builder and no
+// sort. One streamed walk per kept node, in ascending order, sizes its row
+// and buffers its kept distance-2 neighbors (new IDs, in walk order) in
+// chunks. The transposed fill then reads the buffered rows in the same order
+// and appends each row's own ID i to the row of every j it lists: row j
+// receives its entries in ascending i, each once (the walk deduplicates),
+// and G²[nodes] is symmetric, so every row comes out sorted, duplicate-free
+// and exactly as long as its own walk counted. It panics with
+// ErrTooManyEdges when the result would exceed the 32-bit slot space.
+func (d *Dist2View) InducedSubgraphOf(nodes []NodeID, index []int32) *Graph {
 	n := d.g.NumNodes()
-	b := NewBuilder(n)
-	b.Grow(2 * d.g.NumEdges())
-	for u := 0; u < n; u++ {
-		d.ForEachDist2(NodeID(u), func(w NodeID) bool {
-			if w > NodeID(u) {
-				_ = b.AddEdge(NodeID(u), w)
-			}
-			return true
-		})
+	if len(index) != n {
+		panic(fmt.Sprintf("graph: index has length %d, want %d", len(index), n))
 	}
-	return b.Build()
+	for i, v := range nodes {
+		if v < 0 || int(v) >= n || (i > 0 && v <= nodes[i-1]) {
+			panic(fmt.Sprintf("graph: induced node list must be ascending in [0, %d); entry %d is %d", n, i, v))
+		}
+		index[v] = int32(i)
+	}
+	nn := len(nodes)
+	off := make([]int32, nn+1)
+	var chunks [][]int32 // the buffered rows, back to back; a row never straddles two chunks
+	var cur, row []int32
+	slots := 0
+	for i, u := range nodes {
+		row = d.appendKept(row[:0], u, nodes, index)
+		slots += len(row)
+		if err := edgeSlotsErr(slots); err != nil {
+			panic(err)
+		}
+		off[i+1] = int32(slots)
+		if len(cur)+len(row) > cap(cur) {
+			chunks = append(chunks, cur)
+			cur = make([]int32, 0, max(len(row), min(emitChunkLen, slots)))
+		}
+		cur = append(cur, row...)
+	}
+	chunks = append(chunks, cur)
+	tgt := make([]NodeID, slots)
+	next := make([]int32, nn)
+	copy(next, off[:nn])
+	i := 0
+	for c, chunk := range chunks {
+		for p := 0; p < len(chunk); i++ {
+			end := p + int(off[i+1]-off[i])
+			for _, j := range chunk[p:end] {
+				tgt[next[j]] = NodeID(i)
+				next[j]++
+			}
+			p = end
+		}
+		chunks[c] = nil // release each chunk once it is transposed
+	}
+	return fromCSR(nn, off, tgt)
+}
+
+// emitChunkLen caps the buffer chunks of InducedSubgraphOf (256 KiB of
+// int32 IDs): chunks grow with the rows emitted so far up to this size, so
+// small subgraphs allocate little and large ones are never copied by a
+// growing append.
+const emitChunkLen = 1 << 16
+
+// appendKept appends to buf the new IDs (positions in nodes, looked up
+// through index as in InducedSubgraphOf) of u's distance-2 neighbors that
+// are in nodes, in AppendDist2's walk order.
+func (d *Dist2View) appendKept(buf []int32, u NodeID, nodes []NodeID, index []int32) []int32 {
+	d.marks.Reset()
+	d.marks.Add(u)
+	nbrs := d.g.Neighbors(u)
+	for _, v := range nbrs {
+		if d.marks.Add(v) {
+			if i := memberIndex(nodes, index, v); i >= 0 {
+				buf = append(buf, i)
+			}
+		}
+	}
+	for _, v := range nbrs {
+		for _, w := range d.g.Neighbors(v) {
+			if d.marks.Add(w) {
+				if i := memberIndex(nodes, index, w); i >= 0 {
+					buf = append(buf, i)
+				}
+			}
+		}
+	}
+	return buf
+}
+
+// Materialize builds the whole square G² with InducedSubgraphOf's direct CSR
+// emission. It exists for the one consumer that genuinely needs G² as a
+// standing object — the naive baseline that simulates CONGEST on the square —
+// and for benchmarks; every other layer streams.
+func (d *Dist2View) Materialize() *Graph {
+	return d.InducedSubgraphOf(d.g.Nodes(), make([]int32, d.g.NumNodes()))
 }
 
 // DistKView streams distance-at-most-k neighborhoods (the conflict

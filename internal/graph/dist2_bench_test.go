@@ -129,3 +129,29 @@ func BenchmarkDist2ViewSizes(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDist2InducedSubgraph times the direct CSR emission of G²[Vᵢ] on
+// the perfbench solve shape (gnp-avg, n = 4000, average degree 10): "all"
+// keeps every node, the one-part case of the polylog solve, and "half" keeps
+// every other node.
+func BenchmarkDist2InducedSubgraph(b *testing.B) {
+	g := GNPWithAverageDegree(4000, 10, 1)
+	for _, bc := range []struct {
+		name string
+		step int
+	}{{"all", 1}, {"half", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var nodes []NodeID
+			for v := 0; v < g.NumNodes(); v += bc.step {
+				nodes = append(nodes, NodeID(v))
+			}
+			view := NewDist2View(g)
+			index := make([]int32, g.NumNodes())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				view.InducedSubgraphOf(nodes, index)
+			}
+		})
+	}
+}

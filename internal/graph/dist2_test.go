@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -124,22 +126,7 @@ func TestPropertyDist2ViewSetOperations(t *testing.T) {
 			}
 		}
 
-		mat := view.Materialize()
-		if mat.NumEdges() != sq.NumEdges() || mat.NumNodes() != sq.NumNodes() {
-			t.Fatalf("seed %d: Materialize n=%d m=%d, oracle n=%d m=%d",
-				seed, mat.NumNodes(), mat.NumEdges(), sq.NumNodes(), sq.NumEdges())
-		}
-		for u := 0; u < g.NumNodes(); u++ {
-			a, b := mat.Neighbors(NodeID(u)), sq.Neighbors(NodeID(u))
-			if len(a) != len(b) {
-				t.Fatalf("seed %d: Materialize degree mismatch at %d", seed, u)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("seed %d: Materialize neighbors mismatch at %d", seed, u)
-				}
-			}
-		}
+		assertSameCSR(t, fmt.Sprintf("seed %d: Materialize", seed), view.Materialize(), sq)
 
 		keep := make([]bool, g.NumNodes())
 		for v := range keep {
@@ -147,21 +134,161 @@ func TestPropertyDist2ViewSetOperations(t *testing.T) {
 		}
 		subStream, mapStream := view.InducedSubgraph(keep)
 		subOracle, mapOracle := sq.InducedSubgraph(keep)
-		if subStream.NumNodes() != subOracle.NumNodes() || subStream.NumEdges() != subOracle.NumEdges() {
-			t.Fatalf("seed %d: induced G²[keep] n=%d m=%d, oracle n=%d m=%d",
-				seed, subStream.NumNodes(), subStream.NumEdges(), subOracle.NumNodes(), subOracle.NumEdges())
+		if !slices.Equal(mapStream, mapOracle) {
+			t.Fatalf("seed %d: induced mapping %v, oracle %v", seed, mapStream, mapOracle)
 		}
-		for i := range mapStream {
-			if mapStream[i] != mapOracle[i] {
-				t.Fatalf("seed %d: induced mapping differs at %d", seed, i)
-			}
-		}
-		for u := 0; u < subStream.NumNodes(); u++ {
-			if subStream.Degree(NodeID(u)) != subOracle.Degree(NodeID(u)) {
-				t.Fatalf("seed %d: induced degree differs at %d", seed, u)
-			}
+		assertSameCSR(t, fmt.Sprintf("seed %d: induced G²[keep]", seed), subStream, subOracle)
+	}
+}
+
+// assertSameCSR fails unless got and want are the same graph down to the
+// representation: equal offsets, targets, edge count and maximum degree.
+func assertSameCSR(t testing.TB, ctx string, got, want *Graph) {
+	t.Helper()
+	if got.n != want.n || got.numEdges != want.numEdges || got.maxDeg != want.maxDeg {
+		t.Fatalf("%s: n=%d m=%d Δ=%d, oracle n=%d m=%d Δ=%d",
+			ctx, got.n, got.numEdges, got.maxDeg, want.n, want.numEdges, want.maxDeg)
+	}
+	if !slices.Equal(got.off, want.off) {
+		t.Fatalf("%s: offsets %v, oracle %v", ctx, got.off, want.off)
+	}
+	for u := 0; u < got.n; u++ {
+		if a, b := got.Neighbors(NodeID(u)), want.Neighbors(NodeID(u)); !slices.Equal(a, b) {
+			t.Fatalf("%s: row %d is %v, oracle %v", ctx, u, a, b)
 		}
 	}
+}
+
+// inducedTestMasks returns the keep masks the induced-square tests sweep
+// over n nodes: all, none, one node, every third node and a random half.
+func inducedTestMasks(n int, seed int64) map[string][]bool {
+	masks := map[string][]bool{
+		"all":         make([]bool, n),
+		"none":        make([]bool, n),
+		"one":         make([]bool, n),
+		"every-third": make([]bool, n),
+		"random":      make([]bool, n),
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for v := 0; v < n; v++ {
+		masks["all"][v] = true
+		masks["every-third"][v] = v%3 == 0
+		masks["random"][v] = rng.Intn(2) == 0
+	}
+	if n > 0 {
+		masks["one"][rng.Intn(n)] = true
+	}
+	return masks
+}
+
+// checkInducedMatchesSquare checks the streamed G²[keep] against the
+// materialized oracle Square().InducedSubgraph(keep), through both
+// InducedSubgraph and InducedSubgraphOf with the caller's (reused, possibly
+// stale) index.
+func checkInducedMatchesSquare(t testing.TB, ctx string, view *Dist2View, sq *Graph, keep []bool, index []int32) {
+	t.Helper()
+	want, wantMap := sq.InducedSubgraph(keep)
+	got, gotMap := view.InducedSubgraph(keep)
+	if !slices.Equal(gotMap, wantMap) {
+		t.Fatalf("%s: mapping %v, oracle %v", ctx, gotMap, wantMap)
+	}
+	assertSameCSR(t, ctx+": InducedSubgraph", got, want)
+	assertSameCSR(t, ctx+": InducedSubgraphOf", view.InducedSubgraphOf(wantMap, index), want)
+}
+
+// TestDist2InducedSubgraphMatchesSquare checks the direct CSR emission of
+// G²[keep] on every generator family, three seeds and five masks against the
+// materialized square's induced subgraph: same offsets and rows, so every
+// row is sorted and duplicate-free. One index is reused across all masks of
+// a graph, as the partitioned coloring reuses it across parts.
+func TestDist2InducedSubgraphMatchesSquare(t *testing.T) {
+	for _, spec := range dist2TestSpecs() {
+		for seed := int64(1); seed <= 3; seed++ {
+			spec.Seed = seed
+			g, err := spec.Generate()
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			sq := g.Square()
+			view := NewDist2View(g)
+			index := make([]int32, g.NumNodes())
+			for name, keep := range inducedTestMasks(g.NumNodes(), seed) {
+				checkInducedMatchesSquare(t, fmt.Sprintf("%s seed %d mask %s", spec, seed, name), view, sq, keep, index)
+			}
+			assertSameCSR(t, fmt.Sprintf("%s seed %d: Materialize", spec, seed), view.Materialize(), sq)
+		}
+	}
+	// A square of more than emitChunkLen slots, so the buffered rows span
+	// several full chunks.
+	g := GNPWithAverageDegree(3000, 8, 1)
+	sq := g.Square()
+	if 2*sq.NumEdges() <= 2*emitChunkLen {
+		t.Fatalf("G² has %d slots, want more than %d", 2*sq.NumEdges(), 2*emitChunkLen)
+	}
+	view := NewDist2View(g)
+	index := make([]int32, g.NumNodes())
+	for _, name := range []string{"all", "random"} {
+		checkInducedMatchesSquare(t, "gnp-avg 3000/8 mask "+name, view, sq, inducedTestMasks(g.NumNodes(), 1)[name], index)
+	}
+}
+
+// TestDist2InducedSubgraphOfRejectsBadNodes checks InducedSubgraphOf's
+// input contract: unsorted, duplicated or out-of-range node lists and a
+// wrong-length index panic instead of producing a malformed graph.
+func TestDist2InducedSubgraphOfRejectsBadNodes(t *testing.T) {
+	view := NewDist2View(Path(6))
+	for name, tc := range map[string]struct {
+		nodes []NodeID
+		index []int32
+	}{
+		"unsorted":     {[]NodeID{2, 1}, make([]int32, 6)},
+		"duplicate":    {[]NodeID{1, 1}, make([]int32, 6)},
+		"out-of-range": {[]NodeID{6}, make([]int32, 6)},
+		"negative":     {[]NodeID{-1}, make([]int32, 6)},
+		"short-index":  {[]NodeID{0}, make([]int32, 5)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: InducedSubgraphOf did not panic", name)
+				}
+			}()
+			view.InducedSubgraphOf(tc.nodes, tc.index)
+		}()
+	}
+}
+
+// FuzzDist2InducedSubgraph checks the direct CSR emission of G²[keep] on a
+// small random graph (up to 48 nodes, edges read pairwise from the input)
+// and a random keep mask against the Square().InducedSubgraph oracle, with
+// an index that is reused, and so stale, on the second extraction.
+func FuzzDist2InducedSubgraph(f *testing.F) {
+	f.Add(uint8(9), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 0, 5, 1, 6, 2, 7, 3, 8, 4, 9, 5, 7, 7, 9, 9, 6, 6, 8, 8, 5}, uint64(0x2aa))
+	f.Add(uint8(5), []byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4}, uint64(0x1f))
+	f.Fuzz(func(t *testing.T, nb uint8, edges []byte, mask uint64) {
+		n := 1 + int(nb%48)
+		b := NewBuilder(n)
+		for i := 0; i+1 < len(edges) && i < 512; i += 2 {
+			if u, v := NodeID(int(edges[i])%n), NodeID(int(edges[i+1])%n); u != v {
+				if err := b.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		g := b.Build()
+		sq := g.Square()
+		view := NewDist2View(g)
+		index := make([]int32, n)
+		keep := make([]bool, n)
+		for v := range keep {
+			keep[v] = mask>>(v%64)&1 == 1
+		}
+		checkInducedMatchesSquare(t, "mask", view, sq, keep, index)
+		for v := range keep {
+			keep[v] = !keep[v]
+		}
+		checkInducedMatchesSquare(t, "complement", view, sq, keep, index)
+	})
 }
 
 // TestPropertyDistKViewMatchesPowerOracle checks the bounded-BFS streaming

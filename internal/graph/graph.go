@@ -170,9 +170,9 @@ func (b *Builder) AddEdge(u, v NodeID) error {
 	if int(u) < 0 || int(u) >= b.n || int(v) < 0 || int(v) >= b.n {
 		return fmt.Errorf("%w: {%d,%d} with n=%d", ErrNodeOutOfRange, u, v, b.n)
 	}
-	if b.slots+2 > maxEdgeSlots {
-		b.err = fmt.Errorf("%w: %d directed slots > %d", ErrTooManyEdges, b.slots+2, maxEdgeSlots)
-		return b.err
+	if err := edgeSlotsErr(b.slots + 2); err != nil {
+		b.err = err
+		return err
 	}
 	if b.deg == nil {
 		b.deg = make([]int32, b.n+1)
@@ -273,6 +273,16 @@ func (b *Builder) Build() *Graph {
 	// Shift offsets: off[u] currently holds the start of u; that is already
 	// the CSR convention, nothing further to do.
 	return &Graph{n: b.n, off: off, tgt: tgt[:w:w], numEdges: int(w) / 2, maxDeg: maxDeg}
+}
+
+// edgeSlotsErr is the 32-bit slot guard shared by every graph assembly path:
+// it returns ErrTooManyEdges when slots directed edge slots exceed
+// maxEdgeSlots, and nil otherwise.
+func edgeSlotsErr(slots int) error {
+	if slots > maxEdgeSlots {
+		return fmt.Errorf("%w: %d directed slots > %d", ErrTooManyEdges, slots, maxEdgeSlots)
+	}
+	return nil
 }
 
 // fromCSR wraps prebuilt CSR arrays into a Graph. The caller guarantees that
@@ -380,16 +390,23 @@ func (g *Graph) Clone() *Graph {
 // true), along with a mapping from new dense IDs to original IDs. Nodes not
 // kept are dropped together with their incident edges.
 func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []NodeID) {
-	if len(keep) != g.n {
-		panic(fmt.Sprintf("graph: keep mask has length %d, want %d", len(keep), g.n))
+	newToOld := keptNodes(keep, g.n)
+	return g.InducedSubgraphOf(newToOld, make([]int32, g.n)), newToOld
+}
+
+// keptNodes returns the nodes v with keep[v] in ascending order, the node
+// list of the mask forms of InducedSubgraph. It panics unless len(keep) == n.
+func keptNodes(keep []bool, n int) []NodeID {
+	if len(keep) != n {
+		panic(fmt.Sprintf("graph: keep mask has length %d, want %d", len(keep), n))
 	}
-	var newToOld []NodeID
+	var nodes []NodeID
 	for v, k := range keep {
 		if k {
-			newToOld = append(newToOld, NodeID(v))
+			nodes = append(nodes, NodeID(v))
 		}
 	}
-	return g.InducedSubgraphOf(newToOld, make([]int32, g.n)), newToOld
+	return nodes
 }
 
 // InducedSubgraphOf returns the subgraph induced by nodes, which must be
@@ -402,6 +419,16 @@ func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []NodeID) {
 // length. It is InducedSubgraphInto with fresh storage.
 func (g *Graph) InducedSubgraphOf(nodes []NodeID, index []int32) *Graph {
 	return g.InducedSubgraphInto(nodes, index, new(Subgraph))
+}
+
+// memberIndex returns v's position in nodes through the sparse-set index of
+// InducedSubgraphOf, or -1 when v is not in nodes (index[v] may then hold
+// any value).
+func memberIndex(nodes []NodeID, index []int32, v NodeID) int32 {
+	if i := index[v]; i >= 0 && int(i) < len(nodes) && nodes[i] == v {
+		return i
+	}
+	return -1
 }
 
 // Subgraph is caller-owned storage for induced subgraphs: the sub-CSR, its
@@ -440,12 +467,6 @@ func (g *Graph) InducedSubgraphInto(nodes []NodeID, index []int32, dst *Subgraph
 		index[v] = int32(i)
 		slots += g.Degree(v)
 	}
-	newID := func(v NodeID) int32 {
-		if i := index[v]; i >= 0 && int(i) < len(nodes) && nodes[i] == v {
-			return i
-		}
-		return -1
-	}
 	// The source lists are sorted and the kept relabelling is monotone, so
 	// each new list stays sorted without resorting. Both target arrays are
 	// presized to the kept degree sum, so the appends never reallocate.
@@ -457,7 +478,7 @@ func (g *Graph) InducedSubgraphInto(nodes []NodeID, index []int32, dst *Subgraph
 	maxDeg := 0
 	for _, orig := range nodes {
 		for _, v := range g.Neighbors(orig) {
-			if i := newID(v); i >= 0 {
+			if i := memberIndex(nodes, index, v); i >= 0 {
 				tgt = append(tgt, NodeID(i))
 			} else {
 				outTgt = append(outTgt, v)

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"d2color/internal/coloring"
 	"d2color/internal/congest"
@@ -147,10 +148,12 @@ type Result struct {
 // communication graph itself (Theorem 3.4) or the streamed square view
 // (Theorem 1.3). Both *graph.Graph and *graph.Dist2View satisfy it, so G² is
 // partitioned and colored without ever being materialized — only the small
-// per-part induced subgraphs G²[Vᵢ] are built explicitly.
+// per-part induced subgraphs G²[Vᵢ] are built explicitly. InducedSubgraphOf
+// takes a sorted node list and a reusable sparse-set index, so extracting
+// every part costs O(n) in total, not O(n) per part.
 type conflictTarget interface {
 	detcolor.ConflictGraph
-	InducedSubgraph(keep []bool) (*graph.Graph, []graph.NodeID)
+	InducedSubgraphOf(nodes []graph.NodeID, index []int32) *graph.Graph
 }
 
 // ColorG implements Theorem 3.4: a (1+ε)Δ coloring of G in polylogarithmic
@@ -226,32 +229,41 @@ func colorPartitioned(g *graph.Graph, target conflictTarget, opts Options, seed 
 		scale = maxInt(part.MaxPartDegree, 1)
 	}
 
+	// Bucket the nodes by part with one counting pass: part p's nodes are
+	// nodes[start[p]:start[p+1]], ascending because v is visited in order.
+	// ids holds the same nodes as detcolor identifiers.
+	start := make([]int, part.NumParts+1)
+	for _, p := range part.Parts {
+		start[p+1]++
+	}
+	for p := 1; p <= part.NumParts; p++ {
+		start[p] += start[p-1]
+	}
+	nodes := make([]graph.NodeID, n)
+	ids := make([]int, n)
+	next := slices.Clone(start[:part.NumParts])
+	for v, p := range part.Parts {
+		nodes[next[p]] = graph.NodeID(v)
+		ids[next[p]] = v
+		next[p]++
+	}
+
 	// Color each part of the target graph with its own palette.
 	combined := coloring.New(n)
+	index := make([]int32, n) // the sparse-set index every part reuses
 	offset := 0
 	maxPartRounds := 0
 	for p := 0; p < part.NumParts; p++ {
-		keep := make([]bool, n)
-		any := false
-		for v := 0; v < n; v++ {
-			if part.Parts[v] == p {
-				keep[v] = true
-				any = true
-			}
-		}
-		if !any {
+		lo, hi := start[p], start[p+1]
+		if lo == hi {
 			continue
 		}
-		sub, mapping := target.InducedSubgraph(keep)
-		ids := make([]int, sub.NumNodes())
-		for i, orig := range mapping {
-			ids[i] = int(orig)
-		}
-		colored, err := detcolor.Color(sub, ids, detcolor.DefaultCostModelG().Scale(scale))
+		sub := target.InducedSubgraphOf(nodes[lo:hi], index)
+		colored, err := detcolor.Color(sub, ids[lo:hi], detcolor.DefaultCostModelG().Scale(scale))
 		if err != nil {
 			return Result{}, fmt.Errorf("polylogd2: part %d: %w", p, err)
 		}
-		for i, orig := range mapping {
+		for i, orig := range nodes[lo:hi] {
 			combined[orig] = offset + colored.Coloring[i]
 		}
 		offset += colored.PaletteSize

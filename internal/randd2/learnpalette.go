@@ -70,36 +70,26 @@ func (r *runner) learnPalette() (remaining *remainingPalettes, stats PaletteStat
 		remaining.row[v] = -1
 	}
 
-	// Precondition quantity ϕ: live d2-neighbours per node.
-	for v := 0; v < r.n; v++ {
-		liveNbrs := 0
-		r.d2.ForEachDist2(graph.NodeID(v), func(u graph.NodeID) bool {
-			if r.isLive(u) {
-				liveNbrs++
-			}
-			return true
-		})
-		if liveNbrs > stats.MaxLivePerNbr {
-			stats.MaxLivePerNbr = liveNbrs
-		}
-	}
-
+	// Precondition quantity ϕ: live d2-neighbours per node. u ∈ N²(v) iff
+	// v ∈ N²(u), so it is counted from the live side, in the same walk that
+	// collects the palettes, and never streams a non-live node.
+	livePerNbr := make([]int32, r.n)
 	usedAll := bitset.NewFixed(r.palette)  // colours of all colored d2-neighbours
 	usedViaH := bitset.NewFixed(r.palette) // colours the handlers learn (from H-neighbours)
 	for li, v := range live {
 		usedAll.ClearAll()
 		usedViaH.ClearAll()
-		r.d2.ForEachDist2(v, func(u graph.NodeID) bool {
+		for _, u := range r.d2.Neighbors(v) {
+			livePerNbr[u]++
 			c := r.col[u]
 			if c < 0 || c >= r.palette {
-				return true
+				continue
 			}
 			usedAll.Set(c)
 			if r.sim.isHNeighbor(v, u) {
 				usedViaH.Set(c)
 			}
-			return true
-		})
+		}
 		// Tv: colours v did not learn through the handler mechanism and must
 		// recover via the correction step — exactly the colours used only by
 		// non-H d2-neighbours (proof of Lemma 2.15).
@@ -118,6 +108,9 @@ func (r *runner) learnPalette() (remaining *remainingPalettes, stats PaletteStat
 		}
 	}
 
+	for _, c := range livePerNbr {
+		stats.MaxLivePerNbr = max(stats.MaxLivePerNbr, int(c))
+	}
 	stats.ChargedRounds = stats.MaxLivePerNbr + int(math.Ceil(4*log2(r.n)))
 	r.charge(stats.ChargedRounds)
 	return remaining, stats

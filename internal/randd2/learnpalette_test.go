@@ -205,3 +205,47 @@ func TestLearnPaletteOnFullyColoredGraph(t *testing.T) {
 		t.Errorf("finish on a complete coloring should take 0 phases, got %d", fstats.Phases)
 	}
 }
+
+// TestLearnPaletteMaxLivePerNbrMatchesAllNodes checks that ϕ, counted from
+// the live side, equals the definition streamed over every node: the largest
+// number of live d2-neighbours of any node, live or not. Each graph is
+// colored greedily on every k-th node, for several k, so both the live and
+// the colored sides are non-trivial.
+func TestLearnPaletteMaxLivePerNbrMatchesAllNodes(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"hoffman-singleton": graph.HoffmanSingleton(),
+		"gnp-avg":           graph.GNPWithAverageDegree(300, 6, 1),
+		"star":              graph.Star(20),
+		"cliquechain":       graph.CliqueChain(4, 5, 1),
+	} {
+		for _, k := range []int{1, 2, 3, 7} {
+			r := newTestRunner(t, g, Default(), 5)
+			for v := 0; v < g.NumNodes(); v += k {
+				used := make(map[int]bool)
+				for _, u := range r.d2.Neighbors(graph.NodeID(v)) {
+					used[r.col[u]] = true
+				}
+				c := 0
+				for used[c] {
+					c++
+				}
+				r.col[v] = c
+				r.liveLeft--
+			}
+			r.compactLive()
+			want := 0
+			for v := 0; v < g.NumNodes(); v++ {
+				live := 0
+				for _, u := range r.d2.Neighbors(graph.NodeID(v)) {
+					if r.isLive(u) {
+						live++
+					}
+				}
+				want = max(want, live)
+			}
+			if _, stats := r.learnPalette(); stats.MaxLivePerNbr != want {
+				t.Errorf("%s, every %d-th node colored: MaxLivePerNbr = %d, all-node count %d", name, k, stats.MaxLivePerNbr, want)
+			}
+		}
+	}
+}
