@@ -4,8 +4,7 @@
 // PR regenerates BENCH_<pr>.json through the CI bench step, so regressions
 // in the hot kernels (trial phases, verification, greedy picks, the
 // deterministic pipeline and its color reduction, the message plane, the
-// distance-2 stream, the sweep grid, since ISSUE 8 the
-// incremental repair and fault-decision kernels, and since ISSUE 10 the
+// distance-2 stream, the sweep grid, the incremental repair kernel and the
 // cancellation latency of an in-flight kernel run) are visible as diffs
 // between snapshots rather than anecdotes.
 //
@@ -56,7 +55,6 @@ var pinnedSet = []struct {
 	{"./internal/graph", "BenchmarkDist2View$|BenchmarkDist2InducedSubgraph|BenchmarkBuilderSortDedupe$"},
 	{"./internal/sweep", "BenchmarkSweepGrid"},
 	{"./internal/repair", "BenchmarkRepairCorrupt|BenchmarkChurnEpoch"},
-	{"./internal/fault", "BenchmarkDropDecision"},
 	{"./internal/serve", "BenchmarkWarmVerifyRequest$|BenchmarkWarmVerifyRequestUnchanged$|BenchmarkWarmRecolorRequest$|BenchmarkWarmCorruptRecolorRequest$|BenchmarkServeColorQueryBatched$|BenchmarkServeColorQueryUnbatched$"},
 }
 

@@ -5,18 +5,10 @@ import "math/bits"
 // This file holds the shared payload-word codec helpers. A Message carries
 // its payload as one fixed-width uint64 (see Message); protocols encode
 // their structured payloads into that word with small per-protocol codecs
-// (e.g. internal/trial's propose/answer codecs, the BFS depth codec in
-// protocols.go). The helpers here keep those codecs honest about the model:
-// a CONGEST message is O(log n) bits, so a value that needs more than
-// ⌈log₂ n⌉ bits must declare a correspondingly larger word count.
-
-// EncodeInt64 maps a signed payload onto a word (two's complement).
-// DecodeInt64 inverts it. Used by protocols whose payloads are signed
-// aggregates (e.g. ConvergecastSum partial sums).
-func EncodeInt64(v int64) uint64 { return uint64(v) }
-
-// DecodeInt64 inverts EncodeInt64.
-func DecodeInt64(w uint64) int64 { return int64(w) }
+// (e.g. internal/trial's propose/answer codecs). The helpers here keep those
+// codecs honest about the model: a CONGEST message is O(log n) bits, so a
+// value that needs more than ⌈log₂ n⌉ bits must declare a correspondingly
+// larger word count.
 
 // WordBits returns the modeled word width for an n-node network: ⌈log₂ n⌉
 // bits, floored at 1. This is the "O(log n) bits" of the model with constant

@@ -1,21 +1,6 @@
 package congest
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestInt64CodecRoundTrip(t *testing.T) {
-	for _, v := range []int64{0, 1, -1, 1 << 40, -(1 << 40), 9_223_372_036_854_775_807, -9_223_372_036_854_775_808} {
-		if got := DecodeInt64(EncodeInt64(v)); got != v {
-			t.Errorf("round trip of %d = %d", v, got)
-		}
-	}
-	f := func(v int64) bool { return DecodeInt64(EncodeInt64(v)) == v }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
+import "testing"
 
 func TestWordBits(t *testing.T) {
 	cases := []struct{ n, want int }{

@@ -25,6 +25,18 @@ func (e *Engine) Run() (int, error) {
 	return e.round, nil
 }
 
+// SetCancel installs a cooperative cancellation hook, polled by Run and
+// RunRounds between rounds: the first poll that returns true stops the loop
+// before the next round starts, so a canceled run ends within O(one round)
+// regardless of how many rounds were requested. The hook is never consulted
+// mid-round — a round either runs to completion or not at all — which keeps
+// the per-round state machine (message plane epoch, inbox buffers, metrics)
+// consistent at every stopping point. Reset clears the hook, so warm reuse
+// after a cancel is byte-identical to a fresh engine. A nil hook (the
+// default) disables polling entirely; the hot path pays one nil check per
+// round.
+func (e *Engine) SetCancel(f func() bool) { e.cancel = f }
+
 // RunRounds executes exactly k rounds (halted processes are not stepped),
 // returning early if the SetCancel hook fires.
 func (e *Engine) RunRounds(k int) {
@@ -120,9 +132,8 @@ func (e *Engine) computePhase(w int) {
 
 // computeChunk steps the live nodes of [lo, hi) in node order.
 func (e *Engine) computeChunk(lo, hi int32) {
-	faulty := e.faults != nil
 	for v := lo; v < hi; v++ {
-		if e.procs[v] == nil || e.halted[v] || (faulty && e.skipped(int(v))) {
+		if e.procs[v] == nil || e.halted[v] {
 			continue
 		}
 		e.halted[v] = e.procs[v].Step(&e.ctxs[v], e.round, e.inboxes[v])

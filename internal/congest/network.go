@@ -125,14 +125,9 @@ type Engine struct {
 	metrics Metrics
 	round   int
 
-	// faults is the optional fault model; see faults.go. Cleared by Reset so
-	// warm reuse stays byte-identical to a fresh engine.
-	faults FaultModel
-
 	// cancel is the optional cooperative cancellation hook, polled between
-	// rounds (never mid-round); see SetCancel in faults.go. Cleared by Reset
-	// for the same reason as faults: a warm reused engine must be
-	// byte-identical to a fresh one.
+	// rounds (never mid-round); see SetCancel. Cleared by Reset so warm reuse
+	// stays byte-identical to a fresh engine.
 	cancel func() bool
 
 	// The multi-worker machinery (pool.go): the ownership map, the padded
@@ -197,7 +192,7 @@ func (e *Engine) Rebind(g *graph.Graph) {
 		e.ctxs[v] = Context{net: e, id: graph.NodeID(v), base: lo}
 	}
 	e.ids = AssignIDs(e.cfg.IDs, e.g.NumNodes(), e.cfg.Seed, e.ids)
-	e.Reset(e.cfg.Seed) // round, metrics, hooks, halted flags, random streams
+	e.Reset(e.cfg.Seed) // round, metrics, cancel hook, halted flags, random streams
 	e.plan.workers = 0  // inline unless g needs a team
 	if workers := min(e.cfg.Workers, n); workers > 1 {
 		e.plan = buildShardPlan(ix, n, workers, e.plan)
@@ -298,7 +293,6 @@ func (e *Engine) Round() int { return e.round }
 func (e *Engine) Reset(seed uint64) {
 	e.round = 0
 	e.metrics = Metrics{}
-	e.faults = nil
 	e.cancel = nil
 	clear(e.halted)
 	for v := range e.inboxes {
@@ -331,8 +325,7 @@ func (e *Engine) ChargeRounds(k int) {
 	}
 }
 
-// AllHalted reports whether every node with a process has halted. Crashed
-// nodes still count — crash windows are transient.
+// AllHalted reports whether every node with a process has halted.
 func (e *Engine) AllHalted() bool {
 	for v := range e.procs {
 		if e.procs[v] != nil && !e.halted[v] {
@@ -375,23 +368,11 @@ func (e *Engine) collectSendCounters() {
 func (e *Engine) deliverRange(lo, hi int, m *Metrics) {
 	ix, p := e.ix, e.plane
 	limit := e.cfg.BandwidthWords
-	faulty := e.faults != nil
 	for u := lo; u < hi; u++ {
-		if faulty && e.skipped(u) {
-			// Crashed destination: its round of traffic is lost.
-			e.inboxes[u] = e.inboxes[u][:0]
-			continue
-		}
 		inbox := e.inboxes[u][:0]
 		for in, end := ix.Offsets[u], ix.Offsets[u+1]; in < end; in++ {
-			slot := ix.Rev[in]
-			// The drop oracle is consulted only for slots that carry a
-			// message this round, so fault models can count exact losses.
-			if e.faults != nil && p.fresh(slot) && e.faults.DropMessage(e.round, slot) {
-				continue
-			}
 			var w int
-			if inbox, w = p.appendFresh(slot, inbox); w == 0 {
+			if inbox, w = p.appendFresh(ix.Rev[in], inbox); w == 0 {
 				continue
 			}
 			if w > m.MaxEdgeWordsPerRound {

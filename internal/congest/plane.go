@@ -84,9 +84,6 @@ func (p *plane) growExtra() {
 	p.extra = make([][]Message, len(p.first))
 }
 
-// fresh reports whether slot e was written this round.
-func (p *plane) fresh(e int32) bool { return p.gen[e] == p.cur }
-
 // appendFresh appends the messages written into slot e this round to dst in
 // send order and returns the extended slice plus their total accounted word
 // count; words is 0 iff the slot was not written this round.

@@ -1,15 +1,16 @@
 // Package fault is the adversary of the robustness plane: a deterministic,
 // seeded injector that corrupts colorings (targeted at high-degree or
-// conflict-dense nodes as well as uniformly), drives edge/node churn scripts
-// against a graph.Overlay, and supplies engine-pluggable message-drop and
-// node-crash models (see loss.go).
+// conflict-dense nodes as well as uniformly) and drives edge/node churn
+// scripts against a graph.Overlay. Its faults are transient state
+// corruption between runs — the sense of self-stabilization that
+// internal/repair heals; the CONGEST engine itself runs fault-free, as the
+// paper's model does.
 //
 // Determinism is the package's contract: every decision is drawn from one
-// sequential SplitMix64 stream owned by the Injector (or, for the engine
-// fault models, from a pure hash of (seed, round, slot/node)), so two
-// injectors with the same seed and the same call sequence produce
-// byte-identical victim sets, corrupt colors and churn scripts — which is
-// what makes fault-injected experiments and their repair transcripts exactly
+// sequential SplitMix64 stream owned by the Injector, so two injectors with
+// the same seed and the same call sequence produce byte-identical victim
+// sets, corrupt colors and churn scripts — which is what makes
+// fault-injected experiments and their repair transcripts exactly
 // reproducible.
 package fault
 

@@ -10,7 +10,6 @@ import (
 	"d2color/internal/coloring"
 	"d2color/internal/graph"
 	"d2color/internal/rng"
-	"d2color/internal/trial"
 	"d2color/internal/verify"
 )
 
@@ -272,138 +271,6 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 	if len(a.Ins) != 15 || len(a.Del) != 10 {
 		t.Fatalf("churn script came up short: %d inserts, %d deletes", len(a.Ins), len(a.Del))
-	}
-}
-
-func TestDropPlanWindowAndDeterminism(t *testing.T) {
-	mk := func() *DropPlan { return &DropPlan{Seed: 3, P: 0.5, FromRound: 2, ToRound: 5} }
-	p1, p2 := mk(), mk()
-	inWindow, dropped := 0, 0
-	for round := 0; round < 8; round++ {
-		for slot := int32(0); slot < 200; slot++ {
-			d1 := p1.DropMessage(round, slot)
-			if d2 := p2.DropMessage(round, slot); d1 != d2 {
-				t.Fatalf("decision for (round %d, slot %d) not deterministic", round, slot)
-			}
-			if round < 2 || round >= 5 {
-				if d1 {
-					t.Fatalf("dropped outside window at round %d", round)
-				}
-				continue
-			}
-			inWindow++
-			if d1 {
-				dropped++
-			}
-		}
-	}
-	if dropped == 0 || dropped == inWindow {
-		t.Fatalf("p=0.5 dropped %d of %d in-window messages", dropped, inWindow)
-	}
-	if got := p1.Drops(); got != int64(dropped) {
-		t.Fatalf("Drops() = %d, want %d", got, dropped)
-	}
-	p1.ResetCounters()
-	if p1.Drops() != 0 {
-		t.Fatal("ResetCounters did not zero the drop counter")
-	}
-	always := &DropPlan{Seed: 1, P: 1}
-	if !always.DropMessage(0, 0) {
-		t.Fatal("P=1 plan delivered a message")
-	}
-	never := &DropPlan{Seed: 1, P: 0}
-	if never.DropMessage(0, 0) {
-		t.Fatal("P=0 plan dropped a message")
-	}
-}
-
-func TestCrashPlanWindow(t *testing.T) {
-	p := &CrashPlan{Seed: 9, P: 0.4, FromRound: 3, Downtime: 2}
-	crashedAny := false
-	for v := graph.NodeID(0); v < 100; v++ {
-		sel := p.Selected(v)
-		crashedAny = crashedAny || sel
-		for round := 0; round < 8; round++ {
-			want := sel && round >= 3 && round < 5
-			if got := p.Crashed(round, v); got != want {
-				t.Fatalf("Crashed(%d, %d) = %v, want %v", round, v, got, want)
-			}
-		}
-	}
-	if !crashedAny {
-		t.Fatal("p=0.4 crash plan selected no node out of 100")
-	}
-	idle := &CrashPlan{Seed: 9, P: 1, FromRound: 0, Downtime: 0}
-	if idle.Crashed(0, 0) || idle.Selected(0) {
-		t.Fatal("Downtime=0 plan crashed a node")
-	}
-}
-
-func TestPlanComposesNilSafely(t *testing.T) {
-	var empty Plan
-	if empty.DropMessage(0, 0) || empty.Crashed(0, 0) {
-		t.Fatal("zero Plan injected a fault")
-	}
-	full := Plan{
-		Drop:  &DropPlan{Seed: 2, P: 1},
-		Crash: &CrashPlan{Seed: 2, P: 1, FromRound: 0, Downtime: 1},
-	}
-	if !full.DropMessage(0, 0) || !full.Crashed(0, 0) {
-		t.Fatal("composed Plan suppressed its members")
-	}
-}
-
-// TestTrialUnderMessageLoss is the loss story end to end: a trial run under a
-// lossy network is still byte-deterministic (identical colorings and drop
-// counts across two runs), loses real messages, and — because dropped
-// adoption notifications leave neighbors with stale knowledge — can adopt
-// conflicting colors that the verifier's conflict-node set then catches.
-func TestTrialUnderMessageLoss(t *testing.T) {
-	g := graph.GNPWithAverageDegree(150, 6, 3)
-	maxDeg := 0
-	for v := 0; v < g.NumNodes(); v++ {
-		if d := g.Degree(graph.NodeID(v)); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	// A tight palette plus moderate loss is the conflict-producing regime:
-	// color collisions are frequent, and a dropped adoption broadcast leaves
-	// the common neighbor unable to veto the second adoption. (High loss
-	// rates produce *fewer* conflicts — adoption needs all 2·deg message legs
-	// of a phase to survive, so almost nothing gets colored at all.)
-	runOnce := func() (coloring.Coloring, int64) {
-		plan := &DropPlan{Seed: 21, P: 0.1}
-		res, _ := trial.Run(g, trial.Config{
-			PaletteSize: maxDeg + 1,
-			Scope:       trial.ScopeDistance2,
-			MaxPhases:   40,
-			Seed:        5,
-			Faults:      plan,
-		})
-		return res.Coloring, plan.Drops()
-	}
-	c1, drops1 := runOnce()
-	c2, drops2 := runOnce()
-	if !slices.Equal(c1, c2) {
-		t.Fatal("lossy trial runs with one seed produced different colorings")
-	}
-	if drops1 != drops2 {
-		t.Fatalf("drop counts diverge across identical runs: %d vs %d", drops1, drops2)
-	}
-	if drops1 == 0 {
-		t.Fatal("p=0.1 drop plan lost no message")
-	}
-	conflicts := verify.ConflictNodesD2(g, c1)
-	if len(conflicts) == 0 {
-		t.Fatal("lossy run produced no d2 conflicts — the loss story fixture regressed")
-	}
-	t.Logf("lossy run: %d drops, %d conflict nodes", drops1, len(conflicts))
-}
-
-func BenchmarkDropDecision(b *testing.B) {
-	p := &DropPlan{Seed: 7, P: 0.1}
-	for i := 0; i < b.N; i++ {
-		p.DropMessage(i&1023, int32(i))
 	}
 }
 

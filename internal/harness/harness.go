@@ -17,7 +17,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 
@@ -214,9 +213,4 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// RunAll runs every experiment and renders the tables to w.
-func RunAll(cfg Config, w io.Writer) error {
-	return Run(cfg, nil, TextSink{W: w})
 }

@@ -51,15 +51,10 @@ type Options struct {
 	// MaxPhases bounds each repair run; 0 means run to completion (with the
 	// trial package's phase-cap backstop).
 	MaxPhases int
-	// Faults is an optional fault model installed for repair runs — repair
-	// itself can be exercised under message loss and crashes. Incomplete
-	// repairs then simply report Complete == false; Stabilize loops until
-	// the coloring is clean anyway.
-	Faults congest.FaultModel
 	// Cancel is an optional cooperative cancellation hook threaded into every
-	// kernel the session drives: the repair trial config (so a confined run
-	// stops within O(one simulated round)), the conflict-scan
-	// checker, and Stabilize's iteration loop. A canceled call returns
+	// kernel the session drives: the local trial kernel (so a confined run
+	// stops within O(one simulated round)), the conflict-scan checker, and
+	// Stabilize's iteration loop. A canceled call returns
 	// trial.ErrCanceled (wrapped); the session itself stays fully usable —
 	// the working coloring simply keeps whatever the interrupted run had
 	// committed, which is always a valid partial state (colors are only ever
@@ -93,7 +88,7 @@ type Report struct {
 	// Metrics is the engine's message/bandwidth accounting for the run.
 	Metrics congest.Metrics
 	// Complete reports whether every dirty node ended up colored. False is
-	// possible only under an explicit MaxPhases bound or injected faults.
+	// possible only under an explicit MaxPhases bound.
 	Complete bool
 	// Locality is |Recolored| / |Ball| — the fraction of the affected
 	// region the repair actually rewrote (0 for an empty ball). The
@@ -331,6 +326,7 @@ func (s *Session) repairLocal(seed uint64) (Report, error) {
 
 	if s.local == nil {
 		s.local = trial.NewRunner(sub, false, s.opts.Workers)
+		s.local.SetCancel(s.opts.Cancel)
 	} else {
 		s.local.Rebind(sub)
 	}
@@ -343,8 +339,6 @@ func (s *Session) repairLocal(seed uint64) (Report, error) {
 		Initial:        initial,
 		PreloadInitial: true,
 		ExtraKnown:     extra,
-		Faults:         s.opts.Faults,
-		Cancel:         s.opts.Cancel,
 	})
 	if err == nil {
 		err = r.RunPhases()
@@ -379,20 +373,12 @@ func (s *Session) retainLocal(ns int) bool {
 	return rows <= 4*(s.g.NumNodes()+1+2*s.g.NumEdges())
 }
 
-// RepairConflicts detects the current conflict-node set and repairs it —
-// detection-seeded repair, the common churn-epoch step. Uncolored nodes are
-// not conflicts; pass them to Repair explicitly (or use Stabilize, which
-// sweeps both).
-func (s *Session) RepairConflicts(seed uint64) (Report, error) {
-	return s.Repair(s.Conflicts(), seed)
-}
-
 // Stabilize runs the self-stabilization loop: detect every conflicting or
 // uncolored node, repair, repeat until the coloring is complete and
-// conflict-free or maxIters repairs have run (maxIters <= 0 means 16). Under
-// a fault-free configuration one iteration always suffices — uncoloring
-// every conflict node makes the trial recolor them validly — so extra
-// iterations only occur under injected loss. Returns one Report per
+// conflict-free or maxIters repairs have run (maxIters <= 0 means 16). A
+// run-to-completion repair needs one iteration — uncoloring every conflict
+// node makes the trial recolor them validly — so extra iterations only
+// occur when MaxPhases cuts a repair short. Returns one Report per
 // iteration; err is non-nil if the loop exhausted maxIters while still
 // unstable.
 func (s *Session) Stabilize(seed uint64, maxIters int) ([]Report, error) {
@@ -407,7 +393,7 @@ func (s *Session) Stabilize(seed uint64, maxIters int) ([]Report, error) {
 		}
 		dirty = s.checker.AppendConflictNodesD2(s.g, s.colors, dirty[:0])
 		// Sweep in uncolored nodes: self-stabilization must also finish
-		// nodes that churn or loss left colorless.
+		// nodes that churn or a capped repair left colorless.
 		withUncolored := dirty
 		for v := 0; v < s.g.NumNodes(); v++ {
 			if s.colors[v] == coloring.Uncolored {

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"d2color/internal/coloring"
 	"d2color/internal/fault"
 	"d2color/internal/graph"
+	"d2color/internal/trial"
 	"d2color/internal/verify"
 )
 
@@ -253,32 +255,57 @@ func TestChurnStabilize(t *testing.T) {
 	}
 }
 
-// TestStabilizeUnderMessageLoss: repair runs themselves execute on a lossy
-// network (bounded phases per iteration), and the stabilization loop still
-// converges to a valid complete coloring.
-func TestStabilizeUnderMessageLoss(t *testing.T) {
+// TestStabilizeUnderPhaseCap: each repair run is capped at one trial phase,
+// so single repairs leave dirty nodes uncolored, and the stabilization loop
+// still converges to a valid complete coloring over several iterations.
+func TestStabilizeUnderPhaseCap(t *testing.T) {
 	g := graph.GNPWithAverageDegree(200, 6, 7)
 	corrupt := greedyD2(g)
 	victims := fault.NewInjector(3).CorruptColors(g, corrupt, 15, fault.TargetUniform, 0)
 	if len(victims) != 15 {
 		t.Fatalf("fixture: got %d victims", len(victims))
 	}
-	s := NewSession(g, corrupt, Options{
-		MaxPhases: 6,
-		Faults:    &fault.DropPlan{Seed: 8, P: 0.05},
-	})
+	s := NewSession(g, corrupt, Options{MaxPhases: 1})
 	defer s.Close()
 	reports, err := s.Stabilize(21, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireValidComplete(t, g, s.Colors())
-	t.Logf("stabilized in %d iterations under 5%% message loss", len(reports))
+	if len(reports) < 2 || reports[0].Complete {
+		t.Fatalf("a one-phase cap should leave the first repair incomplete and need more iterations; got %d iterations, first complete=%v",
+			len(reports), len(reports) > 0 && reports[0].Complete)
+	}
+	t.Logf("stabilized in %d iterations at one phase per repair", len(reports))
+}
+
+// TestRepairCancelStopsLocalKernel: Options.Cancel reaches the local trial
+// kernel, so a hook that fires after the session's own pre-run poll stops
+// the confined run mid-flight with trial.ErrCanceled, and the session stays
+// usable: the next repair, with the hook quiet, heals the coloring.
+func TestRepairCancelStopsLocalKernel(t *testing.T) {
+	g := graph.GNPWithAverageDegree(300, 6, 5)
+	corrupt := greedyD2(g)
+	victims := fault.NewInjector(7).CorruptColors(g, corrupt, 20, fault.TargetUniform, 0)
+	armed, polls := true, 0
+	s := NewSession(g, corrupt, Options{Cancel: func() bool {
+		polls++
+		return armed && polls > 2 // poll 1 is Repair's own check, poll 2 the first phase's
+	}})
+	defer s.Close()
+	if _, err := s.Repair(victims, 3); !errors.Is(err, trial.ErrCanceled) {
+		t.Fatalf("repair with a firing hook: got %v, want trial.ErrCanceled", err)
+	}
+	armed = false
+	if _, err := s.Repair(victims, 3); err != nil {
+		t.Fatal(err)
+	}
+	requireValidComplete(t, g, s.Colors())
 }
 
 // TestRepairChangesOnlyDirtyNodes pins the invariant the report is built on:
 // over random repairs on warm sessions — dirty sets with duplicates,
-// uncolored nodes and lossy, phase-capped runs that leave some dirty nodes
+// uncolored nodes and phase-capped runs that leave some dirty nodes
 // uncolored — no node outside the dirty set ever changes color, Recolored
 // is exactly the ascending list of dirty nodes whose color changed, and
 // Ball is |N²[D]|.
@@ -287,10 +314,10 @@ func TestRepairChangesOnlyDirtyNodes(t *testing.T) {
 	for _, fam := range testFamilies() {
 		n := fam.g.NumNodes()
 		view := graph.NewDist2View(fam.g)
-		for _, lossy := range []bool{false, true} {
+		for _, capped := range []bool{false, true} {
 			opts := Options{}
-			if lossy {
-				opts.MaxPhases, opts.Faults = 2, &fault.DropPlan{Seed: 4, P: 0.3}
+			if capped {
+				opts.MaxPhases = 1
 			}
 			s := NewSession(fam.g, greedyD2(fam.g), opts)
 			incomplete := 0
@@ -306,7 +333,7 @@ func TestRepairChangesOnlyDirtyNodes(t *testing.T) {
 				before := slices.Clone(s.Colors())
 				rep, err := s.Repair(dirty, uint64(epoch))
 				if err != nil {
-					t.Fatalf("%s lossy=%v epoch %d: %v", fam.name, lossy, epoch, err)
+					t.Fatalf("%s capped=%v epoch %d: %v", fam.name, capped, epoch, err)
 				}
 				if !rep.Complete {
 					incomplete++
@@ -321,14 +348,14 @@ func TestRepairChangesOnlyDirtyNodes(t *testing.T) {
 						continue
 					}
 					if !isDirty[graph.NodeID(v)] {
-						t.Fatalf("%s lossy=%v epoch %d: non-dirty node %d changed color %d -> %d",
-							fam.name, lossy, epoch, v, before[v], s.Colors()[v])
+						t.Fatalf("%s capped=%v epoch %d: non-dirty node %d changed color %d -> %d",
+							fam.name, capped, epoch, v, before[v], s.Colors()[v])
 					}
 					changed = append(changed, graph.NodeID(v))
 				}
 				if !slices.Equal(rep.Recolored, changed) {
-					t.Fatalf("%s lossy=%v epoch %d: Recolored %v, changed nodes %v",
-						fam.name, lossy, epoch, rep.Recolored, changed)
+					t.Fatalf("%s capped=%v epoch %d: Recolored %v, changed nodes %v",
+						fam.name, capped, epoch, rep.Recolored, changed)
 				}
 				ball := map[graph.NodeID]bool{}
 				for v := range isDirty {
@@ -339,13 +366,13 @@ func TestRepairChangesOnlyDirtyNodes(t *testing.T) {
 					})
 				}
 				if rep.Dirty != len(isDirty) || rep.Ball != len(ball) {
-					t.Fatalf("%s lossy=%v epoch %d: Dirty=%d Ball=%d, want %d and %d",
-						fam.name, lossy, epoch, rep.Dirty, rep.Ball, len(isDirty), len(ball))
+					t.Fatalf("%s capped=%v epoch %d: Dirty=%d Ball=%d, want %d and %d",
+						fam.name, capped, epoch, rep.Dirty, rep.Ball, len(isDirty), len(ball))
 				}
 			}
 			s.Close()
-			if lossy && incomplete == 0 {
-				t.Errorf("%s: no lossy repair left a dirty node uncolored", fam.name)
+			if capped && incomplete == 0 {
+				t.Errorf("%s: no capped repair left a dirty node uncolored", fam.name)
 			}
 		}
 	}

@@ -451,16 +451,24 @@ func compactLabels(parts []int) []int {
 
 // MaxPartDegree returns the maximum, over nodes v and parts i, of the number
 // of neighbours of v inside part i — the quantity the recursive splitting
-// drives down (Lemma 3.3).
+// drives down (Lemma 3.3). Part labels must be non-negative. One counter per
+// label is shared by every node; each node resets only the entries it
+// touched.
 func MaxPartDegree(g *graph.Graph, parts []int) int {
+	maxLabel := -1
+	for _, p := range parts {
+		maxLabel = max(maxLabel, p)
+	}
+	perPart := make([]int, maxLabel+1)
 	maxDeg := 0
 	for v := 0; v < g.NumNodes(); v++ {
-		perPart := make(map[int]int)
-		for _, u := range g.Neighbors(graph.NodeID(v)) {
+		nbrs := g.Neighbors(graph.NodeID(v))
+		for _, u := range nbrs {
 			perPart[parts[u]]++
-			if perPart[parts[u]] > maxDeg {
-				maxDeg = perPart[parts[u]]
-			}
+			maxDeg = max(maxDeg, perPart[parts[u]])
+		}
+		for _, u := range nbrs {
+			perPart[parts[u]] = 0
 		}
 	}
 	return maxDeg

@@ -188,6 +188,31 @@ func TestRefinePartitionAndMaxPartDegree(t *testing.T) {
 	}
 }
 
+// TestMaxPartDegreeMatchesPerNodeMaps checks the shared-counter form against
+// a fresh per-node map on random graphs and sparse, non-dense labels, where a
+// counter left unreset by one node would inflate the next node's counts.
+func TestMaxPartDegreeMatchesPerNodeMaps(t *testing.T) {
+	f := func(seed int64, labels uint8) bool {
+		g := graph.GNP(60, 0.15, seed)
+		parts := make([]int, g.NumNodes())
+		for v := range parts {
+			parts[v] = (v * 7) % (int(labels%9) + 1) * 3
+		}
+		want := 0
+		for v := 0; v < g.NumNodes(); v++ {
+			perPart := make(map[int]int)
+			for _, u := range g.Neighbors(graph.NodeID(v)) {
+				perPart[parts[u]]++
+				want = max(want, perPart[parts[u]])
+			}
+		}
+		return MaxPartDegree(g, parts) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestBinomialSuffix(t *testing.T) {
 	s := binomialSuffix(4)
 	// P[Bin(4,1/2) >= 0] = 1, >= 5 would be 0 (not in slice), >= 2 = 11/16.

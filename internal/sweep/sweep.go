@@ -42,17 +42,6 @@ type Point struct {
 	Build func() (*graph.Graph, string, error)
 }
 
-// Pt is shorthand for a Point generated from a GeneratorSpec.
-func Pt(spec graph.GeneratorSpec) Point {
-	return Point{
-		Label: spec.String(),
-		Build: func() (*graph.Graph, string, error) {
-			g, err := spec.Generate()
-			return g, "", err
-		},
-	}
-}
-
 // AlgAxis is one algorithm instance of the grid's algorithm axis.
 type AlgAxis struct {
 	Alg alg.Algorithm
@@ -161,8 +150,7 @@ func (a *Agg) Max() float64 {
 
 // Recorder collects named measures for one cell.
 type Recorder struct {
-	aggs  map[string]*Agg
-	names []string
+	aggs map[string]*Agg
 }
 
 // Add folds x into the named measure's aggregate.
@@ -174,7 +162,6 @@ func (r *Recorder) Add(name string, x float64) {
 	if !ok {
 		a = &Agg{}
 		r.aggs[name] = a
-		r.names = append(r.names, name)
 	}
 	a.Add(x)
 }
@@ -226,9 +213,6 @@ func (c *Cell) Min(name string) float64 {
 	}
 	return 0
 }
-
-// Measures returns the recorded measure names in first-recorded order.
-func (c *Cell) Measures() []string { return c.rec.names }
 
 // Grid is the executed sweep: every cell in grid index order (point-major,
 // then algorithm, then engine).

@@ -10,8 +10,8 @@ import (
 )
 
 // TestCancelMidRunLeavesRunnerByteIdentical pins the cancellation safety
-// contract at the kernel level: a run stopped mid-flight by Config.Cancel
-// returns ErrCanceled with a usable partial Result, and — the part the
+// contract at the kernel level: a run stopped mid-flight by the SetCancel
+// hook returns ErrCanceled with a usable partial Result, and — the part the
 // serving plane's warm-session reuse depends on — leaves the runner in a
 // state where the next run is byte-identical to the same run on a fresh
 // kernel. Checked inline and on a worker team.
@@ -38,7 +38,7 @@ func TestCancelMidRunLeavesRunnerByteIdentical(t *testing.T) {
 			var polls atomic.Int64
 			ccfg := cfg
 			ccfg.Seed = 8
-			ccfg.Cancel = func() bool { return polls.Add(1) > 2 }
+			r.SetCancel(func() bool { return polls.Add(1) > 2 })
 			partial, err := r.Run(ccfg)
 			if !errors.Is(err, ErrCanceled) {
 				t.Fatalf("canceled run: got %v, want ErrCanceled", err)
@@ -54,6 +54,7 @@ func TestCancelMidRunLeavesRunnerByteIdentical(t *testing.T) {
 			}
 
 			// The interrupted kernel must replay the original run exactly.
+			r.SetCancel(nil)
 			again, err := r.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -84,10 +85,10 @@ func BenchmarkCancelLatency(b *testing.B) {
 	r := NewRunner(g, false, 0)
 	defer r.Close()
 	var stop atomic.Bool
-	delta := g.MaxDegree()
-	cfg := Config{PaletteSize: delta*delta + 1, Scope: ScopeDistance2, Seed: 1,
-		Picker: conflictPicker, // never completes: cancel is the only exit
-		Cancel: stop.Load}
+	r.SetCancel(stop.Load)
+	// One color: every live node proposes it every phase, so the run never
+	// completes and cancel is the only exit.
+	cfg := Config{PaletteSize: 1, Scope: ScopeDistance2, Seed: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -67,20 +67,9 @@ func TestRunnerReuseMatchesFreshRuns(t *testing.T) {
 	}
 }
 
-// hashFaults is a deterministic fault model for the rebind differential:
-// it drops about one message in eight and crashes a node every eleventh
-// round of its own phase offset.
-type hashFaults struct{}
-
-func (hashFaults) DropMessage(round int, slot int32) bool {
-	return (uint64(round)*0x9E3779B97F4A7C15^uint64(slot)*0xBF58476D1CE4E5B9)>>61 == 0
-}
-
-func (hashFaults) Crashed(round int, v graph.NodeID) bool { return (round+int(v))%11 == 0 }
-
 // rebindConfigs extends kernelConfigs with the inputs a rebound kernel must
-// re-size for: preloaded partial Initial colors with ExtraKnown lists and a
-// fault model.
+// re-size for: preloaded partial Initial colors with ExtraKnown lists, and a
+// phase-capped run on a near-tight palette.
 func rebindConfigs(g *graph.Graph, seed uint64) []Config {
 	n, delta := g.NumNodes(), g.MaxDegree()
 	palette := delta*delta + 1
@@ -99,7 +88,7 @@ func rebindConfigs(g *graph.Graph, seed uint64) []Config {
 	return append(kernelConfigs(g, seed),
 		Config{PaletteSize: palette + 3, Scope: ScopeDistance2, Seed: seed,
 			Initial: initial, PreloadInitial: true, ExtraKnown: extra},
-		Config{PaletteSize: palette + 1, Scope: ScopeDistance2, Seed: seed, MaxPhases: 9, Faults: hashFaults{}},
+		Config{PaletteSize: palette + 1, Scope: ScopeDistance2, Seed: seed, MaxPhases: 9},
 	)
 }
 
@@ -107,7 +96,8 @@ func rebindConfigs(g *graph.Graph, seed uint64) []Config {
 // of topologies — growing, shrinking, a star, a single node, an edgeless
 // graph, then larger again — returns on every graph exactly the Result
 // (coloring, phases, Metrics, flags) and error of a fresh NewRunner, for
-// both known tiers, ExtraKnown, PreloadInitial and a fault model, inline and on a worker team. Tier switches between graphs
+// both known tiers, ExtraKnown, PreloadInitial and a phase cap, inline and on
+// a worker team. Tier switches between graphs
 // of growing size catch a sorted tier sized only once.
 func TestRunnerRebindMatchesFreshRunners(t *testing.T) {
 	graphs := []*graph.Graph{
@@ -148,7 +138,7 @@ func TestRunnerRebindMatchesFreshRunners(t *testing.T) {
 func TestPhaseBudgetExhaustedIsSurfaced(t *testing.T) {
 	g := graph.Complete(12)
 	// One color for a clique's square can never complete.
-	res, err := Run(g, Config{PaletteSize: 1, Seed: 1, PhaseCap: 9})
+	res, err := Run(g, Config{PaletteSize: 1, Seed: 1})
 	if err == nil {
 		t.Fatal("impossible run-to-completion config should return an error")
 	}
@@ -158,8 +148,8 @@ func TestPhaseBudgetExhaustedIsSurfaced(t *testing.T) {
 	if res.Complete {
 		t.Error("run cannot be complete")
 	}
-	if res.Phases != 9 {
-		t.Errorf("phases = %d, want the PhaseCap 9", res.Phases)
+	if want := defaultPhaseCap(g.NumNodes()); res.Phases != want {
+		t.Errorf("phases = %d, want the backstop %d", res.Phases, want)
 	}
 	// An explicit MaxPhases cap is an expected partial run: no error.
 	res, err = Run(g, Config{PaletteSize: 1, Seed: 1, MaxPhases: 5})
@@ -185,10 +175,13 @@ func TestDefaultPhaseCapScalesLogarithmically(t *testing.T) {
 	}
 }
 
-// conflictPicker makes every live node propose color 0 every phase: all
-// proposals collide at distance 2, nobody ever adopts, and every phase
-// carries full message traffic — the steady-state worst case.
-func conflictPicker(v graph.NodeID, _ *rng.Source, paletteSize int) int { return 0 }
+// fullTrafficConfig is a one-color palette: every live node proposes color 0
+// every phase, all proposals collide at distance 2, no node with a neighbor
+// ever adopts, and every phase carries full message traffic — the
+// steady-state worst case.
+func fullTrafficConfig(seed uint64) Config {
+	return Config{PaletteSize: 1, Scope: ScopeDistance2, Seed: seed}
+}
 
 // The warmed-up kernel must execute a full-traffic phase without a single
 // heap allocation: payloads travel as words, per-node state lives in flat
@@ -196,8 +189,7 @@ func conflictPicker(v graph.NodeID, _ *rng.Source, paletteSize int) int { return
 func TestWarmPhaseDoesNotAllocate(t *testing.T) {
 	g := graph.GNPWithAverageDegree(2_000, 12, 21)
 	r := NewRunner(g, false, 0)
-	if err := r.Start(Config{PaletteSize: g.MaxDegree()*g.MaxDegree() + 1,
-		Scope: ScopeDistance2, Seed: 5, Picker: conflictPicker}); err != nil {
+	if err := r.Start(fullTrafficConfig(5)); err != nil {
 		t.Fatal(err)
 	}
 	r.Phase() // warm-up: plane buckets and inboxes grow to steady state
@@ -215,8 +207,7 @@ func benchWarmedTrialPhase(b *testing.B, workers int) {
 	g := graph.GNPWithAverageDegree(10_000, 12, 42)
 	r := NewRunner(g, false, workers)
 	defer r.Close()
-	if err := r.Start(Config{PaletteSize: g.MaxDegree()*g.MaxDegree() + 1,
-		Scope: ScopeDistance2, Seed: 1, Picker: conflictPicker}); err != nil {
+	if err := r.Start(fullTrafficConfig(1)); err != nil {
 		b.Fatal(err)
 	}
 	r.Phase() // warm-up

@@ -12,8 +12,7 @@ import (
 func BenchmarkTrialPhaseScale1M(b *testing.B) {
 	g := graph.GNPWithAverageDegree(1_000_000, 8, 42)
 	r := NewRunner(g, false, 0)
-	if err := r.Start(Config{PaletteSize: g.MaxDegree()*g.MaxDegree() + 1,
-		Scope: ScopeDistance2, Seed: 1, Picker: conflictPicker}); err != nil {
+	if err := r.Start(fullTrafficConfig(1)); err != nil {
 		b.Fatal(err)
 	}
 	r.Phase() // warm-up

@@ -42,7 +42,6 @@ import (
 	"d2color/internal/coloring"
 	"d2color/internal/congest"
 	"d2color/internal/graph"
-	"d2color/internal/rng"
 )
 
 // Scope selects which conflicts invalidate a trial.
@@ -58,20 +57,6 @@ const (
 	ScopeDistance1
 )
 
-// Picker chooses the candidate color a live node tries in one phase.
-// available is the node's current view of colors not known to conflict (for
-// the plain algorithm this is simply the full palette). Returning a negative
-// color means "stay quiet this phase".
-type Picker func(v graph.NodeID, src *rng.Source, paletteSize int) int
-
-// UniformPicker tries a uniform random color from the full palette.
-func UniformPicker(v graph.NodeID, src *rng.Source, paletteSize int) int {
-	if paletteSize <= 0 {
-		return -1
-	}
-	return src.Intn(paletteSize)
-}
-
 // Config controls a trial run.
 type Config struct {
 	// PaletteSize is the number of colors, [0, PaletteSize).
@@ -80,26 +65,22 @@ type Config struct {
 	Scope Scope
 	// MaxPhases bounds the number of phases. A run stopped by an explicit
 	// MaxPhases simply reports Complete == false (callers that cap phases
-	// expect partial colorings). 0 means run until complete, with PhaseCap as
-	// the backstop.
-	MaxPhases int
-	// PhaseCap is the hard backstop for MaxPhases == 0 runs. The primitive
+	// expect partial colorings). 0 means run until complete, with a hard
+	// backstop of 64·⌈log₂ n⌉ + 128 phases (defaultPhaseCap). The primitive
 	// completes in O(log n) phases w.h.p. on every palette this repository
-	// uses, so the default cap — 64·⌈log₂ n⌉ + 128 phases — is dozens of
-	// times the expectation; hitting it means the configuration cannot
-	// complete (e.g. an adversarially small palette), and Run surfaces that
-	// as ErrPhaseBudget with Result.BudgetExhausted set rather than silently
-	// returning an incomplete coloring.
-	PhaseCap int
-	// Picker chooses candidate colors; nil means UniformPicker.
-	Picker Picker
+	// uses, so the backstop is dozens of times the expectation; hitting it
+	// means the configuration cannot complete (e.g. an adversarially small
+	// palette), and Run surfaces that as ErrPhaseBudget with
+	// Result.BudgetExhausted set rather than silently returning an
+	// incomplete coloring.
+	MaxPhases int
 	// AvoidKnownUsed makes live nodes draw their candidate uniformly from the
 	// colors not known (from received adoption notifications) to be used by a
 	// neighbor, falling back to the whole palette when no such color remains.
 	// This is the classical simple algorithm for ordinary coloring ([19, 9]
 	// in the paper), where a node can afford to track its neighbors' colors;
 	// the distance-2 algorithms deliberately do not use it (Section 2.1).
-	// Ignored when a custom Picker is supplied.
+	// Without it a live node draws uniformly from the whole palette.
 	AvoidKnownUsed bool
 	// Seed seeds the per-node randomness.
 	Seed uint64
@@ -110,18 +91,12 @@ type Config struct {
 	// Initial is an optional partial coloring to start from; nodes already
 	// colored in it never participate. It is not modified.
 	Initial coloring.Coloring
-	// Faults is an optional fault model (message drops, transient node
-	// crashes) installed on the engine for this run; nil disables injection.
-	// Injected loss can leave conflicts or uncolored nodes behind — that is
-	// the point — so fault-injected runs are typically driven under MaxPhases
-	// with verification (and repair) downstream.
-	Faults congest.FaultModel
 	// PreloadInitial treats Initial's colors as already announced: every
 	// node starts out knowing each neighbor's Initial color (as if the
 	// adoption broadcasts of round 0 had happened before the run), and
-	// pre-colored nodes skip that broadcast. With the default uniform
-	// picker the final coloring is byte-identical to a non-preloaded run —
-	// round-0 announcements are recorded by receivers before any answer is
+	// pre-colored nodes skip that broadcast. With uniform draws the final
+	// coloring is byte-identical to a non-preloaded run — round-0
+	// announcements are recorded by receivers before any answer is
 	// computed, so the knowledge state at every decision point matches —
 	// while the messages the broadcasts would have cost disappear from the
 	// metrics. (With AvoidKnownUsed the preloaded knowledge legitimately
@@ -141,16 +116,6 @@ type Config struct {
 	// bounds how long it keeps a kernel holding them. Its length must be
 	// the node count; the lists are read during Start only.
 	ExtraKnown [][]int32
-	// Cancel is an optional cooperative cancellation hook, the request-scoped
-	// sibling of PhaseCap: RunPhases polls it before every phase and the
-	// engine polls it between simulated rounds, so a canceled run — even a
-	// 10⁷-node one — stops within O(one round) and returns ErrCanceled with
-	// the partial Result (phases executed so far, partial Metrics). The hook
-	// must be cheap and safe to call from the Runner's goroutine; nil (the
-	// default) disables polling. Cancellation never corrupts the kernel:
-	// Start fully rewinds every flat array and the engine, so the next run
-	// on the same warm Runner is byte-identical to a fresh kernel's.
-	Cancel func() bool
 }
 
 // Result reports the outcome of a trial run.
@@ -160,10 +125,10 @@ type Result struct {
 	Metrics  congest.Metrics
 	Complete bool
 	// BudgetExhausted is set when a run-to-completion (MaxPhases == 0) run
-	// hit its PhaseCap backstop; Run additionally returns ErrPhaseBudget.
+	// hit its phase backstop; Run additionally returns ErrPhaseBudget.
 	BudgetExhausted bool
-	// Canceled is set when the run was stopped by Config.Cancel (or a
-	// runner-level SetCancel hook); Run additionally returns ErrCanceled.
+	// Canceled is set when the run was stopped by the Runner's SetCancel
+	// hook; Run additionally returns ErrCanceled.
 	Canceled bool
 }
 
@@ -172,7 +137,7 @@ type Result struct {
 var ErrPhaseBudget = errors.New("trial: phase budget exhausted before the coloring completed")
 
 // ErrCanceled is returned (wrapped) when a run is stopped by its cooperative
-// cancellation hook (Config.Cancel or Runner.SetCancel); the partial Result —
+// cancellation hook (Runner.SetCancel); the partial Result —
 // phases executed, partial Metrics — is still returned. Mirrors the
 // ErrPhaseBudget contract: the kernel stays fully reusable, and the next
 // Start rewinds it to a state byte-identical to a fresh kernel.
@@ -246,7 +211,6 @@ type Runner struct {
 	procs []nodeProc
 
 	cfg     Config
-	picker  Picker
 	palette int32
 
 	// Per-node state.
@@ -302,12 +266,9 @@ type Runner struct {
 	live   atomic.Int64
 	phases int
 
-	// cancelHook is the runner-level cancellation hook (SetCancel), OR-ed
-	// with each run's Config.Cancel; cancelFn is the bound method value
-	// installed on the engine, allocated once at construction so Start stays
-	// allocation-free.
-	cancelHook func() bool
-	cancelFn   func() bool
+	// cancel is the cooperative cancellation hook (SetCancel), installed on
+	// the engine by every Start.
+	cancel func() bool
 }
 
 // nodeProc adapts one node of the Runner to the congest.Process interface.
@@ -334,13 +295,12 @@ func (p *nodeProc) Step(ctx *congest.Context, round int, inbox []congest.Message
 
 // NewRunner builds a trial kernel for g whose engine runs with the given
 // worker count (≤ 1 runs rounds inline), fixed at construction; per-run
-// knobs — palette, scope, seed, picker, phase budgets — arrive with each
-// Start/Run. The bool parameter is ignored: it once selected between two
+// knobs — palette, scope, seed, phase budget, initial colors — arrive with
+// each Start/Run. The bool parameter is ignored: it once selected between two
 // engines and is kept only so existing callers compile; pass false. It is
 // Rebind on a zero Runner.
 func NewRunner(g *graph.Graph, _ bool, workers int) *Runner {
 	r := &Runner{workers: workers}
-	r.cancelFn = r.canceled
 	r.Rebind(g)
 	return r
 }
@@ -350,7 +310,7 @@ func NewRunner(g *graph.Graph, _ bool, workers int) *Runner {
 // needs more room than every graph the Runner held before, so rebinding
 // between graphs no larger than an earlier one allocates nothing. The next
 // Start behaves byte-identically to a fresh NewRunner(g, false, workers)
-// with the same worker count. The runner-level cancel hook is kept.
+// with the same worker count. The cancel hook is kept.
 func (r *Runner) Rebind(g *graph.Graph) {
 	n := g.NumNodes()
 	r.g, r.ix = g, g.EdgeIndex()
@@ -372,22 +332,21 @@ func (r *Runner) Rebind(g *graph.Graph) {
 	r.propScratch = slices.Grow(r.propScratch[:0], slots)[:slots]
 }
 
-// SetCancel installs a runner-level cooperative cancellation hook that
-// applies to every subsequent run (OR-ed with each run's Config.Cancel),
-// taking effect at the next Start. The serving plane uses it to point a
-// long-lived warm kernel at "the current request's cancel flag" once,
-// instead of threading a Cancel through every algorithm's Config. nil
-// removes the hook.
-func (r *Runner) SetCancel(f func() bool) { r.cancelHook = f }
+// SetCancel installs a cooperative cancellation hook that applies to every
+// subsequent run, taking effect at the next Start: RunPhases polls it before
+// every phase and the engine polls it between simulated rounds, so a
+// canceled run — even a 10⁷-node one — stops within O(one round) and
+// returns ErrCanceled with the partial Result (phases executed so far,
+// partial Metrics). The hook must be cheap and safe to call from the
+// Runner's goroutine; nil (the default) disables polling. Cancellation
+// never corrupts the kernel: Start fully rewinds every flat array and the
+// engine, so the next run on the same warm Runner is byte-identical to a
+// fresh kernel's. The serving plane points a long-lived warm kernel at "the
+// current request's cancel flag" once, instead of per run.
+func (r *Runner) SetCancel(f func() bool) { r.cancel = f }
 
-// canceled reports whether the current run's cancellation hook (per-run
-// Config.Cancel or runner-level SetCancel) has fired.
-func (r *Runner) canceled() bool {
-	if r.cfg.Cancel != nil && r.cfg.Cancel() {
-		return true
-	}
-	return r.cancelHook != nil && r.cancelHook()
-}
+// canceled reports whether the cancellation hook has fired.
+func (r *Runner) canceled() bool { return r.cancel != nil && r.cancel() }
 
 // Close releases the kernel's network (parking the engine's persistent
 // worker team, if it has one). Idempotent; the Runner must not be used after
@@ -415,17 +374,10 @@ func (r *Runner) Start(cfg Config) error {
 		return fmt.Errorf("trial: ExtraKnown has length %d, want %d", len(cfg.ExtraKnown), r.g.NumNodes())
 	}
 	r.cfg = cfg
-	r.picker = cfg.Picker
 	r.palette = int32(cfg.PaletteSize)
 	r.phases = 0
 	r.net.Reset(cfg.Seed)
-	r.net.SetFaults(cfg.Faults)
-	if cfg.Cancel != nil || r.cancelHook != nil {
-		// Reset cleared the engine-level hook; reinstall the bound method
-		// value so rounds poll cancellation. Left nil when no hook is set —
-		// the uncancellable hot path keeps its single nil check per round.
-		r.net.SetCancel(r.cancelFn)
-	}
+	r.net.SetCancel(r.cancel) // Reset cleared it; nil keeps the hot path's single nil check
 
 	n := r.g.NumNodes()
 	r.knownWords = bitset.WordsFor(cfg.PaletteSize)
@@ -566,10 +518,7 @@ func (r *Runner) RunPhases() error {
 	maxPhases := r.cfg.MaxPhases
 	capped := maxPhases > 0
 	if !capped {
-		maxPhases = r.cfg.PhaseCap
-		if maxPhases <= 0 {
-			maxPhases = defaultPhaseCap(r.g.NumNodes())
-		}
+		maxPhases = defaultPhaseCap(r.g.NumNodes())
 	}
 	for r.phases < maxPhases && !r.Complete() {
 		// Poll cancellation once per phase; the engine additionally polls it
@@ -651,17 +600,10 @@ func (r *Runner) stepPropose(v graph.NodeID, ctx *congest.Context, inbox []conge
 		return
 	}
 	var cand int
-	if r.cfg.AvoidKnownUsed && r.picker == nil {
+	if r.cfg.AvoidKnownUsed {
 		cand = r.pickAvoidingKnown(v, ctx)
 	} else {
-		picker := r.picker
-		if picker == nil {
-			picker = UniformPicker
-		}
-		cand = picker(v, ctx.Rand(), r.cfg.PaletteSize)
-	}
-	if cand < 0 || cand >= r.cfg.PaletteSize {
-		return
+		cand = ctx.Rand().Intn(r.cfg.PaletteSize)
 	}
 	r.proposal[v] = int32(cand)
 	ctx.Broadcast(kindPropose, EncodeColor(cand))

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"d2color/internal/graph"
-	"d2color/internal/rng"
 	"d2color/internal/verify"
 )
 
@@ -48,31 +47,6 @@ func TestAvoidKnownUsedStillValidOnD2Scope(t *testing.T) {
 	}
 	if rep := verify.CheckD2(g, res.Coloring, palette); !rep.Valid {
 		t.Errorf("invalid coloring: %v", rep.Error())
-	}
-}
-
-func TestCustomPickerOverridesAvoidKnownUsed(t *testing.T) {
-	// An explicit picker wins over AvoidKnownUsed (documented behaviour).
-	g := graph.Path(3)
-	calls := 0
-	res, err := Run(g, Config{
-		PaletteSize:    4,
-		Seed:           1,
-		AvoidKnownUsed: true,
-		MaxPhases:      2,
-		Picker: func(v graph.NodeID, _ *rng.Source, paletteSize int) int {
-			calls++
-			return -1 // stay quiet
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Error("custom picker was not invoked")
-	}
-	if res.Coloring.NumColored() != 0 {
-		t.Error("quiet picker should color nothing")
 	}
 }
 

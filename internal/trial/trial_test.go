@@ -6,7 +6,6 @@ import (
 
 	"d2color/internal/coloring"
 	"d2color/internal/graph"
-	"d2color/internal/rng"
 	"d2color/internal/verify"
 )
 
@@ -121,28 +120,6 @@ func TestInitialColoringRespected(t *testing.T) {
 	}
 }
 
-func TestCustomPickerAndQuietNodes(t *testing.T) {
-	g := graph.Path(4)
-	// A picker that always stays quiet: nothing gets colored.
-	res, err := Run(g, Config{
-		PaletteSize: 5,
-		MaxPhases:   3,
-		Seed:        1,
-		Picker: func(v graph.NodeID, src *rng.Source, paletteSize int) int {
-			return -1
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Coloring.NumColored() != 0 {
-		t.Errorf("quiet picker should color nothing, colored %d", res.Coloring.NumColored())
-	}
-	if res.Complete {
-		t.Error("run with quiet picker cannot be complete")
-	}
-}
-
 func TestDeterministicGivenSeed(t *testing.T) {
 	g := graph.GNP(50, 0.08, 9)
 	palette := g.MaxDegree()*g.MaxDegree() + 1
@@ -204,11 +181,5 @@ func TestPropertyPartialColoringsAlwaysConflictFree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestUniformPickerBounds(t *testing.T) {
-	if got := UniformPicker(0, nil, 0); got != -1 {
-		t.Errorf("UniformPicker with empty palette = %d, want -1", got)
 	}
 }
