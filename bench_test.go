@@ -16,7 +16,6 @@ import (
 	"d2color/internal/detd2"
 	"d2color/internal/graph"
 	"d2color/internal/harness"
-	"d2color/internal/mis"
 	"d2color/internal/polylogd2"
 	"d2color/internal/randd2"
 	"d2color/internal/splitting"
@@ -243,25 +242,6 @@ func BenchmarkAblationEngine(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkDistanceKMIS measures the distance-k MIS extension (the "easy"
-// related problem from the introduction) for k = 1 and 2.
-func BenchmarkDistanceKMIS(b *testing.B) {
-	g := graph.GNPWithAverageDegree(1000, 10, 19)
-	for _, k := range []int{1, 2} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			var rounds int
-			for i := 0; i < b.N; i++ {
-				res, err := mis.Run(g, mis.Options{K: k}, uint64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds = res.Metrics.TotalRounds()
-			}
-			b.ReportMetric(float64(rounds), "congest-rounds")
 		})
 	}
 }

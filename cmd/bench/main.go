@@ -49,6 +49,7 @@ var pinnedSet = []struct {
 	{"./internal/baseline", "BenchmarkGreedyD2$|BenchmarkJohanssonD1$"},
 	{"./internal/detcolor", "BenchmarkReduceColors$"},
 	{"./internal/detd2", "BenchmarkDeterministicD2$"},
+	{"./internal/netdecomp", "BenchmarkCompute$"},
 	{"./internal/randd2", "BenchmarkBuildSimilarity"},
 	{"./internal/bitset", "BenchmarkFirstFreePick"},
 	{"./internal/congest", "BenchmarkDeliver|BenchmarkPayloadRound"},

@@ -36,17 +36,9 @@ func main() {
 	}
 }
 
-// algoNames lists the -algo values: auto plus every registered distance-2
-// coloring algorithm (coloring-shaped entries such as mis are left out, as
-// the CLI checks its output as a distance-2 coloring).
+// algoNames lists the -algo values: auto plus every registered algorithm.
 func algoNames() string {
-	names := []string{autoAlgo}
-	for _, a := range alg.All() {
-		if alg.IsD2Coloring(a) {
-			names = append(names, a.Name())
-		}
-	}
-	return strings.Join(names, ", ")
+	return strings.Join(append([]string{autoAlgo}, alg.Names()...), ", ")
 }
 
 // lookup resolves an -algo value to the algorithm to run; polylog and relaxed
@@ -66,9 +58,6 @@ func lookup(name string, eps float64) (alg.Algorithm, error) {
 	a, ok := alg.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown algorithm %q (choose from: %s)", name, algoNames())
-	}
-	if !alg.IsD2Coloring(a) {
-		return nil, fmt.Errorf("%q is not a distance-2 coloring algorithm (choose from: %s)", name, algoNames())
 	}
 	return a, nil
 }

@@ -86,16 +86,20 @@ func TestAutoIsRandImproved(t *testing.T) {
 	}
 }
 
-// TestRunRejectsNonColoringAlgorithms checks that registered coloring-shaped
-// entries (MIS membership) are refused rather than reported as invalid
-// distance-2 colorings, and that the error lists the valid choices.
+// TestRunRejectsNonColoringAlgorithms checks that a name which is not a
+// registered distance-2 coloring algorithm (mis, a distance-k MIS, or
+// nonsense) is refused as unknown before any output, and that the error
+// lists the valid choices.
 func TestRunRejectsNonColoringAlgorithms(t *testing.T) {
-	for _, algo := range []string{"mis", "mis-d2", "nonsense"} {
+	for _, algo := range []string{"mis", "nonsense"} {
 		var buf bytes.Buffer
 		err := run([]string{"-algo", algo, "-graph", "path", "-n", "5"}, &buf)
 		if err == nil {
 			t.Errorf("%s: should be rejected", algo)
 			continue
+		}
+		if !strings.Contains(err.Error(), "unknown algorithm") {
+			t.Errorf("%s: error %q is not an unknown-algorithm error", algo, err)
 		}
 		if !strings.Contains(err.Error(), algoNames()) {
 			t.Errorf("%s: error %q does not list %q", algo, err, algoNames())

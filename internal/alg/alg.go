@@ -1,11 +1,11 @@
-// Package alg is the unified algorithm registry: every coloring (and
-// coloring-shaped) algorithm in the repository is exposed behind one small
-// interface and registered by name, so the sweep engine, the experiment
-// harness and the CLIs dispatch through a single table instead of re-wrapping
-// each package's entry point.
+// Package alg is the unified algorithm registry: every distance-2 coloring
+// algorithm in the repository is exposed behind one small interface and
+// registered by name, so the sweep engine, the experiment harness and the
+// CLIs dispatch through a single table instead of re-wrapping each package's
+// entry point.
 //
 // The algorithm packages self-register their default instances from init()
-// (see the register.go file in randd2, detd2, polylogd2, baseline and mis);
+// (see the register.go file in randd2, detd2, polylogd2 and baseline);
 // importing any of them — directly or transitively, e.g. via internal/core —
 // populates the registry. Parameterized instances (custom constants, a
 // non-default ε, ...) are built with the packages' Algorithm constructors and
@@ -66,8 +66,8 @@ type Engine struct {
 
 // Result is the algorithm-independent outcome of one run.
 type Result struct {
-	// Coloring assigns a color to every node (for MIS-shaped algorithms,
-	// membership encoded as colors 1/0).
+	// Coloring assigns a color to every node. Every registered algorithm
+	// returns a distance-2 coloring of the input graph.
 	Coloring coloring.Coloring
 	// PaletteSize is the palette bound the run guarantees.
 	PaletteSize int
@@ -96,19 +96,6 @@ type Algorithm interface {
 	Run(g *graph.Graph, eng Engine, seed uint64) (Result, error)
 }
 
-// IsD2Coloring reports whether a's results are proper distance-2 colorings
-// of the input graph (the default assumption). Coloring-shaped algorithms
-// whose output merely reuses the Coloring representation — MIS membership,
-// red/blue splits — opt out via the optional interface
-// { D2Coloring() bool }, and verifiers must not apply the distance-2
-// conflict check to them.
-func IsD2Coloring(a Algorithm) bool {
-	if s, ok := a.(interface{ D2Coloring() bool }); ok {
-		return s.D2Coloring()
-	}
-	return true
-}
-
 // Func adapts plain closures to the Algorithm interface; it is the glue used
 // by the package register files and by inline experiment-specific algorithms.
 type Func struct {
@@ -116,14 +103,10 @@ type Func struct {
 	Class   Determinism
 	Palette func(g *graph.Graph) int
 	RunFunc func(g *graph.Graph, eng Engine, seed uint64) (Result, error)
-	// NotD2 marks coloring-shaped results (MIS membership, splits) that are
-	// not distance-2 colorings; see IsD2Coloring.
-	NotD2 bool
 }
 
 func (f Func) Name() string             { return f.AlgName }
 func (f Func) Determinism() Determinism { return f.Class }
-func (f Func) D2Coloring() bool         { return !f.NotD2 }
 
 func (f Func) PaletteBound(g *graph.Graph) int {
 	if f.Palette == nil {

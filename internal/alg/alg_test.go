@@ -15,7 +15,7 @@ import (
 func TestDefaultRegistrations(t *testing.T) {
 	for _, name := range []string{
 		"rand-improved", "rand-basic", "deterministic", "polylog",
-		"greedy", "naive", "relaxed", "mis", "mis-d2",
+		"greedy", "naive", "relaxed",
 	} {
 		a, ok := alg.Get(name)
 		if !ok {
@@ -27,6 +27,9 @@ func TestDefaultRegistrations(t *testing.T) {
 		}
 	}
 	names := alg.Names()
+	if len(names) != 7 {
+		t.Errorf("Names() = %v, want exactly the seven distance-2 coloring algorithms", names)
+	}
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
 			t.Errorf("Names() not sorted: %v", names)
@@ -46,7 +49,6 @@ func TestDeterminismClasses(t *testing.T) {
 		"greedy":        alg.Deterministic,
 		"naive":         alg.Randomized,
 		"relaxed":       alg.Randomized,
-		"mis":           alg.Randomized,
 	} {
 		if got := alg.MustGet(name).Determinism(); got != want {
 			t.Errorf("%s: determinism = %v, want %v", name, got, want)
@@ -54,15 +56,12 @@ func TestDeterminismClasses(t *testing.T) {
 	}
 }
 
-// TestColoringAlgorithmsProduceValidColorings runs every registered coloring
+// TestColoringAlgorithmsProduceValidColorings runs every registered
 // algorithm through the uniform interface and verifies the result against its
 // own palette bound.
 func TestColoringAlgorithmsProduceValidColorings(t *testing.T) {
 	g := graph.GNPWithAverageDegree(150, 8, 7)
 	for _, a := range alg.All() {
-		if !alg.IsD2Coloring(a) {
-			continue // coloring-shaped (MIS membership), not a d2-coloring
-		}
 		res, err := a.Run(g, alg.Engine{}, 3)
 		if err != nil {
 			t.Errorf("%s: %v", a.Name(), err)
@@ -112,15 +111,6 @@ func TestSeedDependentOptionsFlipDeterminismClass(t *testing.T) {
 	}
 	if got := detd2.Algorithm(detd2.Options{}).Determinism(); got != alg.Deterministic {
 		t.Errorf("default deterministic pipeline classed %v, want deterministic", got)
-	}
-}
-
-func TestMISIsNotAD2Coloring(t *testing.T) {
-	if alg.IsD2Coloring(alg.MustGet("mis")) {
-		t.Error("mis should opt out of d2 verification")
-	}
-	if !alg.IsD2Coloring(alg.MustGet("rand-improved")) {
-		t.Error("rand-improved is a d2 coloring")
 	}
 }
 

@@ -4,14 +4,13 @@
 // and alg.All see the full set — the paper's randomized Δ²+1 coloring
 // (Theorem 1.1, rand-improved and rand-basic), its deterministic Δ²+1
 // coloring (Theorem 1.2, deterministic), its (1+ε)Δ² coloring (Theorem 1.3,
-// polylog), the baselines (greedy, naive, relaxed) and the coloring-shaped
-// distance-K MIS (mis, mis-d2).
+// polylog) and the baselines (greedy, naive, relaxed). Every one of them
+// returns a distance-2 coloring.
 package core
 
 import (
 	_ "d2color/internal/baseline"
 	_ "d2color/internal/detd2"
-	_ "d2color/internal/mis"
 	_ "d2color/internal/polylogd2"
 	_ "d2color/internal/randd2"
 )

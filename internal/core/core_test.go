@@ -5,20 +5,16 @@ import (
 
 	"d2color/internal/alg"
 	"d2color/internal/graph"
-	"d2color/internal/mis"
 	"d2color/internal/verify"
 )
 
-// TestSolveAllAlgorithms runs every linked distance-2 coloring algorithm
+// TestSolveAllAlgorithms runs every linked algorithm
 // through the registry and checks its coloring, its palette and its stage
 // details.
 func TestSolveAllAlgorithms(t *testing.T) {
 	g := graph.GNPWithAverageDegree(120, 8, 1)
 	exact := alg.D2Palette(g)
 	for _, a := range alg.All() {
-		if !alg.IsD2Coloring(a) {
-			continue
-		}
 		res, err := a.Run(g, alg.Engine{}, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
@@ -64,42 +60,5 @@ func TestSolveEpsilonDefaults(t *testing.T) {
 	delta := g.MaxDegree()
 	if res.PaletteSize != 2*delta*delta+1 {
 		t.Errorf("default epsilon should be 1: palette %d, want %d", res.PaletteSize, 2*delta*delta+1)
-	}
-}
-
-// TestSolveRegistryFallbackRunsMIS runs the coloring-shaped mis entry
-// through the registry: its 2-coloring must encode the independent set it
-// reports, and that set must be independent.
-func TestSolveRegistryFallbackRunsMIS(t *testing.T) {
-	g := graph.GNPWithAverageDegree(120, 6, 2)
-	res, err := alg.MustGet("mis").Run(g, alg.Engine{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PaletteSize != 2 {
-		t.Errorf("palette = %d, want 2", res.PaletteSize)
-	}
-	details, ok := res.Details.(*mis.Result)
-	if !ok {
-		t.Fatalf("Details = %T, want *mis.Result", res.Details)
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		want := 0
-		if details.InSet[v] {
-			want = 1
-		}
-		if res.Coloring[v] != want {
-			t.Fatalf("node %d: color %d does not encode InSet=%v", v, res.Coloring[v], details.InSet[v])
-		}
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		if !details.InSet[v] {
-			continue
-		}
-		for _, u := range g.Neighbors(graph.NodeID(v)) {
-			if details.InSet[u] {
-				t.Fatalf("nodes %d and %d are adjacent and both in the set", v, u)
-			}
-		}
 	}
 }

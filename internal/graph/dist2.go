@@ -328,9 +328,10 @@ func (d *Dist2View) Materialize() *Graph {
 
 // DistKView streams distance-at-most-k neighborhoods (the conflict
 // neighborhoods of G^k) with a bounded BFS over the CSR arrays, using the
-// same generation-stamped marking as Dist2View. It backs the distance-k MIS
-// so that G^k is never materialized either. Not safe for concurrent use; do
-// not re-enter streaming methods from callbacks.
+// same generation-stamped marking as Dist2View. It streams the network
+// decomposition's k-hop balls, so G^k is never materialized and no ball
+// costs an n-entry distance array. Not safe for concurrent use; do not
+// re-enter streaming methods from callbacks.
 type DistKView struct {
 	g     *Graph
 	k     int
@@ -345,12 +346,6 @@ func NewDistKView(g *Graph, k int) *DistKView {
 	}
 	return &DistKView{g: g, k: k, marks: NewMarkSet(g.NumNodes())}
 }
-
-// Graph returns the underlying graph.
-func (d *DistKView) Graph() *Graph { return d.g }
-
-// K returns the distance parameter.
-func (d *DistKView) K() int { return d.k }
 
 // ForEach calls fn for every node at distance 1..k from u, each exactly once,
 // in deterministic BFS layer order. fn returning false stops the stream.

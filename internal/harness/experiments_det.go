@@ -133,12 +133,12 @@ var splitMethods = []splitMethod{
 
 // splitAlgorithm wraps one splitting method at one λ as an inline algorithm
 // instance: the red/blue split is its 2-coloring and the splitting.Result
-// rides along as Details.
+// rides along as Details. It is never registered and its 2-coloring is not a
+// distance-2 coloring; only E5's sweep runs it, and the sweep never verifies.
 func splitAlgorithm(m splitMethod, lambda float64) alg.Algorithm {
 	return alg.Func{
 		AlgName: "split-" + m.name,
 		Class:   m.class,
-		NotD2:   true, // a red/blue split, not a distance-2 coloring
 		Palette: func(*graph.Graph) int { return 2 },
 		RunFunc: func(g *graph.Graph, _ alg.Engine, seed uint64) (alg.Result, error) {
 			parts := splitting.UniformPartition(g.NumNodes())

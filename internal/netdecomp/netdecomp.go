@@ -91,7 +91,7 @@ func Compute(g *graph.Graph, k int) Decomposition {
 	}
 
 	d.colorClusters(g, k)
-	logN := int(math.Ceil(math.Log2(float64(maxInt(n, 2)))))
+	logN := int(math.Ceil(math.Log2(float64(max(n, 2)))))
 	d.Rounds = k * logN * logN * logN
 	return d
 }
@@ -138,20 +138,17 @@ func (d *Decomposition) colorClusters(g *graph.Graph, k int) {
 		adj[i] = make(map[int]bool)
 	}
 	// Two clusters are adjacent iff some node of one is within k hops of a
-	// node of the other. Compute via bounded BFS from every node.
+	// node of the other: stream every node's k-hop ball through one view.
+	view := graph.NewDistKView(g, k)
 	for v := 0; v < g.NumNodes(); v++ {
 		cv := d.ClusterOf[v]
-		dist := g.BFSLimited(graph.NodeID(v), k)
-		for u, du := range dist {
-			if du < 0 || du > k {
-				continue
-			}
-			cu := d.ClusterOf[u]
-			if cu != cv {
+		view.ForEach(graph.NodeID(v), func(u graph.NodeID) bool {
+			if cu := d.ClusterOf[u]; cu != cv {
 				adj[cv][cu] = true
 				adj[cu][cv] = true
 			}
-		}
+			return true
+		})
 	}
 	used := 0
 	for c := 0; c < numClusters; c++ {
@@ -175,7 +172,7 @@ func (d *Decomposition) colorClusters(g *graph.Graph, k int) {
 
 // Validate checks the decomposition invariants against the graph it was
 // computed from; it returns false with a reason when an invariant is broken.
-// Used by tests and by the splitting package's defensive checks.
+// k < 1 is taken as 1, as in Compute. Used by tests.
 func (d *Decomposition) Validate(g *graph.Graph, k int) (bool, string) {
 	n := g.NumNodes()
 	if len(d.ClusterOf) != n {
@@ -188,24 +185,17 @@ func (d *Decomposition) Validate(g *graph.Graph, k int) (bool, string) {
 		}
 	}
 	// Same-colored clusters must not contain nodes within distance ≤ k.
+	view := graph.NewDistKView(g, k)
 	for v := 0; v < n; v++ {
-		dist := g.BFSLimited(graph.NodeID(v), k)
-		for u, du := range dist {
-			if du < 1 || du > k {
-				continue
-			}
-			cv, cu := d.ClusterOf[v], d.ClusterOf[u]
-			if cv != cu && d.ColorOf[cv] == d.ColorOf[cu] {
-				return false, "same-colored clusters within distance k"
-			}
+		cv, clash := d.ClusterOf[v], false
+		view.ForEach(graph.NodeID(v), func(u graph.NodeID) bool {
+			cu := d.ClusterOf[u]
+			clash = cu != cv && d.ColorOf[cu] == d.ColorOf[cv]
+			return !clash
+		})
+		if clash {
+			return false, "same-colored clusters within distance k"
 		}
 	}
 	return true, ""
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

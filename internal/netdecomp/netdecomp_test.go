@@ -1,6 +1,7 @@
 package netdecomp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -103,5 +104,106 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	d2.ClusterOf = d2.ClusterOf[:len(d2.ClusterOf)-1]
 	if ok, _ := d2.Validate(g, 2); ok {
 		t.Error("Validate should detect length mismatch")
+	}
+}
+
+// oracleColorClusters is the bounded-BFS cluster coloring the streamed one
+// replaced: one BFSLimited distance array per node gives the cluster
+// adjacency, which is then colored greedily in cluster order.
+func oracleColorClusters(g *graph.Graph, clusterOf []int, numClusters, k int) ([]int, int) {
+	adj := make([]map[int]bool, numClusters)
+	for i := range adj {
+		adj[i] = make(map[int]bool)
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		cv := clusterOf[v]
+		for u, du := range g.BFSLimited(graph.NodeID(v), k) {
+			if du < 0 || du > k || clusterOf[u] == cv {
+				continue
+			}
+			adj[cv][clusterOf[u]] = true
+			adj[clusterOf[u]][cv] = true
+		}
+	}
+	colorOf := make([]int, numClusters)
+	used := 0
+	for c := 0; c < numClusters; c++ {
+		taken := map[int]bool{}
+		for nbr := range adj[c] {
+			if nbr < c {
+				taken[colorOf[nbr]] = true
+			}
+		}
+		col := 0
+		for taken[col] {
+			col++
+		}
+		colorOf[c] = col
+		used = max(used, col+1)
+	}
+	return colorOf, used
+}
+
+// oracleValid is Validate's color check over BFSLimited distance arrays.
+func oracleValid(g *graph.Graph, d *Decomposition, k int) bool {
+	for v := 0; v < g.NumNodes(); v++ {
+		for u, du := range g.BFSLimited(graph.NodeID(v), k) {
+			cv, cu := d.ClusterOf[v], d.ClusterOf[u]
+			if du >= 1 && du <= k && cv != cu && d.ColorOf[cv] == d.ColorOf[cu] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestStreamedBallsMatchBFSOracle pins the streamed k-hop balls of
+// colorClusters and Validate to the per-node BFSLimited oracle: the same
+// cluster colors, the same color count and the same Validate verdict, on
+// valid decompositions and on ones with two clusters' colors merged.
+func TestStreamedBallsMatchBFSOracle(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"gnp-avg":     graph.GNPWithAverageDegree(300, 6, 2),
+		"unitdisk":    graph.UnitDisk(200, 0.12, 3),
+		"grid":        graph.Grid(12, 12),
+		"cliquechain": graph.CliqueChain(6, 5, 0),
+		"star":        graph.Star(30),
+		"regular":     graph.RandomRegular(150, 4, 5),
+		"tree":        graph.BalancedTree(3, 4),
+		"path":        graph.Path(40),
+	}
+	for name, g := range graphs {
+		for k := 1; k <= 3; k++ {
+			d := Compute(g, k)
+			colorOf, numColors := oracleColorClusters(g, d.ClusterOf, len(d.Clusters), k)
+			if d.NumColors != numColors || !slices.Equal(d.ColorOf, colorOf) {
+				t.Fatalf("%s k=%d: streamed coloring (%d colors) differs from the BFS oracle (%d colors)",
+					name, k, d.NumColors, numColors)
+			}
+			if ok, why := d.Validate(g, k); !ok {
+				t.Fatalf("%s k=%d: %s", name, k, why)
+			}
+			if len(d.Clusters) < 2 {
+				continue
+			}
+			for c := 1; c < len(d.Clusters); c++ {
+				bad := d
+				bad.ColorOf = slices.Clone(d.ColorOf)
+				bad.ColorOf[c] = bad.ColorOf[0]
+				if ok, _ := bad.Validate(g, k); ok != oracleValid(g, &bad, k) {
+					t.Fatalf("%s k=%d: Validate = %v with clusters 0 and %d merged, oracle disagrees", name, k, ok, c)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkCompute measures the decomposition of G² on a sparse random
+// graph at n = 10⁴.
+func BenchmarkCompute(b *testing.B) {
+	g := graph.GNPWithAverageDegree(10000, 10, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Compute(g, 2)
 	}
 }

@@ -143,8 +143,10 @@ func Run(g *graph.Graph, opts Options, eng alg.Engine, seed uint64) (Result, err
 	if err != nil {
 		return Result{}, fmt.Errorf("randd2: initial phase: %w", err)
 	}
-	r.adoptColoring(tr.Coloring)
+	// Fold the trials' rounds in before adopting their coloring: adopting a
+	// complete coloring records ActiveRounds, which must include them.
 	r.addMetrics(tr.Metrics)
+	r.adoptColoring(tr.Coloring)
 	res.InitialPhases = tr.Phases
 	res.InitialColored = tr.Coloring.NumColored()
 

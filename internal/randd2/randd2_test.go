@@ -2,11 +2,13 @@ package randd2
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"d2color/internal/alg"
 	"d2color/internal/graph"
+	"d2color/internal/trial"
 	"d2color/internal/verify"
 )
 
@@ -40,6 +42,41 @@ func TestImprovedVariantValidOnWorkloads(t *testing.T) {
 		}
 		if res.ActiveRounds <= 0 || res.ActiveRounds > res.Metrics.TotalRounds() {
 			t.Errorf("%s: ActiveRounds %d outside (0, %d]", name, res.ActiveRounds, res.Metrics.TotalRounds())
+		}
+	}
+}
+
+// TestActiveRoundsIncludeInitialTrials pins ActiveRounds when the initial
+// whole-palette trials color every node: the coloring is complete after the
+// similarity charge plus the trials' own rounds, so ActiveRounds is their
+// sum. The trials are replayed on a fresh kernel with Run's configuration.
+func TestActiveRoundsIncludeInitialTrials(t *testing.T) {
+	for _, n := range []int{1000, 4000} {
+		g := graph.GNPWithAverageDegree(n, 10, 7)
+		const seed = 7
+		res, err := Run(g, Options{}, alg.Engine{}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.UsedDeterministicFallback || res.InitialColored != n {
+			t.Fatalf("n=%d: want the initial trials to color all %d nodes, colored %d (fallback %v)",
+				n, n, res.InitialColored, res.UsedDeterministicFallback)
+		}
+		tr, err := trial.Run(g, trial.Config{
+			PaletteSize: res.PaletteSize,
+			Scope:       trial.ScopeDistance2,
+			MaxPhases:   int(math.Ceil(Default().C0 * log2(n))),
+			Seed:        seed ^ 0x1234,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Phases != res.InitialPhases {
+			t.Fatalf("n=%d: replayed %d trial phases, Run reports %d", n, tr.Phases, res.InitialPhases)
+		}
+		if want := res.SimilarityRounds + tr.Metrics.TotalRounds(); res.ActiveRounds != want {
+			t.Errorf("n=%d: ActiveRounds = %d, want similarity %d + trials %d = %d",
+				n, res.ActiveRounds, res.SimilarityRounds, tr.Metrics.TotalRounds(), want)
 		}
 	}
 }

@@ -29,8 +29,6 @@ func errorCode(err error) (code string, status int) {
 		return "session-exists", http.StatusConflict
 	case errors.Is(err, ErrNotColored):
 		return "not-colored", http.StatusConflict
-	case errors.Is(err, ErrNotD2):
-		return "not-d2", http.StatusConflict
 	case errors.Is(err, ErrServerClosed):
 		return "server-closed", http.StatusServiceUnavailable
 	case errors.Is(err, ErrOverloaded):
@@ -73,8 +71,6 @@ func codeError(code, message string) error {
 		return ErrSessionExists
 	case "not-colored":
 		return ErrNotColored
-	case "not-d2":
-		return ErrNotD2
 	case "server-closed":
 		return ErrServerClosed
 	case "overloaded":
@@ -94,6 +90,12 @@ func codeError(code, message string) error {
 	}
 }
 
+// MaxRequestBytes bounds one request body on the wire, about a million
+// Dirty node IDs. A larger body is refused with bad-request before it is
+// decoded in full, so one client cannot make the server buffer an unbounded
+// request.
+const MaxRequestBytes = 8 << 20
+
 // wireError is the JSON error body.
 type wireError struct {
 	Code  string `json:"code"`
@@ -109,6 +111,7 @@ func NewHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/do", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
+		r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
 			return

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"d2color/internal/graph"
@@ -87,5 +90,47 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 	if err := tr.Do(&Request{Op: OpColor, Session: "x", Algorithm: "no-such"}, &resp); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("unknown algorithm over HTTP: %v", err)
+	}
+}
+
+// TestHTTPBodyLimit pins MaxRequestBytes: a body of exactly the limit is
+// decoded (its session name is simply unknown), a body one byte over it is
+// refused as bad-request, and the server answers the next request as usual.
+func TestHTTPBodyLimit(t *testing.T) {
+	srv := NewServer(Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(NewHandler(srv))
+	defer ts.Close()
+
+	post := func(size int) (int, wireError) {
+		t.Helper()
+		const prefix, suffix = `{"op":"verify","session":"`, `"}`
+		body := prefix + strings.Repeat("s", size-len(prefix)-len(suffix)) + suffix
+		resp, err := ts.Client().Post(ts.URL+"/v1/do", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var we wireError
+		if err := json.NewDecoder(resp.Body).Decode(&we); err != nil {
+			t.Fatalf("%d-byte body: decoding the error body: %v", size, err)
+		}
+		return resp.StatusCode, we
+	}
+	if status, we := post(MaxRequestBytes); status != http.StatusNotFound || we.Code != "unknown-session" {
+		t.Errorf("body at the limit: status %d code %q, want 404 unknown-session", status, we.Code)
+	}
+	if status, we := post(MaxRequestBytes + 1); status != http.StatusBadRequest || we.Code != "bad-request" {
+		t.Errorf("body one byte over the limit: status %d code %q, want 400 bad-request", status, we.Code)
+	}
+
+	tr := NewHTTPTransport(ts.URL, ts.Client())
+	spec := graph.GeneratorSpec{Kind: "star", N: 8}
+	var resp Response
+	if err := tr.Do(&Request{Op: OpOpen, Session: "x", Spec: &spec}, &resp); err != nil {
+		t.Fatalf("request after an over-limit body: %v", err)
+	}
+	if err := tr.Do(&Request{Op: OpColor, Session: "x", Algorithm: "greedy"}, &resp); err != nil || !resp.Valid {
+		t.Fatalf("color after an over-limit body: valid=%v err=%v", resp.Valid, err)
 	}
 }

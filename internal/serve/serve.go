@@ -137,7 +137,6 @@ var (
 	ErrUnknownSession = errors.New("serve: unknown session")
 	ErrSessionExists  = errors.New("serve: session already exists")
 	ErrNotColored     = errors.New("serve: session has no working coloring yet (issue a color request first)")
-	ErrNotD2          = errors.New("serve: session's working coloring is not a d2-coloring")
 	ErrBadRequest     = errors.New("serve: bad request")
 	// ErrOverloaded is the shed signal: the session's bounded queue is full,
 	// or admitting the request would push the in-flight resident-bytes

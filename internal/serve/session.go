@@ -41,7 +41,6 @@ type session struct {
 	colors    coloring.Coloring
 	palette   int
 	algorithm string
-	isD2      bool
 	memo      batchMemo
 	// The verify certificate. touched lists every node whose color changed
 	// since the checker's last pass (fed to RecheckD2). stale is set before
@@ -386,38 +385,25 @@ func (ses *session) doColor(req *Request, resp *Response) error {
 	ses.colors = res.Coloring
 	ses.palette = res.PaletteSize
 	ses.algorithm = name
-	ses.isD2 = alg.IsD2Coloring(a)
 	ses.hash, ses.hashed = ses.digests.full(res.Coloring), true
 	resp.Algorithm = name
 	resp.Hash = ses.hash
 	resp.PaletteSize = res.PaletteSize
 	resp.Metrics = res.Metrics
-	if ses.isD2 {
-		// This full pass re-seeds the checker's certificate.
-		rep := ses.lazyChecker().CheckD2(ses.g, res.Coloring, res.PaletteSize)
-		if rep.Canceled {
-			// The run itself finished (the coloring is installed), but its
-			// validation was cut short — report cancellation rather than an
-			// unverified "valid: false". stale stays set: the next verify
-			// rescans.
-			return ErrCanceled
-		}
-		ses.touched = ses.touched[:0]
-		ses.stale, ses.complete = false, rep.Valid
-		resp.Valid = rep.Valid
-		resp.ColorsUsed = rep.ColorsUsed
-		resp.MaxColor = rep.MaxColor
-	} else {
-		// MIS-shaped outputs have no d2 constraint to check; Valid is
-		// vacuously true.
-		resp.Valid = true
-		resp.ColorsUsed = res.ColorsUsed()
-		for _, c := range res.Coloring {
-			if c > resp.MaxColor {
-				resp.MaxColor = c
-			}
-		}
+	// This full pass re-seeds the checker's certificate.
+	rep := ses.lazyChecker().CheckD2(ses.g, res.Coloring, res.PaletteSize)
+	if rep.Canceled {
+		// The run itself finished (the coloring is installed), but its
+		// validation was cut short — report cancellation rather than an
+		// unverified "valid: false". stale stays set: the next verify
+		// rescans.
+		return ErrCanceled
 	}
+	ses.touched = ses.touched[:0]
+	ses.stale, ses.complete = false, rep.Valid
+	resp.Valid = rep.Valid
+	resp.ColorsUsed = rep.ColorsUsed
+	resp.MaxColor = rep.MaxColor
 	return nil
 }
 
@@ -430,9 +416,6 @@ func (ses *session) doColor(req *Request, resp *Response) error {
 func (ses *session) doVerify(resp *Response) error {
 	if ses.colors == nil {
 		return ErrNotColored
-	}
-	if !ses.isD2 {
-		return ErrNotD2
 	}
 	ch := ses.lazyChecker()
 	if !ses.hashed {
@@ -471,9 +454,6 @@ func (ses *session) doVerify(resp *Response) error {
 func (ses *session) doRecolor(req *Request, resp *Response) error {
 	if ses.colors == nil {
 		return ErrNotColored
-	}
-	if !ses.isD2 {
-		return ErrNotD2
 	}
 	// A stale session stays stale (its touched list is already void, so
 	// drop it); a clean one is stale until this epoch's changes are

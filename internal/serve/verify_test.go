@@ -56,7 +56,7 @@ func TestServeVerifyMatchesFullCheck(t *testing.T) {
 		steps = 50
 		specs[0].N = 300
 	}
-	algorithms := []string{"relaxed", "greedy", "rand-improved", "mis"}
+	algorithms := []string{"relaxed", "greedy", "rand-improved", "deterministic"}
 	for _, spec := range specs {
 		t.Run(spec.Kind, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(spec.Seed) * 10))
@@ -88,9 +88,6 @@ func TestServeVerifyMatchesFullCheck(t *testing.T) {
 				req := Request{Op: OpRecolor, Session: "s", Seed: rng.Uint64()}
 				kind := ""
 				k := rng.Intn(100)
-				if !sessionState(t, srv, "s").isD2 {
-					k = 64 // recolor refuses an MIS session: color it again
-				}
 				switch {
 				case k < 30:
 					kind = "corrupt"
@@ -169,7 +166,7 @@ func TestServeVerifyMatchesFullCheck(t *testing.T) {
 						if want := HashColors(ses.colors); resp.Hash != want {
 							t.Fatalf("step %d (%s): %s hash %#x, fresh HashColors %#x", step, kind, req.Op, resp.Hash, want)
 						}
-					case errors.Is(err, ErrCanceled), errors.Is(err, ErrPanicked), errors.Is(err, ErrNotD2):
+					case errors.Is(err, ErrCanceled), errors.Is(err, ErrPanicked):
 						failures[kind]++
 					default:
 						t.Fatalf("step %d (%s): %v", step, kind, err)
@@ -194,18 +191,12 @@ func TestServeVerifyMatchesFullCheck(t *testing.T) {
 }
 
 // checkServedVerify issues one verify and compares it with a fresh full
-// check of the session's coloring; a non-d2 session must answer ErrNotD2.
+// check of the session's coloring.
 func checkServedVerify(t *testing.T, srv *Server, step int, kind string) {
 	t.Helper()
 	var resp Response
 	err := srv.Do(&Request{Op: OpVerify, Session: "s"}, &resp)
 	ses := sessionState(t, srv, "s")
-	if !ses.isD2 {
-		if !errors.Is(err, ErrNotD2) {
-			t.Fatalf("step %d (%s): verify on a non-d2 session: err = %v, want ErrNotD2", step, kind, err)
-		}
-		return
-	}
 	if err != nil {
 		t.Fatalf("step %d (%s): verify: %v", step, kind, err)
 	}
