@@ -29,8 +29,13 @@ var benchConfig = harness.Config{Quick: true, Seed: 1, Repetitions: 1}
 // runExperiment runs one harness experiment b.N times.
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
-	exp, ok := harness.ByID(id)
-	if !ok {
+	var exp harness.Experiment
+	for _, e := range harness.All() {
+		if e.ID == id {
+			exp = e
+		}
+	}
+	if exp.Run == nil {
 		b.Fatalf("unknown experiment %s", id)
 	}
 	var rows int
@@ -196,30 +201,6 @@ func BenchmarkAblationSimilarity(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationSplittingMethod compares the deterministic
-// (conditional-expectation) splitting against the zero-round randomized one
-// inside the Theorem 3.4 pipeline.
-func BenchmarkAblationSplittingMethod(b *testing.B) {
-	g := graph.Complete(96)
-	for _, randomized := range []bool{false, true} {
-		name := "deterministic"
-		if randomized {
-			name = "randomized"
-		}
-		b.Run(name, func(b *testing.B) {
-			var rounds int
-			for i := 0; i < b.N; i++ {
-				res, err := polylogd2.ColorG(g, polylogd2.Options{Epsilon: 1, DegreeThreshold: 8, ThresholdCoeff: 1, UseRandomizedSplit: randomized}, uint64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds = res.Metrics.TotalRounds()
-			}
-			b.ReportMetric(float64(rounds), "congest-rounds")
 		})
 	}
 }

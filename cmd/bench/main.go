@@ -1,7 +1,8 @@
 // Command bench runs the repository's pinned benchmark set with -benchmem
 // and writes a JSON snapshot mapping each benchmark to its ns/op, B/op and
-// allocs/op. The snapshot starts the perf trajectory of the project: every
-// PR regenerates BENCH_<pr>.json through the CI bench step, so regressions
+// allocs/op. The snapshots are the perf trajectory of the project: the
+// committed BENCH_<n>.json files are written with -out, and the CI bench
+// step writes BENCH_ci.json on every push, so regressions
 // in the hot kernels (trial phases, verification, greedy picks, the
 // deterministic pipeline and its color reduction, the message plane, the
 // distance-2 stream, the sweep grid, the incremental repair kernel and the
@@ -15,7 +16,7 @@
 //
 // Run from the repository root:
 //
-//	go run ./cmd/bench                      # 1-iteration smoke, BENCH_10.json
+//	go run ./cmd/bench                      # 1-iteration smoke, BENCH_local.json
 //	go run ./cmd/bench -benchtime 5x        # steadier numbers
 //	go run ./cmd/bench -memprobe 0          # skip the n=1e6 memory probe
 //	go run ./cmd/bench -out snapshots/B.json
@@ -92,7 +93,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	var (
-		out       = fs.String("out", "BENCH_10.json", "snapshot file to write")
+		out       = fs.String("out", "BENCH_local.json", "snapshot file to write")
 		benchtime = fs.String("benchtime", "1x", "-benchtime passed to go test (1x = smoke, 5x+ = steadier)")
 		memprobe  = fs.Int("memprobe", 1_000_000, "node count for the peak-RSS memory probe (0 disables)")
 	)

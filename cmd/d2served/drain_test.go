@@ -80,11 +80,27 @@ func TestSigtermDrainsUnderLoad(t *testing.T) {
 			inflight <- w.Do(&serve.Request{Op: serve.OpColor, Session: "d", Seed: seed}, &r)
 		}(uint64(7 + i))
 	}
+	// Signal only once both colorings are past admission: a request the
+	// drain beat to the door is rightly refused with ErrDraining, so one
+	// still on its way is not in flight. QueueDepth counts the admitted,
+	// unanswered requests; answers are collected before each stats read,
+	// so a request that leaves the queue between the two is never counted
+	// twice.
+	var answered []error
 	for {
+	collect:
+		for len(answered) < 2 {
+			select {
+			case err := <-inflight:
+				answered = append(answered, err)
+			default:
+				break collect
+			}
+		}
 		if err := tr.Do(&serve.Request{Op: serve.OpStats}, &resp); err != nil {
 			t.Fatalf("stats: %v", err)
 		}
-		if resp.Stats.Inflight > 0 {
+		if int(resp.Stats.QueueDepth)+len(answered) >= 2 {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -117,8 +133,11 @@ func TestSigtermDrainsUnderLoad(t *testing.T) {
 		t.Error("never observed /healthz 503 draining during the drain window")
 	}
 
-	for i := 0; i < 2; i++ {
-		if err := <-inflight; err != nil {
+	for len(answered) < 2 {
+		answered = append(answered, <-inflight)
+	}
+	for i, err := range answered {
+		if err != nil {
 			t.Errorf("in-flight coloring %d under graceful drain: %v", i, err)
 		}
 	}

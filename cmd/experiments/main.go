@@ -7,7 +7,7 @@
 // deadline storms, panic quarantine, graceful drain). E11–E14 carry
 // wall-clock/throughput/peak-RSS columns that are inherently
 // machine-dependent, hence excluded from byte-identity guarantees. The sweeps are executed by the declarative grid
-// engine (internal/sweep): every workload × algorithm × engine cell fans out
+// engine (internal/sweep): every workload × algorithm cell fans out
 // over -jobs workers, and the generated tables are byte-identical for every
 // -jobs value up to the self-profiling wall-clock note each one ends with.
 //

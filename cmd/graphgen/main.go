@@ -2,11 +2,12 @@
 // structural summary or the full edge list, so that the workloads used by the
 // experiments can be inspected or exported to other tools.
 //
-// For generator kinds with a closed-form expected size, graphgen first
-// prints the estimated resident bytes of simulating on the graph — the CSR,
-// the 32-bit engine's message plane and inbox arena, and the coloring —
-// before paying the generation cost, so a 10⁷-node spec can be
-// sized against a machine's memory in milliseconds.
+// graphgen first prints the estimated resident bytes of simulating on the
+// graph — the CSR, the 32-bit engine's message plane and inbox arena, and
+// the coloring — from the spec's closed-form size (GeneratorSpec.Size,
+// expected edges for the random kinds), before paying the generation cost,
+// so a 10⁷-node spec can be sized against a machine's memory in
+// milliseconds.
 //
 // Example:
 //
@@ -20,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"d2color/internal/graph"
@@ -54,7 +54,7 @@ func run(args []string, out io.Writer) error {
 	w := bufio.NewWriter(out)
 	defer w.Flush()
 	if *estimate {
-		if en, em, ok := expectedSize(spec); ok {
+		if en, em, err := spec.Size(); err == nil && en > 0 {
 			printResidentEstimate(w, spec, en, em)
 			w.Flush() // the estimate is useful even if generation then takes minutes
 		}
@@ -81,61 +81,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// expectedSize returns the spec's expected node and undirected-edge counts in
-// closed form for the kinds where one exists (random kinds: in expectation).
-func expectedSize(s graph.GeneratorSpec) (n, m float64, ok bool) {
-	switch s.Kind {
-	case "gnp":
-		n = float64(s.N)
-		m = n * (n - 1) / 2 * s.P
-	case "gnp-avg":
-		n = float64(s.N)
-		m = n * s.P / 2 // P is the target average degree
-	case "ba":
-		n = float64(s.N)
-		ma := float64(s.Degree) // attachments per node (clamped like the generator)
-		if ma < 1 {
-			ma = 1
-		}
-		if ma > n-1 {
-			ma = n - 1
-		}
-		if n <= 1 {
-			ma = 0
-		}
-		m = ma*(ma+1)/2 + (n-ma-1)*ma // exact, not just expected
-	case "regular":
-		n = float64(s.N)
-		m = n * float64(s.Degree) / 2
-	case "grid":
-		r, c := float64(s.N), float64(s.M)
-		n = r * c
-		m = r*(c-1) + c*(r-1)
-	case "torus":
-		r, c := float64(s.N), float64(s.M)
-		n = r * c
-		m = 2 * n
-	case "unitdisk":
-		n = float64(s.N)
-		m = n * (n - 1) / 2 * math.Pi * s.P * s.P // expected pairs within radius P (boundary effects ignored)
-	case "complete":
-		n = float64(s.N)
-		m = n * (n - 1) / 2
-	case "cycle":
-		n = float64(s.N)
-		m = n
-	case "path", "star":
-		n = float64(s.N)
-		m = n - 1
-	default:
-		return 0, 0, false // no closed form; the exact stats follow generation
-	}
-	if n <= 0 || m < 0 {
-		return 0, 0, false
-	}
-	return n, m, true
 }
 
 // printResidentEstimate sizes the three resident tiers of a simulation on an

@@ -8,7 +8,6 @@ import (
 	_ "d2color/internal/core" // links every algorithm into the registry
 	"d2color/internal/detd2"
 	"d2color/internal/graph"
-	"d2color/internal/polylogd2"
 	"d2color/internal/verify"
 )
 
@@ -101,9 +100,6 @@ func TestDeterministicClassIsSeedInvariant(t *testing.T) {
 // parameterized instances whose options make the output seed-dependent: the
 // sweep engine must average those over repetitions, not collapse them to one.
 func TestSeedDependentOptionsFlipDeterminismClass(t *testing.T) {
-	if got := polylogd2.Algorithm(polylogd2.Options{UseRandomizedSplit: true}).Determinism(); got != alg.Randomized {
-		t.Errorf("polylog with randomized splitting classed %v, want randomized", got)
-	}
 	// Randomized IDs seed Linial's first iteration, so the output is
 	// seed-dependent.
 	if got := detd2.Algorithm(detd2.Options{IDs: congest.IDSparseRandom}).Determinism(); got != alg.Randomized {

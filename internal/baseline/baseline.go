@@ -103,28 +103,6 @@ func GreedyD2(g *graph.Graph) Result {
 	return Result{Coloring: c, PaletteSize: d2.MaxDist2Degree() + 1, Algorithm: "greedy-d2"}
 }
 
-// GreedyD1 colors G sequentially with at most Δ+1 colors, picking first-free
-// colors by word scan like GreedyD2.
-func GreedyD1(g *graph.Graph) Result {
-	c := coloring.New(g.NumNodes())
-	used := bitset.NewFixed(g.MaxDegree() + 2)
-	var touched []int32
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, u := range g.Neighbors(graph.NodeID(v)) {
-			if col := c[u]; col != coloring.Uncolored && !used.Test(col) {
-				used.Set(col)
-				touched = append(touched, int32(col))
-			}
-		}
-		c[v] = used.FirstZero()
-		for _, t := range touched {
-			used.Clear(int(t))
-		}
-		touched = touched[:0]
-	}
-	return Result{Coloring: c, PaletteSize: g.MaxDegree() + 1, Algorithm: "greedy-d1"}
-}
-
 // JohanssonD1 runs the simple randomized (Δ+1)-coloring of G on the CONGEST
 // simulator: in every phase each uncolored node tries a uniformly random
 // color and keeps it if no neighbor uses or simultaneously tries it. The

@@ -33,15 +33,6 @@ func TestGreedyD2Valid(t *testing.T) {
 	}
 }
 
-func TestGreedyD1Valid(t *testing.T) {
-	for name, g := range testGraphs() {
-		res := GreedyD1(g)
-		if rep := verify.CheckD1(g, res.Coloring, res.PaletteSize); !rep.Valid {
-			t.Errorf("%s: %v", name, rep.Error())
-		}
-	}
-}
-
 func TestGreedyD2UsesAtMostSquareDegreePlusOne(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.GNP(50, 0.08, seed)

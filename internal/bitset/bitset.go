@@ -68,13 +68,6 @@ func (r Row) Count() int {
 	return n
 }
 
-// UnionInto ors this row into dst (dst must be at least as long).
-func (r Row) UnionInto(dst Row) {
-	for i, w := range r {
-		dst[i] |= w
-	}
-}
-
 // AndNotCount returns the number of bits set in r but not in other (which
 // must be at least as long) — popcount(r &^ other) without materializing it.
 func (r Row) AndNotCount(other Row) int {
@@ -202,14 +195,11 @@ func (f *Fixed) Resize(n int) {
 	f.n = n
 }
 
-// Len returns the bit range of the set.
-func (f *Fixed) Len() int { return f.n }
-
 // Row exposes the underlying words (for bulk operations such as building a
 // complement row).
 func (f *Fixed) Row() Row { return f.bits }
 
-// Set sets bit i (i must be < Len()).
+// Set sets bit i (i must be below the size given to Resize).
 func (f *Fixed) Set(i int) { f.bits.Set(i) }
 
 // Clear clears bit i.
@@ -221,17 +211,5 @@ func (f *Fixed) Test(i int) bool { return f.bits.Test(i) }
 // ClearAll clears every bit.
 func (f *Fixed) ClearAll() { f.bits.ClearAll() }
 
-// Count returns the number of set bits.
-func (f *Fixed) Count() int { return f.bits.Count() }
-
 // FirstZero returns the smallest clear bit, or -1 if the set is full.
 func (f *Fixed) FirstZero() int { return f.bits.FirstZero(f.n) }
-
-// NextZero returns the smallest clear bit >= from, or -1.
-func (f *Fixed) NextZero(from int) int { return f.bits.NextZero(from, f.n) }
-
-// NthZero returns the k-th clear bit in ascending order, or -1.
-func (f *Fixed) NthZero(k int) int { return f.bits.NthZero(k, f.n) }
-
-// NthSet returns the k-th set bit in ascending order, or -1.
-func (f *Fixed) NthSet(k int) int { return f.bits.NthSet(k) }

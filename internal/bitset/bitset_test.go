@@ -37,18 +37,18 @@ func TestFirstZeroNextZeroWordBoundaries(t *testing.T) {
 				t.Fatalf("n=%d after filling [0,%d]: FirstZero = %d, want %d", n, k, got, want)
 			}
 		}
-		if got := f.NextZero(0); got != -1 {
+		if got := f.Row().NextZero(0, f.n); got != -1 {
 			t.Errorf("n=%d full: NextZero(0) = %d, want -1", n, got)
 		}
 		// Punch one hole at every position and re-find it from every origin.
 		for hole := 0; hole < n; hole++ {
 			f.Clear(hole)
 			for from := 0; from <= hole; from++ {
-				if got := f.NextZero(from); got != hole {
+				if got := f.Row().NextZero(from, f.n); got != hole {
 					t.Fatalf("n=%d hole=%d: NextZero(%d) = %d", n, hole, from, got)
 				}
 			}
-			if got := f.NextZero(hole + 1); got != -1 {
+			if got := f.Row().NextZero(hole+1, f.n); got != -1 {
 				t.Fatalf("n=%d hole=%d: NextZero past the hole = %d, want -1", n, hole, got)
 			}
 			f.Set(hole)
@@ -58,10 +58,10 @@ func TestFirstZeroNextZeroWordBoundaries(t *testing.T) {
 
 func TestNextZeroRangeEdges(t *testing.T) {
 	f := NewFixed(64)
-	if got := f.NextZero(-3); got != 0 {
+	if got := f.Row().NextZero(-3, f.n); got != 0 {
 		t.Errorf("negative from should clamp to 0, got %d", got)
 	}
-	if got := f.NextZero(64); got != -1 {
+	if got := f.Row().NextZero(64, f.n); got != -1 {
 		t.Errorf("from == limit must be -1, got %d", got)
 	}
 	if got := (Row{}).FirstZero(0); got != -1 {
@@ -83,25 +83,25 @@ func TestNthZeroNthSetWordBoundaries(t *testing.T) {
 			}
 		}
 		for k, want := range zeros {
-			if got := f.NthZero(k); got != want {
+			if got := f.Row().NthZero(k, f.n); got != want {
 				t.Fatalf("n=%d: NthZero(%d) = %d, want %d", n, k, got, want)
 			}
 		}
-		if got := f.NthZero(len(zeros)); got != -1 {
+		if got := f.Row().NthZero(len(zeros), f.n); got != -1 {
 			t.Errorf("n=%d: NthZero past the end = %d, want -1", n, got)
 		}
 		for k, want := range ones {
-			if got := f.NthSet(k); got != want {
+			if got := f.Row().NthSet(k); got != want {
 				t.Fatalf("n=%d: NthSet(%d) = %d, want %d", n, k, got, want)
 			}
 		}
-		if got := f.NthSet(len(ones)); got != -1 {
+		if got := f.Row().NthSet(len(ones)); got != -1 {
 			t.Errorf("n=%d: NthSet past the end = %d, want -1", n, got)
 		}
-		if got := f.NthZero(-1); got != -1 {
+		if got := f.Row().NthZero(-1, f.n); got != -1 {
 			t.Errorf("negative k must be -1, got %d", got)
 		}
-		if got := f.NthSet(-1); got != -1 {
+		if got := f.Row().NthSet(-1); got != -1 {
 			t.Errorf("negative k must be -1, got %d", got)
 		}
 	}
@@ -114,13 +114,13 @@ func TestNthZeroAllFullWords(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		f.Set(i)
 	}
-	if got := f.NthZero(0); got != 128 {
+	if got := f.Row().NthZero(0, f.n); got != 128 {
 		t.Errorf("NthZero(0) = %d, want 128", got)
 	}
-	if got := f.NthZero(1); got != 129 {
+	if got := f.Row().NthZero(1, f.n); got != 129 {
 		t.Errorf("NthZero(1) = %d, want 129", got)
 	}
-	if got := f.NthZero(2); got != -1 {
+	if got := f.Row().NthZero(2, f.n); got != -1 {
 		t.Errorf("NthZero(2) = %d, want -1", got)
 	}
 }
@@ -136,14 +136,9 @@ func TestRowUnionAndNotCount(t *testing.T) {
 	if got := a.Row().AndNotCount(b.Row()); got != 3 {
 		t.Errorf("AndNotCount = %d, want 3 (bits 0, 64, 129)", got)
 	}
-	a.Row().UnionInto(b.Row())
-	if got := b.Count(); got != 5 {
-		t.Errorf("union Count = %d, want 5", got)
-	}
-	for _, i := range []int{0, 63, 64, 100, 129} {
-		if !b.Test(i) {
-			t.Errorf("union missing bit %d", i)
-		}
+	// |a ∪ b| = |b| + |a \ b|.
+	if got := b.Row().Count() + a.Row().AndNotCount(b.Row()); got != 5 {
+		t.Errorf("union size = %d, want 5", got)
 	}
 }
 
@@ -152,16 +147,16 @@ func TestFixedResizeReusesAndClears(t *testing.T) {
 	f.Set(5)
 	f.Set(127)
 	f.Resize(70) // shrink within capacity: must clear stale bits
-	if f.Len() != 70 {
-		t.Fatalf("Len = %d, want 70", f.Len())
+	if f.n != 70 {
+		t.Fatalf("Len = %d, want 70", f.n)
 	}
-	if f.Count() != 0 {
-		t.Errorf("resized set must be clear, count = %d", f.Count())
+	if f.Row().Count() != 0 {
+		t.Errorf("resized set must be clear, count = %d", f.Row().Count())
 	}
 	f.Set(69)
 	f.Resize(500) // grow beyond capacity
-	if f.Count() != 0 || f.Len() != 500 {
-		t.Errorf("grown set must be clear: count=%d len=%d", f.Count(), f.Len())
+	if f.Row().Count() != 0 || f.n != 500 {
+		t.Errorf("grown set must be clear: count=%d len=%d", f.Row().Count(), f.n)
 	}
 }
 
@@ -270,7 +265,7 @@ func BenchmarkFirstFreePick(b *testing.B) {
 	})
 	b.Run("NthZero", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if f.NthZero(0) != palette-1 {
+			if f.Row().NthZero(0, f.n) != palette-1 {
 				b.Fatal("wrong pick")
 			}
 		}

@@ -40,19 +40,6 @@ const (
 	TargetConflictDense
 )
 
-func (t Target) String() string {
-	switch t {
-	case TargetUniform:
-		return "uniform"
-	case TargetHighDegree:
-		return "high-degree"
-	case TargetConflictDense:
-		return "conflict-dense"
-	default:
-		return fmt.Sprintf("Target(%d)", int(t))
-	}
-}
-
 // Injector is a deterministic fault source. Not safe for concurrent use.
 // It keeps CorruptKnown's scratch across calls, so an injector reused through
 // Reseed corrupts a coloring without allocating beyond the victims it returns.

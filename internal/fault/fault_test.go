@@ -45,8 +45,12 @@ func TestCorruptColorsCreatesConflicts(t *testing.T) {
 	if rep := verify.CheckD2(g, clean, 0); !rep.Valid {
 		t.Fatalf("fixture coloring invalid: %v", rep.Error())
 	}
-	for _, target := range []Target{TargetUniform, TargetHighDegree, TargetConflictDense} {
-		t.Run(target.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		target Target
+	}{{"uniform", TargetUniform}, {"high-degree", TargetHighDegree}, {"conflict-dense", TargetConflictDense}} {
+		target := tc.target
+		t.Run(tc.name, func(t *testing.T) {
 			c := slices.Clone(clean)
 			in := NewInjector(11)
 			victims := in.CorruptColors(g, c, 12, target, 0)
@@ -123,7 +127,7 @@ func TestCorruptKnownMatchesCorruptColors(t *testing.T) {
 				wantV := NewInjector(seed).CorruptColors(g, want, k, target, 0)
 				gotV := NewInjector(seed).CorruptKnown(g, got, k, target, 0, uncolored)
 				if !slices.Equal(gotV, wantV) || !slices.Equal(got, want) {
-					t.Fatalf("trial %d n=%d %s k=%d (%d uncolored): CorruptKnown victims %v, CorruptColors %v (colors equal: %v)",
+					t.Fatalf("trial %d n=%d target %d k=%d (%d uncolored): CorruptKnown victims %v, CorruptColors %v (colors equal: %v)",
 						trial, n, target, k, len(uncolored), gotV, wantV, slices.Equal(got, want))
 				}
 			}
@@ -161,7 +165,7 @@ func TestReseedMatchesFreshInjector(t *testing.T) {
 		reused.Reseed(seed)
 		gotV := reused.CorruptKnown(g, got, k, target, 0, uncolored)
 		if !slices.Equal(gotV, wantV) || !slices.Equal(got, want) {
-			t.Fatalf("step %d n=%d %s k=%d: reseeded victims %v, fresh %v (colors equal: %v)",
+			t.Fatalf("step %d n=%d target %d k=%d: reseeded victims %v, fresh %v (colors equal: %v)",
 				step, n, target, k, gotV, wantV, slices.Equal(got, want))
 		}
 	}

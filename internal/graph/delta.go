@@ -8,15 +8,9 @@ import (
 // This file implements the mutation plane of the substrate: a Graph stays an
 // immutable CSR, and churn (edge/node insert and delete) accumulates in an
 // Overlay — a delta layer over a base CSR that answers the same neighborhood
-// and streaming distance-2 queries the static plane does, without ever
-// rebuilding the CSR per mutation. Compact folds the accumulated deltas back
-// into a fresh CSR when the repair machinery wants the 0-alloc static kernels
-// back.
-//
-// The design extends the generation-stamped MarkSet/Dist2View idea: every
-// mutation bumps a generation counter, so downstream caches (views, repair
-// sessions) can detect staleness with one integer compare instead of
-// subscribing to mutation events.
+// queries the static plane does, without ever rebuilding the CSR per
+// mutation. Compact folds the accumulated deltas back into a fresh CSR, on
+// which the static kernels (Dist2View, repair, verify) run.
 
 // Overlay is a mutable delta layer over an immutable base Graph. It supports
 // edge insert/delete, appending new nodes, and removing nodes, while serving
@@ -25,32 +19,22 @@ import (
 //   - per-node added and deleted neighbor lists are kept sorted, so
 //     ForEachNeighbor is a sorted three-way merge (base minus deleted, plus
 //     added) and iteration order matches what a rebuilt CSR would produce;
-//   - removed nodes are tombstoned and filtered from every stream;
-//   - ForEachDist2 streams distance-2 neighborhoods over the merged adjacency
-//     in exactly Dist2View's visit order (direct neighbors ascending first,
-//     then two-hop in walk order), so overlay and rebuilt-CSR views are
-//     sequence-identical, not just set-identical.
+//   - removed nodes are tombstoned and filtered from every stream.
 //
-// An Overlay is NOT safe for concurrent use, and like Dist2View its streaming
-// methods must not be re-entered from inside a callback. Mutation cost is
-// O(deg) per edge op (sorted-slice insert); query cost matches the static
-// plane asymptotically. When churn has settled, Compact() emits an immutable
-// Graph preserving node IDs (removed nodes become isolated), which the static
+// An Overlay is NOT safe for concurrent use. Mutation cost is O(deg) per
+// edge op (sorted-slice insert); query cost matches the static plane
+// asymptotically. When churn has settled, Compact() emits an immutable Graph
+// preserving node IDs (removed nodes become isolated), which the static
 // kernels consume.
 type Overlay struct {
 	base  *Graph
 	baseN int
-	n     int    // current node count, including appended and tombstoned nodes
-	gen   uint64 // bumped by every effective mutation
+	n     int // current node count, including appended and tombstoned nodes
 	dead  []bool
 	nDead int
 	add   map[NodeID][]NodeID // sorted added neighbors, mirrored on both endpoints
 	del   map[NodeID][]NodeID // sorted deleted base neighbors, mirrored
 	m     int                 // live undirected edge count
-
-	// dist2 streaming scratch, sized lazily to the current node count.
-	marks   *MarkSet
-	scratch []NodeID
 }
 
 // NewOverlay returns an overlay over base with no pending deltas.
@@ -66,14 +50,6 @@ func NewOverlay(base *Graph) *Overlay {
 		m:     base.NumEdges(),
 	}
 }
-
-// Base returns the immutable graph the overlay was created over.
-func (o *Overlay) Base() *Graph { return o.base }
-
-// Generation returns the mutation counter: it increases by at least one for
-// every effective mutation (no-op mutations do not bump it), so caches keyed
-// on an overlay can detect staleness with one compare.
-func (o *Overlay) Generation() uint64 { return o.gen }
 
 // NumNodes returns the size of the dense ID space 0..n-1, including removed
 // (tombstoned) nodes — IDs are never recycled.
@@ -102,7 +78,6 @@ func (o *Overlay) AddNodes(k int) NodeID {
 	first := NodeID(o.n)
 	o.n += k
 	o.dead = append(o.dead, make([]bool, k)...)
-	o.gen++
 	return first
 }
 
@@ -115,7 +90,6 @@ func (o *Overlay) RemoveNode(v NodeID) bool {
 	o.m -= o.Degree(v)
 	o.dead[v] = true
 	o.nDead++
-	o.gen++
 	return true
 }
 
@@ -133,14 +107,12 @@ func (o *Overlay) AddEdge(u, v NodeID) error {
 		if sortedRemove(o.del, u, v) { // was deleted: un-delete
 			sortedRemove(o.del, v, u)
 			o.m++
-			o.gen++
 		}
 		return nil
 	}
 	if sortedInsert(o.add, u, v) {
 		sortedInsert(o.add, v, u)
 		o.m++
-		o.gen++
 	}
 	return nil
 }
@@ -154,13 +126,11 @@ func (o *Overlay) RemoveEdge(u, v NodeID) bool {
 	if sortedRemove(o.add, u, v) {
 		sortedRemove(o.add, v, u)
 		o.m--
-		o.gen++
 		return true
 	}
 	if o.baseEdge(u, v) && sortedInsert(o.del, u, v) {
 		sortedInsert(o.del, v, u)
 		o.m--
-		o.gen++
 		return true
 	}
 	return false
@@ -186,31 +156,25 @@ func (o *Overlay) baseEdge(u, v NodeID) bool {
 // Degree returns the live degree of u (0 for removed nodes).
 func (o *Overlay) Degree(u NodeID) int {
 	d := 0
-	o.forEachNeighbor(u, func(NodeID) bool { d++; return true })
+	o.ForEachNeighbor(u, func(NodeID) bool { d++; return true })
 	return d
-}
-
-// ForEachNeighbor calls fn for every live neighbor of u in ascending order.
-// fn returning false stops the stream early.
-func (o *Overlay) ForEachNeighbor(u NodeID, fn func(v NodeID) bool) {
-	o.forEachNeighbor(u, fn)
 }
 
 // AppendNeighbors appends the live neighbors of u (ascending) to buf.
 func (o *Overlay) AppendNeighbors(buf []NodeID, u NodeID) []NodeID {
-	o.forEachNeighbor(u, func(v NodeID) bool {
+	o.ForEachNeighbor(u, func(v NodeID) bool {
 		buf = append(buf, v)
 		return true
 	})
 	return buf
 }
 
-// forEachNeighbor is the sorted merge of base-minus-deleted and added
-// neighbor lists, filtered by tombstones. It reports whether the walk ran to
-// completion (false = fn stopped it).
-func (o *Overlay) forEachNeighbor(u NodeID, fn func(v NodeID) bool) bool {
+// ForEachNeighbor calls fn for every live neighbor of u in ascending order:
+// the sorted merge of base-minus-deleted and added neighbor lists, filtered
+// by tombstones. fn returning false stops the stream early.
+func (o *Overlay) ForEachNeighbor(u NodeID, fn func(v NodeID) bool) {
 	if !o.Alive(u) {
-		return true
+		return
 	}
 	var base []NodeID
 	if int(u) < o.baseN {
@@ -240,71 +204,9 @@ func (o *Overlay) forEachNeighbor(u NodeID, fn func(v NodeID) bool) bool {
 			continue
 		}
 		if !fn(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// ensureDist2 sizes the streaming scratch to the current node count.
-func (o *Overlay) ensureDist2() {
-	if o.marks == nil {
-		o.marks = NewMarkSet(o.n)
-	} else {
-		o.marks.Grow(o.n)
-	}
-}
-
-// ForEachDist2 calls fn for every live distance-2 neighbor of u (distance 1
-// or 2, excluding u), each exactly once, in exactly Dist2View's order: direct
-// neighbors first in ascending order, then two-hop neighbors in walk order.
-// Streaming a rebuilt Compact() CSR with a Dist2View therefore produces the
-// identical sequence. fn returning false stops the stream early. Like
-// Dist2View, not re-entrant and not safe for concurrent use.
-func (o *Overlay) ForEachDist2(u NodeID, fn func(v NodeID) bool) {
-	if !o.Alive(u) {
-		return
-	}
-	o.ensureDist2()
-	o.marks.Reset()
-	o.marks.Add(u)
-	o.scratch = o.scratch[:0]
-	done := o.forEachNeighbor(u, func(v NodeID) bool {
-		o.scratch = append(o.scratch, v)
-		o.marks.Add(v)
-		return fn(v)
-	})
-	if !done {
-		return
-	}
-	// o.scratch now snapshots N(u); nested neighbor walks do not touch it.
-	for _, v := range o.scratch {
-		done := o.forEachNeighbor(v, func(w NodeID) bool {
-			if o.marks.Add(w) {
-				return fn(w)
-			}
-			return true
-		})
-		if !done {
 			return
 		}
 	}
-}
-
-// AppendDist2 appends the live distance-2 neighbors of u to buf.
-func (o *Overlay) AppendDist2(buf []NodeID, u NodeID) []NodeID {
-	o.ForEachDist2(u, func(v NodeID) bool {
-		buf = append(buf, v)
-		return true
-	})
-	return buf
-}
-
-// Dist2Degree returns |N_{G²}(u)| over the merged adjacency.
-func (o *Overlay) Dist2Degree(u NodeID) int {
-	d := 0
-	o.ForEachDist2(u, func(NodeID) bool { d++; return true })
-	return d
 }
 
 // Compact folds the accumulated deltas into a fresh immutable Graph with the
@@ -316,7 +218,7 @@ func (o *Overlay) Compact() *Graph {
 	b := NewBuilder(o.n)
 	b.Grow(o.m)
 	for u := 0; u < o.n; u++ {
-		o.forEachNeighbor(NodeID(u), func(v NodeID) bool {
+		o.ForEachNeighbor(NodeID(u), func(v NodeID) bool {
 			if v > NodeID(u) {
 				if err := b.AddEdge(NodeID(u), v); err != nil {
 					panic(err) // unreachable: overlay invariants imply valid edges

@@ -49,17 +49,6 @@ func (s *MarkSet) Add(v NodeID) bool {
 // Contains reports whether v is in the set.
 func (s *MarkSet) Contains(v NodeID) bool { return s.mark[v] == s.gen }
 
-// Grow extends the ID range to n, preserving current membership. IDs below
-// the old range keep their stamps; new IDs start absent.
-func (s *MarkSet) Grow(n int) {
-	if n <= len(s.mark) {
-		return
-	}
-	grown := make([]uint32, n)
-	copy(grown, s.mark)
-	s.mark = grown
-}
-
 // Dist2View streams distance-2 neighborhoods of a graph: for every query it
 // walks N(u) and the N(v) of each neighbor v directly in the CSR arrays,
 // deduplicating with an internal MarkSet. Nothing proportional to |E(G²)| is
@@ -76,16 +65,12 @@ type Dist2View struct {
 	marks   *MarkSet
 	scratch []NodeID
 	maxD2   int // cached Δ(G²); -1 until computed
-	mD2     int // cached m(G²); -1 until computed
 }
 
 // NewDist2View returns a streaming distance-2 view of g.
 func NewDist2View(g *Graph) *Dist2View {
-	return &Dist2View{g: g, marks: NewMarkSet(g.NumNodes()), maxD2: -1, mD2: -1}
+	return &Dist2View{g: g, marks: NewMarkSet(g.NumNodes()), maxD2: -1}
 }
-
-// Graph returns the underlying graph.
-func (d *Dist2View) Graph() *Graph { return d.g }
 
 // NumNodes returns the number of nodes (G and G² share the node set).
 func (d *Dist2View) NumNodes() int { return d.g.NumNodes() }
@@ -154,9 +139,14 @@ func (d *Dist2View) Dist2Degree(u NodeID) int {
 }
 
 // MaxDist2Degree returns Δ(G²), computed on first use with one streaming pass
-// over all nodes and cached (along with m(G²)) afterwards.
+// over all nodes and cached afterwards.
 func (d *Dist2View) MaxDist2Degree() int {
-	d.computeAggregates()
+	if d.maxD2 < 0 {
+		d.maxD2 = 0
+		for u := 0; u < d.g.NumNodes(); u++ {
+			d.maxD2 = max(d.maxD2, d.Dist2Degree(NodeID(u)))
+		}
+	}
 	return d.maxD2
 }
 
@@ -164,29 +154,6 @@ func (d *Dist2View) MaxDist2Degree() int {
 // can stand in for the materialized square wherever an algorithm asks for the
 // maximum degree of its conflict graph.
 func (d *Dist2View) MaxDegree() int { return d.MaxDist2Degree() }
-
-// NumDist2Edges returns m(G²), the number of undirected edges of the square,
-// computed by streaming degrees (cached together with Δ(G²)).
-func (d *Dist2View) NumDist2Edges() int {
-	d.computeAggregates()
-	return d.mD2
-}
-
-func (d *Dist2View) computeAggregates() {
-	if d.maxD2 >= 0 {
-		return
-	}
-	maxD2, total := 0, 0
-	for u := 0; u < d.g.NumNodes(); u++ {
-		deg := d.Dist2Degree(NodeID(u))
-		total += deg
-		if deg > maxD2 {
-			maxD2 = deg
-		}
-	}
-	d.maxD2 = maxD2
-	d.mD2 = total / 2
-}
 
 // IsDist2Neighbor reports whether u and v are at distance 1 or 2 in G. It
 // walks the smaller adjacency list with binary searches into the other and
@@ -212,15 +179,6 @@ func (d *Dist2View) IsDist2Neighbor(u, v NodeID) bool {
 		}
 	}
 	return false
-}
-
-// InducedSubgraph returns G²[keep], the subgraph of the square induced by the
-// kept nodes, together with the new-to-old ID mapping — without materializing
-// the rest of G². It mirrors Graph.InducedSubgraph so either graph can be the
-// partitioning target of the Section-3 algorithms.
-func (d *Dist2View) InducedSubgraph(keep []bool) (*Graph, []NodeID) {
-	newToOld := keptNodes(keep, d.g.NumNodes())
-	return d.InducedSubgraphOf(newToOld, make([]int32, d.g.NumNodes())), newToOld
 }
 
 // InducedSubgraphOf returns G²[nodes] under Graph.InducedSubgraphOf's

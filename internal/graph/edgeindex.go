@@ -59,10 +59,6 @@ func buildEdgeIndex(g *Graph) *EdgeIndex {
 // NumSlots returns the number of directed edge slots (2m).
 func (ix *EdgeIndex) NumSlots() int { return len(ix.Targets) }
 
-// OutSlot returns the slot of the directed edge from u to its i-th neighbor
-// (in the graph's sorted neighbor order). i is not range-checked.
-func (ix *EdgeIndex) OutSlot(u NodeID, i int) int32 { return ix.Offsets[u] + int32(i) }
-
 // Slot returns the slot of the directed edge (u→v) and whether it exists.
 // Runs in O(log deg(u)).
 func (ix *EdgeIndex) Slot(u, v NodeID) (int32, bool) {

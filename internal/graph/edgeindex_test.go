@@ -17,7 +17,7 @@ func checkEdgeIndex(t *testing.T, g *Graph) {
 			t.Fatalf("node %d: slot range %d, want degree %d", u, got, len(nbrs))
 		}
 		for i, v := range nbrs {
-			e := ix.OutSlot(NodeID(u), i)
+			e := ix.Offsets[u] + int32(i)
 			if ix.Targets[e] != v {
 				t.Fatalf("slot %d: target %d, want %d", e, ix.Targets[e], v)
 			}

@@ -578,6 +578,91 @@ func (s GeneratorSpec) Generate() (*Graph, error) {
 	}
 }
 
+// Size returns, without generating anything, the node count Generate would
+// produce and its edge count, both after Generate's parameter clamps. The
+// node count is exact. The edge count is exact for the deterministic kinds
+// and for ba and taskresource; it is the expected count for gnp, gnp-avg
+// and unitdisk, and the pairing model's n·d/2 upper bound for regular. Both
+// are float64 so that no parameter, however large, overflows: a caller can
+// refuse a spec before Generate tries to allocate it. Unknown kinds get
+// Generate's error.
+func (s GeneratorSpec) Size() (nodes, edges float64, err error) {
+	n := float64(max(s.N, 0))
+	pairs := n * (n - 1) / 2
+	switch s.Kind {
+	case "gnp":
+		return n, clamp01(s.P) * max(pairs, 0), nil
+	case "gnp-avg":
+		if n <= 1 {
+			return n, 0, nil
+		}
+		return n, clamp01(s.P/(n-1)) * pairs, nil
+	case "ba":
+		if n <= 1 {
+			return n, 0, nil
+		}
+		m := min(max(float64(s.Degree), 1), n-1)
+		return n, m*(m+1)/2 + (n-m-1)*m, nil
+	case "regular":
+		d := max(float64(s.Degree), 0)
+		if d >= n && n > 0 {
+			d = n - 1
+		}
+		return n, math.Floor(n * d / 2), nil
+	case "grid", "torus":
+		rows, cols := n, float64(max(s.M, 0))
+		if s.Kind == "torus" && rows >= 3 && cols >= 3 {
+			return rows * cols, 2 * rows * cols, nil
+		}
+		if rows == 0 || cols == 0 {
+			return 0, 0, nil
+		}
+		return rows * cols, 2*rows*cols - rows - cols, nil
+	case "tree":
+		b, depth := float64(max(s.Degree, 1)), n
+		nodes := depth + 1 // 1 + b + … + b^depth
+		if b > 1 {
+			nodes = (math.Pow(b, depth+1) - 1) / (b - 1)
+		}
+		return nodes, nodes - 1, nil
+	case "cliquechain":
+		size := float64(max(s.M, 1))
+		return n * size, n*size*(size-1)/2 + max(n-1, 0), nil
+	case "unitdisk":
+		// The probability that two uniform points of the unit square lie
+		// within distance r is πr² − 8r³/3 + r⁴/2 for r ≤ 1; at r = 1 it is
+		// 0.975, so 1 bounds it beyond.
+		r := max(s.P, 0)
+		p := 1.0
+		if r <= 1 {
+			p = math.Pi*r*r - 8*r*r*r/3 + r*r*r*r/2
+		}
+		return n, p * max(pairs, 0), nil
+	case "taskresource":
+		resources := float64(max(s.M, 0))
+		perTask := max(min(float64(s.Degree), resources), 0)
+		return n + resources, n * perTask, nil
+	case "complete":
+		return n, max(pairs, 0), nil
+	case "cycle":
+		if n >= 3 {
+			return n, n, nil
+		}
+		return n, max(n-1, 0), nil
+	case "path", "star":
+		return n, max(n-1, 0), nil
+	case "doublestar":
+		leaves := float64(max(s.Degree, 0))
+		return 2 + 2*leaves, 1 + 2*leaves, nil
+	case "petersen":
+		return 10, 15, nil
+	case "hoffman-singleton":
+		return 50, 175, nil
+	default:
+		return 0, 0, fmt.Errorf("graph: unknown generator kind %q", s.Kind)
+	}
+}
+
 // String returns a compact description of the spec, suitable for table labels.
 func (s GeneratorSpec) String() string {
 	return fmt.Sprintf("%s(n=%d,m=%d,d=%d,p=%.3g,seed=%d)", s.Kind, s.N, s.M, s.Degree, s.P, s.Seed)

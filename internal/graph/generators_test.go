@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -257,6 +258,78 @@ func TestGeneratorSpec(t *testing.T) {
 		}
 	}
 	if _, err := (GeneratorSpec{Kind: "bogus"}).Generate(); err == nil {
+		t.Error("unknown generator kind should error")
+	}
+}
+
+// TestGeneratorSpecSize checks Size against the generated graphs: the node
+// count always exactly, the edge count exactly for the deterministic kinds,
+// ba and taskresource, as an upper bound for regular, and as an expectation
+// (mean over seeds within 5%) for gnp, gnp-avg and unitdisk — including the
+// parameter clamps each generator applies.
+func TestGeneratorSpecSize(t *testing.T) {
+	exact := []GeneratorSpec{
+		{Kind: "ba", N: 300, Degree: 3}, {Kind: "ba", N: 1}, {Kind: "ba", N: 5, Degree: 9}, {Kind: "ba", N: 6, Degree: -2},
+		{Kind: "grid", N: 5, M: 6}, {Kind: "grid", N: 0, M: 6}, {Kind: "grid", N: -3, M: 4}, {Kind: "grid", N: 1, M: 1},
+		{Kind: "torus", N: 5, M: 6}, {Kind: "torus", N: 2, M: 6}, {Kind: "torus", N: 3, M: 3},
+		{Kind: "tree", N: 3, Degree: 2}, {Kind: "tree", N: 4, Degree: 1}, {Kind: "tree", N: 0, Degree: 5}, {Kind: "tree", N: -1, Degree: 0},
+		{Kind: "cliquechain", N: 3, M: 5}, {Kind: "cliquechain", N: 0, M: 5}, {Kind: "cliquechain", N: 4, M: 0},
+		{Kind: "taskresource", N: 10, M: 5, Degree: 2}, {Kind: "taskresource", N: 10, M: 3, Degree: 7}, {Kind: "taskresource", N: 4, M: 5, Degree: -1},
+		{Kind: "complete", N: 6}, {Kind: "complete", N: 1}, {Kind: "complete", N: -4},
+		{Kind: "cycle", N: 6}, {Kind: "cycle", N: 2}, {Kind: "cycle", N: 0},
+		{Kind: "path", N: 6}, {Kind: "path", N: 0}, {Kind: "star", N: 6}, {Kind: "star", N: 1},
+		{Kind: "doublestar", Degree: 4}, {Kind: "doublestar", Degree: -1},
+		{Kind: "petersen"}, {Kind: "hoffman-singleton"},
+		{Kind: "gnp", N: 30, P: 1}, {Kind: "gnp", N: 30, P: 0}, {Kind: "gnp", N: 1, P: 0.5}, {Kind: "gnp-avg", N: 1, P: 4},
+		{Kind: "unitdisk", N: 40, P: 0}, {Kind: "unitdisk", N: 0, P: 0.5}, {Kind: "regular", N: 0, Degree: 3},
+	}
+	for _, s := range exact {
+		g, err := s.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, edges, err := s.Size()
+		if err != nil || nodes != float64(g.NumNodes()) || edges != float64(g.NumEdges()) {
+			t.Errorf("%s: Size = %v nodes, %v edges, %v; generated %d, %d", s, nodes, edges, err, g.NumNodes(), g.NumEdges())
+		}
+	}
+	for _, s := range []GeneratorSpec{{Kind: "regular", N: 200, Degree: 6}, {Kind: "regular", N: 31, Degree: 3}, {Kind: "regular", N: 5, Degree: 9}} {
+		g, _ := s.Generate()
+		nodes, edges, _ := s.Size()
+		// Self-loops and duplicate pairs are rare once n ≫ d.
+		if nodes != float64(g.NumNodes()) || float64(g.NumEdges()) > edges || (nodes >= 30 && float64(g.NumEdges()) < 0.9*edges) {
+			t.Errorf("%s: Size = %v nodes, %v edges; generated %d, %d", s, nodes, edges, g.NumNodes(), g.NumEdges())
+		}
+	}
+	for _, s := range []GeneratorSpec{
+		{Kind: "gnp", N: 400, P: 0.02}, {Kind: "gnp-avg", N: 400, P: 6}, {Kind: "gnp-avg", N: 30, P: 90},
+		{Kind: "unitdisk", N: 400, P: 0.08}, {Kind: "unitdisk", N: 200, P: 0.7}, {Kind: "unitdisk", N: 100, P: 3},
+	} {
+		nodes, edges, _ := s.Size()
+		const seeds = 20
+		var sum float64
+		for seed := int64(1); seed <= seeds; seed++ {
+			s.Seed = seed
+			g, _ := s.Generate()
+			if nodes != float64(g.NumNodes()) {
+				t.Fatalf("%s: Size = %v nodes, generated %d", s, nodes, g.NumNodes())
+			}
+			sum += float64(g.NumEdges())
+		}
+		if mean := sum / seeds; math.Abs(mean-edges) > 0.05*edges {
+			t.Errorf("%s: Size = %v expected edges, mean over %d seeds %v", s, edges, seeds, mean)
+		}
+	}
+	// Sizes past every int range stay finite or +Inf, never wrap negative.
+	for _, s := range []GeneratorSpec{
+		{Kind: "complete", N: math.MaxInt}, {Kind: "grid", N: math.MaxInt, M: math.MaxInt},
+		{Kind: "tree", N: math.MaxInt, Degree: 2}, {Kind: "cliquechain", N: math.MaxInt, M: math.MaxInt},
+	} {
+		if nodes, edges, _ := s.Size(); nodes < 1e18 || edges < 1e18 {
+			t.Errorf("%s: Size = %v nodes, %v edges, want both huge", s, nodes, edges)
+		}
+	}
+	if _, _, err := (GeneratorSpec{Kind: "bogus"}).Size(); err == nil {
 		t.Error("unknown generator kind should error")
 	}
 }

@@ -338,13 +338,6 @@ func (g *Graph) Degree(u NodeID) int { return int(g.off[u+1] - g.off[u]) }
 // not be modified; copy it if mutation is needed.
 func (g *Graph) Neighbors(u NodeID) []NodeID { return g.tgt[g.off[u]:g.off[u+1]] }
 
-// NeighborsCopy returns a fresh copy of the neighbor list of u.
-func (g *Graph) NeighborsCopy(u NodeID) []NodeID {
-	out := make([]NodeID, g.Degree(u))
-	copy(out, g.Neighbors(u))
-	return out
-}
-
 // HasEdge reports whether {u, v} is an edge. Runs in O(log deg(u)).
 func (g *Graph) HasEdge(u, v NodeID) bool {
 	if int(u) < 0 || int(u) >= g.n || int(v) < 0 || int(v) >= g.n {
@@ -384,29 +377,6 @@ func (g *Graph) Clone() *Graph {
 	tgt := make([]NodeID, len(g.tgt))
 	copy(tgt, g.tgt)
 	return &Graph{n: g.n, off: off, tgt: tgt, numEdges: g.numEdges, maxDeg: g.maxDeg}
-}
-
-// InducedSubgraph returns the subgraph induced by keep (nodes with keep[v]
-// true), along with a mapping from new dense IDs to original IDs. Nodes not
-// kept are dropped together with their incident edges.
-func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []NodeID) {
-	newToOld := keptNodes(keep, g.n)
-	return g.InducedSubgraphOf(newToOld, make([]int32, g.n)), newToOld
-}
-
-// keptNodes returns the nodes v with keep[v] in ascending order, the node
-// list of the mask forms of InducedSubgraph. It panics unless len(keep) == n.
-func keptNodes(keep []bool, n int) []NodeID {
-	if len(keep) != n {
-		panic(fmt.Sprintf("graph: keep mask has length %d, want %d", len(keep), n))
-	}
-	var nodes []NodeID
-	for v, k := range keep {
-		if k {
-			nodes = append(nodes, NodeID(v))
-		}
-	}
-	return nodes
 }
 
 // InducedSubgraphOf returns the subgraph induced by nodes, which must be
@@ -504,16 +474,6 @@ func (g *Graph) InducedSubgraphInto(nodes []NodeID, index []int32, dst *Subgraph
 	dst.g = Graph{n: nn, off: off, tgt: tgt, numEdges: len(tgt) / 2, maxDeg: maxDeg, ix: &dst.ix}
 	dst.g.ixOnce.Do(func() {}) // the index above is already built
 	return &dst.g
-}
-
-// DegreeHistogram returns a map from degree value to the number of nodes with
-// that degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for u := 0; u < g.n; u++ {
-		h[g.Degree(NodeID(u))]++
-	}
-	return h
 }
 
 // AverageDegree returns the average degree 2m/n (0 for the empty graph).

@@ -45,12 +45,12 @@ func runE3(cfg Config) (*Table, error) {
 		Name:       "E3",
 		Points:     points,
 		Algorithms: []sweep.AlgAxis{{Alg: alg.MustGet("deterministic")}},
-		Engines:    cfg.engineAxis(),
+		Workers:    cfg.engineWorkers(),
 		Seed:       cfg.Seed,
 	}
 	return runGrid(cfg, spec, t, func(grid *sweep.Grid) {
 		for pi := range points {
-			c := grid.Cell(pi, 0, 0)
+			c := grid.Cell(pi, 0)
 			res := c.Sample.Details.(*detd2.Result)
 			delta := c.G.MaxDegree()
 			rounds := c.Mean(sweep.MeasureRounds)
@@ -97,13 +97,13 @@ func runE4(cfg Config) (*Table, error) {
 		Name:       "E4",
 		Points:     points,
 		Algorithms: algs,
-		Engines:    cfg.engineAxis(),
+		Workers:    cfg.engineWorkers(),
 		Seed:       cfg.Seed,
 	}
 	return runGrid(cfg, spec, t, func(grid *sweep.Grid) {
 		for pi := range points {
 			for ei := range epss {
-				c := grid.Cell(pi, ei, 0)
+				c := grid.Cell(pi, ei)
 				res := c.Sample.Details.(*polylogd2.Result)
 				n := c.G.NumNodes()
 				logN := log2f(n)
@@ -191,14 +191,14 @@ func runE5(cfg Config) (*Table, error) {
 		Name:       "E5",
 		Points:     points,
 		Algorithms: algs,
-		Engines:    cfg.engineAxis(),
+		Workers:    cfg.engineWorkers(),
 		Seed:       cfg.Seed,
 	}
 	return runGrid(cfg, spec, t, func(grid *sweep.Grid) {
 		for pi := range points {
 			for li, lambda := range lambdas {
 				for mi, m := range splitMethods {
-					c := grid.Cell(pi, li*len(splitMethods)+mi, 0)
+					c := grid.Cell(pi, li*len(splitMethods)+mi)
 					res := c.Sample.Details.(*splitting.Result)
 					t.AddRow(c.Label, ftoa(lambda), m.name, itoa(res.Constrained), itoa(res.Violations),
 						ftoa(res.MaxImbalance), itoa(res.Rounds))
@@ -233,12 +233,12 @@ func runE6(cfg Config) (*Table, error) {
 		Name:       "E6",
 		Points:     points,
 		Algorithms: []sweep.AlgAxis{{Alg: alg.MustGet("deterministic")}},
-		Engines:    cfg.engineAxis(),
+		Workers:    cfg.engineWorkers(),
 		Seed:       cfg.Seed,
 	}
 	return runGrid(cfg, spec, t, func(grid *sweep.Grid) {
 		for pi := range points {
-			c := grid.Cell(pi, 0, 0)
+			c := grid.Cell(pi, 0)
 			res := c.Sample.Details.(*detd2.Result)
 			delta := c.G.MaxDegree()
 			d4 := delta * delta * delta * delta

@@ -73,14 +73,14 @@ func runE1(cfg Config) (*Table, error) {
 		Name:       "E1",
 		Points:     points,
 		Algorithms: []sweep.AlgAxis{{Alg: alg.MustGet("rand-improved")}},
-		Engines:    cfg.engineAxis(),
+		Workers:    cfg.engineWorkers(),
 		Reps:       cfg.reps(),
 		Seed:       cfg.Seed,
 		Observe:    observeActive,
 	}
 	return runGrid(cfg, spec, t, func(grid *sweep.Grid) {
 		for pi := range points {
-			c := grid.Cell(pi, 0, 0)
+			c := grid.Cell(pi, 0)
 			n, delta := c.G.NumNodes(), c.G.MaxDegree()
 			total := c.Mean(sweep.MeasureRounds)
 			norm := total / (log2f(delta) * log2f(n))
@@ -120,14 +120,14 @@ func runE2(cfg Config) (*Table, error) {
 			{Alg: alg.MustGet("rand-basic")},
 			{Alg: alg.MustGet("rand-improved")},
 		},
-		Engines: cfg.engineAxis(),
+		Workers: cfg.engineWorkers(),
 		Reps:    cfg.reps(),
 		Seed:    cfg.Seed,
 	}
 	return runGrid(cfg, spec, t, func(grid *sweep.Grid) {
 		for pi := range points {
-			basic := grid.Cell(pi, 0, 0)
-			improved := grid.Cell(pi, 1, 0)
+			basic := grid.Cell(pi, 0)
+			improved := grid.Cell(pi, 1)
 			n, delta := basic.G.NumNodes(), basic.G.MaxDegree()
 			basicTotal := basic.Mean(sweep.MeasureRounds)
 			improvedTotal := improved.Mean(sweep.MeasureRounds)
@@ -175,12 +175,12 @@ func runE7(cfg Config) (*Table, error) {
 		Algorithms: []sweep.AlgAxis{
 			{Alg: randd2.Algorithm(randd2.Options{Variant: randd2.VariantImproved, Params: &params}), Reps: 1},
 		},
-		Engines: cfg.engineAxis(),
+		Workers: cfg.engineWorkers(),
 		Seed:    cfg.Seed,
 	}
 	return runGrid(cfg, spec, t, func(grid *sweep.Grid) {
 		for pi := range points {
-			c := grid.Cell(pi, 0, 0)
+			c := grid.Cell(pi, 0)
 			res := c.Sample.Details.(*randd2.Result)
 			n := c.G.NumNodes()
 			t.AddRow(c.Label, itoa(n), itoa(c.G.MaxDegree()),
@@ -220,14 +220,14 @@ func runE8(cfg Config) (*Table, error) {
 			{Alg: alg.MustGet("naive"), Reps: 1},
 			{Alg: alg.MustGet("rand-improved")},
 		},
-		Engines: cfg.engineAxis(),
+		Workers: cfg.engineWorkers(),
 		Reps:    cfg.reps(),
 		Seed:    cfg.Seed,
 	}
 	return runGrid(cfg, spec, t, func(grid *sweep.Grid) {
 		for pi := range points {
-			naive := grid.Cell(pi, 0, 0)
-			improved := grid.Cell(pi, 1, 0)
+			naive := grid.Cell(pi, 0)
+			improved := grid.Cell(pi, 1)
 			delta := naive.G.MaxDegree()
 			naiveRounds := naive.Mean(sweep.MeasureRounds)
 			improvedTotal := improved.Mean(sweep.MeasureRounds)
@@ -291,13 +291,13 @@ func runE9(cfg Config) (*Table, error) {
 		Name:       "E9",
 		Points:     points,
 		Algorithms: []sweep.AlgAxis{{Alg: initialTrialsAlgorithm, Reps: 1}},
-		Engines:    cfg.engineAxis(),
+		Workers:    cfg.engineWorkers(),
 		Seed:       cfg.Seed,
 	}
 	const fourECubed = 4 * math.E * math.E * math.E
 	return runGrid(cfg, spec, t, func(grid *sweep.Grid) {
 		for pi := range points {
-			c := grid.Cell(pi, 0, 0)
+			c := grid.Cell(pi, 0)
 			g, col := c.G, c.Sample.Coloring
 			delta := g.MaxDegree()
 			palette := delta*delta + 1
@@ -376,12 +376,12 @@ func runE10(cfg Config) (*Table, error) {
 				DisableDeterministicFallback: true,
 			}), Reps: 1},
 		},
-		Engines: cfg.engineAxis(),
+		Workers: cfg.engineWorkers(),
 		Seed:    cfg.Seed,
 	}
 	return runGrid(cfg, spec, t, func(grid *sweep.Grid) {
 		for pi := range points {
-			c := grid.Cell(pi, 0, 0)
+			c := grid.Cell(pi, 0)
 			res := c.Sample.Details.(*randd2.Result)
 			liveAfterStep2 := c.G.NumNodes() - res.InitialColored
 			phases, queries, dropped, proposals, colored := 0, 0, 0, 0, 0

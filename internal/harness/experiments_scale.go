@@ -129,16 +129,12 @@ func runE11(cfg Config) (*Table, error) {
 	// the 10⁶ points already answer, at ten times the wall-clock.
 	type cellSpec struct {
 		algName string
-		engine  sweep.EngineAxis
+		workers int
 	}
 	cellsFor := func(n int) []cellSpec {
-		cells := []cellSpec{
-			{"greedy", sweep.EngineAxis{Name: "1"}},
-			{"relaxed", sweep.EngineAxis{Name: "1"}},
-		}
+		cells := []cellSpec{{"greedy", 1}, {"relaxed", 1}}
 		if n <= 1_000_000 {
-			procs := runtime.GOMAXPROCS(0)
-			cells = append(cells, cellSpec{"relaxed", sweep.EngineAxis{Name: strconv.Itoa(procs), Engine: alg.Engine{Workers: procs}}})
+			cells = append(cells, cellSpec{"relaxed", runtime.GOMAXPROCS(0)})
 		}
 		return cells
 	}
@@ -160,7 +156,7 @@ func runE11(cfg Config) (*Table, error) {
 				Name:       "E11/" + sp.name,
 				Points:     []sweep.Point{pt},
 				Algorithms: []sweep.AlgAxis{{Alg: alg.MustGet(cs.algName), Reps: 1}},
-				Engines:    []sweep.EngineAxis{cs.engine},
+				Workers:    cs.workers,
 				Seed:       cfg.Seed,
 			}
 			grid, err := sweep.Run(spec, sweep.Options{Jobs: 1})
@@ -169,13 +165,13 @@ func runE11(cfg Config) (*Table, error) {
 			}
 			t.Elapsed += grid.Elapsed
 			rss := peakRSSMB()
-			c := grid.Cell(0, 0, 0)
+			c := grid.Cell(0, 0)
 			if c.Sample == nil {
 				return nil, fmt.Errorf("E11 %s/%s: sweep returned no sample coloring", sp.name, cs.algName)
 			}
 			if err := verify.CheckD2(g, c.Sample.Coloring, c.Sample.PaletteSize).Error(); err != nil {
-				return nil, fmt.Errorf("E11 %s/%s/%s: sample coloring failed distance-2 verification: %w",
-					sp.name, cs.algName, cs.engine.Name, err)
+				return nil, fmt.Errorf("E11 %s/%s/workers=%d: sample coloring failed distance-2 verification: %w",
+					sp.name, cs.algName, cs.workers, err)
 			}
 			secs := c.Mean(sweep.MeasureSeconds)
 			throughput := 0.0
@@ -183,7 +179,7 @@ func runE11(cfg Config) (*Table, error) {
 				throughput = float64(g.NumNodes()) / secs
 			}
 			t.AddRow(c.Label, itoa(g.NumNodes()), itoa(g.NumEdges()), itoa(g.MaxDegree()),
-				c.Alg.Name(), cs.engine.Name, itoa(c.Alg.PaletteBound(g)),
+				c.Alg.Name(), itoa(cs.workers), itoa(c.Alg.PaletteBound(g)),
 				itoa(int(c.Mean(sweep.MeasureColors))),
 				fmt.Sprintf("%.2f", secs), fmt.Sprintf("%.0f", throughput),
 				rssString(rss), bytesPerNodeString(rss, g.NumNodes()))

@@ -1,7 +1,7 @@
-// Package harness defines and runs the experiments E1–E13 that reproduce the
-// quantitative claims of the paper, plus the million-node scale experiment,
-// the churn-tolerance experiment, and the serving-plane load experiment
-// (see EXPERIMENTS.md and DESIGN.md §8).
+// Package harness defines and runs the experiments E1–E14: E1–E10 reproduce
+// the quantitative claims of the paper, E11–E14 are the million-node scale,
+// churn-tolerance, serving-plane load and chaos experiments (see
+// EXPERIMENTS.md and DESIGN.md §8).
 //
 // The paper is a theory paper without empirical tables; each experiment
 // regenerates a table whose *shape* validates one theorem or lemma: round
@@ -9,18 +9,16 @@
 // stated size, and the baselines lose where the paper says they must.
 //
 // Each experiment is declarative: a sweep.Spec (a grid of workload points ×
-// algorithm instances × engines × seed repetitions, executed grid-parallel
-// by internal/sweep) plus a small row-shaping closure that turns the
-// aggregated cells into a Table. The generated tables are byte-identical for
+// algorithm instances × seed repetitions at one engine worker count,
+// executed grid-parallel by internal/sweep) plus a small row-shaping
+// closure that turns the aggregated cells into a Table. The generated tables are byte-identical for
 // every Config.Jobs value, apart from the wall-clock note each one ends with.
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 
-	"d2color/internal/alg"
 	"d2color/internal/sweep"
 )
 
@@ -42,7 +40,7 @@ type Config struct {
 	// table cell.
 	Workers int
 	// Jobs bounds the worker pool that fans the sweep grid's cells
-	// (workload × algorithm × engine combinations, each with its repetitions
+	// (workload × algorithm combinations, each with its repetitions
 	// folded in order) over the machine; 0 means GOMAXPROCS, 1 disables the
 	// fan-out. Tables are byte-identical for every value, apart from the
 	// wall-clock note Render appends.
@@ -75,12 +73,6 @@ func (c Config) engineWorkers() int {
 		return max(c.Workers, 1)
 	}
 	return 1
-}
-
-// engineAxis returns the single-engine axis the experiment specs run on.
-func (c Config) engineAxis() []sweep.EngineAxis {
-	w := c.engineWorkers()
-	return []sweep.EngineAxis{{Name: fmt.Sprintf("workers=%d", w), Engine: alg.Engine{Workers: w}}}
 }
 
 // runGrid executes the spec with the config's fan-out and shapes the grid
@@ -203,14 +195,4 @@ func All() []Experiment {
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
 	return exps
-}
-
-// ByID returns the experiment with the given ID.
-func ByID(id string) (Experiment, bool) {
-	for _, e := range All() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"time"
 )
 
 // Sink consumes finished experiment tables. All sinks are fed from the same
@@ -81,7 +82,7 @@ func (s JSONLSink) Emit(t *Table) error {
 			return err
 		}
 	}
-	return enc.Encode(jsonlRecord{Type: "done", Experiment: t.ID, ElapsedMS: t.elapsedMS()})
+	return enc.Encode(jsonlRecord{Type: "done", Experiment: t.ID, ElapsedMS: float64(t.Elapsed) / float64(time.Millisecond)})
 }
 
 // MultiSink fans each table out to every sink in order.

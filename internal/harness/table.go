@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -118,39 +117,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// tableJSON is the stable JSON shape of a table (used by WriteJSON and, row
-// by row, by the JSON-lines sink).
-type tableJSON struct {
-	ID        string     `json:"id"`
-	Title     string     `json:"title"`
-	Claim     string     `json:"claim,omitempty"`
-	Columns   []string   `json:"columns"`
-	Rows      [][]string `json:"rows"`
-	Notes     []string   `json:"notes,omitempty"`
-	ElapsedMS float64    `json:"elapsedMs,omitempty"`
-}
-
-// elapsedMS is the one wall-clock-to-milliseconds conversion shared by every
-// JSON-emitting sink, so the formats cannot drift apart.
-func (t *Table) elapsedMS() float64 {
-	return float64(t.Elapsed) / float64(time.Millisecond)
-}
-
-// WriteJSON writes the whole table as one indented JSON object.
-func (t *Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tableJSON{
-		ID:        t.ID,
-		Title:     t.Title,
-		Claim:     t.Claim,
-		Columns:   t.Columns,
-		Rows:      t.Rows,
-		Notes:     t.Notes,
-		ElapsedMS: t.elapsedMS(),
-	})
 }
 
 func pad(s string, width int) string {

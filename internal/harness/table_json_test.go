@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -20,21 +19,6 @@ func sampleTable() *Table {
 	t.AddRow("256", "14.00")
 	t.AddNote("a note")
 	return t
-}
-
-// TestWriteJSONGolden pins the JSON table shape.
-func TestWriteJSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleTable().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile("testdata/table.json.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("WriteJSON diverged from golden\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
-	}
 }
 
 func TestRenderReportsWallClock(t *testing.T) {

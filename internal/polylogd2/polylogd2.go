@@ -41,46 +41,24 @@ import (
 type Options struct {
 	// Epsilon is the ε of Theorems 3.4 and 1.3. Must be positive.
 	Epsilon float64
-	// Lambda overrides the splitting balance parameter; 0 means the paper's
-	// choice ε'/(10·log₂ Δ), clamped into [0.05, 1].
-	Lambda float64
 	// ThresholdCoeff is forwarded to the splitting (Definition 3.1 threshold
 	// coefficient); 0 means the splitting package default (12).
 	ThresholdCoeff float64
 	// DegreeThreshold is the maximum per-part degree at which the recursive
 	// splitting stops. 0 means the paper's 1200·ε⁻²·log³ n.
 	DegreeThreshold int
-	// MaxLevels caps the number of recursion levels; 0 means ⌈log₂ Δ⌉ + 1.
-	MaxLevels int
-	// UseRandomizedSplit replaces the deterministic splitting with the
-	// zero-round randomized one (used by tests and by the randomized-vs-
-	// deterministic ablation).
-	UseRandomizedSplit bool
 }
 
 // ErrBadEpsilon is returned for non-positive ε.
 var ErrBadEpsilon = errors.New("polylogd2: epsilon must be positive")
 
-func (o Options) normalize(delta int, n int) (Options, error) {
+func (o Options) normalize(n int) (Options, error) {
 	if o.Epsilon <= 0 {
 		return o, fmt.Errorf("%w (got %g)", ErrBadEpsilon, o.Epsilon)
-	}
-	if o.Lambda <= 0 {
-		logD := math.Log2(float64(maxInt(delta, 2)))
-		o.Lambda = o.Epsilon / 4 / (10 * logD)
-	}
-	if o.Lambda < 0.05 {
-		o.Lambda = 0.05
-	}
-	if o.Lambda > 1 {
-		o.Lambda = 1
 	}
 	if o.DegreeThreshold <= 0 {
 		logN := math.Log2(float64(maxInt(n, 2)))
 		o.DegreeThreshold = int(1200 / (o.Epsilon * o.Epsilon) * logN * logN * logN)
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = int(math.Ceil(math.Log2(float64(maxInt(delta, 2))))) + 1
 	}
 	return o, nil
 }
@@ -94,31 +72,28 @@ type PartitionResult struct {
 	Rounds        int
 }
 
-// Partition recursively splits V until every vertex has at most
-// DegreeThreshold neighbours in every part (or the level cap is reached).
-// The seed drives the randomized splitting variant.
+// Partition recursively splits V with the deterministic local refinement
+// splitting (Theorem 3.2) until every vertex has at most DegreeThreshold
+// neighbours in every part, or after ⌈log₂ Δ⌉ + 1 levels. Each level uses
+// the paper's balance parameter λ = ε'/(10·log₂ Δ) with ε' = ε/4, clamped
+// into [0.05, 1]. The seed salts the splitting's tie-breaks.
 func Partition(g *graph.Graph, opts Options, seed uint64) (PartitionResult, error) {
 	n := g.NumNodes()
-	delta := g.MaxDegree()
-	opts, err := opts.normalize(delta, n)
+	opts, err := opts.normalize(n)
 	if err != nil {
 		return PartitionResult{}, err
 	}
+	logD := math.Log2(float64(maxInt(g.MaxDegree(), 2)))
+	lambda := min(max(opts.Epsilon/4/(10*logD), 0.05), 1)
+	maxLevels := int(math.Ceil(logD)) + 1
 	parts := splitting.UniformPartition(n)
 	res := PartitionResult{Parts: parts, NumParts: 1, MaxPartDegree: splitting.MaxPartDegree(g, parts)}
-	for res.Levels < opts.MaxLevels && res.MaxPartDegree > opts.DegreeThreshold {
-		sopts := splitting.Options{
-			Lambda:         opts.Lambda,
+	for res.Levels < maxLevels && res.MaxPartDegree > opts.DegreeThreshold {
+		split, serr := splitting.DeterministicSplit(g, res.Parts, splitting.Options{
+			Lambda:         lambda,
 			ThresholdCoeff: opts.ThresholdCoeff,
 			Seed:           seed + uint64(res.Levels)*7919,
-		}
-		var split splitting.Result
-		var serr error
-		if opts.UseRandomizedSplit {
-			split, serr = splitting.RandomizedSplit(g, res.Parts, sopts)
-		} else {
-			split, serr = splitting.DeterministicSplit(g, res.Parts, sopts)
-		}
+		})
 		if serr != nil {
 			return PartitionResult{}, fmt.Errorf("polylogd2: level %d: %w", res.Levels, serr)
 		}
@@ -158,8 +133,8 @@ type conflictTarget interface {
 
 // ColorG implements Theorem 3.4: a (1+ε)Δ coloring of G in polylogarithmic
 // time (given the splitting substrate), by coloring the parts of the
-// Lemma-3.3 partition in parallel with disjoint palettes. The seed drives
-// the randomized splitting variant.
+// Lemma-3.3 partition in parallel with disjoint palettes. The seed salts the
+// splitting's tie-breaks.
 func ColorG(g *graph.Graph, opts Options, seed uint64) (Result, error) {
 	delta := g.MaxDegree()
 	bound := paletteBound(delta, opts.Epsilon)
@@ -178,8 +153,8 @@ func ColorG(g *graph.Graph, opts Options, seed uint64) (Result, error) {
 // ColorG2 implements Theorem 1.3: a (1+ε)Δ² coloring of G², by partitioning G
 // with parameter ε/4, coloring the induced square subgraphs Hᵢ = G²[Vᵢ] in
 // parallel with disjoint palettes, and charging the Δ_h simulation overhead
-// of Lemma 3.5 for the rounds spent on the Hᵢ. The seed drives the
-// randomized splitting variant.
+// of Lemma 3.5 for the rounds spent on the Hᵢ. The seed salts the
+// splitting's tie-breaks.
 func ColorG2(g *graph.Graph, opts Options, seed uint64) (Result, error) {
 	if opts.Epsilon <= 0 {
 		return Result{}, fmt.Errorf("%w (got %g)", ErrBadEpsilon, opts.Epsilon)

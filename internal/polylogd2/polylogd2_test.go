@@ -138,20 +138,6 @@ func TestColorG2EmptyGraph(t *testing.T) {
 	}
 }
 
-func TestRandomizedSplitVariant(t *testing.T) {
-	g := graph.Complete(50)
-	res, err := ColorG(g, Options{Epsilon: 1, DegreeThreshold: 8, ThresholdCoeff: 1, UseRandomizedSplit: true}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := verify.CheckD1(g, res.Coloring, res.PaletteBound); !rep.Valid {
-		t.Errorf("%v", rep.Error())
-	}
-	if res.ColorsUsed > res.PaletteBound {
-		t.Errorf("budget violated: %d > %d", res.ColorsUsed, res.PaletteBound)
-	}
-}
-
 func TestPaletteBoundHelper(t *testing.T) {
 	if got := paletteBound(10, 0.5); got != 15 {
 		t.Errorf("paletteBound(10, 0.5) = %d, want 15", got)
@@ -165,7 +151,7 @@ func TestPaletteBoundHelper(t *testing.T) {
 func TestPropertyColorGValidAcrossSeeds(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := graph.GNP(60, 0.25, int64(seed%8))
-		res, err := ColorG(g, Options{Epsilon: 1, DegreeThreshold: 6, ThresholdCoeff: 1, UseRandomizedSplit: true}, seed)
+		res, err := ColorG(g, Options{Epsilon: 1, DegreeThreshold: 6, ThresholdCoeff: 1}, seed)
 		if err != nil {
 			return false
 		}

@@ -7,20 +7,13 @@ import (
 
 // Algorithm wraps the Theorem-1.3 (1+ε)Δ² coloring in the unified
 // alg.Algorithm interface. A zero Epsilon in the fixed options means 1.
-// Instances using the zero-round randomized splitting are seed-dependent and
-// therefore classed Randomized (the sweep engine then averages repetitions
-// instead of collapsing them to one).
 func Algorithm(opts Options) alg.Algorithm {
 	if opts.Epsilon <= 0 {
 		opts.Epsilon = 1
 	}
-	class := alg.Deterministic
-	if opts.UseRandomizedSplit {
-		class = alg.Randomized
-	}
 	return alg.Func{
 		AlgName: "polylog",
-		Class:   class,
+		Class:   alg.Deterministic,
 		Palette: func(g *graph.Graph) int {
 			d := g.MaxDegree()
 			return paletteBound(d*d, opts.Epsilon)

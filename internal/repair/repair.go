@@ -185,9 +185,6 @@ func (s *Session) Close() {
 	}
 }
 
-// Graph returns the session's current topology.
-func (s *Session) Graph() *graph.Graph { return s.g }
-
 // Colors returns the session's working coloring — the live slice, not a
 // copy; treat it as read-only between repair calls.
 func (s *Session) Colors() coloring.Coloring { return s.colors }

@@ -78,8 +78,12 @@ func testFamilies() []struct {
 func TestRepairCorruption(t *testing.T) {
 	for _, fam := range testFamilies() {
 		clean := greedyD2(fam.g)
-		for _, target := range []fault.Target{fault.TargetUniform, fault.TargetHighDegree, fault.TargetConflictDense} {
-			t.Run(fmt.Sprintf("%s/local/%s", fam.name, target), func(t *testing.T) {
+		for _, tc := range []struct {
+			name   string
+			target fault.Target
+		}{{"uniform", fault.TargetUniform}, {"high-degree", fault.TargetHighDegree}, {"conflict-dense", fault.TargetConflictDense}} {
+			target := tc.target
+			t.Run(fam.name+"/local/"+tc.name, func(t *testing.T) {
 				corrupt := slices.Clone(clean)
 				victims := fault.NewInjector(31).CorruptColors(fam.g, corrupt, 8, target, 0)
 				s := NewSession(fam.g, corrupt, Options{})

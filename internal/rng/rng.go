@@ -110,28 +110,6 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Bits returns a slice of `count` pseudo-random bits (0 or 1), used to model
-// the explicit bit strings exchanged by the random-neighbor-selection
-// protocol of Lemma 2.3.
-func (s *Source) Bits(count int) []byte {
-	if count < 0 {
-		count = 0
-	}
-	out := make([]byte, count)
-	var buf uint64
-	var have int
-	for i := range out {
-		if have == 0 {
-			buf = s.Uint64()
-			have = 64
-		}
-		out[i] = byte(buf & 1)
-		buf >>= 1
-		have--
-	}
-	return out
-}
-
 // mix64 is the SplitMix64 output finalizer.
 func mix64(z uint64) uint64 {
 	z ^= z >> 30

@@ -175,29 +175,6 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 	}
 }
 
-func TestBits(t *testing.T) {
-	s := New(21)
-	bits := s.Bits(1000)
-	if len(bits) != 1000 {
-		t.Fatalf("Bits(1000) has length %d", len(bits))
-	}
-	ones := 0
-	for _, b := range bits {
-		if b != 0 && b != 1 {
-			t.Fatalf("bit value %d out of range", b)
-		}
-		if b == 1 {
-			ones++
-		}
-	}
-	if ones < 400 || ones > 600 {
-		t.Errorf("ones = %d out of 1000, want ≈500", ones)
-	}
-	if got := s.Bits(-5); len(got) != 0 {
-		t.Error("negative count should return empty slice")
-	}
-}
-
 func TestZeroValueUsable(t *testing.T) {
 	var s Source
 	_ = s.Uint64()

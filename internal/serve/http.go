@@ -96,6 +96,17 @@ func codeError(code, message string) error {
 // request.
 const MaxRequestBytes = 8 << 20
 
+// MaxSessionNodes and MaxSessionEdges bound the graph one open may build:
+// a spec whose size (graph.GeneratorSpec.Size, expected edges for the
+// random kinds) exceeds either is refused with bad-request before anything
+// is generated. Without them one request such as {"kind":"complete",
+// "n":70000} would make the server build billions of edges; ResidentBudget
+// only evicts other sessions.
+const (
+	MaxSessionNodes = 1 << 24
+	MaxSessionEdges = 1 << 26
+)
+
 // wireError is the JSON error body.
 type wireError struct {
 	Code  string `json:"code"`

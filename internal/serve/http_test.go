@@ -91,6 +91,39 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if err := tr.Do(&Request{Op: OpColor, Session: "x", Algorithm: "no-such"}, &resp); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("unknown algorithm over HTTP: %v", err)
 	}
+
+	// Bad client input is bad-request, not internal: an unknown generator
+	// kind, a spec past the session limits, and a dirty node outside the
+	// graph.
+	bogus := graph.GeneratorSpec{Kind: "bogus", N: 8}
+	if err := tr.Do(&Request{Op: OpOpen, Session: "b", Spec: &bogus}, &resp); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("unknown generator kind over HTTP: %v", err)
+	}
+	huge := graph.GeneratorSpec{Kind: "complete", N: 70000}
+	if err := tr.Do(&Request{Op: OpOpen, Session: "h", Spec: &huge}, &resp); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("oversized spec over HTTP: %v", err)
+	}
+	if err := tr.Do(&Request{Op: OpColor, Session: "x", Algorithm: "greedy"}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	var before Response
+	if err := tr.Do(&Request{Op: OpVerify, Session: "x"}, &before); err != nil || !before.Valid {
+		t.Fatalf("verify: valid=%v err=%v", before.Valid, err)
+	}
+	for _, dirty := range [][]graph.NodeID{{3, 8}, {-1}} {
+		if err := tr.Do(&Request{Op: OpRecolor, Session: "x", Dirty: dirty}, &resp); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("recolor of dirty %v over HTTP: %v", dirty, err)
+		}
+	}
+	// The refused recolors left the certificate and the cached hash alone:
+	// the next verify is still a certified recheck with the same answer.
+	if ses := sessionState(t, srv, "x"); ses.stale || !ses.hashed || !ses.complete {
+		t.Errorf("bad recolor voided session state: stale=%v hashed=%v complete=%v", ses.stale, ses.hashed, ses.complete)
+	}
+	var after Response
+	if err := tr.Do(&Request{Op: OpVerify, Session: "x"}, &after); err != nil || after != before {
+		t.Errorf("verify after a refused recolor: %+v (err %v), want %+v", after, err, before)
+	}
 }
 
 // TestHTTPBodyLimit pins MaxRequestBytes: a body of exactly the limit is

@@ -441,8 +441,9 @@ func (s *Server) shedLocked(ses *session) {
 	s.mu.RUnlock()
 }
 
-// open generates the spec's graph, admits the session under the budget
-// (evicting LRU sessions as needed), and starts its worker.
+// open refuses a spec whose closed-form size exceeds the session limits,
+// generates the spec's graph, admits the session under the budget (evicting
+// LRU sessions as needed), and starts its worker.
 func (s *Server) open(req *Request, resp *Response) error {
 	if req.Session == "" {
 		return fmt.Errorf("%w: open needs a session name", ErrBadRequest)
@@ -450,9 +451,17 @@ func (s *Server) open(req *Request, resp *Response) error {
 	if req.Spec == nil {
 		return fmt.Errorf("%w: open needs a graph spec", ErrBadRequest)
 	}
+	nodes, edges, err := req.Spec.Size()
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrBadRequest, err)
+	}
+	if nodes > MaxSessionNodes || edges > MaxSessionEdges {
+		return fmt.Errorf("%w: spec %s has %.0f nodes and %.0f edges, over the session limit of %d nodes and %d edges",
+			ErrBadRequest, req.Spec, nodes, edges, MaxSessionNodes, MaxSessionEdges)
+	}
 	g, err := req.Spec.Generate()
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	n, m := g.NumNodes(), g.NumEdges()
 	// The closed-form estimate `graphgen -estimate` prints.

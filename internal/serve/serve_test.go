@@ -3,11 +3,13 @@ package serve
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"d2color/internal/alg"
 	"d2color/internal/coloring"
@@ -486,6 +488,55 @@ func TestBlockDigestsUpdateMatchesHashColors(t *testing.T) {
 			if got, want := d.update(c, changed), HashColors(c); got != want {
 				t.Fatalf("n=%d step %d (script %d, changed %v): update = %#x, HashColors = %#x", n, step, kind, changed, got, want)
 			}
+		}
+	}
+}
+
+// TestOpenSizeLimits pins MaxSessionNodes and MaxSessionEdges: specs whose
+// closed-form size is past either limit are refused as bad-request without
+// generating anything (so in milliseconds, not the minutes and gigabytes
+// their graphs would take), while every spec the repository itself opens —
+// the standard load mixes, E14's shapes, the d2served self-check and the
+// perfbench sessions — is under both and opens.
+func TestOpenSizeLimits(t *testing.T) {
+	srv := NewServer(Options{})
+	defer srv.Close()
+	for _, spec := range []graph.GeneratorSpec{
+		{Kind: "complete", N: 70000},
+		{Kind: "gnp", N: 20000, P: 1},
+		{Kind: "tree", N: 60, Degree: 2},
+		{Kind: "grid", N: 1 << 20, M: 1 << 20},
+		{Kind: "cliquechain", N: 1000, M: 1000},
+		{Kind: "path", N: MaxSessionNodes + 1},
+	} {
+		start := time.Now()
+		var resp Response
+		err := srv.Do(&Request{Op: OpOpen, Session: "big", Spec: &spec}, &resp)
+		if !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: open err = %v, want bad-request", spec, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: refusal took %v", spec, d)
+		}
+	}
+
+	var specs []graph.GeneratorSpec
+	for _, mix := range StandardMixes(false) {
+		specs = append(specs, *mix.sessionSpec(0))
+	}
+	specs = append(specs,
+		graph.GeneratorSpec{Kind: "gnp-avg", N: 20000, P: 8},  // E14 deadline storm
+		graph.GeneratorSpec{Kind: "ba", N: 2000, Degree: 3},   // E14 base, d2served self-check
+		graph.GeneratorSpec{Kind: "gnp-avg", N: 100000, P: 8}, // perfbench serve-churn
+	)
+	for i, spec := range specs {
+		nodes, edges, err := spec.Size()
+		if err != nil || nodes > MaxSessionNodes || edges > MaxSessionEdges {
+			t.Fatalf("%s: size %v nodes, %v edges (err %v) is over the session limits", spec, nodes, edges, err)
+		}
+		var resp Response
+		if err := srv.Do(&Request{Op: OpOpen, Session: fmt.Sprint("s", i), Spec: &spec}, &resp); err != nil {
+			t.Errorf("%s: open: %v", spec, err)
 		}
 	}
 }

@@ -455,6 +455,13 @@ func (ses *session) doRecolor(req *Request, resp *Response) error {
 	if ses.colors == nil {
 		return ErrNotColored
 	}
+	// An out-of-range dirty node is the client's fault: refuse it before
+	// any session state changes, so the hash and certificate survive.
+	for _, v := range req.Dirty {
+		if v < 0 || int(v) >= ses.g.NumNodes() {
+			return fmt.Errorf("%w: dirty node %d outside [0, %d)", ErrBadRequest, v, ses.g.NumNodes())
+		}
+	}
 	// A stale session stays stale (its touched list is already void, so
 	// drop it); a clean one is stale until this epoch's changes are
 	// recorded. The hash and completeness are void until then too.

@@ -1,9 +1,9 @@
 // Package sweep is the declarative, grid-parallel experiment engine. A Spec
-// is data: a grid of workload points × algorithm instances × engines, plus a
-// repetition count for randomized measurements. Run executes the grid's cells
-// over a bounded worker pool and returns the aggregated Grid; callers shape
-// the cells into whatever output they need (the harness turns them into
-// tables via small row closures).
+// is data: a grid of workload points × algorithm instances, plus an engine
+// worker count and a repetition count for randomized measurements. Run
+// executes the grid's cells over a bounded worker pool and returns the
+// aggregated Grid; callers shape the cells into whatever output they need
+// (the harness turns them into tables via small row closures).
 //
 // Determinism: tables generated from a Grid are byte-identical for every
 // Options.Jobs value. Cells are independent (each owns its networks, kernels and
@@ -19,7 +19,6 @@ package sweep
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -50,17 +49,9 @@ type AlgAxis struct {
 	Reps int
 }
 
-// EngineAxis is one engine choice of the grid's engine axis (in practice a
-// worker count). Every worker count is byte-deterministic with every other,
-// so extra axis values change wall-clock measurements only.
-type EngineAxis struct {
-	Name   string
-	Engine alg.Engine
-}
-
 // Spec declares a sweep: the full grid plus how to measure each repetition.
-// Adding a scenario is a data change — a new Point, AlgAxis or EngineAxis
-// value — not a new loop.
+// Adding a scenario is a data change — a new Point or AlgAxis value — not a
+// new loop.
 type Spec struct {
 	// Name identifies the sweep in errors.
 	Name string
@@ -68,15 +59,15 @@ type Spec struct {
 	Points []Point
 	// Algorithms is the algorithm axis (required, at least one).
 	Algorithms []AlgAxis
-	// Engines is the engine axis; empty means one inline engine (Workers 1).
-	Engines []EngineAxis
+	// Workers is every cell's CONGEST engine worker count; values below 1
+	// mean 1 (inline). Every worker count is byte-deterministic with every
+	// other, so it changes wall-clock measurements only.
+	Workers int
 	// Reps is the default repetition count for randomized algorithms; values
 	// below 1 mean 1. Repetition i runs with seed Seed + i·SeedStride.
 	Reps int
 	// Seed is the base seed handed to the algorithms.
 	Seed uint64
-	// SeedStride separates repetition seeds; 0 means 101.
-	SeedStride uint64
 	// Observe records extra per-repetition measures beyond the standard
 	// "rounds" and "colors" (e.g. a stage count pulled from Details). It is
 	// called once per repetition, possibly concurrently across cells but
@@ -84,36 +75,27 @@ type Spec struct {
 	Observe func(rep int, res *alg.Result, rec *Recorder)
 }
 
-// Agg is a streaming aggregate over one measure: count, sum, min, max and a
-// Welford variance accumulator. No per-repetition values are retained. The
-// mean is Sum/Count with the additions performed in repetition order, so it
-// is bit-identical to a serial sum-then-divide fold.
+// SeedStride separates repetition seeds: repetition i runs with seed
+// Spec.Seed + i·SeedStride.
+const SeedStride = 101
+
+// Agg is a streaming aggregate over one measure: count, sum and max. No
+// per-repetition values are retained. The mean is Sum/Count with the
+// additions performed in repetition order, so it is bit-identical to a
+// serial sum-then-divide fold.
 type Agg struct {
-	Count    int
-	Sum      float64
-	MinV     float64
-	MaxV     float64
-	welfMean float64
-	welfM2   float64
+	Count int
+	Sum   float64
+	MaxV  float64
 }
 
 // Add folds one observation into the aggregate.
 func (a *Agg) Add(x float64) {
-	if a.Count == 0 {
-		a.MinV, a.MaxV = x, x
-	} else {
-		if x < a.MinV {
-			a.MinV = x
-		}
-		if x > a.MaxV {
-			a.MaxV = x
-		}
+	if a.Count == 0 || x > a.MaxV {
+		a.MaxV = x
 	}
 	a.Count++
 	a.Sum += x
-	d := x - a.welfMean
-	a.welfMean += d / float64(a.Count)
-	a.welfM2 += d * (x - a.welfMean)
 }
 
 // Mean returns Sum/Count (0 for an empty aggregate).
@@ -122,22 +104,6 @@ func (a *Agg) Mean() float64 {
 		return 0
 	}
 	return a.Sum / float64(a.Count)
-}
-
-// Variance returns the population variance (0 for fewer than 2 samples).
-func (a *Agg) Variance() float64 {
-	if a.Count < 2 {
-		return 0
-	}
-	return a.welfM2 / float64(a.Count)
-}
-
-// Min returns the smallest observation (0 for an empty aggregate).
-func (a *Agg) Min() float64 {
-	if a.Count == 0 {
-		return 0
-	}
-	return a.MinV
 }
 
 // Max returns the largest observation (0 for an empty aggregate).
@@ -166,19 +132,18 @@ func (r *Recorder) Add(name string, x float64) {
 	a.Add(x)
 }
 
-// Cell is one executed grid cell: the cross product of one point, one
-// algorithm and one engine, with its repetition aggregates and the first
-// repetition's full result.
+// Cell is one executed grid cell: the cross product of one point and one
+// algorithm, with its repetition aggregates and the first repetition's full
+// result.
 type Cell struct {
-	PointIndex, AlgIndex, EngineIndex int
+	PointIndex, AlgIndex int
 
 	// Label is the point's (possibly Build-overridden) label.
 	Label string
 	// G is the point's graph, shared read-only with the point's other cells.
 	G *graph.Graph
-	// Alg and Engine identify the cell's axes.
-	Alg    alg.Algorithm
-	Engine EngineAxis
+	// Alg is the cell's algorithm.
+	Alg alg.Algorithm
 	// Reps is the number of repetitions that actually ran.
 	Reps int
 	// Sample is the first repetition's full result (seed = Spec.Seed).
@@ -206,16 +171,8 @@ func (c *Cell) Max(name string) float64 {
 	return 0
 }
 
-// Min returns the named measure's minimum (0 if never recorded).
-func (c *Cell) Min(name string) float64 {
-	if a := c.Agg(name); a != nil {
-		return a.Min()
-	}
-	return 0
-}
-
 // Grid is the executed sweep: every cell in grid index order (point-major,
-// then algorithm, then engine).
+// then algorithm).
 type Grid struct {
 	Spec    *Spec
 	Cells   []*Cell
@@ -223,12 +180,8 @@ type Grid struct {
 }
 
 // Cell returns the cell at the given axis indices.
-func (g *Grid) Cell(point, algo, engine int) *Cell {
-	ne := len(g.Spec.Engines)
-	if ne == 0 {
-		ne = 1
-	}
-	return g.Cells[(point*len(g.Spec.Algorithms)+algo)*ne+engine]
+func (g *Grid) Cell(point, algo int) *Cell {
+	return g.Cells[point*len(g.Spec.Algorithms)+algo]
 }
 
 // Options configures the scheduler.
@@ -270,14 +223,7 @@ func Run(spec Spec, opts Options) (*Grid, error) {
 	if len(spec.Algorithms) == 0 {
 		return nil, fmt.Errorf("sweep %s: no algorithms", spec.Name)
 	}
-	engines := spec.Engines
-	if len(engines) == 0 {
-		engines = []EngineAxis{{Name: "workers=1"}}
-	}
-	stride := spec.SeedStride
-	if stride == 0 {
-		stride = 101
-	}
+	workers := max(spec.Workers, 1)
 	start := time.Now()
 	jobs := opts.jobs()
 
@@ -308,21 +254,18 @@ func Run(spec Spec, opts Options) (*Grid, error) {
 	}
 
 	// Stage 2: execute the cells.
-	cells := make([]*Cell, len(spec.Points)*len(spec.Algorithms)*len(engines))
+	cells := make([]*Cell, len(spec.Points)*len(spec.Algorithms))
 	errs := make([]error, len(cells))
 	runIndexed(len(cells), jobs, func(idx int) {
-		ei := idx % len(engines)
-		ai := (idx / len(engines)) % len(spec.Algorithms)
-		pi := idx / (len(engines) * len(spec.Algorithms))
+		ai := idx % len(spec.Algorithms)
+		pi := idx / len(spec.Algorithms)
 		axis := spec.Algorithms[ai]
 		c := &Cell{
-			PointIndex:  pi,
-			AlgIndex:    ai,
-			EngineIndex: ei,
-			Label:       points[pi].label,
-			G:           points[pi].g,
-			Alg:         axis.Alg,
-			Engine:      engines[ei],
+			PointIndex: pi,
+			AlgIndex:   ai,
+			Label:      points[pi].label,
+			G:          points[pi].g,
+			Alg:        axis.Alg,
 		}
 		cells[idx] = c
 		reps := axis.Reps
@@ -338,7 +281,7 @@ func Run(spec Spec, opts Options) (*Grid, error) {
 		// the first kernel-running repetition builds it, the rest reuse it,
 		// and the cell closes it on the way out (parking the engine's worker
 		// team, if any — cells must not leak pooled goroutines).
-		eng := engines[ei].Engine
+		eng := alg.Engine{Workers: workers}
 		var tk *trial.Runner
 		eng.Kernel = func() *trial.Runner {
 			if tk == nil {
@@ -354,11 +297,11 @@ func Run(spec Spec, opts Options) (*Grid, error) {
 
 		for rep := 0; rep < reps; rep++ {
 			repStart := time.Now()
-			res, err := axis.Alg.Run(c.G, eng, spec.Seed+uint64(rep)*stride)
+			res, err := axis.Alg.Run(c.G, eng, spec.Seed+uint64(rep)*SeedStride)
 			repElapsed := time.Since(repStart)
 			if err != nil {
-				errs[idx] = fmt.Errorf("point %d (%s) × %s × %s, rep %d: %w",
-					pi, c.Label, axis.Alg.Name(), engines[ei].Name, rep, err)
+				errs[idx] = fmt.Errorf("point %d (%s) × %s, rep %d: %w",
+					pi, c.Label, axis.Alg.Name(), rep, err)
 				return
 			}
 			c.rec.Add(MeasureRounds, float64(res.Metrics.TotalRounds()))
@@ -410,13 +353,4 @@ func runIndexed(n, jobs int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Stddev is a convenience for callers that report spread: the square root of
-// the aggregate's population variance.
-func Stddev(a *Agg) float64 {
-	if a == nil {
-		return 0
-	}
-	return math.Sqrt(a.Variance())
 }

@@ -3,7 +3,7 @@ package sweep_test
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -54,36 +54,33 @@ func TestGridShapeAndOrder(t *testing.T) {
 			{Alg: countingAlg("a", alg.Randomized, &runs)},
 			{Alg: countingAlg("b", alg.Randomized, &runs)},
 		},
-		Engines: []sweep.EngineAxis{{Name: "e0"}, {Name: "e1"}},
-		Reps:    3,
-		Seed:    10,
+		Reps: 3,
+		Seed: 10,
 	}
 	grid, err := sweep.Run(spec, sweep.Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grid.Cells) != 3*2*2 {
-		t.Fatalf("cells = %d, want 12", len(grid.Cells))
+	if len(grid.Cells) != 3*2 {
+		t.Fatalf("cells = %d, want 6", len(grid.Cells))
 	}
-	if got := runs.Load(); got != 12*3 {
-		t.Errorf("runs = %d, want 36 (3 reps per cell)", got)
+	if got := runs.Load(); got != 6*3 {
+		t.Errorf("runs = %d, want 18 (3 reps per cell)", got)
 	}
 	for pi := 0; pi < 3; pi++ {
 		for ai := 0; ai < 2; ai++ {
-			for ei := 0; ei < 2; ei++ {
-				c := grid.Cell(pi, ai, ei)
-				if c.PointIndex != pi || c.AlgIndex != ai || c.EngineIndex != ei {
-					t.Fatalf("Cell(%d,%d,%d) returned indices (%d,%d,%d)", pi, ai, ei, c.PointIndex, c.AlgIndex, c.EngineIndex)
-				}
-				if c.Label != fmt.Sprintf("cycle-%d", []int{4, 5, 6}[pi]) {
-					t.Errorf("cell label %q", c.Label)
-				}
-				if c.Sample == nil || c.Sample.Details.(uint64) != 10 {
-					t.Errorf("Sample should be the rep-0 run (seed 10)")
-				}
-				if c.Reps != 3 {
-					t.Errorf("Reps = %d", c.Reps)
-				}
+			c := grid.Cell(pi, ai)
+			if c.PointIndex != pi || c.AlgIndex != ai {
+				t.Fatalf("Cell(%d,%d) returned indices (%d,%d)", pi, ai, c.PointIndex, c.AlgIndex)
+			}
+			if c.Label != fmt.Sprintf("cycle-%d", []int{4, 5, 6}[pi]) {
+				t.Errorf("cell label %q", c.Label)
+			}
+			if c.Sample == nil || c.Sample.Details.(uint64) != 10 {
+				t.Errorf("Sample should be the rep-0 run (seed 10)")
+			}
+			if c.Reps != 3 {
+				t.Errorf("Reps = %d", c.Reps)
 			}
 		}
 	}
@@ -104,8 +101,8 @@ func TestDeterministicAlgorithmsRunOnce(t *testing.T) {
 	if runs.Load() != 1 {
 		t.Errorf("deterministic algorithm ran %d times, want 1", runs.Load())
 	}
-	if grid.Cell(0, 0, 0).Reps != 1 {
-		t.Errorf("cell Reps = %d, want 1", grid.Cell(0, 0, 0).Reps)
+	if grid.Cell(0, 0).Reps != 1 {
+		t.Errorf("cell Reps = %d, want 1", grid.Cell(0, 0).Reps)
 	}
 }
 
@@ -142,11 +139,8 @@ func TestSeedStride(t *testing.T) {
 	if _, err := sweep.Run(spec, sweep.Options{Jobs: 1}); err != nil {
 		t.Fatal(err)
 	}
-	want := []uint64{5, 5 + 101, 5 + 202}
-	for i, s := range seeds {
-		if s != want[i] {
-			t.Errorf("rep %d seed = %d, want %d (default stride 101)", i, s, want[i])
-		}
+	if want := []uint64{5, 5 + 101, 5 + 202}; !slices.Equal(seeds, want) {
+		t.Errorf("rep seeds = %v, want %v (stride %d)", seeds, want, sweep.SeedStride)
 	}
 }
 
@@ -164,19 +158,18 @@ func TestAggStreaming(t *testing.T) {
 	if a.Mean() != sum/4 {
 		t.Errorf("mean = %g, want the order-preserving Sum/Count", a.Mean())
 	}
-	if a.Min() != 4 || a.Max() != 16 {
-		t.Errorf("min/max = %g/%g", a.Min(), a.Max())
+	if a.Max() != 16 {
+		t.Errorf("max = %g", a.Max())
 	}
-	// Population variance of {4,7,13,16} is 22.5.
-	if math.Abs(a.Variance()-22.5) > 1e-9 {
-		t.Errorf("variance = %g, want 22.5", a.Variance())
+	var neg sweep.Agg
+	neg.Add(-3)
+	neg.Add(-5)
+	if neg.Max() != -3 {
+		t.Errorf("max of negative observations = %g, want -3", neg.Max())
 	}
 	var zero sweep.Agg
-	if zero.Mean() != 0 || zero.Min() != 0 || zero.Max() != 0 || zero.Variance() != 0 {
+	if zero.Mean() != 0 || zero.Max() != 0 {
 		t.Error("empty aggregate accessors should be 0")
-	}
-	if sweep.Stddev(&a) != math.Sqrt(a.Variance()) || sweep.Stddev(nil) != 0 {
-		t.Error("Stddev wrong")
 	}
 }
 
@@ -294,7 +287,7 @@ func TestGridDeterminismRealAlgorithm(t *testing.T) {
 		for i, c := range grid.Cells {
 			want := ref.Cells[i]
 			for _, m := range []string{sweep.MeasureRounds, sweep.MeasureColors} {
-				if c.Mean(m) != want.Mean(m) || c.Max(m) != want.Max(m) || c.Min(m) != want.Min(m) {
+				if c.Mean(m) != want.Mean(m) || c.Max(m) != want.Max(m) {
 					t.Errorf("jobs=%d cell %d measure %s diverged", jobs, i, m)
 				}
 			}
@@ -308,49 +301,37 @@ func TestGridDeterminismRealAlgorithm(t *testing.T) {
 	}
 }
 
-// TestEngineAxisWorkerCountsByteIdentical runs a real simulated sweep over an
-// engine axis with genuine worker counts — not just axis labels — and
-// asserts that every worker count produces aggregates and colorings identical
-// to the inline reference (workers=1). The counts above 1 force multi-worker
-// teams even on single-core machines, so the persistent pool, the fused round
-// and the work-stealing tail are all on the measured path of the grid engine.
+// TestEngineAxisWorkerCountsByteIdentical runs one real simulated spec at
+// Workers 1 (inline) and 4 and asserts that the two grids agree byte for byte:
+// aggregates, sample colorings and sample metrics. Four workers force a
+// multi-worker team even on a single-core machine, so the persistent pool,
+// the fused round and the work-stealing tail are all on the grid's path.
 func TestEngineAxisWorkerCountsByteIdentical(t *testing.T) {
 	spec := sweep.Spec{
-		Name: "engine-axis-workers",
+		Name: "workers",
 		Points: []sweep.Point{
 			{Label: "gnp", Build: func() (*graph.Graph, string, error) { return graph.GNPWithAverageDegree(150, 8, 3), "", nil }},
 		},
 		Algorithms: []sweep.AlgAxis{{Alg: alg.MustGet("rand-improved")}},
-		Engines: []sweep.EngineAxis{
-			{Name: "workers=1", Engine: alg.Engine{Workers: 1}},
-			{Name: "workers=2", Engine: alg.Engine{Workers: 2}},
-			{Name: "workers=3", Engine: alg.Engine{Workers: 3}},
-			{Name: "workers=4", Engine: alg.Engine{Workers: 4}},
-			{Name: "workers=16", Engine: alg.Engine{Workers: 16}},
-		},
-		Reps: 2,
-		Seed: 1,
+		Reps:       2,
+		Seed:       1,
 	}
-	grid, err := sweep.Run(spec, sweep.Options{Jobs: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := grid.Cell(0, 0, 0)
-	for ei := 1; ei < len(spec.Engines); ei++ {
-		c := grid.Cell(0, 0, ei)
+	render := func(workers int) string {
+		spec.Workers = workers
+		grid, err := sweep.Run(spec, sweep.Options{Jobs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := grid.Cell(0, 0)
+		var b strings.Builder
 		for _, m := range []string{sweep.MeasureRounds, sweep.MeasureColors} {
-			if c.Mean(m) != ref.Mean(m) || c.Max(m) != ref.Max(m) || c.Min(m) != ref.Min(m) {
-				t.Errorf("engine %s measure %s diverged from workers=1", spec.Engines[ei].Name, m)
-			}
+			a := c.Agg(m)
+			fmt.Fprintf(&b, "%s count=%d sum=%v max=%v\n", m, a.Count, a.Sum, a.MaxV)
 		}
-		for v := range c.Sample.Coloring {
-			if c.Sample.Coloring[v] != ref.Sample.Coloring[v] {
-				t.Errorf("engine %s sample coloring diverged at node %d", spec.Engines[ei].Name, v)
-				break
-			}
-		}
-		if c.Sample.Metrics != ref.Sample.Metrics {
-			t.Errorf("engine %s sample metrics diverged: %v vs %v", spec.Engines[ei].Name, c.Sample.Metrics, ref.Sample.Metrics)
-		}
+		fmt.Fprintf(&b, "metrics=%+v\ncoloring=%v\n", c.Sample.Metrics, c.Sample.Coloring)
+		return b.String()
+	}
+	if inline, team := render(1), render(4); inline != team {
+		t.Errorf("workers=4 grid differs from workers=1:\n--- workers=4 ---\n%s\n--- workers=1 ---\n%s", team, inline)
 	}
 }
