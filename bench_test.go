@@ -110,7 +110,7 @@ func BenchmarkDeterministicByDelta(b *testing.B) {
 			g := graph.RandomRegular(300, d, int64(d))
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				res, err := detd2.Run(g, detd2.Options{}, alg.Engine{}, 0)
+				res, err := detd2.Run(g)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"d2color/internal/alg"
-	"d2color/internal/congest"
 	_ "d2color/internal/core" // links every algorithm into the registry
-	"d2color/internal/detd2"
 	"d2color/internal/graph"
 	"d2color/internal/verify"
 )
@@ -93,20 +91,6 @@ func TestDeterministicClassIsSeedInvariant(t *testing.T) {
 				break
 			}
 		}
-	}
-}
-
-// TestSeedDependentOptionsFlipDeterminismClass pins the classification of
-// parameterized instances whose options make the output seed-dependent: the
-// sweep engine must average those over repetitions, not collapse them to one.
-func TestSeedDependentOptionsFlipDeterminismClass(t *testing.T) {
-	// Randomized IDs seed Linial's first iteration, so the output is
-	// seed-dependent.
-	if got := detd2.Algorithm(detd2.Options{IDs: congest.IDSparseRandom}).Determinism(); got != alg.Randomized {
-		t.Errorf("deterministic pipeline with randomized IDs classed %v, want randomized", got)
-	}
-	if got := detd2.Algorithm(detd2.Options{}).Determinism(); got != alg.Deterministic {
-		t.Errorf("default deterministic pipeline classed %v, want deterministic", got)
 	}
 }
 

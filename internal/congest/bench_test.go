@@ -73,13 +73,12 @@ func BenchmarkDeliver(b *testing.B) {
 	}
 	for _, topo := range topos {
 		g := topo.build()
-		run := func(b *testing.B, cfg Config) {
-			net := New(g, cfg)
+		run := func(b *testing.B, workers int) {
+			net := New(g, workers)
 			defer net.Close()
-			net.SetProcesses(func(v graph.NodeID) Process {
-				return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
+			installAll(net, func(v graph.NodeID) Process {
+				return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
 					ctx.Broadcast(1, uint64(round&1))
-					return false
 				})
 			})
 			// Warm one round so one-time buffer growth (and the team spawn)
@@ -93,7 +92,7 @@ func BenchmarkDeliver(b *testing.B) {
 		}
 		for _, workers := range benchWorkerCounts() {
 			b.Run(fmt.Sprintf("topo=%s/workers=%d", topo.name, workers), func(b *testing.B) {
-				run(b, Config{Seed: 1, Workers: workers})
+				run(b, workers)
 			})
 		}
 	}
@@ -104,13 +103,12 @@ func BenchmarkDeliver(b *testing.B) {
 // (most nodes are already colored and quiet).
 func BenchmarkDeliverSparse(b *testing.B) {
 	g := benchGraph()
-	net := New(g, Config{Seed: 1})
-	net.SetProcesses(func(v graph.NodeID) Process {
-		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
+	net := New(g, 1)
+	installAll(net, func(v graph.NodeID) Process {
+		return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
 			if v%100 == 0 {
 				ctx.Broadcast(1, uint64(round&1))
 			}
-			return false
 		})
 	})
 	net.RunRounds(1)
@@ -142,15 +140,14 @@ func BenchmarkEdgeIndex(b *testing.B) {
 // payloads inline as uint64 words.
 func BenchmarkPayloadRound(b *testing.B) {
 	g := benchGraph()
-	net := New(g, Config{Seed: 1})
-	net.SetProcesses(func(v graph.NodeID) Process {
-		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
+	net := New(g, 1)
+	installAll(net, func(v graph.NodeID) Process {
+		return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
 			sum := uint64(0)
 			for i := range inbox {
 				sum += inbox[i].Word
 			}
 			ctx.Broadcast(2, sum|0x1_0000_0000) // > 32 bits: never cached
-			return false
 		})
 	})
 	net.RunRounds(1)

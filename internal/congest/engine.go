@@ -1,32 +1,7 @@
 package congest
 
-import "fmt"
-
-// Run executes rounds until every process has halted, returning the number
-// of simulated rounds. It returns ErrRoundLimit if the configured limit is
-// hit, ErrNoProcess if some node has no process installed, and ErrCanceled
-// once the SetCancel hook fires.
-func (e *Engine) Run() (int, error) {
-	for v := range e.procs {
-		if e.procs[v] == nil {
-			return e.round, fmt.Errorf("%w: node %d", ErrNoProcess, v)
-		}
-	}
-	start := e.round
-	for !e.AllHalted() {
-		if e.round-start >= e.cfg.MaxRounds {
-			return e.round, fmt.Errorf("%w (%d rounds)", ErrRoundLimit, e.cfg.MaxRounds)
-		}
-		if e.cancel != nil && e.cancel() {
-			return e.round, fmt.Errorf("%w (after %d rounds)", ErrCanceled, e.round-start)
-		}
-		e.step()
-	}
-	return e.round, nil
-}
-
-// SetCancel installs a cooperative cancellation hook, polled by Run and
-// RunRounds between rounds: the first poll that returns true stops the loop
+// SetCancel installs a cooperative cancellation hook, polled by RunRounds
+// between rounds: the first poll that returns true stops the loop
 // before the next round starts, so a canceled run ends within O(one round)
 // regardless of how many rounds were requested. The hook is never consulted
 // mid-round — a round either runs to completion or not at all — which keeps
@@ -37,8 +12,8 @@ func (e *Engine) Run() (int, error) {
 // round.
 func (e *Engine) SetCancel(f func() bool) { e.cancel = f }
 
-// RunRounds executes exactly k rounds (halted processes are not stepped),
-// returning early if the SetCancel hook fires.
+// RunRounds executes k rounds, stepping every node with a process in each,
+// and returns early if the SetCancel hook fires.
 func (e *Engine) RunRounds(k int) {
 	for i := 0; i < k; i++ {
 		if e.cancel != nil && e.cancel() {
@@ -50,8 +25,7 @@ func (e *Engine) RunRounds(k int) {
 
 // Close parks the worker team permanently (idempotent, never blocks on a
 // pending round — see shardTeam.stop); it is a no-op for an inline engine. A
-// closed engine must not be stepped again; everything else (Metrics, ID,
-// Graph, ...) stays readable.
+// closed engine must not be stepped again; Metrics stays readable.
 func (e *Engine) Close() {
 	if e.team != nil {
 		e.team.stop()
@@ -60,7 +34,7 @@ func (e *Engine) Close() {
 
 // step executes one synchronous round: compute, account, deliver, advance.
 //
-// Inline (a plan of zero workers: Workers ≤ 1, or a graph rebound to fewer
+// Inline (a plan of zero workers: workers ≤ 1, or a graph rebound to fewer
 // than two nodes), the caller's goroutine steps every node and then
 // delivers every inbox, in node order. With a team, the publisher (this
 // goroutine) resets the per-rank cursors and metrics, wakes the team, works
@@ -130,13 +104,13 @@ func (e *Engine) computePhase(w int) {
 	}
 }
 
-// computeChunk steps the live nodes of [lo, hi) in node order.
+// computeChunk steps the nodes of [lo, hi) that have a process, in node
+// order.
 func (e *Engine) computeChunk(lo, hi int32) {
 	for v := lo; v < hi; v++ {
-		if e.procs[v] == nil || e.halted[v] {
-			continue
+		if e.procs[v] != nil {
+			e.procs[v].Step(&e.ctxs[v], e.round, e.inboxes[v])
 		}
-		e.halted[v] = e.procs[v].Step(&e.ctxs[v], e.round, e.inboxes[v])
 	}
 }
 

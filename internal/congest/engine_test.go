@@ -8,15 +8,15 @@ import (
 )
 
 // digestProcess folds every delivered message into an order-sensitive
-// per-node digest and gossips pseudo-random words, exercising Send (slot
-// lookup), SendToNeighbor and Broadcast. Two runs agree byte-for-byte iff
-// all digests and Metrics agree.
+// per-node digest and gossips pseudo-random words, exercising Broadcast,
+// SendToNeighbor and — every third round — two sends over one edge, so the
+// plane's overflow tier and the bandwidth accounting carry traffic. Two runs
+// agree byte-for-byte iff all digests and Metrics agree.
 type digestProcess struct {
 	digest uint64
-	rounds int
 }
 
-func (p *digestProcess) Step(ctx *Context, round int, inbox []Message) bool {
+func (p *digestProcess) Step(ctx *Context, round int, inbox []Message) {
 	for i := range inbox {
 		m := &inbox[i]
 		p.digest = p.digest*1099511628211 ^ uint64(m.From)<<32 ^ uint64(round) ^ m.Word
@@ -28,25 +28,23 @@ func (p *digestProcess) Step(ctx *Context, round int, inbox []Message) bool {
 		case 1:
 			ctx.SendToNeighbor(int(ctx.Rand().Uint64()%uint64(d)), kindTestData, p.digest)
 		case 2:
-			to := ctx.Neighbors()[ctx.Rand().Uint64()%uint64(d)]
-			_ = ctx.SendWords(to, kindTestData, p.digest, 3)
+			i := int(ctx.Rand().Uint64() % uint64(d))
+			ctx.SendToNeighbor(i, kindTestData, p.digest)
+			ctx.SendToNeighbor(i, kindTestData, p.digest>>3)
 		}
 	}
-	return round >= p.rounds
 }
 
-func runDigest(t *testing.T, g *graph.Graph, cfg Config, rounds int) ([]uint64, Metrics) {
+// runDigest runs digestProcess for the given rounds on a fresh engine and
+// returns the per-node digests and the Metrics.
+func runDigest(t *testing.T, g *graph.Graph, workers int, seed uint64, rounds int) ([]uint64, Metrics) {
 	t.Helper()
-	net := New(g, cfg)
+	net := New(g, workers)
 	defer net.Close()
-	procs := make([]*digestProcess, g.NumNodes())
-	net.SetProcesses(func(v graph.NodeID) Process {
-		procs[v] = &digestProcess{rounds: rounds}
-		return procs[v]
-	})
-	if _, err := net.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	net.Reset(seed)
+	procs := make([]digestProcess, g.NumNodes())
+	installAll(net, func(v graph.NodeID) Process { return &procs[v] })
+	net.RunRounds(rounds)
 	out := make([]uint64, len(procs))
 	for v := range procs {
 		out[v] = procs[v].digest
@@ -62,10 +60,12 @@ func runDigest(t *testing.T, g *graph.Graph, cfg Config, rounds int) ([]uint64, 
 func TestWorkersMatchInlineSkew(t *testing.T) {
 	g := skewGraphN(600, 4, 40)
 	const rounds = 7
-	wantDigest, wantMetrics := runDigest(t, g, Config{Seed: 11, BandwidthWords: 2, Workers: 1}, rounds)
+	wantDigest, wantMetrics := runDigest(t, g, 1, 11, rounds)
+	if wantMetrics.BandwidthViolations == 0 {
+		t.Fatal("fixture never double-sends; the overflow tier is untested")
+	}
 	for _, workers := range []int{2, 3, 4, 16} {
-		digest, metrics := runDigest(t, g,
-			Config{Seed: 11, BandwidthWords: 2, Workers: workers}, rounds)
+		digest, metrics := runDigest(t, g, workers, 11, rounds)
 		if metrics != wantMetrics {
 			t.Fatalf("workers=%d: metrics diverged\nteam:   %v\ninline: %v", workers, metrics, wantMetrics)
 		}
@@ -85,11 +85,10 @@ func TestWorkersMatchInlineSkew(t *testing.T) {
 func TestStepAllocFree(t *testing.T) {
 	g := graph.GNP(300, 0.05, 1)
 	for _, workers := range []int{1, 4} {
-		net := New(g, Config{Seed: 1, Workers: workers})
-		net.SetProcesses(func(v graph.NodeID) Process {
-			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
+		net := New(g, workers)
+		installAll(net, func(v graph.NodeID) Process {
+			return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
 				ctx.Broadcast(kindTestData, uint64(round&1))
-				return false
 			})
 		})
 		net.RunRounds(2) // warm-up: spawn the team, grow buckets and inboxes
@@ -101,7 +100,7 @@ func TestStepAllocFree(t *testing.T) {
 	}
 }
 
-// TestInlineEngineStartsNoGoroutine pins what Workers ≤ 1 costs: no shard
+// TestInlineEngineStartsNoGoroutine pins what workers ≤ 1 costs: no shard
 // plan, no per-rank state, no team, and no goroutine at any point of the
 // engine's life — so an inline engine costs no more than the topology-sized
 // buffers it simulates on.
@@ -109,19 +108,16 @@ func TestInlineEngineStartsNoGoroutine(t *testing.T) {
 	g := graph.GNP(200, 0.06, 4)
 	for _, workers := range []int{-1, 0, 1} {
 		before := runtime.NumGoroutine()
-		net := New(g, Config{Seed: 1, Workers: workers})
+		net := New(g, workers)
 		if net.team != nil || net.ws != nil || net.plan.chunkLo != nil {
 			t.Errorf("workers=%d: inline engine built multi-worker state", workers)
 		}
-		net.SetProcesses(func(v graph.NodeID) Process {
-			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
+		installAll(net, func(v graph.NodeID) Process {
+			return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
 				ctx.Broadcast(kindTestData, uint64(round))
-				return round >= 3
 			})
 		})
-		if _, err := net.Run(); err != nil {
-			t.Fatalf("workers=%d Run: %v", workers, err)
-		}
+		net.RunRounds(4)
 		// Teams closed by earlier tests may still be exiting, so the count
 		// can only be checked for growth.
 		if after := runtime.NumGoroutine(); after > before {
@@ -137,12 +133,12 @@ func TestInlineEngineStartsNoGoroutine(t *testing.T) {
 // repetitions and the server-to-come lean on.
 func TestResetReusesTeam(t *testing.T) {
 	g := graph.GNP(200, 0.06, 3)
-	net := New(g, Config{Seed: 5, Workers: 4})
+	net := New(g, 4)
 	defer net.Close()
-	net.SetProcesses(func(v graph.NodeID) Process {
-		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
+	net.Reset(5)
+	installAll(net, func(v graph.NodeID) Process {
+		return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
 			ctx.Broadcast(kindTestData, ctx.Rand().Uint64())
-			return false
 		})
 	})
 	net.RunRounds(3)
@@ -167,34 +163,32 @@ func TestResetReusesTeam(t *testing.T) {
 
 // TestCloseSemantics: Close is idempotent inline and with a team, never
 // hangs, and a closed multi-worker engine fails loudly (panic) rather than
-// deadlocking if stepped again; read-only accessors stay usable.
+// deadlocking if stepped again; Metrics stays readable.
 func TestCloseSemantics(t *testing.T) {
 	g := graph.GNP(50, 0.1, 2)
 	install := func(net *Engine) {
-		net.SetProcesses(func(v graph.NodeID) Process {
-			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
+		installAll(net, func(v graph.NodeID) Process {
+			return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
 				ctx.Broadcast(kindTestData, 1)
-				return false
 			})
 		})
 	}
 	for _, workers := range []int{1, 4} {
-		net := New(g, Config{Seed: 1, Workers: workers})
+		net := New(g, workers)
 		install(net)
 		net.RunRounds(2)
-		rounds := net.Round()
 		net.Close()
 		net.Close() // idempotent
-		if net.Round() != rounds || net.Metrics().Rounds != rounds {
-			t.Errorf("workers=%d: accessors unusable after Close", workers)
+		if net.Metrics().Rounds != 2 {
+			t.Errorf("workers=%d: Metrics unusable after Close", workers)
 		}
 	}
 
 	// Closing before the team ever ran (lazy spawn) must also be safe.
-	never := New(g, Config{Workers: 4})
+	never := New(g, 4)
 	never.Close()
 
-	closed := New(g, Config{Workers: 4})
+	closed := New(g, 4)
 	install(closed)
 	closed.RunRounds(1)
 	closed.Close()
@@ -265,16 +259,24 @@ func TestShardPlanTinyGraphs(t *testing.T) {
 		if got := int(plan.chunkLo[plan.numChunks()]); got != n {
 			t.Errorf("n=%d: plan covers %d nodes", n, got)
 		}
-		net := New(g, Config{Workers: 64})
-		net.SetProcesses(func(v graph.NodeID) Process {
-			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
+		net := New(g, 64)
+		received := make([]int, n) // per node: the team steps nodes concurrently
+		installAll(net, func(v graph.NodeID) Process {
+			return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
+				if round == 1 {
+					received[v] = len(inbox)
+				}
 				ctx.Broadcast(kindTestData, uint64(v))
-				return round >= 1
 			})
 		})
-		if _, err := net.Run(); err != nil {
-			t.Errorf("n=%d workers=64: %v", n, err)
-		}
+		net.RunRounds(2)
 		net.Close()
+		got := 0
+		for _, k := range received {
+			got += k
+		}
+		if want := g.EdgeIndex().NumSlots(); got != want {
+			t.Errorf("n=%d workers=64: delivered %d messages, want %d", n, got, want)
+		}
 	}
 }

@@ -2,18 +2,25 @@ package congest
 
 import "fmt"
 
-// Metrics aggregates the cost of a simulation run. Rounds counts simulated
-// synchronous rounds; ChargedRounds counts additional rounds accounted via
-// ChargeRounds for pipelined sub-protocols (see the package comment);
-// TotalRounds is their sum and is the quantity the experiments report.
+// Metrics aggregates the cost of a run. Rounds counts simulated synchronous
+// rounds; ChargedRounds counts additional rounds an algorithm accounts by
+// formula for pipelined sub-protocols whose internal scheduling does not
+// affect the outcome (every such charge in this repository cites the
+// paper's cost statement); TotalRounds is their sum and is the quantity the
+// experiments report.
+//
+// Every message is one word, so an engine's WordsSent equals its
+// MessagesSent. ProtocolViolations and HaltedNodes are kept for the
+// metrics' JSON form: slot-addressed sends cannot reach a non-neighbor and
+// processes do not halt, so the engine reports 0 for both.
 type Metrics struct {
 	Rounds               int
 	ChargedRounds        int
 	MessagesSent         int
 	WordsSent            int
-	MaxEdgeWordsPerRound int // maximum words sent over one directed edge in one round
-	BandwidthViolations  int // rounds×edges where the configured limit was exceeded
-	ProtocolViolations   int // sends to non-neighbors or other model violations (messages dropped)
+	MaxEdgeWordsPerRound int // most messages (one word each) sent over one directed edge in one round
+	BandwidthViolations  int // rounds×edges that carried more than one message
+	ProtocolViolations   int
 	HaltedNodes          int
 }
 

@@ -17,8 +17,8 @@ import (
 const multicoreGateEnv = "D2_MULTICORE_GATE"
 
 // TestWorkerTeamBeatsInlineMulticore is the multicore performance gate: on a
-// runner with at least 4 cores, a Workers = GOMAXPROCS team must beat the
-// Workers = 1 inline engine on a full-broadcast workload at n = 10⁶ — the
+// runner with at least 4 cores, a GOMAXPROCS-rank team must beat the
+// one-worker inline engine on a full-broadcast workload at n = 10⁶ — the
 // single-large-graph regime (E11's relaxed row) where every multicore win
 // previously came from the sweep grid and the engine itself lost. A failure
 // here is a build failure: the team regressed to decoration.
@@ -37,12 +37,11 @@ func TestWorkerTeamBeatsInlineMulticore(t *testing.T) {
 	g := graph.GNPWithAverageDegree(n, 8, 42)
 
 	measure := func(workers int) time.Duration {
-		net := New(g, Config{Seed: 1, Workers: workers})
+		net := New(g, workers)
 		defer net.Close()
-		net.SetProcesses(func(v graph.NodeID) Process {
-			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
+		installAll(net, func(v graph.NodeID) Process {
+			return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
 				ctx.Broadcast(1, uint64(round&1))
-				return false
 			})
 		})
 		net.RunRounds(1) // warm: buckets, inboxes, worker team

@@ -1,58 +1,45 @@
 package congest
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"d2color/internal/graph"
 )
 
-// Test-local message kinds.
-const (
-	kindTestFlood Kind = iota + 1
-	kindTestData
-)
-
-// broadcastMaxProcess floods the maximum UID seen so far and halts after a
-// fixed number of rounds. It is used to exercise the engine end to end.
+// broadcastMaxProcess floods the maximum ID seen so far for a fixed number
+// of rounds. The ID is the process's own state, as in any protocol that
+// uses the model's identifiers. It exercises the engine end to end.
 type broadcastMaxProcess struct {
-	best     uint64
-	maxRound int
+	best uint64
 }
 
-func (p *broadcastMaxProcess) Step(ctx *Context, round int, inbox []Message) bool {
-	if round == 0 {
-		p.best = ctx.UID()
-	}
+func (p *broadcastMaxProcess) Step(ctx *Context, round int, inbox []Message) {
 	for _, m := range inbox {
 		if m.Kind == kindTestFlood && m.Word > p.best {
 			p.best = m.Word
 		}
 	}
-	if round >= p.maxRound {
-		return true
-	}
 	ctx.Broadcast(kindTestFlood, p.best)
-	return false
 }
 
-func runBroadcastMax(t *testing.T, g *graph.Graph, cfg Config) []uint64 {
+// runBroadcastMax floods the IDs for diameter+1 rounds and returns every
+// node's final maximum.
+func runBroadcastMax(t *testing.T, g *graph.Graph, workers int, ids []uint64) []uint64 {
 	t.Helper()
-	net := New(g, cfg)
+	net := New(g, workers)
 	defer net.Close()
-	procs := make([]*broadcastMaxProcess, g.NumNodes())
+	procs := make([]broadcastMaxProcess, g.NumNodes())
+	for v := range procs {
+		procs[v].best = ids[v]
+	}
+	installAll(net, func(v graph.NodeID) Process { return &procs[v] })
 	diam := g.Diameter()
 	if diam < 0 {
 		diam = g.NumNodes()
 	}
-	net.SetProcesses(func(v graph.NodeID) Process {
-		procs[v] = &broadcastMaxProcess{maxRound: diam + 1}
-		return procs[v]
-	})
-	if _, err := net.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	net.RunRounds(diam + 1)
 	out := make([]uint64, g.NumNodes())
 	for v := range procs {
 		out[v] = procs[v].best
@@ -62,12 +49,14 @@ func runBroadcastMax(t *testing.T, g *graph.Graph, cfg Config) []uint64 {
 
 func TestBroadcastMaxConverges(t *testing.T) {
 	g := graph.Grid(5, 6)
-	best := runBroadcastMax(t, g, Config{Seed: 1, IDs: IDSparseRandom})
-	// Everyone should agree on the global max UID.
-	want := best[0]
-	for v, b := range best {
+	ids := testIDs(idsSparse, g.NumNodes(), 1)
+	want := uint64(0)
+	for _, id := range ids {
+		want = max(want, id)
+	}
+	for v, b := range runBroadcastMax(t, g, 1, ids) {
 		if b != want {
-			t.Fatalf("node %d converged to %d, node 0 to %d", v, b, want)
+			t.Fatalf("node %d converged to %d, want the global max %d", v, b, want)
 		}
 	}
 }
@@ -76,9 +65,10 @@ func TestBroadcastMaxConverges(t *testing.T) {
 // size must reproduce it node for node.
 func TestWorkersMatchInline(t *testing.T) {
 	g := graph.GNP(80, 0.08, 3)
-	want := runBroadcastMax(t, g, Config{Seed: 7, IDs: IDRandomPermutation, Workers: 1})
+	ids := testIDs(idsPermutation, g.NumNodes(), 7)
+	want := runBroadcastMax(t, g, 1, ids)
 	for _, workers := range []int{2, 3, 4, 16} {
-		got := runBroadcastMax(t, g, Config{Seed: 7, IDs: IDRandomPermutation, Workers: workers})
+		got := runBroadcastMax(t, g, workers, ids)
 		for v := range want {
 			if want[v] != got[v] {
 				t.Fatalf("workers=%d node %d: %d vs inline %d", workers, v, got[v], want[v])
@@ -87,168 +77,91 @@ func TestWorkersMatchInline(t *testing.T) {
 	}
 }
 
-func TestRunErrorsWithoutProcess(t *testing.T) {
-	net := New(graph.Path(3), Config{})
-	net.SetProcess(0, ProcessFunc(func(ctx *Context, round int, inbox []Message) bool { return true }))
-	if _, err := net.Run(); !errors.Is(err, ErrNoProcess) {
-		t.Errorf("Run = %v, want ErrNoProcess", err)
-	}
-}
-
-func TestRoundLimit(t *testing.T) {
-	net := New(graph.Path(2), Config{MaxRounds: 10})
-	net.SetProcesses(func(v graph.NodeID) Process {
-		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool { return false })
-	})
-	if _, err := net.Run(); !errors.Is(err, ErrRoundLimit) {
-		t.Errorf("Run = %v, want ErrRoundLimit", err)
-	}
-	if net.Metrics().Rounds != 10 {
-		t.Errorf("rounds = %d, want 10", net.Metrics().Rounds)
-	}
-}
-
-func TestSendToNonNeighborIsViolation(t *testing.T) {
-	g := graph.Path(3) // 0-1-2; 0 and 2 are not adjacent
-	net := New(g, Config{})
-	net.SetProcesses(func(v graph.NodeID) Process {
-		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
-			if ctx.NodeID() == 0 && round == 0 {
-				if err := ctx.Send(2, kindTestData, 0x41); !errors.Is(err, ErrNotNeighbor) {
-					t.Errorf("Send to non-neighbor = %v, want ErrNotNeighbor", err)
-				}
-			}
-			return round >= 1
-		})
-	})
-	if _, err := net.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if net.Metrics().ProtocolViolations != 1 {
-		t.Errorf("protocol violations = %d, want 1", net.Metrics().ProtocolViolations)
-	}
-	if net.Metrics().MessagesSent != 0 {
-		t.Errorf("violating message should not be delivered, sent=%d", net.Metrics().MessagesSent)
-	}
-}
-
+// TestBandwidthAccounting: rounds that send at most one message per
+// directed edge read MaxEdgeWordsPerRound 1 and no violations, whatever mix
+// of Broadcast and SendToNeighbor produced them; every overloaded edge then
+// counts once per round, and the heaviest edge sets the maximum.
 func TestBandwidthAccounting(t *testing.T) {
-	g := graph.Path(2)
-	net := New(g, Config{BandwidthWords: 2})
-	net.SetProcesses(func(v graph.NodeID) Process {
-		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
-			if ctx.NodeID() == 0 && round == 0 {
-				_ = ctx.SendWords(1, kindTestData, 0xB16, 5)
+	g := graph.Star(4) // hub 0, leaves 1..3
+	net := New(g, 1)
+	installAll(net, func(v graph.NodeID) Process {
+		return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
+			switch {
+			case round == 0:
+				ctx.Broadcast(kindTestData, 1)
+			case round == 1 && v == 0:
+				ctx.SendToNeighbor(0, kindTestData, 2)
+				ctx.SendToNeighbor(2, kindTestData, 2)
+			case round == 2 && v == 0: // edges 0→1 and 0→2 carry 2 and 3 messages
+				ctx.Broadcast(kindTestData, 3)
+				ctx.SendToNeighbor(0, kindTestData, 3)
+				ctx.SendToNeighbor(1, kindTestData, 3)
+				ctx.SendToNeighbor(1, kindTestData, 3)
 			}
-			return round >= 1
 		})
 	})
-	if _, err := net.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	net.RunRounds(2)
 	m := net.Metrics()
-	if m.MaxEdgeWordsPerRound != 5 {
-		t.Errorf("MaxEdgeWordsPerRound = %d, want 5", m.MaxEdgeWordsPerRound)
+	if m.MaxEdgeWordsPerRound != 1 || m.BandwidthViolations != 0 || m.MessagesSent != 8 || m.WordsSent != 8 {
+		t.Fatalf("in-model rounds: %v, want maxEdgeWords=1 bwViol=0 msgs=words=8", m)
 	}
-	if m.BandwidthViolations != 1 {
-		t.Errorf("BandwidthViolations = %d, want 1", m.BandwidthViolations)
+	net.RunRounds(1)
+	m = net.Metrics()
+	if m.MaxEdgeWordsPerRound != 3 || m.BandwidthViolations != 2 || m.MessagesSent != 14 || m.WordsSent != 14 {
+		t.Fatalf("overloaded round: %v, want maxEdgeWords=3 bwViol=2 msgs=words=14", m)
 	}
-	if m.WordsSent != 5 || m.MessagesSent != 1 {
-		t.Errorf("words=%d msgs=%d, want 5,1", m.WordsSent, m.MessagesSent)
-	}
-}
-
-func TestChargeRounds(t *testing.T) {
-	net := New(graph.Path(2), Config{})
-	net.ChargeRounds(7)
-	net.ChargeRounds(-3) // ignored
-	m := net.Metrics()
-	if m.ChargedRounds != 7 {
-		t.Errorf("ChargedRounds = %d, want 7", m.ChargedRounds)
-	}
-	if m.TotalRounds() != 7 {
-		t.Errorf("TotalRounds = %d, want 7", m.TotalRounds())
-	}
-}
-
-func TestRunRoundsAndHaltedNodes(t *testing.T) {
-	g := graph.Cycle(4)
-	net := New(g, Config{})
-	net.SetProcesses(func(v graph.NodeID) Process {
-		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
-			return int(ctx.NodeID())%2 == 0 // even nodes halt immediately
-		})
-	})
-	net.RunRounds(3)
-	if net.Round() != 3 {
-		t.Errorf("Round() = %d, want 3", net.Round())
-	}
-	if got := net.Metrics().HaltedNodes; got != 2 {
-		t.Errorf("halted nodes = %d, want 2", got)
-	}
-	if net.AllHalted() {
-		t.Error("odd nodes never halt; AllHalted should be false")
-	}
-}
-
-func TestIDAssignments(t *testing.T) {
-	g := graph.Complete(20)
-	for _, mode := range []IDAssignment{IDSequential, IDRandomPermutation, IDSparseRandom} {
-		net := New(g, Config{Seed: 5, IDs: mode})
-		seen := make(map[uint64]bool)
-		for v := 0; v < g.NumNodes(); v++ {
-			id := net.ID(graph.NodeID(v))
-			if seen[id] {
-				t.Errorf("mode %d: duplicate ID %d", mode, id)
-			}
-			seen[id] = true
-		}
-	}
-	// Sequential is the identity.
-	net := New(g, Config{})
-	if net.ID(7) != 7 {
-		t.Errorf("sequential ID(7) = %d, want 7", net.ID(7))
+	if m.ProtocolViolations != 0 || m.HaltedNodes != 0 {
+		t.Errorf("slot-addressed sends reported protoViol=%d halted=%d, want 0", m.ProtocolViolations, m.HaltedNodes)
 	}
 }
 
 func TestContextAccessors(t *testing.T) {
 	g := graph.Star(5)
-	net := New(g, Config{Seed: 2})
-	var sawDegree, sawN, sawDelta int
-	net.SetProcesses(func(v graph.NodeID) Process {
-		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
-			if ctx.NodeID() == 0 {
-				sawDegree = ctx.Degree()
-				sawN = ctx.N()
-				sawDelta = ctx.MaxDegree()
-				if len(ctx.Neighbors()) != 4 {
-					t.Errorf("Neighbors() length = %d, want 4", len(ctx.Neighbors()))
-				}
-				if ctx.NeighborUID(1) != net.ID(1) {
-					t.Error("NeighborUID mismatch")
-				}
-				if ctx.Rand() == nil {
-					t.Error("Rand() should not be nil")
-				}
-			}
-			return true
+	net := New(g, 1)
+	net.Reset(2)
+	degree := make([]int, g.NumNodes())
+	draws := make([]uint64, g.NumNodes())
+	installAll(net, func(v graph.NodeID) Process {
+		return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
+			degree[v] = ctx.Degree()
+			draws[v] = ctx.Rand().Uint64()
 		})
 	})
-	if _, err := net.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if sawDegree != 4 || sawN != 5 || sawDelta != 4 {
-		t.Errorf("accessors: degree=%d n=%d Δ=%d", sawDegree, sawN, sawDelta)
+	net.RunRounds(1)
+	for v := range degree {
+		if degree[v] != g.Degree(graph.NodeID(v)) {
+			t.Errorf("node %d: Degree() = %d, want %d", v, degree[v], g.Degree(graph.NodeID(v)))
+		}
+		if v > 0 && draws[v] == draws[v-1] {
+			t.Errorf("nodes %d and %d drew the same word: Rand() is not per node", v-1, v)
+		}
 	}
 }
 
-func TestMessageWordsDefault(t *testing.T) {
-	m := Message{}
-	if m.words() != 1 {
-		t.Errorf("default words = %d, want 1", m.words())
+// TestRunRoundsAndHaltedNodes: RunRounds(k) steps every node with a process
+// exactly k times, with rounds numbered on from earlier calls; nodes without
+// a process are skipped, and no node counts as halted.
+func TestRunRoundsAndHaltedNodes(t *testing.T) {
+	g := graph.Cycle(4)
+	net := New(g, 1)
+	var steps [4][]int
+	for v := 0; v < 3; v++ { // node 3 has no process
+		net.SetProcess(graph.NodeID(v), ProcessFunc(func(ctx *Context, round int, inbox []Message) {
+			steps[v] = append(steps[v], round)
+		}))
 	}
-	if m.String() == "" {
-		t.Error("Message.String should be non-empty")
+	net.RunRounds(2)
+	net.RunRounds(1)
+	for v := 0; v < 3; v++ {
+		if len(steps[v]) != 3 || steps[v][0] != 0 || steps[v][2] != 2 {
+			t.Errorf("node %d stepped in rounds %v, want [0 1 2]", v, steps[v])
+		}
+	}
+	if steps[3] != nil {
+		t.Errorf("node without a process stepped in rounds %v", steps[3])
+	}
+	if m := net.Metrics(); m.Rounds != 3 || m.HaltedNodes != 0 {
+		t.Errorf("rounds = %d, halted = %d, want 3, 0", m.Rounds, m.HaltedNodes)
 	}
 }
 
@@ -275,10 +188,11 @@ func TestMetricsAdd(t *testing.T) {
 func TestPropertyDeliveryNextRoundSorted(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := graph.Cycle(6)
-		net := New(g, Config{Seed: seed})
+		net := New(g, 1)
+		net.Reset(seed)
 		ok := true
-		net.SetProcesses(func(v graph.NodeID) Process {
-			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
+		installAll(net, func(v graph.NodeID) Process {
+			return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
 				if round == 0 && len(inbox) != 0 {
 					ok = false // nothing can arrive in round 0
 				}
@@ -294,12 +208,9 @@ func TestPropertyDeliveryNextRoundSorted(t *testing.T) {
 					}
 				}
 				ctx.Broadcast(kindTestData, uint64(round))
-				return round >= 1
 			})
 		})
-		if _, err := net.Run(); err != nil {
-			return false
-		}
+		net.RunRounds(2)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
@@ -308,189 +219,85 @@ func TestPropertyDeliveryNextRoundSorted(t *testing.T) {
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
-	run := func() Metrics {
-		g := graph.GNP(40, 0.1, 11)
-		net := New(g, Config{Seed: 99})
-		net.SetProcesses(func(v graph.NodeID) Process {
-			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
-				// Random gossip: send a random value to a random neighbor.
-				if ctx.Degree() > 0 {
-					to := ctx.Neighbors()[ctx.Rand().Intn(ctx.Degree())]
-					_ = ctx.Send(to, kindTestData, ctx.Rand().Uint64())
-				}
-				return round >= 5
-			})
-		})
-		if _, err := net.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return net.Metrics()
+	g := graph.GNP(40, 0.1, 11)
+	a, am := runDigest(t, g, 1, 99, 6)
+	b, bm := runDigest(t, g, 1, 99, 6)
+	if am != bm {
+		t.Fatalf("two identical runs produced different metrics:\n%v\n%v", am, bm)
 	}
-	a, b := run(), run()
-	if a != b {
-		t.Errorf("two identical runs produced different metrics:\n%v\n%v", a, b)
-	}
-}
-
-// Regression test for the Config.BandwidthWords semantics: a message
-// exceeding the bandwidth limit is a *bandwidth* violation — counted, but
-// still delivered — while a send to a non-neighbor is a *protocol*
-// violation — counted, and dropped before delivery.
-func TestViolationSemantics(t *testing.T) {
-	g := graph.Path(3) // 0-1-2; 0 and 2 are not adjacent
-	net := New(g, Config{BandwidthWords: 2})
-	var got []Message
-	net.SetProcesses(func(v graph.NodeID) Process {
-		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
-			if round == 0 && ctx.NodeID() == 0 {
-				// Oversized (5 > 2 words) but to a neighbor: delivered.
-				if err := ctx.SendWords(1, kindTestData, 0xB16, 5); err != nil {
-					t.Errorf("oversized send to neighbor returned %v", err)
-				}
-				// Non-neighbor: dropped.
-				if err := ctx.Send(2, kindTestData, 0x6057); !errors.Is(err, ErrNotNeighbor) {
-					t.Errorf("send to non-neighbor = %v, want ErrNotNeighbor", err)
-				}
-			}
-			if round == 1 && ctx.NodeID() != 0 {
-				got = append(got, inbox...)
-			}
-			return round >= 1
-		})
-	})
-	if _, err := net.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(got) != 1 || got[0].Word != 0xB16 || got[0].To != 1 {
-		t.Fatalf("delivered messages = %v, want exactly the oversized message at node 1", got)
-	}
-	m := net.Metrics()
-	if m.BandwidthViolations != 1 {
-		t.Errorf("BandwidthViolations = %d, want 1", m.BandwidthViolations)
-	}
-	if m.ProtocolViolations != 1 {
-		t.Errorf("ProtocolViolations = %d, want 1", m.ProtocolViolations)
-	}
-	if m.MessagesSent != 1 || m.WordsSent != 5 {
-		t.Errorf("sent msgs=%d words=%d, want 1, 5 (dropped message must not be accounted)", m.MessagesSent, m.WordsSent)
-	}
-}
-
-// IDSparseRandom must terminate and produce distinct IDs even for tiny
-// graphs, where the n³ space collapses to the 1024 floor and random redraw
-// collisions are plausible; the assignment is guarded by a retry bound with
-// a deterministic linear-probe fallback.
-func TestIDSparseRandomSmallN(t *testing.T) {
-	for n := 1; n <= 3; n++ {
-		var edges []graph.Edge
-		for v := 1; v < n; v++ {
-			edges = append(edges, graph.Edge{U: 0, V: graph.NodeID(v)})
-		}
-		g := graph.MustFromEdges(n, edges)
-		for seed := uint64(0); seed < 50; seed++ {
-			net := New(g, Config{Seed: seed, IDs: IDSparseRandom})
-			seen := make(map[uint64]bool, n)
-			for v := 0; v < n; v++ {
-				id := net.ID(graph.NodeID(v))
-				if seen[id] {
-					t.Fatalf("n=%d seed=%d: duplicate ID %d", n, seed, id)
-				}
-				if id >= 1024 {
-					t.Fatalf("n=%d seed=%d: ID %d outside the max(n³, 1024) space", n, seed, id)
-				}
-				seen[id] = true
-			}
+	for v := range a {
+		if a[v] != b[v] {
+			t.Fatalf("node %d: digests %x and %x differ across identical runs", v, a[v], b[v])
 		}
 	}
 }
 
-// Multiple messages over the same edge in one round must all be delivered in
-// send order (they share one slot of the message plane).
+// TestMultipleMessagesPerEdgePerRound: two SendToNeighbor calls to one
+// neighbor in one round exceed the model's bound. Both messages still
+// arrive, in send order, and the edge-round counts as one bandwidth
+// violation with MaxEdgeWordsPerRound 2 — identically inline and on a team.
 func TestMultipleMessagesPerEdgePerRound(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		g := graph.Path(2)
-		net := New(g, Config{Workers: workers})
-		var got []Message
-		net.SetProcesses(func(v graph.NodeID) Process {
-			return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
-				if round == 0 && ctx.NodeID() == 0 {
-					_ = ctx.Send(1, kindTestData, 1)
-					_ = ctx.Send(1, kindTestData, 2)
-					_ = ctx.Send(1, kindTestData, 3)
+	for _, workers := range []int{1, 4} {
+		g := graph.Path(4)
+		net := New(g, workers)
+		got := make([][]Message, g.NumNodes()) // per node: the team steps nodes concurrently
+		installAll(net, func(v graph.NodeID) Process {
+			return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
+				if round == 0 && v == 1 {
+					ctx.SendToNeighbor(1, kindTestData, 1) // neighbors of 1 are 0, 2
+					ctx.SendToNeighbor(1, kindTestData, 2)
 				}
-				if round == 1 && ctx.NodeID() == 1 {
-					got = append(got, inbox...)
+				if round == 1 {
+					got[v] = append(got[v], inbox...)
 				}
-				return round >= 1
 			})
 		})
-		if _, err := net.Run(); err != nil {
-			t.Fatalf("workers=%d Run: %v", workers, err)
-		}
+		net.RunRounds(2)
 		net.Close()
-		if len(got) != 3 || got[0].Word != 1 || got[1].Word != 2 || got[2].Word != 3 {
-			t.Fatalf("workers=%d inbox = %v, want words 1/2/3 in send order", workers, got)
+		if len(got[2]) != 2 || got[2][0] != (Message{From: 1, Kind: kindTestData, Word: 1}) ||
+			got[2][1] != (Message{From: 1, Kind: kindTestData, Word: 2}) {
+			t.Fatalf("workers=%d: node 2 inbox = %v, want words 1, 2 from node 1 in send order", workers, got[2])
+		}
+		for _, v := range []int{0, 1, 3} {
+			if len(got[v]) != 0 {
+				t.Fatalf("workers=%d: node %d received %v, want nothing", workers, v, got[v])
+			}
+		}
+		m := net.Metrics()
+		if m.BandwidthViolations != 1 || m.MaxEdgeWordsPerRound != 2 || m.MessagesSent != 2 || m.WordsSent != 2 {
+			t.Errorf("workers=%d: %v, want bwViol=1 maxEdgeWords=2 msgs=words=2", workers, m)
 		}
 	}
 }
 
 // Reset must rewind an engine to the exact state of a freshly constructed
-// one: same results, same metrics, same (seed-derived) IDs, inline and with a
-// worker team, and for seed-dependent ID assignments.
+// one: same deliveries, same random streams and same metrics, inline and
+// with a worker team.
 func TestResetMatchesFreshEngine(t *testing.T) {
 	g := graph.GNP(60, 0.08, 5)
-	for _, ids := range []IDAssignment{IDSequential, IDRandomPermutation, IDSparseRandom} {
-		testResetMatchesFreshEngine(t, g, ids)
-	}
-}
-
-func testResetMatchesFreshEngine(t *testing.T, g *graph.Graph, ids IDAssignment) {
+	const rounds = 9
 	for _, workers := range []int{1, 4} {
-		run := func(net *Engine) ([]uint64, Metrics) {
-			if _, err := net.Run(); err != nil {
-				t.Fatalf("workers=%d Run: %v", workers, err)
-			}
-			out := make([]uint64, g.NumNodes())
-			for v := range out {
-				out[v] = net.ID(graph.NodeID(v))
-			}
-			return out, net.Metrics()
-		}
-		install := func(net *Engine) []*broadcastMaxProcess {
-			procs := make([]*broadcastMaxProcess, g.NumNodes())
-			net.SetProcesses(func(v graph.NodeID) Process {
-				procs[v] = &broadcastMaxProcess{maxRound: g.NumNodes() / 2}
-				return procs[v]
-			})
-			return procs
-		}
 		for _, seed := range []uint64{3, 77} {
-			fresh := New(g, Config{Seed: seed, IDs: ids, Workers: workers})
-			defer fresh.Close()
-			fp := install(fresh)
-			fid, fm := run(fresh)
+			want, wantM := runDigest(t, g, workers, seed, rounds)
 
-			reused := New(g, Config{Seed: 12345, IDs: ids, Workers: workers})
-			defer reused.Close()
-			rp := install(reused)
-			run(reused) // dirty the plane, inboxes, metrics and RNG streams
+			reused := New(g, workers)
+			procs := make([]digestProcess, g.NumNodes())
+			installAll(reused, func(v graph.NodeID) Process { return &procs[v] })
+			reused.Reset(12345)
+			reused.RunRounds(rounds) // dirty the plane, inboxes, metrics and RNG streams
 			reused.Reset(seed)
-			for v := range rp {
-				*rp[v] = broadcastMaxProcess{maxRound: g.NumNodes() / 2}
-			}
-			rid, rm := run(reused)
+			clear(procs)
+			reused.RunRounds(rounds)
+			gotM := reused.Metrics()
+			reused.Close()
 
-			if fm != rm {
-				t.Fatalf("ids=%d workers=%d seed=%d: metrics differ\nfresh: %v\nreset: %v", ids, workers, seed, fm, rm)
+			if gotM != wantM {
+				t.Fatalf("workers=%d seed=%d: metrics differ\nfresh: %v\nreset: %v", workers, seed, wantM, gotM)
 			}
-			for v := range fp {
-				if fid[v] != rid[v] {
-					t.Fatalf("ids=%d workers=%d seed=%d node %d: fresh ID %d, reset ID %d",
-						ids, workers, seed, v, fid[v], rid[v])
-				}
-				if fp[v].best != rp[v].best {
-					t.Fatalf("ids=%d workers=%d seed=%d node %d: fresh best %d, reset best %d",
-						ids, workers, seed, v, fp[v].best, rp[v].best)
+			for v := range procs {
+				if procs[v].digest != want[v] {
+					t.Fatalf("workers=%d seed=%d node %d: fresh digest %x, reset digest %x",
+						workers, seed, v, want[v], procs[v].digest)
 				}
 			}
 		}
@@ -501,11 +308,10 @@ func testResetMatchesFreshEngine(t *testing.T, g *graph.Graph, ids IDAssignment)
 // buffers survive the reset.
 func TestResetDoesNotAllocate(t *testing.T) {
 	g := graph.GNP(100, 0.06, 2)
-	net := New(g, Config{Seed: 1})
-	net.SetProcesses(func(v graph.NodeID) Process {
-		return ProcessFunc(func(ctx *Context, round int, inbox []Message) bool {
+	net := New(g, 1)
+	installAll(net, func(v graph.NodeID) Process {
+		return ProcessFunc(func(ctx *Context, round int, inbox []Message) {
 			ctx.Broadcast(kindTestData, uint64(round))
-			return false
 		})
 	})
 	net.RunRounds(2)
@@ -515,5 +321,22 @@ func TestResetDoesNotAllocate(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("reset + warmed rounds allocated %.1f times, want 0", allocs)
+	}
+}
+
+// TestMessageLayoutMatchesResidencyEstimate keeps graph.EstimateResidency in
+// step with the message plane: every directed edge slot holds one inline
+// Message plus a 4-byte count and a 4-byte generation stamp in the plane,
+// and one Message in the inbox arena.
+func TestMessageLayoutMatchesResidencyEstimate(t *testing.T) {
+	size := int(unsafe.Sizeof(Message{}))
+	if size != 16 {
+		t.Errorf("Message is %d bytes, want 16", size)
+	}
+	// One more edge is two more directed slots at fixed n.
+	perSlot := (graph.EstimateResidency(1000, 5001).PlaneBytes - graph.EstimateResidency(1000, 5000).PlaneBytes) / 2
+	if want := float64(2*size + 4 + 4); perSlot != want {
+		t.Errorf("EstimateResidency charges %.0f plane bytes per slot, the layout holds %.0f (Message = %d bytes)",
+			perSlot, want, size)
 	}
 }

@@ -13,14 +13,13 @@ import (
 // current round.
 //
 // The storage is two-tier. The first message of a slot's round lives inline
-// in a flat []Message — one 24-byte record per slot, no per-slot slice
-// header, no per-slot heap object. Every protocol in this repository sends
-// at most one message per directed edge per round, so the overflow tier
-// (per-slot []Message buckets for the second and later messages) is
-// allocated lazily on the first double-send of the plane's lifetime; a
-// protocol that never double-sends never pays its 24 bytes per slot of
-// headers. At n = 10⁷ / avg degree 8 the inline tier is what bounds the
-// plane: ~0.5 GB instead of the ~1 GB the bucket-per-slot layout cost.
+// in a flat []Message — one 16-byte record per slot, no per-slot slice
+// header, no per-slot heap object. The model allows one message per
+// directed edge per round, so the overflow tier (per-slot []Message buckets
+// for the second and later messages, which the engine counts as bandwidth
+// violations) is allocated lazily on the first double-send of the plane's
+// lifetime; a protocol that stays inside the model never pays its 24 bytes
+// per slot of headers.
 //
 // Freshness is tracked with a per-slot generation stamp instead of clearing:
 // advancing the generation at the end of a round logically empties every
@@ -85,22 +84,18 @@ func (p *plane) growExtra() {
 }
 
 // appendFresh appends the messages written into slot e this round to dst in
-// send order and returns the extended slice plus their total accounted word
-// count; words is 0 iff the slot was not written this round.
-func (p *plane) appendFresh(e int32, dst []Message) (out []Message, words int) {
+// send order and returns the extended slice plus their count, which is 0
+// iff the slot was not written this round.
+func (p *plane) appendFresh(e int32, dst []Message) (out []Message, count int) {
 	if p.gen[e] != p.cur {
 		return dst, 0
 	}
-	m := p.first[e]
-	dst = append(dst, m)
-	words = m.words()
-	if k := p.cnt[e]; k > 1 {
-		for _, om := range p.extra[e][:k-1] {
-			dst = append(dst, om)
-			words += om.words()
-		}
+	dst = append(dst, p.first[e])
+	k := p.cnt[e]
+	if k > 1 {
+		dst = append(dst, p.extra[e][:k-1]...)
 	}
-	return dst, words
+	return dst, int(k)
 }
 
 // advance starts the next round's generation, logically clearing every slot.

@@ -9,7 +9,7 @@ import (
 	"d2color/internal/graph"
 )
 
-// This file holds the multi-worker machinery of the engine (Workers > 1): the
+// This file holds the multi-worker machinery of the engine (workers > 1): the
 // edge-balanced shard plan, the padded per-worker state, and the worker team
 // with its epoch gate and single per-round barrier. See DESIGN.md §10.
 
@@ -33,7 +33,7 @@ const (
 // node u is its directed slot count plus one (slots dominate the cost of
 // both stepping and delivering a node; the +1 keeps zero-edge graphs
 // balanced by node count) — and each worker owns a contiguous run of chunks,
-// hence a contiguous node range: compute writes (halted flags, contexts) and
+// hence a contiguous node range: compute writes (contexts, the plane's out-slots) and
 // delivery writes (inboxes) stay partition-local.
 type shardPlan struct {
 	workers int
@@ -44,13 +44,6 @@ type shardPlan struct {
 	// firstChunk has workers+1 entries; worker w owns chunks
 	// [firstChunk[w], firstChunk[w+1]).
 	firstChunk []int32
-}
-
-func (p *shardPlan) numChunks() int { return len(p.chunkLo) - 1 }
-
-// nodeRange returns the contiguous node range worker w owns.
-func (p *shardPlan) nodeRange(w int) (lo, hi int32) {
-	return p.chunkLo[p.firstChunk[w]], p.chunkLo[p.firstChunk[w+1]]
 }
 
 // buildShardPlan cuts n nodes into edge-balanced chunks grouped into one

@@ -22,47 +22,47 @@ func rebindSequence() []*graph.Graph {
 	}
 }
 
-// doubleSendProcess folds every delivered message and its sender's UID into
-// an order-sensitive digest and, besides a broadcast, sends a second message
-// over one random edge every other round — so the plane's overflow tier
-// carries traffic — plus random-word sends through the slot lookup. It
-// sends in a random quarter of its rounds only, so slots go unwritten for
-// stretches and stale generation stamps would show.
+// doubleSendProcess folds every delivered message and the ID its sender
+// sent into an order-sensitive digest and, besides a broadcast of its own
+// ID, sends a second message over one random edge every other round — so
+// the plane's overflow tier carries traffic. It sends in a random quarter
+// of its rounds only, so slots go unwritten for stretches and stale
+// generation stamps would show. The ID is the process's own state.
 type doubleSendProcess struct {
 	digest uint64
-	rounds int
+	id     uint64
 }
 
-func (p *doubleSendProcess) Step(ctx *Context, round int, inbox []Message) bool {
+func (p *doubleSendProcess) Step(ctx *Context, round int, inbox []Message) {
 	for i := range inbox {
 		m := &inbox[i]
-		p.digest = p.digest*1099511628211 ^ uint64(m.From)<<32 ^ ctx.NeighborUID(m.From) ^ m.Word
+		p.digest = p.digest*1099511628211 ^ uint64(m.From)<<32 ^ uint64(m.Kind) ^ m.Word
 	}
-	p.digest ^= ctx.UID() << 7
+	p.digest ^= p.id << 7
 	if d := ctx.Degree(); d > 0 && ctx.Rand().Uint64()&3 == 0 {
-		ctx.Broadcast(kindTestData, p.digest|1)
+		ctx.Broadcast(kindTestFlood, p.id)
 		pick := int(ctx.Rand().Uint64() % uint64(d))
 		if round%2 == 0 {
 			ctx.SendToNeighbor(pick, kindTestData, p.digest)
 		} else {
-			_ = ctx.SendWords(ctx.Neighbors()[pick], kindTestData, p.digest>>3, 2)
+			ctx.SendToNeighbor(pick, kindTestData, p.digest>>3)
 		}
 	} else {
 		p.digest ^= ctx.Rand().Uint64()
 	}
-	return round >= p.rounds
 }
 
-func runDoubleSend(t *testing.T, net *Engine) ([]uint64, Metrics) {
-	t.Helper()
-	procs := make([]doubleSendProcess, net.Graph().NumNodes())
+// runDoubleSend runs doubleSendProcess for 13 rounds from seed 9 on net,
+// with IDs drawn under mode.
+func runDoubleSend(net *Engine, g *graph.Graph, mode int) ([]uint64, Metrics) {
+	net.Reset(9)
+	ids := testIDs(mode, g.NumNodes(), 9)
+	procs := make([]doubleSendProcess, g.NumNodes())
 	for v := range procs {
-		procs[v].rounds = 12
+		procs[v].id = ids[v]
 		net.SetProcess(graph.NodeID(v), &procs[v])
 	}
-	if _, err := net.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	net.RunRounds(13)
 	out := make([]uint64, len(procs))
 	for v := range procs {
 		out[v] = procs[v].digest
@@ -72,25 +72,24 @@ func runDoubleSend(t *testing.T, net *Engine) ([]uint64, Metrics) {
 
 // TestRebindMatchesNew: one engine rebound through rebindSequence runs every
 // topology byte-identically to New on it — same per-node digests (delivered
-// messages, IDs, random draws) and same Metrics — for every ID assignment,
-// inline and on a team. A team whose rank count still fits survives every
-// rebind, including one to a graph too small for a team.
+// messages, IDs carried in them, random draws) and same Metrics — for every
+// ID space of testIDs, inline and on a team. A team whose rank count still
+// fits survives every rebind, including one to a graph too small for a team.
 func TestRebindMatchesNew(t *testing.T) {
 	graphs := rebindSequence()
 	for _, workers := range []int{1, 4} {
-		for _, ids := range []IDAssignment{IDSequential, IDRandomPermutation, IDSparseRandom} {
-			cfg := Config{Seed: 9, Workers: workers, IDs: ids}
-			reused := New(graphs[0], cfg)
+		for _, ids := range []int{idsSequential, idsPermutation, idsSparse} {
+			reused := New(graphs[0], workers)
 			team := reused.team
 			for i, g := range graphs {
 				t.Run(fmt.Sprintf("workers=%d/ids=%d/graph=%d", workers, ids, i), func(t *testing.T) {
 					if i > 0 {
 						reused.Rebind(g)
 					}
-					fresh := New(g, cfg)
-					want, wantM := runDoubleSend(t, fresh)
+					fresh := New(g, workers)
+					want, wantM := runDoubleSend(fresh, g, ids)
 					fresh.Close()
-					got, gotM := runDoubleSend(t, reused)
+					got, gotM := runDoubleSend(reused, g, ids)
 					if gotM != wantM {
 						t.Fatalf("metrics differ:\nrebound: %v\nfresh:   %v", gotM, wantM)
 					}
@@ -115,7 +114,7 @@ func TestRebindMatchesNew(t *testing.T) {
 func TestRebindAllocFree(t *testing.T) {
 	graphs := rebindSequence()
 	for _, workers := range []int{1, 4} {
-		net := New(graphs[0], Config{Seed: 3, Workers: workers})
+		net := New(graphs[0], workers)
 		for _, g := range graphs {
 			net.Rebind(g)
 		}

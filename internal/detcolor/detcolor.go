@@ -202,8 +202,8 @@ func Color(h ConflictGraph, ids []int, cost CostModel) (Result, error) {
 }
 
 // checkIDs returns the largest identifier, or an ErrIDsNotDistinct error if
-// an identifier is negative or repeated. IDs may be sparse (up to n³ under
-// IDSparseRandom), so repeats are found by an adjacent compare on a sorted
+// an identifier is negative or repeated. IDs may be sparse (drawn from a
+// space of size n³, the general O(log n)-bit ID assumption), so repeats are found by an adjacent compare on a sorted
 // copy rather than a bitset; an ascending list, the common case, needs no
 // copy.
 func checkIDs(ids []int) (int, error) {

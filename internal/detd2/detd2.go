@@ -14,7 +14,6 @@ package detd2
 import (
 	"fmt"
 
-	"d2color/internal/alg"
 	"d2color/internal/coloring"
 	"d2color/internal/congest"
 	"d2color/internal/detcolor"
@@ -30,39 +29,20 @@ type Result struct {
 	Stages      detcolor.Result // intermediate palettes and per-stage rounds
 }
 
-// Options configures the run.
-type Options struct {
-	// IDs selects how the model's unique identifiers are assigned (they seed
-	// Linial's first iteration). Zero value means sequential IDs.
-	IDs congest.IDAssignment
-}
-
-// Run executes the deterministic algorithm of Theorem 1.2 on g. The seed is
-// used only for the ID assignment when opts.IDs is randomized. The pipeline
-// charges its rounds rather than simulating them message by message and
-// builds no engine, so eng is unused: Run takes it for the common run
-// signature of the algorithm packages.
-func Run(g *graph.Graph, opts Options, eng alg.Engine, seed uint64) (Result, error) {
+// Run executes the deterministic algorithm of Theorem 1.2 on g. The
+// pipeline charges its rounds rather than simulating them message by
+// message and builds no engine.
+func Run(g *graph.Graph) (Result, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return Result{Coloring: coloring.New(0), PaletteSize: 1}, nil
 	}
 
-	// Linial consumes the model's IDs as its initial coloring; they come from
-	// the simulator's one ID assignment. IDSparseRandom draws IDs from a space
-	// of size n³, exactly the O(log n)-bit assumption. Sequential IDs need no
-	// table: detcolor.Color treats nil as ID(v) = v.
-	var ids []int
-	if assigned := congest.AssignIDs(opts.IDs, n, seed, nil); assigned != nil {
-		ids = make([]int, n)
-		for v, id := range assigned {
-			ids[v] = int(id)
-		}
-	}
-
+	// Linial consumes the model's IDs as its initial coloring. The IDs are
+	// sequential, ID(v) = v, which detcolor.Color reads from a nil table.
 	// The conflict graph H = G² is streamed, never materialized: the pipeline
 	// pulls distance-2 neighborhoods straight from the CSR arrays of g.
-	stages, err := detcolor.Color(graph.NewDist2View(g), ids, detcolor.DefaultCostModelG2(g.MaxDegree()))
+	stages, err := detcolor.Color(graph.NewDist2View(g), nil, detcolor.DefaultCostModelG2(g.MaxDegree()))
 	if err != nil {
 		return Result{}, fmt.Errorf("detd2: %w", err)
 	}

@@ -8,9 +8,9 @@ import (
 	"testing"
 	"testing/quick"
 
-	"d2color/internal/alg"
-	"d2color/internal/congest"
+	"d2color/internal/detcolor"
 	"d2color/internal/graph"
+	"d2color/internal/rng"
 	"d2color/internal/verify"
 )
 
@@ -24,7 +24,7 @@ func TestRunOnVariousGraphs(t *testing.T) {
 		"path":  graph.Path(25),
 	}
 	for name, g := range cases {
-		res, err := Run(g, Options{}, alg.Engine{}, 0)
+		res, err := Run(g)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -39,7 +39,7 @@ func TestRunOnVariousGraphs(t *testing.T) {
 }
 
 func TestRunEmptyGraph(t *testing.T) {
-	res, err := Run(graph.NewBuilder(0).Build(), Options{}, alg.Engine{}, 0)
+	res, err := Run(graph.NewBuilder(0).Build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestRoundsScaleRoughlyWithDeltaSquared(t *testing.T) {
 	n := 400
 	small := graph.RandomRegular(n, 4, 1)
 	large := graph.RandomRegular(n, 16, 1)
-	rs, err := Run(small, Options{}, alg.Engine{}, 0)
+	rs, err := Run(small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := Run(large, Options{}, alg.Engine{}, 0)
+	rl, err := Run(large)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,26 +74,95 @@ func TestRoundsScaleRoughlyWithDeltaSquared(t *testing.T) {
 	}
 }
 
+// idMode selects how drawIDs assigns the model's O(log n)-bit identifiers.
+type idMode int
+
+const (
+	// idSequential is ID(v) = v, the registered pipeline's IDs.
+	idSequential idMode = iota + 1
+	// idRandomPermutation is a random permutation of 1..n: a scrambled but
+	// compact ID space.
+	idRandomPermutation
+	// idSparseRandom draws distinct values from a space of size n³, the
+	// general O(log n)-bit ID assumption, which drives Linial through a real
+	// iteration.
+	idSparseRandom
+)
+
+// drawIDs assigns identifiers to n nodes under mode from seed, in the
+// stream the simulator's ID assignment used before it was removed, so the
+// pinned runs below keep their values. nil means sequential IDs, which
+// detcolor.Color reads as ID(v) = v.
+func drawIDs(mode idMode, n int, seed uint64) []int {
+	if mode == idSequential {
+		return nil
+	}
+	src := rng.Split(seed, 0xC0FFEE)
+	ids := make([]int, n)
+	if mode == idRandomPermutation {
+		for v, p := range src.Perm(n) {
+			ids[v] = p + 1
+		}
+		return ids
+	}
+	space := uint64(n) * uint64(n) * uint64(n)
+	if space < 1024 {
+		space = 1024 // keeps the space strictly larger than n on tiny graphs
+	}
+	seen := make(map[uint64]bool, n)
+	for v := range ids {
+		id := src.Uint64() % space
+		for redraws := 0; seen[id]; redraws++ {
+			if redraws < 64 {
+				id = src.Uint64() % space
+			} else {
+				id = (id + 1) % space // linear probe after a collision streak
+			}
+		}
+		seen[id] = true
+		ids[v] = int(id)
+	}
+	return ids
+}
+
+// colorWithIDs runs the Theorem 1.2 pipeline as Run does, but with Linial
+// seeded by the given IDs.
+func colorWithIDs(g *graph.Graph, ids []int) (detcolor.Result, error) {
+	return detcolor.Color(graph.NewDist2View(g), ids, detcolor.DefaultCostModelG2(g.MaxDegree()))
+}
+
 func TestIDAssignmentsProduceValidColorings(t *testing.T) {
 	g := graph.GNP(50, 0.07, 2)
-	for _, ids := range []congest.IDAssignment{congest.IDSequential, congest.IDRandomPermutation, congest.IDSparseRandom} {
-		res, err := Run(g, Options{IDs: ids}, alg.Engine{}, 3)
+	for _, mode := range []idMode{idSequential, idRandomPermutation, idSparseRandom} {
+		res, err := colorWithIDs(g, drawIDs(mode, g.NumNodes(), 3))
 		if err != nil {
-			t.Fatalf("ids=%d: %v", ids, err)
+			t.Fatalf("ids=%d: %v", mode, err)
 		}
 		if rep := verify.CheckD2(g, res.Coloring, res.PaletteSize); !rep.Valid {
-			t.Errorf("ids=%d: %v", ids, rep.Error())
+			t.Errorf("ids=%d: %v", mode, rep.Error())
 		}
+	}
+	// The sequential draw is exactly what Run uses.
+	seq, err := colorWithIDs(g, drawIDs(idSequential, g.NumNodes(), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hashColoring(seq.Coloring) != hashColoring(res.Coloring) || seq.Metrics != res.Metrics {
+		t.Error("Run differs from the pipeline on sequential IDs")
 	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	g := graph.Grid(6, 7)
-	a, err := Run(g, Options{}, alg.Engine{}, 0)
+	a, err := Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, Options{}, alg.Engine{}, 0)
+	b, err := Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +178,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestStagesReported(t *testing.T) {
 	g := graph.GNP(60, 0.06, 9)
-	res, err := Run(g, Options{}, alg.Engine{}, 0)
+	res, err := Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +194,7 @@ func TestStagesReported(t *testing.T) {
 func TestPropertyValidOnRandomGraphs(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.GNP(40, 0.1, seed)
-		res, err := Run(g, Options{}, alg.Engine{}, 0)
+		res, err := Run(g)
 		if err != nil {
 			return false
 		}
@@ -149,14 +218,15 @@ func hashColoring(c []int) string {
 }
 
 // TestRandomIDRunsPinned pins the coloring and every stage's palette and
-// rounds under the two randomized ID assignments, captured before Linial
-// switched to a flat coefficient table and before the IDs were drawn
-// without building an engine. IDSparseRandom drives Linial through a real
-// iteration; IDRandomPermutation starts it from a compact ID space.
+// rounds under the two randomized ID draws, captured before Linial switched
+// to a flat coefficient table, before the IDs were drawn without building
+// an engine, and before the draw moved into this test. idSparseRandom
+// drives Linial through a real iteration; idRandomPermutation starts it
+// from a compact ID space.
 func TestRandomIDRunsPinned(t *testing.T) {
 	pins := []struct {
 		spec            graph.GeneratorSpec
-		ids             congest.IDAssignment
+		ids             idMode
 		hash            string
 		linialColors    int
 		linialRounds    int
@@ -164,26 +234,25 @@ func TestRandomIDRunsPinned(t *testing.T) {
 		iterativeRounds int
 		reductionRounds int
 	}{
-		{graph.GeneratorSpec{Kind: "gnp-avg", N: 600, P: 8, Seed: 1}, congest.IDSparseRandom, "ebbdcfbea5896d9f", 94249, 34, 307, 10, 63},
-		{graph.GeneratorSpec{Kind: "gnp-avg", N: 600, P: 8, Seed: 1}, congest.IDRandomPermutation, "df1b41edea5b7974", 601, 34, 307, 10, 72},
-		{graph.GeneratorSpec{Kind: "ba", N: 500, Degree: 3, Seed: 2}, congest.IDSparseRandom, "11772d4ed0b03851", 502681, 116, 709, 8, 113},
-		{graph.GeneratorSpec{Kind: "ba", N: 500, Degree: 3, Seed: 2}, congest.IDRandomPermutation, "86789e60c875cd9b", 501, 116, 709, 4, 91},
-		{graph.GeneratorSpec{Kind: "unitdisk", N: 300, P: 0.09, Seed: 3}, congest.IDSparseRandom, "d3f320223ad59799", 3721, 34, 67, 8, 30},
-		{graph.GeneratorSpec{Kind: "unitdisk", N: 300, P: 0.09, Seed: 3}, congest.IDRandomPermutation, "0aee589bc8e8dc8c", 301, 34, 67, 10, 32},
+		{graph.GeneratorSpec{Kind: "gnp-avg", N: 600, P: 8, Seed: 1}, idSparseRandom, "ebbdcfbea5896d9f", 94249, 34, 307, 10, 63},
+		{graph.GeneratorSpec{Kind: "gnp-avg", N: 600, P: 8, Seed: 1}, idRandomPermutation, "df1b41edea5b7974", 601, 34, 307, 10, 72},
+		{graph.GeneratorSpec{Kind: "ba", N: 500, Degree: 3, Seed: 2}, idSparseRandom, "11772d4ed0b03851", 502681, 116, 709, 8, 113},
+		{graph.GeneratorSpec{Kind: "ba", N: 500, Degree: 3, Seed: 2}, idRandomPermutation, "86789e60c875cd9b", 501, 116, 709, 4, 91},
+		{graph.GeneratorSpec{Kind: "unitdisk", N: 300, P: 0.09, Seed: 3}, idSparseRandom, "d3f320223ad59799", 3721, 34, 67, 8, 30},
+		{graph.GeneratorSpec{Kind: "unitdisk", N: 300, P: 0.09, Seed: 3}, idRandomPermutation, "0aee589bc8e8dc8c", 301, 34, 67, 10, 32},
 	}
 	for _, p := range pins {
 		g, err := p.spec.Generate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(g, Options{IDs: p.ids}, alg.Engine{}, 5)
+		st, err := colorWithIDs(g, drawIDs(p.ids, g.NumNodes(), 5))
 		if err != nil {
 			t.Fatalf("%s ids=%d: %v", p.spec, p.ids, err)
 		}
-		st := res.Stages
 		got := []int{st.LinialColors, st.LinialRounds, st.IterativeColors, st.IterativeRounds, st.ReductionRounds}
 		want := []int{p.linialColors, p.linialRounds, p.iterativeColors, p.iterativeRounds, p.reductionRounds}
-		if h := hashColoring(res.Coloring); h != p.hash || !slices.Equal(got, want) {
+		if h := hashColoring(st.Coloring); h != p.hash || !slices.Equal(got, want) {
 			t.Errorf("%s ids=%d: hash %s stages %v, want %s %v", p.spec, p.ids, h, got, p.hash, want)
 		}
 	}
@@ -197,29 +266,28 @@ func BenchmarkDeterministicD2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, Options{}, alg.Engine{}, 0); err != nil {
+		if _, err := Run(g); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // TestRunSparseIDsAllocs bounds the allocations of a run on the perfbench
-// solve shape under IDSparseRandom, the assignment that drives Linial
-// through a real iteration: Linial evaluates neighbor polynomials from one
-// flat coefficient table per iteration, and the IDs are drawn without
-// building an engine.
+// solve shape under idSparseRandom, the draw that drives Linial through a
+// real iteration: Linial evaluates neighbor polynomials from one flat
+// coefficient table per iteration. The draw's own allocations count too.
 func TestRunSparseIDsAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full pipeline on n = 4000 four times")
 	}
 	g := graph.GNPWithAverageDegree(4000, 10, 1)
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Run(g, Options{IDs: congest.IDSparseRandom}, alg.Engine{}, 1); err != nil {
+		if _, err := colorWithIDs(g, drawIDs(idSparseRandom, g.NumNodes(), 1)); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs >= 1000 {
-		t.Errorf("detd2.Run with IDSparseRandom: %.0f allocs/op, want < 1000", allocs)
+		t.Errorf("pipeline with idSparseRandom: %.0f allocs/op, want < 1000", allocs)
 	}
 	t.Logf("%.0f allocs/op", allocs)
 }

@@ -421,6 +421,12 @@ func unitDiskFromPoints(xs, ys []float64, radius float64) *Graph {
 // (first `tasks` node IDs) each use `perTask` distinct resources chosen
 // uniformly at random. Strong coloring of the induced hypergraph corresponds
 // to d2-coloring the task side (Section 1, "Why d2-coloring?").
+//
+// Each task draws its resources with perTask steps of a partial
+// Fisher–Yates shuffle over one permutation kept across tasks: the first k
+// steps of a shuffle from any starting order pick a uniform k-subset, so no
+// task pays for a fresh permutation and generation costs
+// O(resources + tasks·perTask).
 func TaskResource(tasks, resources, perTask int, seed int64) *Graph {
 	if tasks < 0 {
 		tasks = 0
@@ -438,12 +444,13 @@ func TaskResource(tasks, resources, perTask int, seed int64) *Graph {
 	b := NewBuilder(tasks + resources)
 	b.Grow(tasks * perTask)
 	perm := make([]int, resources)
+	for i := range perm {
+		perm[i] = i
+	}
 	for t := 0; t < tasks; t++ {
-		for i := range perm {
-			perm[i] = i
-		}
-		rng.Shuffle(resources, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		for k := 0; k < perTask; k++ {
+			j := k + rng.Intn(resources-k)
+			perm[k], perm[j] = perm[j], perm[k]
 			_ = b.AddEdge(NodeID(t), NodeID(tasks+perm[k]))
 		}
 	}

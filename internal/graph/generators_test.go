@@ -228,6 +228,19 @@ func TestTaskResource(t *testing.T) {
 	if g := TaskResource(5, 2, 10, 1); g.MaxDegree() > 5 {
 		t.Error("perTask should clamp to the number of resources")
 	}
+	// Large instances stay linear: 2¹⁷ tasks over 2¹⁷ resources would cost
+	// about 1.7·10¹⁰ swaps if every task shuffled a fresh permutation.
+	const big = 1 << 17
+	g = TaskResource(big, big, 2, 3)
+	if g.NumNodes() != 2*big || g.NumEdges() != 2*big {
+		t.Fatalf("large task/resource: n=%d m=%d, want %d and %d", g.NumNodes(), g.NumEdges(), 2*big, 2*big)
+	}
+	for tsk := 0; tsk < big; tsk++ {
+		nb := g.Neighbors(NodeID(tsk))
+		if len(nb) != 2 || int(nb[0]) < big || int(nb[1]) < big {
+			t.Fatalf("large task/resource: task %d neighbors %v, want 2 distinct resources", tsk, nb)
+		}
+	}
 }
 
 func TestGeneratorSpec(t *testing.T) {

@@ -102,7 +102,7 @@ func Run(g *graph.Graph, opts Options, eng alg.Engine, seed uint64) (Result, err
 	// Step 0: for low-degree graphs use the deterministic algorithm
 	// (Theorem 1.2), exactly as Algorithm d2-Color does.
 	if float64(delta*delta) < params.C2*log2(n) && !opts.DisableDeterministicFallback {
-		det, err := detd2.Run(g, detd2.Options{}, eng, seed)
+		det, err := detd2.Run(g)
 		if err != nil {
 			return Result{}, fmt.Errorf("randd2: deterministic fallback: %w", err)
 		}
@@ -167,7 +167,7 @@ func Run(g *graph.Graph, opts Options, eng alg.Engine, seed uint64) (Result, err
 		// live nodes; the whole-palette trial loop finishes them off (each
 		// live node always has at least one free colour in a Δ²+1 palette).
 		// The extra phases are reported so experiments can see them.
-		fallback, err := r.fallbackTrials(params)
+		fallback, err := r.fallbackTrials()
 		if err != nil {
 			return Result{}, err
 		}
@@ -198,11 +198,8 @@ func Run(g *graph.Graph, opts Options, eng alg.Engine, seed uint64) (Result, err
 
 // fallbackTrials runs whole-palette trial phases until every node is colored.
 // Each phase costs 3 rounds (the trial primitive).
-func (r *runner) fallbackTrials(params Params) (int, error) {
-	maxPhases := params.MaxFallbackPhases
-	if maxPhases <= 0 {
-		maxPhases = 256*int(math.Ceil(log2(r.n))) + 1024
-	}
+func (r *runner) fallbackTrials() (int, error) {
+	maxPhases := 256*int(math.Ceil(log2(r.n))) + 1024
 	phases := 0
 	for ; phases < maxPhases && r.liveLeft > 0; phases++ {
 		r.beginTries()

@@ -139,10 +139,9 @@ type FinishStats struct {
 // d2-neighbours, which the O(log n) phase bound already absorbs).
 func (r *runner) finishColoring(remaining *remainingPalettes) (FinishStats, error) {
 	var stats FinishStats
-	maxPhases := r.params.MaxFinishPhases
-	if maxPhases <= 0 {
-		maxPhases = 64*int(math.Ceil(log2(r.n))) + 256
-	}
+	// FinishColoring completes in O(log n) phases w.h.p. (Lemma 2.14); the
+	// bound is dozens of times that.
+	maxPhases := 64*int(math.Ceil(log2(r.n))) + 256
 
 	for phase := 0; phase < maxPhases && r.liveLeft > 0; phase++ {
 		stats.Phases++

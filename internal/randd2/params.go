@@ -69,13 +69,6 @@ type Params struct {
 	// variant is what it approximates (Theorem 2.2) and is cheaper to
 	// simulate on very dense graphs.
 	ExactSimilarity bool
-	// MaxFinishPhases bounds the FinishColoring loop (it completes in
-	// O(log n) phases w.h.p., Lemma 2.14); 0 means an automatic bound.
-	MaxFinishPhases int
-	// MaxFallbackPhases bounds the whole-palette fallback used if the basic
-	// variant's final Reduce leaves live nodes outside the asymptotic regime;
-	// 0 means an automatic bound.
-	MaxFallbackPhases int
 }
 
 // Default returns parameters scaled so that every stage of the algorithm is

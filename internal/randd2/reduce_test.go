@@ -202,7 +202,7 @@ func TestFallbackTrialsCompletes(t *testing.T) {
 	g := graph.Complete(12)
 	p := Default()
 	r := newTestRunner(t, g, p, 5)
-	phases, err := r.fallbackTrials(p)
+	phases, err := r.fallbackTrials()
 	if err != nil {
 		t.Fatal(err)
 	}

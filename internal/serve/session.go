@@ -8,7 +8,6 @@ import (
 
 	"d2color/internal/alg"
 	"d2color/internal/coloring"
-	"d2color/internal/congest"
 	"d2color/internal/fault"
 	"d2color/internal/graph"
 	"d2color/internal/repair"
@@ -292,7 +291,7 @@ func (ses *session) finishOne(c *call) {
 		return
 	}
 	if c.err != nil &&
-		(errors.Is(c.err, ErrCanceled) || errors.Is(c.err, trial.ErrCanceled) || errors.Is(c.err, congest.ErrCanceled)) {
+		(errors.Is(c.err, ErrCanceled) || errors.Is(c.err, trial.ErrCanceled)) {
 		c.err = ErrCanceled
 		ses.srv.canceled.Add(1)
 		ses.nCanceled.Add(1)

@@ -1,10 +1,9 @@
 package trial
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
-
-	"d2color/internal/congest"
 )
 
 func TestColorCodecRoundTrip(t *testing.T) {
@@ -32,13 +31,19 @@ func TestAnswerCodecRoundTrip(t *testing.T) {
 // color from a Δ²+1 ≤ n²+1 palette occupies at most 2 ⌈log₂ n⌉-bit words,
 // an answer at most 3 (two words of color plus the shifted-in bit).
 func TestCodecWordsAccounting(t *testing.T) {
+	// wordsFor is the number of ⌈log₂ n⌉-bit words that carry value (n ≥ 2;
+	// a zero value still occupies one word).
+	wordsFor := func(value uint64, n int) int {
+		w := bits.Len(uint(n - 1))
+		return (max(bits.Len64(value), 1) + w - 1) / w
+	}
 	for _, n := range []int{16, 100, 1024, 1 << 16} {
 		delta := n - 1 // densest possible topology
 		maxColor := delta*delta + 1 - 1
-		if got := congest.WordsFor(EncodeColor(maxColor), n); got > 2 {
+		if got := wordsFor(EncodeColor(maxColor), n); got > 2 {
 			t.Errorf("n=%d: propose payload needs %d words, want <= 2", n, got)
 		}
-		if got := congest.WordsFor(EncodeAnswer(maxColor, true), n); got > 3 {
+		if got := wordsFor(EncodeAnswer(maxColor, true), n); got > 3 {
 			t.Errorf("n=%d: answer payload needs %d words, want <= 3", n, got)
 		}
 	}

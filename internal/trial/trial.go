@@ -25,9 +25,9 @@
 // Because the primitive underlies every simulated experiment, it is built as
 // a reusable, allocation-free kernel (see Runner): all per-node state lives
 // in flat arrays keyed by node or by CSR edge slot, message payloads are
-// plain uint64 words (see codec.go), and a Runner can be re-run with a new
-// Config without rebuilding its n processes or its network. A warmed-up
-// phase executes with zero heap allocations.
+// plain uint64 words (see EncodeColor and EncodeAnswer), and a Runner can
+// be re-run with a new Config without rebuilding its n processes or its
+// network. A warmed-up phase executes with zero heap allocations.
 package trial
 
 import (
@@ -85,7 +85,7 @@ type Config struct {
 	// Seed seeds the per-node randomness.
 	Seed uint64
 	// Workers is the simulator's worker count (≤ 1 runs rounds inline; see
-	// congest.Config.Workers). Results do not depend on it. Used by the Run
+	// congest.New). Results do not depend on it. Used by the Run
 	// convenience wrapper; a Runner fixes its worker count at construction.
 	Workers int
 	// Initial is an optional partial coloring to start from; nodes already
@@ -278,10 +278,9 @@ type nodeProc struct {
 	v graph.NodeID
 }
 
-// Step implements congest.Process. The process never "halts" in the
-// simulator's sense because colored nodes still answer queries; termination
-// is driven by the phase loop.
-func (p *nodeProc) Step(ctx *congest.Context, round int, inbox []congest.Message) bool {
+// Step implements congest.Process. Colored nodes keep stepping because they
+// still answer queries; termination is driven by the phase loop.
+func (p *nodeProc) Step(ctx *congest.Context, round int, inbox []congest.Message) {
 	switch round % 3 {
 	case 0:
 		p.r.stepPropose(p.v, ctx, inbox)
@@ -290,7 +289,6 @@ func (p *nodeProc) Step(ctx *congest.Context, round int, inbox []congest.Message
 	case 2:
 		p.r.stepAdopt(p.v, ctx, inbox)
 	}
-	return false
 }
 
 // NewRunner builds a trial kernel for g whose engine runs with the given
@@ -316,7 +314,7 @@ func (r *Runner) Rebind(g *graph.Graph) {
 	r.g, r.ix = g, g.EdgeIndex()
 	slots := r.ix.NumSlots()
 	if r.net == nil {
-		r.net = congest.New(g, congest.Config{Workers: r.workers})
+		r.net = congest.New(g, r.workers)
 	} else {
 		r.net.Rebind(g)
 	}
